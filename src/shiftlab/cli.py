@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -145,7 +144,7 @@ def cmd_pressure(args) -> int:
     f, _ = _load_potential(args.potential, graph)
     if args.method == "table":
         period = shift.period if isinstance(shift, FinitePresentation) else 1
-        table = partition_function(graph, f, (), args.nmax, threads=args.threads)
+        table = partition_function(graph, f, (), args.nmax)
         est = pressure_from_table(table, period)
     else:
         est = pressure_spectral(graph, f)
@@ -173,7 +172,7 @@ def cmd_zn(args) -> int:
         graph = _graph_of(shift)
         f, _ = _load_potential(args.potential, graph)
         W = _parse_word_arg(graph.names, args.word)
-        table = partition_function(graph, f, W, args.nmax, threads=args.threads)
+        table = partition_function(graph, f, W, args.nmax)
     rows = []
     for n in sorted(table.entries):
         z = table.zn_float(n)
@@ -222,7 +221,7 @@ def cmd_zeta(args) -> int:
     shift = _load_shift(args.shift)
     graph = _graph_of(shift)
     f, _ = _load_potential(args.potential, graph)
-    table = partition_function(graph, f, (), args.order, threads=args.threads)
+    table = partition_function(graph, f, (), args.order)
     coeffs = zeta_series(table, args.order)
     exact = isinstance(coeffs[0], Fraction)
     report = {
@@ -376,7 +375,6 @@ def cmd_verify_correspondence(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="shiftlab", description=__doc__)
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: SHIFTLAB_THREADS or 1)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("entropy", help="topological entropy of a presentation")
@@ -454,8 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is None:
-        args.threads = int(os.environ.get("SHIFTLAB_THREADS", "1"))
     try:
         return args.func(args)
     except docs.SchemaError as e:

@@ -618,8 +618,10 @@ def _transport_sampling(
         w = y[j:j + order + 1]
         qk1[w] = qk1.get(w, 0.0) + 1.0 / n_k1
     out, tv = _markovize(ai.code_t.target, order, qk, qk1)
+    # a sum of 1/n_k1 terms can round above 1; the variance is clamped at 0
+    # rather than re-summed, so the sampled frequencies stay as computed
     width = max(
-        1.96 * math.sqrt(p * (1 - p) / n_k1) for p in qk1.values()
+        1.96 * math.sqrt(max(p * (1 - p), 0.0) / n_k1) for p in qk1.values()
     )
     return TransportReport(
         measure=out,

@@ -12,8 +12,6 @@ from functools import cached_property
 from math import gcd
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import kernels
 
@@ -238,17 +236,53 @@ def build_graph(names, edges) -> FinitePresentation:
 
 
 def strongly_connected_components(g: FiniteGraph) -> list[tuple[int, ...]]:
-    rows = [u for u, _ in g.edges]
-    cols = [v for _, v in g.edges]
-    m = csr_matrix(
-        (np.ones(len(g.edges), dtype=np.int8), (rows, cols)),
-        shape=(g.n_vertices, g.n_vertices),
-    )
-    n, labels = connected_components(m, directed=True, connection="strong")
-    comps: list[list[int]] = [[] for _ in range(n)]
-    for v, lab in enumerate(labels):
-        comps[lab].append(v)
-    return [tuple(c) for c in comps]
+    """The strongly connected components of ``g``.
+
+    Tarjan's algorithm (SIAM J. Comput. 1, 1972) with an explicit stack, so
+    deep graphs need no recursion.  Each component is an ascending tuple;
+    components are sorted by their smallest vertex.
+    """
+    succ = [[int(v) for v in g.successors(u)] for u in range(g.n_vertices)]
+    index = [-1] * g.n_vertices
+    low = [0] * g.n_vertices
+    on_stack = [False] * g.n_vertices
+    stack: list[int] = []
+    comps: list[tuple[int, ...]] = []
+    counter = 0
+    for root in range(g.n_vertices):
+        if index[root] >= 0:
+            continue
+        work = [(root, 0)]
+        while work:
+            u, i = work.pop()
+            if i == 0:
+                index[u] = low[u] = counter
+                counter += 1
+                stack.append(u)
+                on_stack[u] = True
+            else:
+                # returning from the child succ[u][i - 1]
+                low[u] = min(low[u], low[succ[u][i - 1]])
+            while i < len(succ[u]):
+                v = succ[u][i]
+                i += 1
+                if index[v] < 0:
+                    work.append((u, i))
+                    work.append((v, 0))
+                    break
+                if on_stack[v]:
+                    low[u] = min(low[u], index[v])
+            else:
+                if low[u] == index[u]:
+                    comp = []
+                    while True:
+                        v = stack.pop()
+                        on_stack[v] = False
+                        comp.append(v)
+                        if v == u:
+                            break
+                    comps.append(tuple(sorted(comp)))
+    return sorted(comps)
 
 
 def irreducible_and_period(g: FiniteGraph) -> tuple[bool, int | None]:

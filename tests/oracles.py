@@ -1,8 +1,10 @@
 """Independent oracles the tests check library results against.
 
-Nothing here shares algorithms with the library: periodic points are counted
-by integer matrix powers or raw product filtering, weighted sums by matrix
-powers over a packed-exponent semiring, series by closed-form expansions.
+Nothing here shares algorithms with the library: periodic points and first
+returns are counted by integer matrix powers or raw product filtering,
+weighted sums by matrix powers over a packed-exponent semiring, series by
+closed-form expansions, chains by scalar comparisons, and strongly connected
+components by a transitive closure.
 """
 from __future__ import annotations
 
@@ -31,6 +33,54 @@ def brute_force_periodic(edges: set[tuple[int, int]], n_vertices: int, n: int, p
             continue
         out.append(cand)
     return sorted(out)
+
+
+def brute_force_first_returns(edges: set[tuple[int, int]], allowed, v_start: int, v_end: int, maxlen: int):
+    """Paths v_start -> v_end of 1..maxlen steps through allowed vertices only.
+
+    Each path is the word it visits before reaching ``v_end``; the list is
+    ordered by length, then lexicographically.  Filters the full product of
+    allowed vertices at every length (tiny graphs only).
+    """
+    middle = [v for v, ok in enumerate(allowed) if ok]
+    out = []
+    for k in range(1, maxlen + 1):
+        for rest in itertools.product(middle, repeat=k - 1):
+            word = (v_start, *rest)
+            if all((word[i], word[i + 1]) in edges for i in range(k - 1)) and (word[-1], v_end) in edges:
+                out.append(word)
+    return out
+
+
+def scalar_chain(cum, start: int, uniforms) -> list[int]:
+    """Chain trajectory one scalar comparison at a time.
+
+    From state s the next state is the first j with cum[s, j] > u, or the
+    last state when there is none.
+    """
+    out = [int(start)]
+    for u in uniforms:
+        row = cum[out[-1]]
+        out.append(next((j for j in range(len(row)) if row[j] > u), len(row) - 1))
+    return out
+
+
+def warshall_components(n_vertices: int, edges) -> list[tuple[int, ...]]:
+    """Strongly connected components from the reflexive transitive closure.
+
+    u and v share a component iff each reaches the other (Warshall, J. ACM 9,
+    1962).  Components are ascending tuples sorted by their smallest vertex.
+    """
+    reach = [[u == v for v in range(n_vertices)] for u in range(n_vertices)]
+    for u, v in edges:
+        reach[u][v] = True
+    for k in range(n_vertices):
+        for i in range(n_vertices):
+            if reach[i][k]:
+                for j in range(n_vertices):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    comps = {tuple(v for v in range(n_vertices) if reach[u][v] and reach[v][u]) for u in range(n_vertices)}
+    return sorted(comps)
 
 
 def weighted_trace_expsum(adj: np.ndarray, values: list[Fraction], n: int) -> ExpSum:

@@ -7,7 +7,6 @@ import time
 from fractions import Fraction as F
 
 import numpy as np
-import pytest
 
 from shiftlab.codes import assemble_ai, labeling_code, transport_measure, verify_correspondence, verify_magic
 from shiftlab.graphs import build_graph, higher_block
@@ -33,13 +32,6 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"criterion {number} [{name}]: {tag}{suffix}")
     assert ok, f"criterion {number} {name} failed {suffix}"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels(gm):
-    # first-call JIT compilation is environment setup, not measured work
-    partition_function(gm.graph, FiniteRangePotential.zero(gm.graph), (), 2)
-    induce(gm.graph, (0,), maxlen=3)
 
 
 def test_criterion_1_exact_zn_oracle(gm, full2):

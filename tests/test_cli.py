@@ -111,6 +111,26 @@ def test_induce_roundtrip_classify(capsys, tmp_path, fixture_dir):
     assert report["verdict"] == "SPR"
 
 
+def test_induce_with_potential_wider_than_word(capsys, tmp_path, fixture_dir):
+    out = tmp_path / "weighted-loops.json"
+    code, report, _ = run_cli(
+        capsys, "induce", "--shift", str(fixture_dir / "gm.json"), "--word", "0",
+        "--potential", str(fixture_dir / "gm-range1-block2.json"), "--out", str(out),
+    )
+    assert code == 0
+    # f(0,0) = 1/3 on the loop "0"; f(0,1) + f(1,0) = -1/6 on the loop "0,1"
+    weights = {lp["label"]: lp["log_weight"] for lp in json.loads(out.read_text())["loops"]}
+    assert weights == {"0": "1/3", "0,1": "-1/6"}
+    code, report, _ = run_cli(capsys, "classify", "--loops", str(out))
+    assert code == 0
+    assert report["verdict"] == "SPR"
+    code, preport, _ = run_cli(
+        capsys, "pressure", "--shift", str(fixture_dir / "gm.json"),
+        "--potential", str(fixture_dir / "gm-range1-block2.json"),
+    )
+    assert abs(math.log(report["lambda"]["value"]) - preport["pressure"]["value"]) <= 1e-6
+
+
 def test_induce_with_potential_bakes_weights(capsys, tmp_path, fixture_dir):
     out = tmp_path / "weighted-loops.json"
     code, _, _ = run_cli(
@@ -228,10 +248,15 @@ def test_missing_file_exit_2(capsys):
     assert rc == 2
 
 
-def test_threads_env_fallback(capsys, fixture_dir, monkeypatch):
-    monkeypatch.setenv("SHIFTLAB_THREADS", "2")
+def test_zn_gm_lucas(capsys, fixture_dir):
     code, report, _ = run_cli(
         capsys, "zn", "--shift", str(fixture_dir / "gm.json"), "--nmax", "8",
     )
     assert code == 0
     assert [e["Z_n"]["value"] for e in report["entries"]][:5] == [1, 3, 4, 7, 11]
+
+
+def test_import_loads_neither_scipy_nor_numba():
+    code = "import sys, shiftlab, shiftlab.cli; print(sorted({'scipy', 'numba'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -196,6 +196,24 @@ class TestTransport:
         assert np.allclose(rep.measure.transitions, 0.5, atol=1e-12)
         assert abs(rep.entropy_out - rep.entropy_in) <= 1e-12
 
+    def test_sampling_concentrated_measure(self, full2_graph):
+        # every sampled 2-block is "00": nine frequencies of 1/9 sum to
+        # 1 + 2**-52, and the width must still come out real
+        code = OneBlockCode(source=full2_graph, target=full2_graph, symbol_map=(0, 1), conjugacy_window=1)
+        cert = verify_magic(code, (0,), 0, 6)
+        ai = assemble_ai(code, code, cert, cert)
+        from shiftlab.thermo import MarkovMeasure
+
+        eps = 1e-12
+        mu = MarkovMeasure(
+            graph=full2_graph, order=1, blocks=((0,), (1,)),
+            transitions=np.array([[1 - eps, eps], [0.5, 0.5]]),
+            stationary=np.array([1 - 2 * eps, 2 * eps]),
+        )
+        rep = transport_measure(ai, mu, order=1, samples=10, seed=1)
+        assert rep.measure.blocks == ((0,),)
+        assert rep.confidence_width == 0.0
+
     def test_parry_closed_form(self, gm_self_ai, gm_graph):
         mu = equilibrium_measure(gm_graph, FiniteRangePotential.zero(gm_graph))
         rep = transport_measure(gm_self_ai, mu, order=2)

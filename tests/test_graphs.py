@@ -4,14 +4,16 @@ import pytest
 
 from shiftlab.graphs import (
     BudgetExceededError,
+    FiniteGraph,
     GraphError,
     build_graph,
     enumerate_periodic,
     higher_block,
     irreducible_and_period,
+    strongly_connected_components,
 )
 
-from oracles import brute_force_periodic, integer_trace, random_irreducible_graph
+from oracles import brute_force_periodic, integer_trace, random_irreducible_graph, warshall_components
 
 
 class TestBuildGraph:
@@ -57,8 +59,6 @@ class TestIrreducibleAndPeriod:
         assert irreducible_and_period(g) == (True, 2)
 
     def test_disjoint_loops(self):
-        from shiftlab.graphs import FiniteGraph
-
         g = FiniteGraph(("a", "b"), ((0, 0), (1, 1)))
         flag, period = irreducible_and_period(g)
         assert flag is False and period is None
@@ -66,6 +66,25 @@ class TestIrreducibleAndPeriod:
     def test_three_cycle(self):
         g = build_graph(list("abc"), [(0, 1), (1, 2), (2, 0)]).graph
         assert irreducible_and_period(g) == (True, 3)
+
+
+class TestStronglyConnectedComponents:
+    def test_matches_transitive_closure_on_random_graphs(self):
+        rng = np.random.default_rng(1972)
+        reducible = 0
+        for _ in range(300):
+            V = int(rng.integers(1, 13))
+            density = rng.uniform(0.0, 0.4)
+            edges = [(u, v) for u in range(V) for v in range(V) if rng.random() < density]
+            comps = strongly_connected_components(FiniteGraph(tuple(map(str, range(V))), tuple(edges)))
+            assert comps == warshall_components(V, edges), edges
+            reducible += len(comps) > 1
+        assert reducible > 100
+
+    def test_long_cycle_needs_no_recursion(self):
+        N = 20_000
+        g = FiniteGraph(tuple(map(str, range(N))), tuple((v, (v + 1) % N) for v in range(N)))
+        assert strongly_connected_components(g) == [tuple(range(N))]
 
 
 class TestEnumeratePeriodic:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from shiftlab.graphs import BudgetExceededError, GraphError, build_graph
+from shiftlab.graphs import BudgetExceededError, GraphError, build_graph, higher_block
 from shiftlab.induction import (
     Loop,
     LoopSystem,
@@ -345,6 +345,24 @@ class TestRecurrenceClassify:
             else:
                 assert r.verdict == "indeterminate"
             checked += 1
+
+    def test_span_wider_than_word_brackets_perron_root(self, gm, full2):
+        # a 2-block potential on 1-letter words: the off-core tail bound
+        # takes each block's largest extension, and must still contain the
+        # Perron root of the weighted 2-block matrix
+        rng = np.random.default_rng(106)
+        for g in (gm.graph, full2.graph):
+            table = {w: F(int(rng.integers(-6, 7)), 5) for w in g.words(2)}
+            f = FiniteRangePotential(g, 0, 2, table)
+            H, lab = higher_block(g, 2)
+            M = np.zeros((H.n_vertices, H.n_vertices))
+            for u, v in H.edges:
+                M[u, v] = math.exp(float(table[lab.block_words[u]]))
+            rho = max(abs(np.linalg.eigvals(M)))
+            r = recurrence_classify(induce(g, (0,), maxlen=30).loops, f)
+            assert r.verdict == "SPR"
+            lo, hi = r.lam_bounds
+            assert lo <= rho <= hi
 
     def test_period_of_loop_system(self, gm):
         ind = induce(gm.graph, (0,), maxlen=10)

@@ -100,12 +100,6 @@ class TestPartitionFunction:
             t = partition_function(gm.graph, zero(gm.graph), (1, 1), 4)
         assert all(not t.entries[n] for n in t.entries)
 
-    def test_threads_match_serial(self, full2):
-        f = zero(full2.graph)
-        a = partition_function(full2.graph, f, (0,), 9, threads=1)
-        b = partition_function(full2.graph, f, (0,), 9, threads=4)
-        assert {n: a.zn_exact(n) for n in a.entries} == {n: b.zn_exact(n) for n in b.entries}
-
     def test_bowen_reduction_invariance(self, gm, full2):
         rng = np.random.default_rng(77)
         for g in (gm.graph, full2.graph):
