@@ -463,17 +463,15 @@ def _weighted_tails(ind: InducedPresentation, f: FiniteRangePotential | None):
         g = bowen_reduce(f)[0] if f.left > 0 else f
         span = g.span
         N = len(oc.block_words[0])
-        if span <= N:
-            logs = [float(g.table[bw[:span]]) for bw in oc.block_words]
-        else:
-            # A potential wider than the blocks is bounded on each block by
-            # its largest value over the span-words extending it.  A product
-            # of these per-step maxima bounds every path weight, so the tail
-            # stays an upper bound.
-            top: dict[Word, float] = {}
-            for w, v in g.table.items():
-                top[w[:N]] = max(top.get(w[:N], -math.inf), float(v))
-            logs = [top[bw] for bw in oc.block_words]
+        # Each block is weighted by the largest value of f over the
+        # span-words that agree with it on their first min(span, N) symbols.
+        # When span <= N that word is unique and the weight is exact; when
+        # f is wider than the blocks, a product of these per-step maxima
+        # bounds every path weight, so the tail stays an upper bound.
+        top: dict[Word, float] = {}
+        for w, v in g.table.items():
+            top[w[:N]] = max(top.get(w[:N], -math.inf), float(v))
+        logs = [top[bw[:span]] for bw in oc.block_words]
         weights = np.array([math.exp(x) for x in logs])
     ids = {1: oc.distinguished[0], 2: oc.distinguished[-1]}
     maxlen = max((lp.length for lp in sys_.loops), default=0)
