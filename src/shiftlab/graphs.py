@@ -341,7 +341,7 @@ def enumerate_periodic(
     paths, overflow = kernels.closed_paths(indptr, indices, reach, n, prefix, budget)
     if overflow:
         raise BudgetExceededError(f"more than {budget} periodic points of period {n}")
-    return tuple(PeriodicPoint(tuple(int(s) for s in row)) for row in paths)
+    return tuple(PeriodicPoint(tuple(row)) for row in paths.tolist())
 
 
 def periodic_count_exponents(
@@ -349,12 +349,15 @@ def periodic_count_exponents(
     n: int,
     prefix=(),
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> list[tuple[tuple[int, ...], int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Periodic points of period n aggregated by vertex-visit counts.
 
-    Returns ``[(counts, multiplicity), ...]``; the enumeration is the same
-    depth-first walk as :func:`enumerate_periodic`, only the bookkeeping is
-    aggregated.  Requires at most 15 vertices.
+    Returns ``(counts, multiplicities)``: row ``i`` of the int64 array
+    ``counts`` (shape ``(k, n_vertices)``) is one distinct visit-count
+    vector, and ``multiplicities[i]`` is the number of points with it.  The
+    points are the ones :func:`enumerate_periodic` yields, aggregated by
+    :func:`~shiftlab.kernels.closed_path_count_keys`; rows follow its
+    ascending key order.  Requires at most 15 vertices and ``n <= 15``.
     """
     prefix = tuple(int(s) for s in prefix)
     indptr, indices = g.csr
@@ -362,8 +365,8 @@ def periodic_count_exponents(
     keys, mult, overflow = kernels.closed_path_count_keys(indptr, indices, reach, n, prefix, budget)
     if overflow:
         raise BudgetExceededError(f"more than {budget} periodic points of period {n}")
-    V = g.n_vertices
-    return [(kernels.unpack_count_key(int(k), V), int(m)) for k, m in zip(keys, mult)]
+    counts = (keys[:, None] >> (4 * np.arange(g.n_vertices, dtype=np.int64))) & 0xF
+    return counts, mult
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,13 @@ def csr_adjacency(n_vertices: int, edges) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
+def _dense_adjacency(indptr, indices) -> np.ndarray:
+    V = indptr.shape[0] - 1
+    adj = np.zeros((V, V), dtype=bool)
+    adj[np.repeat(np.arange(V), np.diff(indptr)), indices] = True
+    return adj
+
+
 def exact_reach(adj_bool: np.ndarray, n: int) -> np.ndarray:
     """reach[k, u, v] == True iff a path of exactly k edges runs u -> v."""
     V = adj_bool.shape[0]
@@ -50,10 +57,7 @@ def exact_reach(adj_bool: np.ndarray, n: int) -> np.ndarray:
 def _closed_path_rows(indptr, indices, reach, n, prefix, cap):
     # shared by both public routes, so a count-key call never passes
     # through the public ``closed_paths`` name
-    V = indptr.shape[0] - 1
-    adj = np.zeros((V, V), dtype=bool)
-    for u in range(V):
-        adj[u, indices[indptr[u]:indptr[u + 1]]] = True
+    adj = _dense_adjacency(indptr, indices)
     lp = len(prefix)
     if lp == 0:
         starts = np.nonzero(reach[n].diagonal())[0]
@@ -101,9 +105,8 @@ def closed_path_count_keys(indptr, indices, reach, n, prefix, cap):
     paths, overflow = _closed_path_rows(indptr, indices, reach, n, prefix, int(cap))
     if paths.shape[0] == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64), overflow
-    counts = np.zeros((paths.shape[0], V), dtype=np.int64)
-    np.add.at(counts, (np.arange(paths.shape[0])[:, None], paths), 1)
-    keys = counts @ (np.int64(1) << (4 * np.arange(V, dtype=np.int64)))
+    # a vertex is visited at most n <= 15 times, so the 4-bit fields never carry
+    keys = (np.int64(1) << (4 * paths.astype(np.int64))).sum(axis=1)
     uniq, mult = np.unique(keys, return_counts=True)
     return uniq.astype(np.int64), mult.astype(np.int64), overflow
 
@@ -126,10 +129,7 @@ def first_return_paths(indptr, indices, allowed, dist_end, v_start, v_end, maxle
     without their terminal vertex, shortest paths first.
     """
     maxlen, cap = int(maxlen), int(cap)
-    V = indptr.shape[0] - 1
-    adj = np.zeros((V, V), dtype=bool)
-    for u in range(V):
-        adj[u, indices[indptr[u]:indptr[u + 1]]] = True
+    adj = _dense_adjacency(indptr, indices)
     flat: list[np.ndarray] = []
     lengths: list[int] = []
     total = 0

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Union
 
 from .graphs import FiniteGraph, PeriodicPoint, Word
@@ -62,9 +63,15 @@ class FiniteRangePotential:
         """Window length m + r."""
         return self.left + self.right
 
-    @property
+    @cached_property
     def rational(self) -> bool:
         return all(_is_rational(x) for x in self.table.values())
+
+    @cached_property
+    def _integer_table(self) -> tuple[int, dict[Word, int]]:
+        """``(q, {w: q * f(w)})`` with q the common denominator (rational tables)."""
+        q = math.lcm(*(x.denominator for x in self.table.values()))
+        return q, {w: x.numerator * (q // x.denominator) for w, x in self.table.items()}
 
     @property
     def sup_value(self) -> float:
@@ -104,18 +111,27 @@ class FiniteRangePotential:
 def birkhoff_sum(f: FiniteRangePotential, x: PeriodicPoint, n: int) -> Number:
     """f(x) + f(Sx) + ... + f(S^{n-1} x) along the closed orbit word.
 
-    Exact (Fraction) whenever the table is rational.  Raises
-    :class:`PotentialError` if the orbit word leaves the table domain.
+    Exact (Fraction) whenever the table is rational: the sum is taken over
+    integer numerators and divided by the common denominator once.  Float
+    tables are summed left to right.  Raises :class:`PotentialError` if the
+    orbit word leaves the table domain.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    p = len(x.word)
+    word, p = x.word, len(x.word)
     for i in range(p):
-        if not f.graph.has_edge(x.word[i], x.word[(i + 1) % p]):
-            raise PotentialError(f"orbit word {x.word} is not admissible")
-    total: Number = Fraction(0) if f.rational else 0.0
+        if not f.graph.has_edge(word[i], word[(i + 1) % p]):
+            raise PotentialError(f"orbit word {word} is not admissible")
+    # letters -left .. n + right - 2 of the orbit, so window k is ext[k:k + span]
+    span = f.span
+    start = -f.left % p
+    ext = (word * ((start + n + span - 1) // p + 1))[start:start + n + span - 1]
+    if f.rational:
+        q, table = f._integer_table
+        return Fraction(sum(table[ext[k:k + span]] for k in range(n)), q)
+    total = 0.0
     for k in range(n):
-        total = total + f.value_at(x, k)
+        total = total + f.table[ext[k:k + span]]
     return total
 
 

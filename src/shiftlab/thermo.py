@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Union
@@ -85,16 +86,24 @@ class PartitionFunctionTable:
         return [n for n in sorted(self.entries) if self.zn_float(n) > 0]
 
 
-def _zn_from_points(graph, f, points, n) -> ZnValue:
+def _zn_from_points(f, points, n) -> ZnValue:
     if f.rational:
-        acc = ExpSum()
-        for x in points:
-            acc.add_term(birkhoff_sum(f, x, n), 1)
-        return acc
-    vals = [float(birkhoff_sum(f, x, n)) for x in points]
+        return ExpSum(Counter(birkhoff_sum(f, x, n) for x in points))
+    vals = [birkhoff_sum(f, x, n) for x in points]
     total = math.fsum(math.exp(v) for v in vals)
-    err = total * _EPS * (8 + math.log2(len(vals) + 1))
-    return (total, err)
+    # Each float Birkhoff sum adds n table values left to right, so it is off
+    # by at most delta = gamma_n * n * max|f| (Higham, Accuracy and Stability
+    # of Numerical Algorithms, secs. 3.1 and 4.2; gamma_n rather than
+    # gamma_{n-1} also covers rational entries rounded to float), which exp
+    # turns into a relative error of at most expm1(delta).  The second term
+    # covers the rounding of exp itself and of the fsum, the third exp
+    # results that underflow.
+    u = _EPS / 2
+    delta = n * u / (1 - n * u) * n * max(abs(float(v)) for v in f.table.values())
+    if delta >= 709.0:
+        return (total, math.inf)
+    err = total * (math.expm1(delta) + _EPS * (8 + math.log2(len(vals) + 1)))
+    return (total, err + 2 * len(vals) * math.ulp(0.0))
 
 
 def _zn_single(graph: FiniteGraph, f: FiniteRangePotential, W: Word, n: int, budget: int) -> ZnValue:
@@ -102,17 +111,22 @@ def _zn_single(graph: FiniteGraph, f: FiniteRangePotential, W: Word, n: int, bud
 
     if n < len(W):
         pts = _g.enumerate_periodic(graph, n, W, budget=budget)
-        return _zn_from_points(graph, f, pts, n)
+        return _zn_from_points(f, pts, n)
     if f.rational and f.span == 1 and graph.n_vertices <= 15 and n <= 15:
         # aggregate by visit counts; the exponent only depends on them
-        pairs = _g.periodic_count_exponents(graph, n, W, budget=budget)
-        acc = ExpSum()
-        vals = [Fraction(f.table[(v,)]) for v in range(graph.n_vertices)]
-        for counts, mult in pairs:
-            acc.add_term(sum(c * vals[v] for v, c in enumerate(counts)), mult)
-        return acc
+        counts, mult = _g.periodic_count_exponents(graph, n, W, budget=budget)
+        q, table = f._integer_table
+        weights = [table[(v,)] for v in range(graph.n_vertices)]
+        # exponent numerators over q; int64 holds them unless the table's
+        # numerators are huge, and then numpy works on Python integers
+        dtype = np.int64 if n * max(abs(w) for w in weights) < 2**63 else object
+        numerators = counts.astype(dtype) @ np.array(weights, dtype=dtype)
+        exps, inverse = np.unique(numerators, return_inverse=True)
+        totals = np.zeros(len(exps), dtype=np.int64)
+        np.add.at(totals, inverse, mult)
+        return ExpSum({Fraction(e, q): m for e, m in zip(exps.tolist(), totals.tolist())})
     pts = _g.enumerate_periodic(graph, n, W, budget=budget)
-    return _zn_from_points(graph, f, pts, n)
+    return _zn_from_points(f, pts, n)
 
 
 def partition_function(

@@ -2,13 +2,15 @@
 
 Nothing here shares algorithms with the library: periodic points and first
 returns are counted by integer matrix powers or raw product filtering,
-weighted sums by matrix powers over a packed-exponent semiring, series by
-closed-form expansions, chains by scalar comparisons, and strongly connected
-components by a transitive closure.
+weighted sums by matrix powers over a packed-exponent semiring or in
+60-digit decimal arithmetic, series by closed-form expansions, chains by
+scalar comparisons, and strongly connected components by a transitive
+closure.
 """
 from __future__ import annotations
 
 import itertools
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +130,34 @@ def weighted_trace_expsum(adj: np.ndarray, values: list[Fraction], n: int) -> Ex
             exponent = sum(c * values[v] for v, c in enumerate(counts))
             acc.add_term(exponent, int(m))
     return acc
+
+
+def decimal_weighted_traces(graph, table: dict, n_max: int) -> list[Decimal]:
+    """Z_1 .. Z_n_max of a span-s word table, to 60 significant digits.
+
+    Traces of the powers of the s-block matrix with ``B[w, w[1:] + (v,)] =
+    exp(table[w])`` for each edge ``w[-1] -> v``.  Float table values
+    convert to Decimal exactly, so the only rounding is at the 60th digit.
+    """
+    blocks = sorted(table)
+    index = {w: i for i, w in enumerate(blocks)}
+    with localcontext() as ctx:
+        ctx.prec = 60
+        weight = [Decimal(table[w]).exp() for w in blocks]
+        succ = [[index[w[1:] + (v,)] for v in range(graph.n_vertices) if graph.has_edge(w[-1], v)]
+                for w in blocks]
+        power = [[Decimal(int(i == j)) for j in range(len(blocks))] for i in range(len(blocks))]
+        out = []
+        for _ in range(n_max):
+            nxt = [[Decimal(0)] * len(blocks) for _ in blocks]
+            for i, row in enumerate(power):
+                for k, x in enumerate(row):
+                    if x:
+                        for j in succ[k]:
+                            nxt[i][j] += x * weight[k]
+            power = nxt
+            out.append(sum(power[i][i] for i in range(len(blocks))))
+    return out
 
 
 def geometric_series_coeffs(a: Fraction, order: int) -> list[Fraction]:

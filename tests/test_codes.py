@@ -214,6 +214,25 @@ class TestTransport:
         assert rep.measure.blocks == ((0,),)
         assert math.isfinite(rep.confidence_width) and rep.confidence_width >= 0
 
+    def test_sampling_width_positive_on_concentrated_measure(self, full2_graph):
+        # every sampled 2-block is "00"; nine identical blocks are no certainty,
+        # and the Wilson half-width at p = 1 is z^2 / (2 (n + z^2)) with n = 9
+        code = OneBlockCode(source=full2_graph, target=full2_graph, symbol_map=(0, 1), conjugacy_window=1)
+        cert = verify_magic(code, (0,), 0, 6)
+        ai = assemble_ai(code, code, cert, cert)
+        from shiftlab.thermo import MarkovMeasure
+
+        eps = 1e-12
+        mu = MarkovMeasure(
+            graph=full2_graph, order=1, blocks=((0,), (1,)),
+            transitions=np.array([[1 - eps, eps], [0.5, 0.5]]),
+            stationary=np.array([1 - 2 * eps, 2 * eps]),
+        )
+        rep = transport_measure(ai, mu, order=1, samples=10, seed=1)
+        assert rep.measure.blocks == ((0,),)
+        assert rep.confidence_width > 0
+        assert rep.confidence_width == pytest.approx(1.96**2 / (2 * (9 + 1.96**2)), rel=1e-12)
+
     def test_parry_closed_form(self, gm_self_ai, gm_graph):
         mu = equilibrium_measure(gm_graph, FiniteRangePotential.zero(gm_graph))
         rep = transport_measure(gm_self_ai, mu, order=2)

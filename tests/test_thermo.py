@@ -1,5 +1,6 @@
 """Partition functions, pressure, equilibrium measures, zeta, distortion."""
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import numpy as np
@@ -29,6 +30,7 @@ from shiftlab.thermo import (
 )
 
 from oracles import (
+    decimal_weighted_traces,
     integer_trace,
     lucas_numbers,
     random_irreducible_graph,
@@ -79,6 +81,39 @@ class TestPartitionFunction:
             for x in enumerate_periodic(gm.graph, n):
                 acc.add_term(birkhoff_sum(f, x, n), 1)
             assert t.zn_exact(n) == acc
+
+    def test_count_key_route_with_numerators_past_int64(self, full2):
+        # 6 * (5 * 2**62) overflows int64, so the exponents need Python integers
+        values = [F(2**62, 3), F(-(2**61) - 1, 5)]
+        f = FiniteRangePotential.from_vertex_values(full2.graph, values)
+        t = partition_function(full2.graph, f, (), 6)
+        for n in range(1, 7):
+            assert t.zn_exact(n) == weighted_trace_expsum(full2.graph.adjacency, values, n)
+
+    def test_float_error_bound_contains_decimal_truth(self):
+        # Gaussian tables with sigma up to 5 make Birkhoff sums whose rounding,
+        # amplified by exp, is larger than the rounding of the final sum
+        rng = np.random.default_rng(2026)
+        for trial in range(200):
+            V = int(rng.integers(2, 6))
+            perm = rng.permutation(V)
+            edges = {(int(perm[i]), int(perm[(i + 1) % V])) for i in range(V)}
+            p = rng.uniform(0.1, 0.6)
+            edges |= {(u, v) for u in range(V) for v in range(V) if rng.random() < p}
+            g = build_graph([str(i) for i in range(V)], sorted(edges)).graph
+            span = int(rng.integers(1, 3))
+            left = int(rng.integers(0, span))
+            sigma = (0.5, 2.0, 5.0)[trial % 3]
+            table = {w: float(rng.normal(0.0, sigma)) for w in g.words(span)}
+            f = FiniteRangePotential(g, left, span - left, table)
+            n_max = 1
+            while n_max < 9 and integer_trace(g.adjacency, n_max + 1) <= 2000:
+                n_max += 1
+            t = partition_function(g, f, (), n_max)
+            truth = decimal_weighted_traces(g, table, n_max)
+            for n in range(1, n_max + 1):
+                value, err = t.entries[n]
+                assert abs(Decimal(value) - truth[n - 1]) <= Decimal(err), (trial, n)
 
     def test_float_route_carries_errors(self, full2):
         f = FiniteRangePotential.from_vertex_values(full2.graph, [0.0, math.log(3)])
