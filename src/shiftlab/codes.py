@@ -19,13 +19,14 @@ from . import kernels
 from .graphs import (
     BlockLabeling,
     FiniteGraph,
-    FinitePresentation,
     GraphError,
     PeriodicPoint,
     Word,
+    enumerate_periodic,
+    recurrent_core,
 )
 from .potentials import FiniteRangePotential, PotentialError
-from .thermo import MarkovMeasure
+from .thermo import MarkovMeasure, stationary_vector
 
 
 class CodeError(ValueError):
@@ -173,41 +174,30 @@ def _two_preimages_differing_at(code: OneBlockCode, image: Word, pos: int) -> tu
     return outs[0], outs[1]
 
 
-def _periodic_words_containing(g: FiniteGraph, W: Word, period: int):
-    from .graphs import enumerate_periodic
-
+def _periodic_points_containing(g: FiniteGraph, W: Word, period: int):
+    """The points of ``g`` with least period dividing ``period`` whose orbit shows W."""
     for pt in enumerate_periodic(g, period):
         doubled = pt.word * ((len(W) + period) // period + 1)
         if any(doubled[i:i + len(W)] == W for i in range(period)):
-            yield pt.word
+            yield pt
 
 
 def _has_periodic_preimage(code: OneBlockCode, word: Word) -> bool:
     """Does the periodic target point of this cyclic word lift to the source?
 
-    Equivalent to a cycle in the phase-extended fiber graph.
+    It does iff the phase-extended fiber graph, with a node (t, s) for each
+    source letter s over word[t], has a cycle: a non-empty recurrent core.
     """
     p = len(word)
     fibers = code.fibers()
-    nodes = [(t, s) for t in range(p) for s in fibers[word[t]]]
-    idx = {node: i for i, node in enumerate(nodes)}
-    edges = []
-    for (t, s) in nodes:
-        for s2 in fibers[word[(t + 1) % p]]:
-            if code.source.has_edge(s, s2):
-                edges.append((idx[(t, s)], idx[(t + 1) % p, s2]))
-    if not nodes or not edges:
-        return False
-    adj = np.zeros((len(nodes), len(nodes)), dtype=bool)
-    for a, b in edges:
-        adj[a, b] = True
-    power = adj.astype(np.int64)
-    a64 = adj.astype(np.int64)
-    for _ in range(len(nodes)):
-        if power.trace() > 0:
-            return True
-        power = np.clip(power @ a64, 0, 1)
-    return False
+    edges = [
+        ((t, s), ((t + 1) % p, s2))
+        for t in range(p)
+        for s in fibers[word[t]]
+        for s2 in fibers[word[(t + 1) % p]]
+        if code.source.has_edge(s, s2)
+    ]
+    return bool(recurrent_core(edges)[0])
 
 
 def verify_magic(
@@ -251,11 +241,11 @@ def verify_magic(
                         witness=(C, u, v), requested_depth=depth,
                     )
     for p in range(1, achieved + 2 * len(W) + 1):
-        for cyc in _periodic_words_containing(code.target, W, p):
-            if not _has_periodic_preimage(code, cyc):
+        for pt in _periodic_points_containing(code.target, W, p):
+            if not _has_periodic_preimage(code, pt.word):
                 return MagicWordCertificate(
                     word=W, offset=offset, depth=achieved, status="refuted",
-                    periodic_failure=cyc, requested_depth=depth,
+                    periodic_failure=pt.word, requested_depth=depth,
                 )
     return MagicWordCertificate(
         word=W, offset=offset, depth=achieved, status="certified", requested_depth=depth
@@ -496,17 +486,9 @@ def _markovize(graph: FiniteGraph, order: int, qk: dict[Word, float], qk1: dict[
     if np.any(rows <= 0):
         raise ValueError("degenerate block distribution; cannot markovize")
     P = P / rows[:, None]
-    pi = np.array([qk[w] for w in blocks])
-    pi = pi / pi.sum()
-    # project onto the stationary vector of P so the invariance contract holds
-    damp = 0.5 * (P + np.eye(P.shape[0]))
-    for _ in range(200_000):
-        nxt = pi @ damp
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) < 1e-16:
-            pi = nxt
-            break
-        pi = nxt
+    # the stationary vector of P, not the block frequencies, so the
+    # invariance contract holds
+    pi = stationary_vector(P)
     mu = MarkovMeasure(graph=graph, order=order, blocks=blocks, transitions=P, stationary=pi)
     model_qk1 = {}
     for i, u in enumerate(blocks):
@@ -655,11 +637,6 @@ class CorrespondenceReport:
     passed: bool
 
 
-def _point_value(f: FiniteRangePotential, x: EventuallyPeriodicPoint, k: int):
-    window = tuple(x.sample(k - f.left + i) for i in range(f.span))
-    return f.table[window]
-
-
 def verify_correspondence(
     ai: AlmostIsomorphism,
     f: FiniteRangePotential,
@@ -674,7 +651,6 @@ def verify_correspondence(
     tolerances; and the transported equilibrium measure of f matches the
     equilibrium measure of g block by block.
     """
-    from .graphs import enumerate_periodic
     from .thermo import equilibrium_measure, pressure_spectral
 
     S, T = ai.code_s.target, ai.code_t.target
@@ -690,15 +666,12 @@ def verify_correspondence(
     failure = None
     exact = f.rational and g.rational
     for p in range(1, n_max + 1):
-        for x0 in enumerate_periodic(S, p):
-            doubled = x0.word * ((len(W) + p) // p + 1)
-            if not any(doubled[i:i + len(W)] == W for i in range(p)):
-                continue
+        for x0 in _periodic_points_containing(S, W, p):
             x = from_periodic(x0)
             y = gamma_on_point(ai, x)
             for k in range(p):
-                fv = _point_value(f, x, k)
-                gv = _point_value(g, y, k)
+                fv = f.value(x.window(k - f.left, k - f.left + f.span))
+                gv = g.value(y.window(k - g.left, k - g.left + g.span))
                 ok = (fv == gv) if exact else abs(float(fv) - float(gv)) <= 1e-12
                 checked += 1
                 if not ok and failure is None:

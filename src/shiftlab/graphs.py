@@ -205,18 +205,7 @@ def build_graph(names, edges) -> FinitePresentation:
         raise GraphError("graph needs at least one edge")
     g = FiniteGraph(names, tuple(edges))  # validates ranges and duplicates
 
-    alive = list(range(g.n_vertices))
-    edge_set = set(g.edges)
-    while True:
-        outs = {u for u, _ in edge_set}
-        ins = {v for _, v in edge_set}
-        dead = [v for v in alive if v not in outs or v not in ins]
-        if not dead:
-            break
-        alive = [v for v in alive if v not in dead]
-        edge_set = {(u, v) for u, v in edge_set if u in alive and v in alive}
-        if not alive:
-            break
+    alive, edge_set = recurrent_core(g.edges)
     if not edge_set:
         raise GraphError("graph is empty after pruning stranded vertices")
 
@@ -233,6 +222,25 @@ def build_graph(names, edges) -> FinitePresentation:
         comp_names = [tuple(pruned.names[v] for v in comp) for comp in comps]
         raise GraphError(f"graph is not irreducible; strongly connected components: {comp_names}")
     return FinitePresentation(graph=pruned, period=period, removed=removed)
+
+
+def recurrent_core(edges) -> tuple[list, set]:
+    """The vertices and edges of a graph that lie on a bi-infinite path.
+
+    Vertices without an incoming or an outgoing edge are dropped until none
+    is left (the essential graph of Lind and Marcus, *Symbolic Dynamics and
+    Coding*, sec. 2.2).  Vertices are any sortable labels; the surviving
+    ones come back sorted.  A finite graph has a cycle iff its core is
+    non-empty.
+    """
+    edge_set = set(edges)
+    alive = {v for e in edge_set for v in e}
+    while True:
+        keep = {u for u, _ in edge_set} & {v for _, v in edge_set}
+        if keep == alive:
+            return sorted(alive), edge_set
+        alive = keep
+        edge_set = {(u, v) for u, v in edge_set if u in alive and v in alive}
 
 
 def strongly_connected_components(g: FiniteGraph) -> list[tuple[int, ...]]:
@@ -360,6 +368,11 @@ def periodic_count_exponents(
     ascending key order.  Requires at most 15 vertices and ``n <= 15``.
     """
     prefix = tuple(int(s) for s in prefix)
+    if n < 1 or len(prefix) > n or not g.is_word(prefix):
+        # at most one point, or none (with enumerate_periodic's warning)
+        pts = enumerate_periodic(g, n, prefix, budget)
+        counts = [np.bincount(pt.word, minlength=g.n_vertices) for pt in pts]
+        return np.array(counts, dtype=np.int64).reshape(len(pts), g.n_vertices), np.ones(len(pts), dtype=np.int64)
     indptr, indices = g.csr
     reach = kernels.exact_reach(g.adjacency, n)
     keys, mult, overflow = kernels.closed_path_count_keys(indptr, indices, reach, n, prefix, budget)

@@ -24,6 +24,7 @@ from .graphs import (
     GraphError,
     Word,
     higher_block,
+    recurrent_core,
 )
 from .potentials import (
     FiniteRangePotential,
@@ -235,11 +236,8 @@ def induce(
 
     # extend maxlen when the off-core part is acyclic: tails become exactly zero
     Vh = H.n_vertices
-    B_bool = H.adjacency.copy()
-    for v in distinct:
-        B_bool[v, :] = False
-        B_bool[:, v] = False
-    nilpotent = not _has_cycle(B_bool)
+    off_core = [(u, v) for u, v in H.edges if u not in distinct and v not in distinct]
+    nilpotent = not recurrent_core(off_core)[0]
     if nilpotent:
         maxlen = max(maxlen, Vh + 1)
 
@@ -271,12 +269,13 @@ def induce(
         raise GraphError("no first return found up to maxlen; increase maxlen")
     loops.sort(key=lambda lp: (lp.src, lp.dst, lp.length, lp.label))
 
-    tails = []
-    for di, vstart in sides:
-        for dj, vend in sides:
-            tails.append(
-                _count_tail(H, distinct, vstart, vend, maxlen, nilpotent, di, dj)
-            )
+    ones = np.ones(Vh)
+    tails = [
+        TailDescriptor(kind="zero", start=maxlen, src=di, dst=dj) if nilpotent
+        else _weighted_tail_bound(H, distinct, vstart, vend, maxlen, ones, di, dj)
+        for di, vstart in sides
+        for dj, vend in sides
+    ]
     system = LoopSystem(
         loops=tuple(loops),
         tails=tuple(tails),
@@ -345,16 +344,6 @@ def induce_structured(
     raise GraphError("no admissible doubled words found")
 
 
-def _has_cycle(adj: np.ndarray) -> bool:
-    a = adj.astype(np.int64)
-    power = a.copy()
-    for _ in range(adj.shape[0]):
-        if power.trace() > 0:
-            return True
-        power = np.clip(power @ a, 0, 1)
-    return bool(power.any())
-
-
 def _bfs_dist_to(H: FiniteGraph, allowed: np.ndarray, target: int) -> np.ndarray:
     """Min step counts to ``target`` through allowed intermediates."""
     V = H.n_vertices
@@ -413,13 +402,6 @@ def _weighted_tail_bound(
     return TailDescriptor(
         kind="geometric", coef=C, ratio=rho, start=maxlen, bound="upper", src=src, dst=dst
     )
-
-
-def _count_tail(H, distinguished, vstart, vend, maxlen, nilpotent, src, dst) -> TailDescriptor:
-    if nilpotent:
-        return TailDescriptor(kind="zero", start=maxlen, src=src, dst=dst)
-    ones = np.ones(H.n_vertices)
-    return _weighted_tail_bound(H, distinguished, vstart, vend, maxlen, ones, src, dst)
 
 
 def lift_potential(

@@ -447,15 +447,26 @@ class MarkovMeasure:
         return dist
 
 
-def _perron_vectors(M: np.ndarray, tol: float, max_iter: int):
-    lam_lo, lam_hi, it, r = _power_bounds(M, tol, max_iter)
-    if lam_hi - lam_lo > tol * max(1.0, lam_hi) * 10:
-        raise ConvergenceError(
-            f"power iteration gap {lam_hi - lam_lo:.3e} did not reach {tol:.1e} within {max_iter} iterations"
-        )
-    _, _, _, l = _power_bounds(M.T, tol, max_iter)
-    lam = 0.5 * (lam_lo + lam_hi)
-    return lam, r, l, it
+def stationary_vector(P: np.ndarray) -> np.ndarray:
+    """The stationary row vector of the stochastic matrix P, by one linear solve.
+
+    Solves ``pi (P - I) = 0`` with its last equation replaced by
+    ``sum(pi) = 1``, which has a unique solution iff P has one recurrent
+    class.  Rounding negatives are clamped at 0 and the vector renormalised.
+    Raises ValueError when the system is singular.
+    """
+    A = P.T - np.eye(P.shape[0])
+    A[-1, :] = 1.0
+    b = np.zeros(P.shape[0])
+    b[-1] = 1.0
+    try:
+        pi = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        pi = np.zeros(0)
+    pi = np.maximum(pi, 0.0)
+    if not 0.0 < pi.sum() < math.inf:
+        raise ValueError("stationary system is singular: no unique stationary vector")
+    return pi / pi.sum()
 
 
 def equilibrium_measure(
@@ -467,34 +478,29 @@ def equilibrium_measure(
     """The Markov measure maximizing entropy + integral of f.
 
     Built from the Perron data of the edge-weighted matrix:
-    ``P[u,v] = M[u,v] r[v] / (lambda r[u])`` with ``pi`` from the left
-    vector; its pressure equals log(lambda).
+    ``P[u,v] = M[u,v] r[v] / (lambda r[u])`` with ``r`` the right Perron
+    vector, and ``pi`` the stationary vector of P; its pressure equals
+    log(lambda).
     """
     graph = g.graph if isinstance(g, FinitePresentation) else g
     flag, _ = irreducible_and_period(graph)
     if not flag:
         raise ValueError("equilibrium_measure needs an irreducible graph")
     H, M, blocks = _edge_weight_matrix(graph, f)
-    lam, r, l, it = _perron_vectors(M, tol, max_iter)
+    lam_lo, lam_hi, _, r = _power_bounds(M, tol, max_iter)
+    if lam_hi - lam_lo > tol * max(1.0, lam_hi) * 10:
+        raise ConvergenceError(
+            f"power iteration gap {lam_hi - lam_lo:.3e} did not reach {tol:.1e} within {max_iter} iterations"
+        )
+    lam = 0.5 * (lam_lo + lam_hi)
     P = M * r[None, :] / (lam * r[:, None])
     P[~H.adjacency] = 0.0
     rowsums = P.sum(axis=1)
     if np.max(np.abs(rowsums - 1.0)) > 1e-9:
         raise ConvergenceError("transition rows failed to normalize (non-converged Perron data)")
     P = P / rowsums[:, None]
-    pi = l * r
-    pi = pi / pi.sum()
-    # polish stationarity on the exact P we return
-    damp = 0.5 * (P + np.eye(P.shape[0]))
-    for _ in range(20_000):
-        nxt = pi @ damp
-        nxt = nxt / nxt.sum()
-        if np.max(np.abs(nxt - pi)) < 1e-16:
-            pi = nxt
-            break
-        pi = nxt
     return MarkovMeasure(graph=graph, order=len(blocks[0]),
-                         blocks=blocks, transitions=P, stationary=pi)
+                         blocks=blocks, transitions=P, stationary=stationary_vector(P))
 
 
 def measure_pressure(mu: MarkovMeasure, f: FiniteRangePotential) -> float:

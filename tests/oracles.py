@@ -4,8 +4,9 @@ Nothing here shares algorithms with the library: periodic points and first
 returns are counted by integer matrix powers or raw product filtering,
 weighted sums by matrix powers over a packed-exponent semiring or in
 60-digit decimal arithmetic, series by closed-form expansions, chains by
-scalar comparisons, and strongly connected components by a transitive
-closure.
+scalar comparisons, strongly connected components by a transitive
+closure, stationary vectors by the Markov chain tree theorem in exact
+rationals, and lifts of periodic points by filtering products of fibers.
 """
 from __future__ import annotations
 
@@ -83,6 +84,50 @@ def warshall_components(n_vertices: int, edges) -> list[tuple[int, ...]]:
                     reach[i][j] = reach[i][j] or reach[k][j]
     comps = {tuple(v for v in range(n_vertices) if reach[u][v] and reach[v][u]) for u in range(n_vertices)}
     return sorted(comps)
+
+
+def _leibniz_det(m: list[list[Fraction]]) -> Fraction:
+    """Determinant as the signed sum over permutations (tiny matrices only)."""
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def tree_theorem_stationary(P: list[list[Fraction]]) -> list[Fraction]:
+    """Exact stationary vector of an irreducible stochastic matrix.
+
+    Markov chain tree theorem: pi_i is proportional to the principal minor
+    of I - P with row and column i deleted, the total weight of the spanning
+    trees directed into i.  Minors are Leibniz determinants, so no
+    elimination is involved.
+    """
+    n = len(P)
+    L = [[Fraction(int(i == j)) - P[i][j] for j in range(n)] for i in range(n)]
+    minors = [_leibniz_det([[L[r][c] for c in range(n) if c != i] for r in range(n) if r != i])
+              for i in range(n)]
+    total = sum(minors)
+    return [m / total for m in minors]
+
+
+def has_periodic_lift(source_edges: set[tuple[int, int]], fibers: list[list[int]], word) -> bool:
+    """Does the periodic point word^inf have a preimage under a one-block code?
+
+    A preimage exists iff a cycle of the phase-extended fiber graph does,
+    and a simple one winds around the period at most max-fiber-size times.
+    So it suffices to search the closed source words of length p*m,
+    m <= max fiber size, letter by letter from the fibers over word.
+    """
+    p = len(word)
+    for m in range(1, max(len(fb) for fb in fibers) + 1):
+        for cand in itertools.product(*(fibers[word[i % p]] for i in range(p * m))):
+            if all((cand[i], cand[(i + 1) % (p * m)]) in source_edges for i in range(p * m)):
+                return True
+    return False
 
 
 def weighted_trace_expsum(adj: np.ndarray, values: list[Fraction], n: int) -> ExpSum:

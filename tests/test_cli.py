@@ -219,15 +219,15 @@ def test_verify_correspondence_cli(capsys, fixture_dir):
     assert report["pressure_gap"]["value"] <= 1e-9
 
 
-def test_reports_byte_identical(fixture_dir, tmp_path):
+def test_reports_byte_identical(fixture_dir, tmp_path, src_env):
     cmd = [
         sys.executable, "-m", "shiftlab.cli", "transport",
         "--ai", str(fixture_dir / "gm-self-ai.json"),
         "--measure", str(fixture_dir / "gm-parry.json"),
         "--order", "2", "--samples", "5000", "--seed", "123",
     ]
-    a = subprocess.run(cmd, capture_output=True, text=True)
-    b = subprocess.run(cmd, capture_output=True, text=True)
+    a = subprocess.run(cmd, capture_output=True, text=True, env=src_env)
+    b = subprocess.run(cmd, capture_output=True, text=True, env=src_env)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     assert a.stdout.strip().startswith("{")
@@ -256,7 +256,7 @@ def test_zn_gm_lucas(capsys, fixture_dir):
     assert [e["Z_n"]["value"] for e in report["entries"]][:5] == [1, 3, 4, 7, 11]
 
 
-def test_import_loads_neither_scipy_nor_numba():
+def test_import_loads_neither_scipy_nor_numba(src_env):
     code = "import sys, shiftlab, shiftlab.cli; print(sorted({'scipy', 'numba'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=src_env)
     assert out.stdout.strip() == "[]"

@@ -11,6 +11,7 @@ from shiftlab.codes import (
     DomainError,
     EventuallyPeriodicPoint,
     OneBlockCode,
+    _has_periodic_preimage,
     assemble_ai,
     from_periodic,
     gamma_on_point,
@@ -21,9 +22,11 @@ from shiftlab.codes import (
     verify_correspondence,
     verify_magic,
 )
-from shiftlab.graphs import PeriodicPoint, build_graph, higher_block
+from shiftlab.graphs import FiniteGraph, PeriodicPoint, build_graph, enumerate_periodic, higher_block
 from shiftlab.potentials import FiniteRangePotential
 from shiftlab.thermo import equilibrium_measure, measure_pressure
+
+from oracles import has_periodic_lift
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -131,6 +134,37 @@ class TestVerifyMagic:
         assert cert.status == "refuted"
         assert cert.periodic_failure is not None
         assert 1 in cert.periodic_failure  # the failing cyclic word uses letter 1
+
+
+    def test_periodic_preimage_matches_lift_search(self):
+        rng = np.random.default_rng(4242)
+        outcomes = set()
+        for _ in range(60):
+            Vs, Vt = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+            src = [(u, v) for u in range(Vs) for v in range(Vs) if rng.random() < 0.35]
+            symbol_map = tuple(int(t) for t in rng.integers(0, Vt, Vs))
+            tgt = {(symbol_map[u], symbol_map[v]) for u, v in src}
+            tgt |= {(a, b) for a in range(Vt) for b in range(Vt) if rng.random() < 0.3}
+            code = OneBlockCode(
+                source=FiniteGraph(tuple(map(str, range(Vs))), tuple(src)),
+                target=FiniteGraph(tuple(map(str, range(Vt))), tuple(sorted(tgt))),
+                symbol_map=symbol_map,
+            )
+            fibers = code.fibers()
+            lifts = {}
+            for p in range(1, 4):
+                for pt in enumerate_periodic(code.target, p):
+                    lifts[pt.word] = has_periodic_lift(set(src), fibers, pt.word)
+                    assert _has_periodic_preimage(code, pt.word) == lifts[pt.word], (src, symbol_map, pt.word)
+                    outcomes.add(lifts[pt.word])
+            # the certificate's periodic condition is exactly the lift condition
+            W = (symbol_map[0],)
+            cert = verify_magic(code, W, 0, 1)
+            if cert.periodic_failure is not None:
+                assert not lifts[cert.periodic_failure]
+            elif cert.certified:
+                assert all(lifts[w] for w in lifts if W[0] in w)
+        assert outcomes == {True, False}
 
 
 class TestAssemble:

@@ -1,4 +1,8 @@
 """Shift presentations: validation, periodic points, block recoding."""
+import itertools
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,8 @@ from shiftlab.graphs import (
     enumerate_periodic,
     higher_block,
     irreducible_and_period,
+    periodic_count_exponents,
+    recurrent_core,
     strongly_connected_components,
 )
 
@@ -85,6 +91,62 @@ class TestStronglyConnectedComponents:
         N = 20_000
         g = FiniteGraph(tuple(map(str, range(N))), tuple((v, (v + 1) % N) for v in range(N)))
         assert strongly_connected_components(g) == [tuple(range(N))]
+
+
+class TestRecurrentCore:
+    def test_nonempty_iff_transitive_closure_finds_a_cycle(self):
+        rng = np.random.default_rng(222)
+        kinds = {"dag": 0, "reducible": 0, "cyclic": 0}
+        for i in range(300):
+            V = int(rng.integers(1, 10))
+            density = rng.uniform(0.0, 0.4)
+            edges = [(u, v) for u in range(V) for v in range(V) if rng.random() < density]
+            if i % 3 == 0:  # forward edges only: a DAG
+                edges = [(u, v) for u, v in edges if u < v]
+            alive, core = recurrent_core(edges)
+            comps = warshall_components(V, edges)
+            cyclic = any(len(c) > 1 for c in comps) or any(u == v for u, v in edges)
+            assert bool(alive) == cyclic, edges
+            assert core <= set(edges) and alive == sorted({v for e in core for v in e})
+            assert {u for u, _ in core} == {v for _, v in core} == set(alive)
+            kinds["dag" if not cyclic else "reducible" if len(comps) > 1 else "cyclic"] += 1
+        assert kinds["dag"] >= 50 and kinds["reducible"] >= 50 and kinds["cyclic"] >= 10, kinds
+
+    def test_keeps_paths_between_cycles(self):
+        # 0 -> 1 -> 2 with loops at 0 and 2 keeps 1; the sink 3 goes
+        alive, core = recurrent_core([(0, 0), (0, 1), (1, 2), (2, 2), (2, 3)])
+        assert alive == [0, 1, 2]
+        assert core == {(0, 0), (0, 1), (1, 2), (2, 2)}
+
+
+class TestPeriodicCountExponents:
+    def test_aggregates_the_enumerated_points(self, gm, full2):
+        rng = np.random.default_rng(92)
+        graphs = [gm.graph, full2.graph]
+        for _ in range(3):
+            names, edges = random_irreducible_graph(rng, 5)
+            graphs.append(build_graph(names, edges).graph)
+        for g in graphs:
+            V = g.n_vertices
+            for n in range(1, 7):
+                for length in range(4):
+                    for W in itertools.product(range(V), repeat=length):
+                        with warnings.catch_warnings(record=True) as caught:
+                            warnings.simplefilter("always")
+                            points = enumerate_periodic(g, n, W)
+                            counts, mult = periodic_count_exponents(g, n, W)
+                        assert len(caught) == (0 if g.is_word(W) else 2), (W, n)
+                        want = Counter(tuple(np.bincount(pt.word, minlength=V)) for pt in points)
+                        got = Counter({tuple(c): int(m) for c, m in zip(counts.tolist(), mult.tolist())})
+                        assert got == want, (g.edges, n, W)
+                        assert counts.shape == (len(want), V)
+
+    def test_inadmissible_and_long_prefixes(self, gm):
+        with pytest.warns(UserWarning, match="not an admissible word"):
+            counts, mult = periodic_count_exponents(gm.graph, 3, (1, 1))
+        assert counts.shape == (0, 2) and mult.shape == (0,)
+        counts, mult = periodic_count_exponents(gm.graph, 1, (0, 0))
+        assert counts.tolist() == [[1, 0]] and mult.tolist() == [1]
 
 
 class TestEnumeratePeriodic:

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from shiftlab import documents as docs
 from shiftlab.expsum import ExpSum
 from shiftlab.graphs import (
     ExhaustionLevel,
@@ -26,6 +27,7 @@ from shiftlab.thermo import (
     pressure_exhaustion,
     pressure_from_table,
     pressure_spectral,
+    stationary_vector,
     zeta_series,
 )
 
@@ -36,6 +38,7 @@ from oracles import (
     random_irreducible_graph,
     random_rational_values,
     rational_series_coeffs,
+    tree_theorem_stationary,
     weighted_trace_expsum,
 )
 
@@ -291,6 +294,37 @@ class TestEquilibriumMeasure:
             for _ in range(100):
                 nu = _perturb(mu, rng)
                 assert measure_pressure(nu, f) <= best + 1e-9
+
+
+    def test_three_block_measure_is_stationary(self, gm, fixture_dir):
+        f, _ = docs.parse_potential(docs.loads((fixture_dir / "gm-range1-block2.json").read_text()), gm.graph)
+        mu = equilibrium_measure(gm.graph, f)  # MarkovMeasure checks pi P = pi within 1e-12
+        assert len(mu.blocks) == 3
+        assert np.max(np.abs(mu.stationary @ mu.transitions - mu.stationary)) <= 1e-12
+
+
+class TestStationaryVector:
+    def test_matches_tree_theorem_on_rational_matrices(self):
+        rng = np.random.default_rng(1776)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            # a cycle through every state keeps the chain irreducible
+            weights = [[int(rng.integers(0, 5)) * (rng.random() < 0.5) for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                weights[i][(i + 1) % n] += int(rng.integers(1, 5))
+            P = [[F(w, sum(row)) for w in row] for row in weights]
+            exact = tree_theorem_stationary(P)
+            pi = stationary_vector(np.array([[float(x) for x in row] for row in P]))
+            assert np.all(pi >= 0) and abs(pi.sum() - 1.0) <= 1e-15
+            assert max(abs(float(p - F(q))) for p, q in zip(exact, pi)) <= 1e-14, P
+
+    def test_periodic_chain(self):
+        P = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        assert np.allclose(stationary_vector(P), 1 / 3, rtol=0, atol=1e-16)
+
+    def test_two_closed_classes_are_singular(self):
+        with pytest.raises(ValueError, match="singular"):
+            stationary_vector(np.eye(2))
 
 
 def _perturb(mu: MarkovMeasure, rng) -> MarkovMeasure:
