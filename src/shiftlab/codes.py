@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,57 @@ class OneBlockCode:
                 raise CodeError(
                     f"image of source edge ({u},{v}) is not a target edge"
                 )
+        if self.conjugacy_window is not None:
+            self._check_block_labeling()
+
+    def _check_block_labeling(self) -> None:
+        """Reject a conjugacy window unless this code is that block labeling.
+
+        The N-block labeling sends each N-block of the target to its first
+        letter.  So the source letters must spell distinct admissible
+        N-words, every source edge must join overlapping blocks, and the
+        target must have as many N-words as the source has letters and as
+        many (N+1)-words as it has edges.  A labeling of a target that is
+        not one cycle has more N-blocks than N, so N is at most the number
+        of source letters.
+        """
+        N, V = self.conjugacy_window, self.source.n_vertices
+        if not 1 <= N <= V:
+            raise CodeError(f"conjugacy window must lie in [1, {V}], got {N}")
+        words = self._block_words
+        if len(set(words)) != V or not all(self.target.is_word(w) for w in words):
+            raise CodeError(f"source letters do not spell distinct {N}-blocks of the target")
+        if any(words[u][1:] != words[v][:-1] for u, v in self.source.edges):
+            raise CodeError(f"a source edge joins {N}-blocks that do not overlap")
+        ends = [1] * self.target.n_vertices  # paths of k letters ending at each vertex
+        counts = []
+        for _ in range(N + 1):
+            counts.append(sum(ends))
+            nxt = [0] * len(ends)
+            for u, v in self.target.edges:
+                nxt[v] += ends[u]
+            ends = nxt
+        if (counts[N - 1], counts[N]) != (V, len(self.source.edges)):
+            raise CodeError(f"source is not the {N}-block graph of the target")
+
+    @cached_property
+    def _block_words(self) -> tuple[Word, ...]:
+        """The word each source letter spells along any chain of successors.
+
+        In a block graph every successor of s carries the block shifted by
+        one, so these are the block words of a conjugacy labeling.
+        """
+        N = self.conjugacy_window
+        assert N is not None
+        words = []
+        for s in range(self.source.n_vertices):
+            cur = s
+            word = [self.symbol_map[cur]]
+            for _ in range(N - 1):
+                cur = int(self.source.successors(cur)[0])
+                word.append(self.symbol_map[cur])
+            words.append(tuple(word))
+        return tuple(words)
 
     def apply_word(self, word) -> Word:
         return tuple(self.symbol_map[s] for s in word)
@@ -75,6 +127,24 @@ class OneBlockCode:
         for s, t in enumerate(self.symbol_map):
             out[t].append(s)
         return out
+
+    @cached_property
+    def _fiber_masks(self) -> tuple[int, ...]:
+        """Per target letter, the bitmask of the source letters over it."""
+        out = [0] * self.target.n_vertices
+        for s, t in enumerate(self.symbol_map):
+            out[t] |= 1 << s
+        return tuple(out)
+
+    @cached_property
+    def _edge_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per source letter, the bitmasks of its successors and of its predecessors."""
+        succ = [0] * self.source.n_vertices
+        pred = [0] * self.source.n_vertices
+        for u, v in self.source.edges:
+            succ[u] |= 1 << v
+            pred[v] |= 1 << u
+        return tuple(succ), tuple(pred)
 
 
 def labeling_code(block_graph: FiniteGraph, labeling: BlockLabeling, base: FiniteGraph) -> OneBlockCode:
@@ -110,55 +180,61 @@ class MagicWordCertificate:
         return self.requested_depth is not None and self.depth < self.requested_depth
 
 
-def _supported_letters(code: OneBlockCode, image: Word) -> list[list[int]] | None:
-    """Per-position source letters lying on some preimage path of ``image``.
+class _MaskUnion(dict):
+    """Memoised union of per-letter bitmasks over the letters set in a mask."""
 
-    Forward/backward reachability over the fiber automaton; None when the
-    image has no preimage path at all.
+    def __init__(self, per_letter: tuple[int, ...]):
+        super().__init__()
+        self.per_letter = per_letter
+
+    def __missing__(self, mask: int) -> int:
+        out = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            out |= self.per_letter[low.bit_length() - 1]
+            rest ^= low
+        self[mask] = out
+        return out
+
+
+def _letters(mask: int) -> list[int]:
+    """The letters set in a bitmask, ascending."""
+    return [s for s in range(mask.bit_length()) if mask >> s & 1]
+
+
+def _supported_letters(code: OneBlockCode, image) -> list[int] | None:
+    """Per-position bitmasks of the source letters on some preimage path of ``image``.
+
+    Bit s of entry i is set iff some preimage path has letter s at position
+    i.  Forward/backward reachability over the fiber automaton, one mask
+    per position; None when the image has no preimage path at all.
     """
-    fibers = code.fibers()
-    n = len(image)
-    fwd: list[set[int]] = [set(fibers[image[0]])]
-    for i in range(1, n):
-        cur = set()
-        for s in fibers[image[i]]:
-            for p in fwd[i - 1]:
-                if code.source.has_edge(p, s):
-                    cur.add(s)
-                    break
-        fwd.append(cur)
-    if not fwd[-1]:
+    fiber = code._fiber_masks
+    succ_masks, pred_masks = code._edge_masks
+    succ, pred = _MaskUnion(succ_masks), _MaskUnion(pred_masks)
+    cur = fiber[image[0]]
+    if not cur:
         return None
-    bwd: list[set[int]] = [set() for _ in range(n)]
-    bwd[n - 1] = fwd[n - 1]
-    for i in range(n - 2, -1, -1):
-        cur = set()
-        for s in fwd[i]:
-            for q in bwd[i + 1]:
-                if code.source.has_edge(s, q):
-                    cur.add(s)
-                    break
-        bwd[i] = cur
+    masks = [cur]
+    for i in range(1, len(image)):
+        cur = succ[cur] & fiber[image[i]]
         if not cur:
             return None
-    return [sorted(b) for b in bwd]
-
-
-def _some_preimage(code: OneBlockCode, image: Word) -> Word | None:
-    support = _supported_letters(code, image)
-    if support is None:
-        return None
-    out = [support[0][0]]
-    for i in range(1, len(image)):
-        nxt = next(s for s in support[i] if code.source.has_edge(out[-1], s))
-        out.append(nxt)
-    return tuple(out)
+        masks.append(cur)
+    # every letter left at the end lies on a path; keep its ancestors
+    for i in range(len(masks) - 2, -1, -1):
+        cur = masks[i] & pred[cur]
+        masks[i] = cur
+    return masks
 
 
 def _two_preimages_differing_at(code: OneBlockCode, image: Word, pos: int) -> tuple[Word, Word]:
     """Two preimage paths of ``image`` that differ at position ``pos``."""
-    support = _supported_letters(code, image)
-    assert support is not None and len(support[pos]) >= 2
+    masks = _supported_letters(code, image)
+    assert masks is not None
+    support = [_letters(m) for m in masks]
+    assert len(support[pos]) >= 2
     picks = (support[pos][0], support[pos][1])
     outs = []
     for letter in picks:
@@ -210,7 +286,8 @@ def verify_magic(
     |W| + |C| at ``offset``; and every target periodic point containing W of
     period <= depth + 2|W| must have a source preimage.  Returns a
     certificate or a refutation with the first violating pair.  ``budget``
-    caps the combinatorial work; if it runs out, the certificate reports the
+    caps the combinatorial work, counted in letters of the gap words and
+    periodic points checked; if it runs out, the certificate reports the
     depth actually completed.
     """
     W = tuple(int(s) for s in W)
@@ -218,30 +295,39 @@ def verify_magic(
         raise CodeError("magic word candidate must be a nonempty target word")
     if not (0 <= offset <= len(W)):
         raise CodeError("offset must lie in [0, |W|] so the window is determined")
+    if depth < 0:
+        raise CodeError(f"depth must be nonnegative, got {depth}")
     spent = 0
     achieved = depth
     for d in range(0, depth + 1):
         gaps: list[Word] = [()] if d == 0 else code.target.words(d)
-        spent += sum(2 * len(W) + d for _ in gaps)
-        if spent > budget:
+        cost = len(gaps) * (2 * len(W) + d)
+        if spent + cost > budget:
             achieved = d - 1
             break
+        spent += cost
         for C in gaps:
             image = W + C + W
             if not code.target.is_word(image):
                 continue
-            support = _supported_letters(code, image)
-            if support is None:
+            masks = _supported_letters(code, image)
+            if masks is None:
                 continue
             for i in range(offset, offset + len(W) + len(C)):
-                if len(support[i]) > 1:
+                if masks[i] & (masks[i] - 1):
                     u, v = _two_preimages_differing_at(code, image, i)
                     return MagicWordCertificate(
                         word=W, offset=offset, depth=d, status="refuted",
                         witness=(C, u, v), requested_depth=depth,
                     )
     for p in range(1, achieved + 2 * len(W) + 1):
-        for pt in _periodic_points_containing(code.target, W, p):
+        points = list(_periodic_points_containing(code.target, W, p))
+        if spent + p * len(points) > budget:
+            # periods below p are checked, which covers this smaller depth
+            achieved = p - 1 - 2 * len(W)
+            break
+        spent += p * len(points)
+        for pt in points:
             if not _has_periodic_preimage(code, pt.word):
                 return MagicWordCertificate(
                     word=W, offset=offset, depth=achieved, status="refuted",
@@ -347,8 +433,20 @@ def points_equal(x: EventuallyPeriodicPoint, y: EventuallyPeriodicPoint) -> bool
     return x.window(a, b) == y.window(a, b)
 
 
+def _occurrences_in(seq, W: Word) -> np.ndarray:
+    """Start indices of the occurrences of W in a materialised sequence, ascending."""
+    seq = np.asarray(seq)
+    n = seq.shape[0] - len(W) + 1
+    if n <= 0:
+        return np.empty(0, dtype=np.intp)
+    hit = seq[:n] == W[0]
+    for k in range(1, len(W)):
+        hit &= seq[k:k + n] == W[k]
+    return np.flatnonzero(hit)
+
+
 def _occurrences(x: EventuallyPeriodicPoint, W: Word, a: int, b: int) -> list[int]:
-    return [i for i in range(a, b - len(W) + 1) if x.window(i, i + len(W)) == W]
+    return (a + _occurrences_in(x.window(a, b), W)).tolist()
 
 
 def gamma_on_point(ai: AlmostIsomorphism, x: EventuallyPeriodicPoint) -> EventuallyPeriodicPoint:
@@ -378,16 +476,16 @@ def gamma_on_point(ai: AlmostIsomorphism, x: EventuallyPeriodicPoint) -> Eventua
         z_letters: dict[int, int] = {}
         for a, b in zip(occ, occ[1:]):
             image = x.window(a, b + lw)
-            support = _supported_letters(ai.code_s, image)
-            if support is None:
+            masks = _supported_letters(ai.code_s, image)
+            if masks is None:
                 raise CodeError("image window has no preimage (magic condition 1 violated)")
             for j in range(I, I + (b - a)):
-                if len(support[j]) != 1:
+                if masks[j] & (masks[j] - 1):
                     raise CodeError(
                         "preimage window not pinned; magic property fails beyond the certified depth"
                     )
                 pos = a + j
-                letter = support[j][0]
+                letter = masks[j].bit_length() - 1
                 if pos in z_letters and z_letters[pos] != letter:
                     raise CodeError("inconsistent preimage windows")
                 z_letters[pos] = letter
@@ -443,33 +541,13 @@ def _gamma_symbol_window(ai: AlmostIsomorphism) -> int:
 def _sliding_gamma(ai: AlmostIsomorphism):
     """gamma as a sliding word map for conjugate legs: window width and letter map."""
     Ns = _gamma_symbol_window(ai)
-    blocks = {bw: i for i, bw in enumerate(_block_words(ai.code_s))}
+    blocks = {bw: i for i, bw in enumerate(ai.code_s._block_words)}
     tmap = ai.code_t.symbol_map
 
     def apply(w: Word) -> Word:
         return tuple(tmap[blocks[w[j:j + Ns]]] for j in range(len(w) - Ns + 1))
 
     return Ns, apply
-
-
-def _block_words(code: OneBlockCode) -> list[Word]:
-    """Reconstruct the block words a conjugacy labeling code encodes.
-
-    In the block graph every successor of s carries the block shifted by
-    one, so following any successor chain and reading the labels spells out
-    the block word of s.
-    """
-    N = code.conjugacy_window
-    assert N is not None
-    words = []
-    for s in range(code.source.n_vertices):
-        cur = s
-        word = [code.symbol_map[cur]]
-        for _ in range(N - 1):
-            cur = int(code.source.successors(cur)[0])
-            word.append(code.symbol_map[cur])
-        words.append(tuple(word))
-    return words
 
 
 def _markovize(graph: FiniteGraph, order: int, qk: dict[Word, float], qk1: dict[Word, float]) -> tuple[MarkovMeasure, float]:
@@ -513,6 +591,10 @@ def transport_measure(
     sample budget is forced; otherwise seeded orbit sampling through the
     magic-word windows.  Sampling requires an explicit seed.
     """
+    if order < 1:
+        raise CodeError(f"transport order must be at least 1, got {order}")
+    if samples is not None and samples < 1:
+        raise CodeError(f"sampling budget must be at least 1, got {samples}")
     S = ai.code_s.target
     if mu.graph.names != S.names or mu.graph.edges != S.edges:
         raise CodeError("measure does not live on the S leg of the almost isomorphism")
@@ -548,37 +630,64 @@ def _transport_closed_form(ai: AlmostIsomorphism, mu: MarkovMeasure, order: int)
     )
 
 
-def _sample_orbit_word(mu: MarkovMeasure, n_steps: int, rng: np.random.Generator) -> Word:
+def _sample_orbit_word(mu: MarkovMeasure, n_steps: int, rng: np.random.Generator) -> np.ndarray:
     cum = np.cumsum(mu.transitions, axis=1)
     start = int(np.searchsorted(np.cumsum(mu.stationary), rng.random(), side="right"))
     start = min(start, len(mu.blocks) - 1)
     uniforms = rng.random(n_steps)
     states = kernels.step_chain(cum, start, uniforms)
-    word = list(mu.blocks[states[0]])
-    for t in range(1, len(states)):
-        word.append(mu.blocks[states[t]][-1])
-    return tuple(word)
+    last = np.array([w[-1] for w in mu.blocks])
+    return np.concatenate([np.asarray(mu.blocks[states[0]]), last[states[1:]]])
 
 
-def _gamma_finite_word(ai: AlmostIsomorphism, word: Word) -> Word:
+def _gamma_finite_word(ai: AlmostIsomorphism, word: np.ndarray) -> np.ndarray:
     """gamma along a finite orbit segment, trimmed to the determined window."""
     W, I = ai.cert_s.word, ai.cert_s.offset
     lw = len(W)
-    occ = [i for i in range(len(word) - lw + 1) if word[i:i + lw] == W]
+    occ = _occurrences_in(word, W)
     if len(occ) < 2:
         raise DomainError("orbit sample too short to pin the magic word twice")
-    a, b = occ[0], occ[-1]
-    image = word[a:b + lw]
-    support = _supported_letters(ai.code_s, image)
-    if support is None:
+    a, b = int(occ[0]), int(occ[-1])
+    masks = _supported_letters(ai.code_s, word[a:b + lw].tolist())
+    if masks is None:
         raise CodeError("sampled window has no preimage")
+    window = masks[I:I + (b - a)]
     tmap = ai.code_t.symbol_map
-    out = []
-    for j in range(I, I + (b - a)):
-        if len(support[j]) != 1:
-            raise CodeError("sampled window not pinned by the magic word")
-        out.append(tmap[support[j][0]])
-    return tuple(out)
+    image_of = {m: tmap[m.bit_length() - 1] for m in set(window)}
+    if any(m & (m - 1) for m in image_of):
+        raise CodeError("sampled window not pinned by the magic word")
+    return np.fromiter(map(image_of.__getitem__, window), dtype=np.int64, count=len(window))
+
+
+def _block_frequencies(y: np.ndarray, k: int) -> dict[Word, float]:
+    """Frequency of each k-window of y, keyed in order of first occurrence.
+
+    Windows are numbered base |alphabet| (renumbered by rank when the
+    number would pass int64) and counted with one sort.  A window seen c
+    times gets 1/n added c times in sequence, as a running per-window count
+    does, so the floats do not depend on how windows are grouped.
+    """
+    n = y.shape[0] - k + 1
+    base = int(y.max()) + 1
+    key = np.zeros(n, dtype=np.int64)
+    bound = 1  # every key is below this
+    for i in range(k):
+        if bound * base >= 2**62:
+            _, key = np.unique(key, return_inverse=True)
+            bound = n
+        key = key * base + y[i:i + n]
+        bound *= base
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    step = 1.0 / n
+    by_count: dict[int, float] = {}
+    out: dict[Word, float] = {}
+    for i in np.argsort(first):
+        c = int(counts[i])
+        if c not in by_count:
+            by_count[c] = float(np.add.accumulate(np.full(c, step))[-1])
+        j = int(first[i])
+        out[tuple(y[j:j + k].tolist())] = by_count[c]
+    return out
 
 
 def _transport_sampling(
@@ -589,16 +698,9 @@ def _transport_sampling(
     y = _gamma_finite_word(ai, word)
     if len(y) < order + 1:
         raise ValueError("sampling budget too small to observe any block")
-    qk: dict[Word, float] = {}
-    qk1: dict[Word, float] = {}
-    n_k = len(y) - order + 1
-    for j in range(n_k):
-        w = y[j:j + order]
-        qk[w] = qk.get(w, 0.0) + 1.0 / n_k
+    qk = _block_frequencies(y, order)
+    qk1 = _block_frequencies(y, order + 1)
     n_k1 = len(y) - order
-    for j in range(n_k1):
-        w = y[j:j + order + 1]
-        qk1[w] = qk1.get(w, 0.0) + 1.0 / n_k1
     out, tv = _markovize(ai.code_t.target, order, qk, qk1)
     # Wilson score half-width (Wilson, JASA 22, 1927): unlike the Wald width
     # it stays positive when every sampled block is the same word (p = 1).

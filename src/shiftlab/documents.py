@@ -86,6 +86,13 @@ def _number_in(x) -> Fraction | float:
     raise SchemaError(f"expected a number, got {type(x).__name__}")
 
 
+def _integer_in(x, what: str) -> int:
+    """A JSON integer, or a float with an integral value."""
+    if isinstance(x, bool) or not (isinstance(x, int) or (isinstance(x, float) and x.is_integer())):
+        raise SchemaError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def _number_out(x) -> Any:
     if isinstance(x, Fraction):
         return str(x) if x.denominator != 1 else int(x)
@@ -132,7 +139,10 @@ def emit_graph(g: FiniteGraph) -> dict:
 def parse_graph(obj: dict) -> FinitePresentation:
     _check_header(obj, "graph")
     _check_keys(obj, {"kind", "schema", "alphabet", "edges"})
-    return build_graph(obj["alphabet"], [tuple(e) for e in obj["edges"]])
+    if any(not isinstance(e, list) or len(e) != 2 for e in obj["edges"]):
+        raise SchemaError("every edge must be a pair of vertex indices")
+    edges = [(_integer_in(u, "edge endpoint"), _integer_in(v, "edge endpoint")) for u, v in obj["edges"]]
+    return build_graph(obj["alphabet"], edges)
 
 
 def emit_exhaustion(exh: ExhaustionPresentation) -> dict:
@@ -380,7 +390,7 @@ def parse_code(obj: dict) -> OneBlockCode:
         source=source,
         target=target,
         symbol_map=tuple(symbol_map),
-        conjugacy_window=None if window is None else int(window),
+        conjugacy_window=None if window is None else _integer_in(window, "conjugacy_window"),
     )
 
 
@@ -413,7 +423,8 @@ def parse_ai(obj: dict) -> AlmostIsomorphism:
         c = obj[key]
         _check_keys(c, {"word", "offset", "depth"})
         word = parse_word(code.target.names, c["word"])
-        cert = verify_magic(code, word, int(c["offset"]), int(c["depth"]))
+        offset = _integer_in(c["offset"], f"{key} offset")
+        cert = verify_magic(code, word, offset, _integer_in(c["depth"], f"{key} depth"))
         if not cert.certified:
             raise SchemaError(f"{key} failed re-verification: {cert}")
         certs.append(cert)
@@ -440,7 +451,7 @@ def parse_measure(obj: dict) -> MarkovMeasure:
     blocks = tuple(parse_word(graph.names, w) for w in obj["blocks"])
     return MarkovMeasure(
         graph=graph,
-        order=int(obj["order"]),
+        order=_integer_in(obj["order"], "order"),
         blocks=blocks,
         transitions=np.asarray(obj["transitions"], dtype=np.float64),
         stationary=np.asarray(obj["stationary"], dtype=np.float64),

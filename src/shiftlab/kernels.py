@@ -8,6 +8,10 @@ of emitted paths, not to the number of dead branches.
 
 Caps are hard limits on emitted paths.  On overflow the kernels return a
 flag, and callers turn that into a budget error or a truncation marker.
+
+Chain stepping makes no numpy call per step: it tabulates every state's
+next state for a chunk of uniforms with one ``searchsorted`` per state,
+then follows the table in a plain loop.
 """
 from __future__ import annotations
 
@@ -166,6 +170,10 @@ def first_return_paths(indptr, indices, allowed, dist_end, v_start, v_end, maxle
 # Markov chain stepping
 
 
+# entries (states x uniforms) of one chunk's next-state table
+_CHAIN_TABLE_CELLS = 1 << 20
+
+
 def step_chain(cum: np.ndarray, start: int, uniforms: np.ndarray) -> np.ndarray:
     """Drive a finite chain with row-cumulative matrix ``cum`` by given uniforms.
 
@@ -173,16 +181,32 @@ def step_chain(cum: np.ndarray, start: int, uniforms: np.ndarray) -> np.ndarray:
     ``cum[s, j] > u`` (the last state when there is none).  The uniform
     stream is generated by the caller, so a seeded caller gets a
     byte-identical trajectory.
+
+    The uniforms go in chunks of about 2**20 / S for S states.  Per chunk,
+    one ``searchsorted`` per state over the whole chunk fills a flat
+    next-state table, and a plain loop walks it.  Memory is O(T + 2**20)
+    for T uniforms; work is O(T S log S), so this suits the small chains
+    of sampled transport.
     """
     cum = np.ascontiguousarray(cum, dtype=np.float64)
     uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
+    n_states, hi = cum.shape
     T = uniforms.shape[0]
     out = np.empty(T + 1, dtype=np.int32)
     out[0] = start
     cur = int(start)
-    hi = cum.shape[1]
-    for t in range(T):
-        idx = int(np.searchsorted(cum[cur], uniforms[t], side="right"))
-        cur = idx if idx < hi else hi - 1
-        out[t + 1] = cur
+    chunk = max(1, _CHAIN_TABLE_CELLS // n_states)
+    for a in range(0, T, chunk):
+        u = uniforms[a:a + chunk]
+        n = u.shape[0]
+        table = np.empty((n_states, n), dtype=np.int64)
+        for s in range(n_states):
+            np.minimum(np.searchsorted(cum[s], u, side="right"), hi - 1, out=table[s])
+        # table[s, t] sits at s * n + t of the flat list
+        flat = table.ravel().tolist()
+        steps = [0] * n
+        for t in range(n):
+            cur = flat[cur * n + t]
+            steps[t] = cur
+        out[a + 1:a + 1 + n] = steps
     return out

@@ -378,8 +378,14 @@ class MarkovMeasure:
 
     def __post_init__(self):
         P, pi = self.transitions, self.stationary
+        if self.order < 1:
+            raise ValueError(f"measure order must be at least 1, got {self.order}")
+        if any(len(w) != self.order or not self.graph.is_word(w) for w in self.blocks):
+            raise ValueError(f"every block must be an admissible word of length {self.order}")
         if P.shape != (len(self.blocks), len(self.blocks)):
             raise ValueError("transition matrix shape mismatch")
+        if not (np.all(np.isfinite(P)) and np.all(np.isfinite(pi))):
+            raise ValueError("transition and stationary entries must be finite")
         if np.any(P < 0) or np.any(pi < 0):
             raise ValueError("negative probabilities")
         if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:

@@ -6,7 +6,8 @@ weighted sums by matrix powers over a packed-exponent semiring or in
 60-digit decimal arithmetic, series by closed-form expansions, chains by
 scalar comparisons, strongly connected components by a transitive
 closure, stationary vectors by the Markov chain tree theorem in exact
-rationals, and lifts of periodic points by filtering products of fibers.
+rationals, lifts of periodic points by filtering products of fibers, and
+the source letters on preimage paths by set-based reachability.
 """
 from __future__ import annotations
 
@@ -66,6 +67,40 @@ def scalar_chain(cum, start: int, uniforms) -> list[int]:
         row = cum[out[-1]]
         out.append(next((j for j in range(len(row)) if row[j] > u), len(row) - 1))
     return out
+
+
+def supported_letters(code, image) -> list[list[int]] | None:
+    """Per-position source letters lying on some preimage path of ``image``.
+
+    Forward/backward reachability over the fiber automaton with one Python
+    set per position; None when the image has no preimage path at all.
+    """
+    fibers = code.fibers()
+    n = len(image)
+    fwd: list[set[int]] = [set(fibers[image[0]])]
+    for i in range(1, n):
+        cur = set()
+        for s in fibers[image[i]]:
+            for p in fwd[i - 1]:
+                if code.source.has_edge(p, s):
+                    cur.add(s)
+                    break
+        fwd.append(cur)
+    if not fwd[-1]:
+        return None
+    bwd: list[set[int]] = [set() for _ in range(n)]
+    bwd[n - 1] = fwd[n - 1]
+    for i in range(n - 2, -1, -1):
+        cur = set()
+        for s in fwd[i]:
+            for q in bwd[i + 1]:
+                if code.source.has_edge(s, q):
+                    cur.add(s)
+                    break
+        bwd[i] = cur
+        if not cur:
+            return None
+    return [sorted(b) for b in bwd]
 
 
 def warshall_components(n_vertices: int, edges) -> list[tuple[int, ...]]:

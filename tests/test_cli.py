@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from shiftlab.cli import main
@@ -205,6 +206,105 @@ def test_transport_closed_form_and_sampling(capsys, fixture_dir):
     assert rc == 0
     assert report["method"] == "sampling"
     assert abs(report["entropy_out"]["value"] - math.log(PHI)) <= 0.02
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--order", "0"], "order must be at least 1"),
+    (["--order", "-1"], "order must be at least 1"),
+    (["--order", "0", "--samples", "1000", "--seed", "1"], "order must be at least 1"),
+    (["--order", "1", "--samples", "0", "--seed", "1"], "sampling budget must be at least 1"),
+    (["--order", "1", "--samples", "-1", "--seed", "1"], "sampling budget must be at least 1"),
+])
+def test_transport_rejects_order_and_budget_below_one(capsys, fixture_dir, extra, message):
+    rc = main([
+        "transport", "--ai", str(fixture_dir / "gm-self-ai.json"),
+        "--measure", str(fixture_dir / "gm-parry.json"), *extra,
+    ])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_transport_rejects_nan_measure(capsys, tmp_path, fixture_dir):
+    text = (fixture_dir / "full2-bernoulli-half.json").read_text()
+    bad = tmp_path / "nan.json"
+    bad.write_text(text.replace('"stationary": [\n  0.5', '"stationary": [\n  NaN', 1))
+    assert "NaN" in bad.read_text()
+    rc = main(["transport", "--ai", str(fixture_dir / "gm-self-ai.json"), "--measure", str(bad), "--order", "1"])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def _numeric_paths(obj, path=()):
+    if isinstance(obj, bool):
+        return
+    if isinstance(obj, (int, float)):
+        yield path
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _numeric_paths(v, path + (k,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _numeric_paths(v, path + (i,))
+
+
+def _key_paths(obj, path=()):
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield path + (k,)
+            yield from _key_paths(v, path + (k,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _key_paths(v, path + (i,))
+
+
+def _mutated(doc, path, value=None, drop=False):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value(parent[path[-1]])
+    return doc
+
+
+def _transport_mutations(doc, rng, per_kind):
+    """Seeded mutations: per_kind numeric literals made NaN, infinite,
+    negative and huge, and per_kind keys dropped, anywhere in the document."""
+    numeric = list(_numeric_paths(doc))
+    keys = [p for p in _key_paths(doc) if isinstance(p[-1], str)]
+    kinds = {
+        "nan": lambda x: math.nan,
+        "inf": lambda x: math.inf,
+        "negative": lambda x: -abs(x) - 1,
+        "huge": lambda x: 10**30 if isinstance(x, int) else 1e300,
+    }
+    out = []
+    for kind, value in kinds.items():
+        for i in rng.choice(len(numeric), size=per_kind, replace=False):
+            out.append((kind, numeric[i], _mutated(doc, numeric[i], value)))
+    for i in rng.choice(len(keys), size=per_kind, replace=False):
+        out.append(("drop", keys[i], _mutated(doc, keys[i], drop=True)))
+    return out
+
+
+def test_transport_fuzzed_documents_exit_2(capsys, tmp_path, fixture_dir):
+    rng = np.random.default_rng(2024)
+    paths = {"ai": fixture_dir / "gm-self-ai.json", "measure": fixture_dir / "gm-parry.json"}
+    cases = []
+    for role, path in paths.items():
+        doc = json.loads(path.read_text())
+        cases += [(role, kind, where, bad) for kind, where, bad in _transport_mutations(doc, rng, 6)]
+    measure = json.loads(paths["measure"].read_text())
+    cases.append(("measure", "order 0", ("order",), {**measure, "order": 0}))
+    for role, kind, where, bad in cases:
+        mutated = tmp_path / f"{role}.json"
+        mutated.write_text(json.dumps(bad))  # writes NaN and Infinity literals
+        files = {**paths, role: mutated}
+        rc = main(["transport", "--ai", str(files["ai"]), "--measure", str(files["measure"]), "--order", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.strip(), (role, kind, where, rc, err)
 
 
 def test_verify_correspondence_cli(capsys, fixture_dir):

@@ -11,7 +11,12 @@ from shiftlab.codes import (
     DomainError,
     EventuallyPeriodicPoint,
     OneBlockCode,
+    _block_frequencies,
     _has_periodic_preimage,
+    _letters,
+    _markovize,
+    _occurrences_in,
+    _supported_letters,
     assemble_ai,
     from_periodic,
     gamma_on_point,
@@ -26,7 +31,7 @@ from shiftlab.graphs import FiniteGraph, PeriodicPoint, build_graph, enumerate_p
 from shiftlab.potentials import FiniteRangePotential
 from shiftlab.thermo import equilibrium_measure, measure_pressure
 
-from oracles import has_periodic_lift
+from oracles import has_periodic_lift, scalar_chain, supported_letters
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -63,6 +68,28 @@ def gm_self_ai(block2_code):
     cert = verify_magic(block2_code, (1, 0), 0, 8)
     assert cert.certified
     return assemble_ai(block2_code, block2_code, cert, cert)
+
+
+@pytest.fixture(scope="module")
+def plain_ai(gm_graph):
+    """The 2-block codes of gm_self_ai without the conjugacy marker."""
+    H, lab = higher_block(gm_graph, 2)
+    plain = OneBlockCode(source=H, target=gm_graph, symbol_map=lab.symbol_map)
+    cert = verify_magic(plain, (1, 0), 0, 6)
+    return assemble_ai(plain, plain, cert, cert)
+
+
+def _random_code(rng, max_source=6, max_target=3) -> OneBlockCode:
+    Vs, Vt = int(rng.integers(2, max_source + 1)), int(rng.integers(1, max_target + 1))
+    src = [(u, v) for u in range(Vs) for v in range(Vs) if rng.random() < 0.35]
+    symbol_map = tuple(int(t) for t in rng.integers(0, Vt, Vs))
+    tgt = {(symbol_map[u], symbol_map[v]) for u, v in src}
+    tgt |= {(a, b) for a in range(Vt) for b in range(Vt) if rng.random() < 0.3}
+    return OneBlockCode(
+        source=FiniteGraph(tuple(map(str, range(Vs))), tuple(src)),
+        target=FiniteGraph(tuple(map(str, range(Vt))), tuple(sorted(tgt))),
+        symbol_map=symbol_map,
+    )
 
 
 class TestOneBlockCode:
@@ -140,16 +167,8 @@ class TestVerifyMagic:
         rng = np.random.default_rng(4242)
         outcomes = set()
         for _ in range(60):
-            Vs, Vt = int(rng.integers(2, 6)), int(rng.integers(1, 4))
-            src = [(u, v) for u in range(Vs) for v in range(Vs) if rng.random() < 0.35]
-            symbol_map = tuple(int(t) for t in rng.integers(0, Vt, Vs))
-            tgt = {(symbol_map[u], symbol_map[v]) for u, v in src}
-            tgt |= {(a, b) for a in range(Vt) for b in range(Vt) if rng.random() < 0.3}
-            code = OneBlockCode(
-                source=FiniteGraph(tuple(map(str, range(Vs))), tuple(src)),
-                target=FiniteGraph(tuple(map(str, range(Vt))), tuple(sorted(tgt))),
-                symbol_map=symbol_map,
-            )
+            code = _random_code(rng, max_source=5)
+            src, symbol_map = code.source.edges, code.symbol_map
             fibers = code.fibers()
             lifts = {}
             for p in range(1, 4):
@@ -165,6 +184,75 @@ class TestVerifyMagic:
             elif cert.certified:
                 assert all(lifts[w] for w in lifts if W[0] in w)
         assert outcomes == {True, False}
+
+    def test_negative_depth_rejected(self, identity_code):
+        with pytest.raises(CodeError, match="depth"):
+            verify_magic(identity_code, (0,), 0, -1)
+
+    def test_budget_caps_the_periodic_condition(self, block2_code):
+        # a requested depth far past the budget stops within it, and the
+        # depth it reports is one at which both conditions were checked
+        cert = verify_magic(block2_code, (1, 0), 0, 10**30)
+        assert cert.certified and cert.truncated and cert.depth >= 8
+        again = verify_magic(block2_code, (1, 0), 0, cert.depth)
+        assert again.certified and not again.truncated
+
+
+class TestSupportedLetters:
+    """The bitmask fiber passes against the set-based reference."""
+
+    def test_masks_match_set_oracle(self):
+        rng = np.random.default_rng(5150)
+        kinds = set()
+        for _ in range(240):
+            code = _random_code(rng, max_source=8)
+            n = int(rng.integers(1, 12))
+            if rng.random() < 0.5:
+                # arbitrary letters: mostly images without a preimage
+                image = tuple(int(t) for t in rng.integers(0, code.target.n_vertices, n))
+            else:
+                # the image of a random source path: always has a preimage
+                path = [int(rng.integers(code.source.n_vertices))]
+                while len(path) < n and len(code.source.successors(path[-1])):
+                    path.append(int(rng.choice(code.source.successors(path[-1]))))
+                image = code.apply_word(path)
+            expected = supported_letters(code, image)
+            masks = _supported_letters(code, image)
+            if expected is None:
+                assert masks is None, (code, image)
+                kinds.add("no preimage")
+                continue
+            assert [_letters(m) for m in masks] == expected, (code, image)
+            kinds.add("not pinned" if any(len(s) > 1 for s in expected) else "pinned")
+        assert kinds == {"no preimage", "not pinned", "pinned"}
+
+    def test_occurrences_match_slicing(self):
+        rng = np.random.default_rng(77)
+        for _ in range(200):
+            seq = tuple(int(t) for t in rng.integers(0, 3, int(rng.integers(0, 15))))
+            W = tuple(int(t) for t in rng.integers(0, 3, int(rng.integers(1, 4))))
+            expected = [i for i in range(len(seq) - len(W) + 1) if seq[i:i + len(W)] == W]
+            assert _occurrences_in(seq, W).tolist() == expected
+
+
+class TestBlockLabeling:
+    def test_wrong_window_rejected(self, gm_graph):
+        H, lab = higher_block(gm_graph, 2)
+        for window in (1, 3, 0, -1, 10**30):
+            with pytest.raises(CodeError):
+                OneBlockCode(source=H, target=gm_graph, symbol_map=lab.symbol_map, conjugacy_window=window)
+
+    def test_higher_block_labelings_accepted(self, gm_graph, full2_graph):
+        for g in (gm_graph, full2_graph):
+            for N in (1, 2, 3, 4):
+                H, lab = higher_block(g, N)
+                code = labeling_code(H, lab, g)
+                assert code._block_words == lab.block_words
+
+    def test_non_injective_labeling_rejected(self, full2_graph):
+        point = build_graph(["*"], [(0, 0)]).graph
+        with pytest.raises(CodeError):
+            OneBlockCode(source=full2_graph, target=point, symbol_map=(0, 0), conjugacy_window=1)
 
 
 class TestAssemble:
@@ -305,12 +393,9 @@ class TestTransport:
         with pytest.raises(CodeError, match="fully supported"):
             transport_measure(gm_self_ai, mu, order=1)
 
-    def test_non_conjugate_legs_fall_back_to_sampling(self, gm_graph):
+    def test_non_conjugate_legs_fall_back_to_sampling(self, gm_graph, plain_ai):
         # same codes but without the conjugacy marker: closed form unavailable
-        H, lab = higher_block(gm_graph, 2)
-        plain = OneBlockCode(source=H, target=gm_graph, symbol_map=lab.symbol_map)
-        cert = verify_magic(plain, (1, 0), 0, 6)
-        ai = assemble_ai(plain, plain, cert, cert)
+        ai = plain_ai
         assert not ai.conjugate_legs
         mu = equilibrium_measure(gm_graph, FiniteRangePotential.zero(gm_graph))
         with pytest.raises(CodeError, match="sampling budget and seed"):
@@ -318,6 +403,55 @@ class TestTransport:
         rep = transport_measure(ai, mu, order=1, samples=50_000, seed=11)
         assert rep.method == "sampling"
         assert abs(rep.entropy_out - LOG_PHI) <= 0.02
+
+    @pytest.mark.parametrize("ai_name, order, samples, seed", [
+        ("gm_self_ai", 1, 20_000, 5),
+        ("gm_self_ai", 2, 20_000, 77),
+        ("gm_self_ai", 2, 3_000, 12),
+        ("plain_ai", 1, 20_000, 11),
+        ("plain_ai", 2, 5_000, 3),
+    ])
+    def test_sampled_report_equals_oracle_rebuild(self, request, gm_graph, ai_name, order, samples, seed):
+        ai = request.getfixturevalue(ai_name)
+        mu = equilibrium_measure(gm_graph, FiniteRangePotential.zero(gm_graph))
+        rep = transport_measure(ai, mu, order=order, samples=samples, seed=seed)
+        measure, tv, width = _oracle_sampled_transport(ai, mu, order, samples, seed)
+        assert rep.method == "sampling"
+        assert rep.measure.blocks == measure.blocks
+        assert rep.measure.transitions.shape == measure.transitions.shape
+        assert (rep.measure.transitions == measure.transitions).all()
+        assert (rep.measure.stationary == measure.stationary).all()
+        assert rep.entropy_in == mu.entropy()
+        assert rep.entropy_out == measure.entropy()
+        assert rep.tv_gap == tv
+        assert (rep.seed, rep.samples) == (seed, samples)
+        assert rep.confidence_width == width
+
+    def test_block_frequencies_match_running_counts(self):
+        # letters up to 2**40 force the window numbers to be renumbered by rank
+        rng = np.random.default_rng(31)
+        for high in (2, 5, 2**40):
+            y = rng.integers(0, high, 700)
+            y[400:420] = y[:20]
+            for k in (1, 2, 3, 4):
+                n = len(y) - k + 1
+                expected = {}
+                for j in range(n):
+                    w = tuple(int(v) for v in y[j:j + k])
+                    expected[w] = expected.get(w, 0.0) + 1.0 / n
+                got = _block_frequencies(y, k)
+                assert list(got.items()) == list(expected.items())
+
+    def test_order_and_budget_below_one_rejected(self, gm_self_ai, gm_graph):
+        mu = equilibrium_measure(gm_graph, FiniteRangePotential.zero(gm_graph))
+        for order in (0, -1):
+            with pytest.raises(CodeError, match="order"):
+                transport_measure(gm_self_ai, mu, order=order)
+            with pytest.raises(CodeError, match="order"):
+                transport_measure(gm_self_ai, mu, order=order, samples=100, seed=1)
+        for samples in (0, -1):
+            with pytest.raises(CodeError, match="sampling budget"):
+                transport_measure(gm_self_ai, mu, order=1, samples=samples, seed=1)
 
     def test_entropy_and_pressure_preserved(self, gm_self_ai, gm_graph):
         rng = np.random.default_rng(3)
@@ -327,6 +461,39 @@ class TestTransport:
         rep = transport_measure(gm_self_ai, mu, order=2)
         assert abs(rep.entropy_out - mu.entropy()) <= 1e-9
         assert abs(measure_pressure(rep.measure, g) - measure_pressure(mu, f)) <= 1e-9
+
+
+def _oracle_sampled_transport(ai, mu, order, samples, seed):
+    """The sampled transport rebuilt from reference pieces.
+
+    The seeded stream drives the scalar chain, set-based reachability pins
+    gamma between the first and last magic word, and running dict counts
+    add 1/n per window; codes._markovize turns the counts into the measure.
+    """
+    rng = np.random.default_rng(seed)
+    cum_pi, u0 = np.cumsum(mu.stationary), rng.random()
+    start = next((j for j in range(len(cum_pi)) if cum_pi[j] > u0), len(cum_pi) - 1)
+    states = scalar_chain(np.cumsum(mu.transitions, axis=1), start, rng.random(samples))
+    word = list(mu.blocks[states[0]]) + [mu.blocks[s][-1] for s in states[1:]]
+    W, I = ai.cert_s.word, ai.cert_s.offset
+    occ = [i for i in range(len(word) - len(W) + 1) if tuple(word[i:i + len(W)]) == W]
+    a, b = occ[0], occ[-1]
+    support = supported_letters(ai.code_s, word[a:b + len(W)])
+    assert all(len(support[j]) == 1 for j in range(I, I + b - a))
+    y = [ai.code_t.symbol_map[support[j][0]] for j in range(I, I + b - a)]
+    qk, qk1 = {}, {}
+    for k, q in ((order, qk), (order + 1, qk1)):
+        n = len(y) - k + 1
+        for j in range(n):
+            w = tuple(y[j:j + k])
+            q[w] = q.get(w, 0.0) + 1.0 / n
+    measure, tv = _markovize(ai.code_t.target, order, qk, qk1)
+    n1, z2 = len(y) - order, 1.96**2
+    width = max(
+        1.96 / (1 + z2 / n1) * math.sqrt(max(p * (1 - p), 0.0) / n1 + z2 / (4 * n1**2))
+        for p in qk1.values()
+    )
+    return measure, tv, width
 
 
 class TestDistinctLegsAi:

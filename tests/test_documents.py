@@ -168,6 +168,27 @@ class TestMeasureDocs:
         assert np.allclose(back.transitions, mu.transitions, atol=0)
         assert np.allclose(back.stationary, mu.stationary, atol=0)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literals_rejected(self, fixture_dir, literal):
+        text = (fixture_dir / "full2-bernoulli-half.json").read_text()
+        for old in ('  0.5,\n  0.5\n ]', '[\n   0.5,'):  # a stationary entry, then a transition
+            assert old in text
+            doc = docs.loads(text.replace(old, old.replace("0.5", literal, 1), 1))
+            with pytest.raises(ValueError, match="finite"):
+                docs.parse_measure(doc)
+
+    def test_integral_fields_must_be_integers(self, fixture_dir):
+        base = docs.loads((fixture_dir / "full2-bernoulli-half.json").read_text())
+        for order in (math.nan, math.inf, 1.5, True, "1"):
+            with pytest.raises(docs.SchemaError, match="order must be an integer"):
+                docs.parse_measure({**base, "order": order})
+        assert docs.parse_measure({**base, "order": 1.0}).order == 1
+        graph = {**base["graph"], "edges": [[0, 0], [0, math.inf]]}
+        with pytest.raises(docs.SchemaError, match="edge endpoint"):
+            docs.parse_graph(graph)
+        with pytest.raises(docs.SchemaError, match="pair"):
+            docs.parse_graph({**base["graph"], "edges": [[0, 0, 1]]})
+
 
 def test_canonical_emission_is_stable(gm, fixture_dir):
     text = (fixture_dir / "gm.json").read_text()

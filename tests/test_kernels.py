@@ -124,3 +124,25 @@ def test_step_chain_matches_scalar_reference():
     uniforms = np.array([0.25, 0.5, 0.0, 0.5, 0.99999999999999999, 0.75, 0.9999999999999999, 0.1])
     for start in range(3):
         assert kernels.step_chain(cum, start, uniforms).tolist() == scalar_chain(cum, start, uniforms)
+
+
+def test_step_chain_crosses_table_chunks_on_a_large_chain():
+    # 1024 states make a next-state table of 1024 uniforms per chunk, so
+    # 2600 steps cross two chunk boundaries
+    rng = np.random.default_rng(1024)
+    S = 1024
+    P = rng.random((S, S)) ** 8
+    P /= P.sum(axis=1, keepdims=True)
+    cum = np.cumsum(P, axis=1)
+    cum[3] *= 0.5  # a row summing below 1 falls through to the last state
+    uniforms = rng.random(2600)
+    uniforms[:20] = cum[7, :20]  # ties at a cumulative value step past it
+    for start in (0, 7, S - 1):
+        assert kernels.step_chain(cum, start, uniforms).tolist() == scalar_chain(cum, start, uniforms)
+
+
+def test_step_chain_without_uniforms_stays_at_start():
+    cum = np.cumsum(np.full((3, 3), 1 / 3), axis=1)
+    out = kernels.step_chain(cum, 2, np.empty(0))
+    assert out.tolist() == [2] == scalar_chain(cum, 2, [])
+    assert out.dtype == np.int32

@@ -345,6 +345,43 @@ def _perturb(mu: MarkovMeasure, rng) -> MarkovMeasure:
     )
 
 
+class TestMarkovMeasureContract:
+    def _bernoulli(self, full2, **changes):
+        fields = dict(
+            graph=full2.graph, order=1, blocks=((0,), (1,)),
+            transitions=np.array([[0.5, 0.5], [0.5, 0.5]]), stationary=np.array([0.5, 0.5]),
+        )
+        return MarkovMeasure(**{**fields, **changes})
+
+    def test_valid_measure_accepted(self, full2):
+        assert self._bernoulli(full2).order == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, full2, bad):
+        with pytest.raises(ValueError, match="finite"):
+            self._bernoulli(full2, stationary=np.array([bad, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            self._bernoulli(full2, transitions=np.array([[0.5, bad], [0.5, 0.5]]))
+
+    def test_order_below_one_rejected(self, full2):
+        for order in (0, -1):
+            with pytest.raises(ValueError, match="order"):
+                self._bernoulli(full2, order=order)
+        with pytest.raises(ValueError, match="order"):
+            self._bernoulli(full2, order=0, blocks=((), ()))
+
+    def test_blocks_must_be_words_of_the_order(self, gm, full2):
+        with pytest.raises(ValueError, match="length 1"):
+            self._bernoulli(full2, blocks=((0,), (1, 0)))
+        with pytest.raises(ValueError, match="length 2"):
+            self._bernoulli(full2, order=2)
+        with pytest.raises(ValueError, match="admissible"):
+            MarkovMeasure(
+                graph=gm.graph, order=2, blocks=((0, 1), (1, 1)),
+                transitions=np.array([[0.0, 1.0], [1.0, 0.0]]), stationary=np.array([0.5, 0.5]),
+            )
+
+
 class TestMeasurePressure:
     def test_fair_coin(self, full2):
         mu = MarkovMeasure(
