@@ -460,6 +460,9 @@ def main(argv=None) -> int:
     except (GraphError, PotentialError, CodeError, DomainError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
+    except OverflowError as e:
+        print(f"input error: a value is out of float range ({e})", file=sys.stderr)
+        return 2
     except (BudgetExceededError, ConvergenceError) as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 1

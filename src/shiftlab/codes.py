@@ -24,7 +24,6 @@ from .graphs import (
     PeriodicPoint,
     Word,
     enumerate_periodic,
-    recurrent_core,
 )
 from .potentials import FiniteRangePotential, PotentialError
 from .thermo import MarkovMeasure, stationary_vector
@@ -261,19 +260,21 @@ def _periodic_points_containing(g: FiniteGraph, W: Word, period: int):
 def _has_periodic_preimage(code: OneBlockCode, word: Word) -> bool:
     """Does the periodic target point of this cyclic word lift to the source?
 
-    It does iff the phase-extended fiber graph, with a node (t, s) for each
-    source letter s over word[t], has a cycle: a non-empty recurrent core.
+    Going once around the word maps a set of source letters over word[0]
+    to the letters over word[0] that some preimage path from the set
+    reaches.  Starting from the whole fiber, the sets shrink until they stop
+    changing; the letters left lie on a cycle of preimage paths, that is, on
+    a periodic lift, and every such lift keeps its letters in every set.
     """
-    p = len(word)
-    fibers = code.fibers()
-    edges = [
-        ((t, s), ((t + 1) % p, s2))
-        for t in range(p)
-        for s in fibers[word[t]]
-        for s2 in fibers[word[(t + 1) % p]]
-        if code.source.has_edge(s, s2)
-    ]
-    return bool(recurrent_core(edges)[0])
+    fiber = code._fiber_masks
+    succ = _MaskUnion(code._edge_masks[0])
+    cyclic = word[1:] + word[:1]
+    mask, prev = fiber[word[0]], -1
+    while mask and mask != prev:
+        prev = mask
+        for t in cyclic:
+            mask = succ[mask] & fiber[t]
+    return bool(mask)
 
 
 def verify_magic(
@@ -352,10 +353,8 @@ class AlmostIsomorphism:
     cert_t: MagicWordCertificate
 
     def __post_init__(self):
-        if self.code_s.source is not self.code_t.source:
-            if (self.code_s.source.names != self.code_t.source.names
-                    or self.code_s.source.edges != self.code_t.source.edges):
-                raise CodeError("both codes must share the common source shift")
+        if self.code_s.source != self.code_t.source:
+            raise CodeError("both codes must share the common source shift")
         for cert in (self.cert_s, self.cert_t):
             if not cert.certified:
                 raise CodeError("cannot assemble an almost isomorphism from a refuted certificate")
@@ -596,7 +595,7 @@ def transport_measure(
     if samples is not None and samples < 1:
         raise CodeError(f"sampling budget must be at least 1, got {samples}")
     S = ai.code_s.target
-    if mu.graph.names != S.names or mu.graph.edges != S.edges:
+    if mu.graph != S:
         raise CodeError("measure does not live on the S leg of the almost isomorphism")
     if not mu.fully_supported():
         raise CodeError("transport is defined for fully supported measures")

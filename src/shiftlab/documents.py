@@ -9,6 +9,7 @@ numbers stay floats, JSON integers become exact rationals.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any
 
@@ -77,6 +78,8 @@ def _number_in(x) -> Fraction | float:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise SchemaError(f"numbers must be finite, got {x!r}")
         return x
     if isinstance(x, str):
         try:
@@ -171,10 +174,13 @@ def parse_exhaustion(obj: dict) -> ExhaustionPresentation:
     levels = []
     for item in obj["levels"]:
         _check_keys(item, {"vertices", "edges"})
-        vids = tuple(int(v) for v in item["vertices"])
+        vids = tuple(_integer_in(v, "level vertex") for v in item["vertices"])
+        if any(not 0 <= v < len(names) for v in vids):
+            raise SchemaError(f"level vertices must index the alphabet of {len(names)} symbols")
         pos = {v: i for i, v in enumerate(vids)}
         try:
-            edges = [(pos[int(u)], pos[int(v)]) for u, v in item["edges"]]
+            edges = [(pos[_integer_in(u, "level edge endpoint")], pos[_integer_in(v, "level edge endpoint")])
+                     for u, v in item["edges"]]
         except KeyError as e:
             raise SchemaError(f"level edge uses vertex {e.args[0]} outside the level") from None
         pres = build_graph([names[v] for v in vids], edges)
@@ -235,11 +241,11 @@ def parse_loops(obj: dict) -> LoopSystem:
             label = parse_word(names, label)
         loops.append(
             Loop(
-                length=int(item["len"]),
-                src=int(item.get("src", 1)),
-                dst=int(item.get("dst", 1)),
+                length=_integer_in(item["len"], "loop len"),
+                src=_integer_in(item.get("src", 1), "loop src"),
+                dst=_integer_in(item.get("dst", 1), "loop dst"),
                 label=label,
-                count=int(item.get("count", 1)),
+                count=_integer_in(item.get("count", 1), "loop count"),
                 log_weight=_number_in(item.get("log_weight", 0)),
             )
         )
@@ -249,13 +255,13 @@ def parse_loops(obj: dict) -> LoopSystem:
         tails.append(
             TailDescriptor(
                 kind=str(item["type"]),
-                coef=float(item.get("coef", 0.0)),
-                ratio=float(item.get("ratio", 0.0)),
-                power=float(item.get("power", 0.0)),
-                start=int(item.get("start", 0)),
+                coef=float(_number_in(item.get("coef", 0.0))),
+                ratio=float(_number_in(item.get("ratio", 0.0))),
+                power=float(_number_in(item.get("power", 0.0))),
+                start=_integer_in(item.get("start", 0), "tail start"),
                 bound=str(item.get("bound", "exact")),
-                src=int(item.get("src", 1)),
-                dst=int(item.get("dst", 1)),
+                src=_integer_in(item.get("src", 1), "tail src"),
+                dst=_integer_in(item.get("dst", 1), "tail dst"),
             )
         )
     base = tuple(parse_word(names, w) for w in obj["base"]) if names else ()
@@ -303,7 +309,7 @@ def _parse_cert_tail(obj: dict):
         return PolynomialTail(
             coef=_number_in(obj["coef"]),
             power=_number_in(obj["power"]),
-            shift=int(obj.get("shift", 0)),
+            shift=_integer_in(obj.get("shift", 0), "certificate tail shift"),
         )
     raise SchemaError(f"unknown certificate tail type {kind!r}")
 
@@ -334,7 +340,8 @@ def parse_potential(obj: dict, graph: FiniteGraph) -> tuple[FiniteRangePotential
     table = {
         parse_word(graph.names, k): _number_in(v) for k, v in obj["weights"].items()
     }
-    f = FiniteRangePotential(graph, int(obj["left_range"]), int(obj["right_range"]), table)
+    f = FiniteRangePotential(graph, _integer_in(obj["left_range"], "left_range"),
+                             _integer_in(obj["right_range"], "right_range"), table)
     cert = None
     cobj = obj.get("certificate")
     if cobj is not None:
@@ -343,7 +350,7 @@ def parse_potential(obj: dict, graph: FiniteGraph) -> tuple[FiniteRangePotential
         cert = VariationCertificate(
             prefix=tuple(_number_in(x) for x in cobj["prefix"]),
             tail=_parse_cert_tail(cobj["tail"]),
-            p=int(cobj["p"]),
+            p=_integer_in(cobj["p"], "certificate p"),
             words=None if words is None else tuple(parse_word(graph.names, w) for w in words),
         )
     return f, cert
@@ -456,20 +463,3 @@ def parse_measure(obj: dict) -> MarkovMeasure:
         transitions=np.asarray(obj["transitions"], dtype=np.float64),
         stationary=np.asarray(obj["stationary"], dtype=np.float64),
     )
-
-
-def parse_document(obj: dict):
-    kind = obj.get("kind")
-    parsers = {
-        "graph": parse_graph,
-        "exhaustion": parse_exhaustion,
-        "loops": parse_loops,
-        "code": parse_code,
-        "ai": parse_ai,
-        "measure": parse_measure,
-    }
-    if kind == "potential":
-        raise SchemaError("potentials parse against a shift; use parse_potential")
-    if kind not in parsers:
-        raise SchemaError(f"unknown document kind {kind!r}")
-    return parsers[kind](obj)

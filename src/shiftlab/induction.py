@@ -10,6 +10,7 @@ derived.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -83,6 +84,10 @@ class TailDescriptor:
             raise ValueError(f"unknown tail kind {self.kind!r}")
         if self.bound not in ("exact", "upper"):
             raise ValueError("bound must be exact or upper")
+        if self.src not in (1, 2) or self.dst not in (1, 2):
+            raise ValueError("distinguished vertices are numbered 1 and 2")
+        if self.start < 0:
+            raise ValueError("tail start must be >= 0")
         if self.coef < 0:
             raise ValueError("tail coefficient must be >= 0")
         if self.kind == "geometric" and self.ratio <= 0 and self.coef > 0:
@@ -154,13 +159,6 @@ class LoopSystem:
         lens = [lp.length for lp in self.loops if lp.src == src and lp.dst == dst]
         return max(lens) if lens else 0
 
-    def tail_for(self, src: int, dst: int) -> TailDescriptor:
-        for t in self.tails:
-            if (t.src, t.dst) == (src, dst):
-                return t
-        return TailDescriptor(kind="zero", src=src, dst=dst,
-                              start=self.max_explicit_length(src, dst))
-
 
 @dataclass(frozen=True)
 class InducedPresentation:
@@ -181,29 +179,6 @@ class InducedPresentation:
 
 # --------------------------------------------------------------------------
 # building induced presentations
-
-
-def _loop_weight(label: Word, dst_word: Word, f: FiniteRangePotential) -> Number:
-    """Birkhoff weight of one loop, peeking into the seam word.
-
-    The letters right after a loop are the destination word itself, whatever
-    loop follows, so windows reaching past the label are still determined.
-    The value equals the closed-orbit sum of the loop, hence is invariant
-    under composing with powers of the shift.
-    """
-    if f.left > 0:
-        f = bowen_reduce(f)[0]
-    r = f.span
-    word = label + dst_word
-    k = len(label)
-    if r > len(dst_word) + 1:
-        raise PotentialError(
-            f"potential span {r} too wide for induction at a word of length {len(dst_word)}"
-        )
-    total: Number = Fraction(0) if f.rational else 0.0
-    for t in range(k):
-        total = total + f.table[word[t: t + r]]
-    return total
 
 
 def induce(
@@ -404,6 +379,41 @@ def _weighted_tail_bound(
     )
 
 
+def _weigh(system: LoopSystem, f: FiniteRangePotential | None, with_tails: bool) -> LoopSystem:
+    """``system`` with f's Birkhoff weights on its loops, and on its tails
+    too when ``with_tails`` (which needs the off-core data of an induction).
+
+    A loop's weight peeks into the seam word: the letters right after a loop
+    are its destination word itself, whatever loop follows, so windows
+    reaching past the label are still determined.  The value equals the
+    closed-orbit sum of the loop, hence is invariant under composing with
+    powers of the shift.  Without a potential the system comes back as is.
+    """
+    if f is None:
+        return system
+    if any(lp.label is None for lp in system.loops):
+        raise PotentialError("potential given but loops carry no labels")
+    if not system.base_words:
+        raise PotentialError("labeled loop system needs its base words to lift a potential")
+    g = bowen_reduce(f)[0] if f.left > 0 else f
+    r = g.span
+    dst_words = {1: system.base_words[0], 2: system.base_words[-1]}
+    loops = []
+    for lp in system.loops:
+        dst_word = dst_words[lp.dst]
+        if r > len(dst_word) + 1:
+            raise PotentialError(
+                f"potential span {r} too wide for induction at a word of length {len(dst_word)}"
+            )
+        word = lp.label + dst_word
+        total: Number = Fraction(0) if g.rational else 0.0
+        for t in range(lp.length):
+            total = total + g.table[word[t: t + r]]
+        loops.append(replace(lp, log_weight=total))
+    tails = _weighted_tails(system, g) if with_tails else system.tails
+    return replace(system, loops=tuple(loops), tails=tails)
+
+
 def lift_potential(
     ind: InducedPresentation,
     f: FiniteRangePotential,
@@ -414,61 +424,39 @@ def lift_potential(
 
     Returns ``(loop_system_with_weights, lifted_certificate)``.
     """
-    sys_ = ind.loops
-    if sys_.names is None:
+    if ind.loops.names is None:
         raise PotentialError("loop system carries no ambient labels to lift over")
-    dst_words = {1: ind.source_words[0], 2: ind.source_words[-1]}
+    weighted = _weigh(ind.loops, f, with_tails=True)
     L, M = ind.offsets
-    new_loops = []
-    for lp in sys_.loops:
-        if lp.label is None:
-            raise PotentialError("cannot lift over an unlabeled loop")
-        w = _loop_weight(lp.label, dst_words[lp.dst], f)
-        new_loops.append(replace(lp, log_weight=w))
-    tails = _weighted_tails(ind, f)
     lifted = lift_variation(cert, L, M) if cert is not None else None
-    weighted = replace(sys_, loops=tuple(new_loops), tails=tails)
     return weighted, lifted
 
 
-def _weighted_tails(ind: InducedPresentation, f: FiniteRangePotential | None):
-    sys_ = ind.loops
-    oc = sys_.off_core
+def _weighted_tails(system: LoopSystem, g: FiniteRangePotential) -> tuple[TailDescriptor, ...]:
+    """Tail bounds of the first returns weighted by a future-only potential g."""
+    oc = system.off_core
     if oc is None:
-        if f is None:
-            return sys_.tails
         raise PotentialError("loop system has no off-core data; bake weights via lift_potential at induction time")
     H = oc.block_graph
-    if f is None:
-        weights = np.ones(H.n_vertices)
-    else:
-        g = bowen_reduce(f)[0] if f.left > 0 else f
-        span = g.span
-        N = len(oc.block_words[0])
-        # Each block is weighted by the largest value of f over the
-        # span-words that agree with it on their first min(span, N) symbols.
-        # When span <= N that word is unique and the weight is exact; when
-        # f is wider than the blocks, a product of these per-step maxima
-        # bounds every path weight, so the tail stays an upper bound.
-        top: dict[Word, float] = {}
-        for w, v in g.table.items():
-            top[w[:N]] = max(top.get(w[:N], -math.inf), float(v))
-        logs = [top[bw[:span]] for bw in oc.block_words]
-        weights = np.array([math.exp(x) for x in logs])
+    span = g.span
+    N = len(oc.block_words[0])
+    # Each block is weighted by the largest value of g over the
+    # span-words that agree with it on their first min(span, N) symbols.
+    # When span <= N that word is unique and the weight is exact; when
+    # g is wider than the blocks, a product of these per-step maxima
+    # bounds every path weight, so the tail stays an upper bound.
+    top: dict[Word, float] = {}
+    for w, v in g.table.items():
+        top[w[:N]] = max(top.get(w[:N], -math.inf), float(v))
+    weights = np.array([math.exp(top[bw[:span]]) for bw in oc.block_words])
     ids = {1: oc.distinguished[0], 2: oc.distinguished[-1]}
-    maxlen = max((lp.length for lp in sys_.loops), default=0)
-    nil = all(t.kind == "zero" for t in sys_.tails)
-    tails = []
-    for t in sys_.tails:
-        if nil:
-            tails.append(replace(t, start=maxlen))
-            continue
-        tails.append(
-            _weighted_tail_bound(
-                H, oc.distinguished, ids[t.src], ids[t.dst], maxlen, weights, t.src, t.dst
-            )
-        )
-    return tuple(tails)
+    maxlen = max((lp.length for lp in system.loops), default=0)
+    if all(t.kind == "zero" for t in system.tails):
+        return tuple(replace(t, start=maxlen) for t in system.tails)
+    return tuple(
+        _weighted_tail_bound(H, oc.distinguished, ids[t.src], ids[t.dst], maxlen, weights, t.src, t.dst)
+        for t in system.tails
+    )
 
 
 # --------------------------------------------------------------------------
@@ -480,91 +468,59 @@ class _SeriesPart:
     explicit: dict[int, float]
     tail: TailDescriptor
 
-    def eval_F(self, z: float) -> tuple[float, float]:
-        head = math.fsum(w * z**n for n, w in self.explicit.items())
-        slop = 1e-14 * (1.0 + abs(head))
-        lo, hi = _tail_F(self.tail, z)
-        if self.tail.bound == "upper":
-            lo = 0.0
-        return head - slop + lo, head + slop + hi
+    def eval(self, z: float, d: int):
+        """Bracket of the d-th derivative (d in {0, 1}) at z.
 
-    def eval_Fprime(self, z: float):
-        head = math.fsum(n * w * z ** (n - 1) for n, w in self.explicit.items())
+        A divergent F has the upper end inf; a divergent F' gives None.
+        """
+        head = math.fsum(n**d * w * z ** (n - d) for n, w in self.explicit.items())
         slop = 1e-14 * (1.0 + abs(head))
-        t = _tail_Fprime(self.tail, z)
-        if t is None:
+        t = _tail_sum(self.tail, z, d)
+        if t is None and d:
             return None
-        lo, hi = t
+        lo, hi = t or (math.inf, math.inf)
         if self.tail.bound == "upper":
             lo = 0.0
         return head - slop + lo, head + slop + hi
 
-    def radius(self) -> float:
-        return self.tail.radius()
 
-
-def _tail_F(t: TailDescriptor, z: float) -> tuple[float, float]:
+def _tail_sum(t: TailDescriptor, z: float, d: int):
+    """Bracket of sum_{n > start} n^d w_n z^(n-d) for the tail's weights w_n,
+    d in {0, 1}: the tail of F, or of F' when d = 1.  None when it diverges.
+    """
     if t.kind == "zero" or t.coef == 0.0:
         return 0.0, 0.0
     N = t.start
     if t.kind == "geometric":
         x = t.ratio * z
         if x >= 1.0:
-            return math.inf, math.inf
-        val = t.coef * x ** (N + 1) / (1.0 - x)
+            return None
+        # sum_{n > N} n^d x^n = x^(N+1) ((N+1) - N x)^d / (1-x)^(d+1)
+        val = 0.0 if d and z <= 0 else (
+            (t.coef / z**d) * x ** (N + 1) * ((N + 1) - N * x) ** d / (1.0 - x) ** (d + 1))
         return val * (1 - 1e-12), val * (1 + 1e-12)
     # polynomial
-    if z > 1.0:
-        return math.inf, math.inf
     q = t.power
-    if z == 1.0:
-        if q <= 1.0:
-            return math.inf, math.inf
-        M = max(N + 1, 1_000_000)
-        ns = np.arange(N + 1, M + 1, dtype=np.float64)
-        partial = float(np.sum(t.coef * ns**-q))
-        lo = partial + t.coef * (M + 1) ** (1 - q) / (q - 1)
-        hi = partial + t.coef * M ** (1 - q) / (q - 1)
-        slop = 8 * _EPS * partial * math.log2(M)
-        return lo - slop, hi + slop
-    M = max(N + 1, 4096)
-    ns = np.arange(N + 1, M + 1, dtype=np.float64)
-    partial = float(np.sum(t.coef * ns**-q * z**ns))
-    rem_hi = t.coef * (M + 1) ** -q * z ** (M + 1) / (1.0 - z)
-    slop = 8 * _EPS * (partial + rem_hi + 1e-300)
-    return partial - slop, partial + rem_hi + slop
-
-
-def _tail_Fprime(t: TailDescriptor, z: float):
-    if t.kind == "zero" or t.coef == 0.0:
-        return 0.0, 0.0
-    N = t.start
-    if t.kind == "geometric":
-        x = t.ratio * z
-        if x >= 1.0:
-            return None
-        # sum_{n > N} n coef ratio^n z^{n-1}
-        val = (t.coef / z) * x ** (N + 1) * ((N + 1) - N * x) / (1.0 - x) ** 2 if z > 0 else 0.0
-        return val * (1 - 1e-12), val * (1 + 1e-12)
-    q = t.power
-    if z > 1.0:
+    if z > 1.0 or (z == 1.0 and q - d <= 1.0):
         return None
     if z == 1.0:
-        if q - 1.0 <= 1.0:
-            return None
         M = max(N + 1, 1_000_000)
         ns = np.arange(N + 1, M + 1, dtype=np.float64)
-        partial = float(np.sum(t.coef * ns ** (1.0 - q)))
-        lo = partial + t.coef * (M + 1) ** (2 - q) / (q - 2)
-        hi = partial + t.coef * M ** (2 - q) / (q - 2)
+        partial = float(np.sum(t.coef * ns ** (d - q)))
+        # the rest lies between the integrals of x^(d-q) from M+1 and from M
+        lo = partial + t.coef * (M + 1) ** (1 + d - q) / (q - (1 + d))
+        hi = partial + t.coef * M ** (1 + d - q) / (q - (1 + d))
         slop = 8 * _EPS * partial * math.log2(M)
         return lo - slop, hi + slop
     M = max(N + 1, 4096)
     ns = np.arange(N + 1, M + 1, dtype=np.float64)
-    partial = float(np.sum(t.coef * ns ** (1.0 - q) * z ** (ns - 1.0)))
-    # sum_{n > M} n z^{n-1} = ((M+1) z^M (1-z) + z^{M+1}) / (1-z)^2, times max n^-q
-    rem_geom = ((M + 1) * z**M * (1 - z) + z ** (M + 1)) / (1 - z) ** 2
-    rem_hi = t.coef * (M + 1) ** -q * rem_geom
+    partial = float(np.sum(t.coef * ns ** (d - q) * z ** (ns - d)))
+    # the rest is at most (M+1)^-q times sum_{n > M} n^d z^(n-d)
+    if d:
+        rem_geom = ((M + 1) * z**M * (1 - z) + z ** (M + 1)) / (1 - z) ** 2
+        rem_hi = t.coef * (M + 1) ** -q * rem_geom
+    else:
+        rem_hi = t.coef * (M + 1) ** -q * z ** (M + 1) / (1.0 - z)
     slop = 8 * _EPS * (partial + rem_hi + 1e-300)
     return partial - slop, partial + rem_hi + slop
 
@@ -582,46 +538,39 @@ class ReturnSeries:
     radius_lower: float
 
     def F(self, z: float) -> tuple[float, float]:
-        lo11, hi11 = self.parts[(1, 1)].eval_F(z)
+        lo11, hi11 = self.parts[(1, 1)].eval(z, 0)
         if (1, 2) not in self.parts:
             return lo11, hi11
-        lo12, hi12 = self.parts[(1, 2)].eval_F(z)
-        lo21, hi21 = self.parts[(2, 1)].eval_F(z)
-        lo22, hi22 = self.parts[(2, 2)].eval_F(z)
+        lo12, hi12 = self.parts[(1, 2)].eval(z, 0)
+        lo21, hi21 = self.parts[(2, 1)].eval(z, 0)
+        lo22, hi22 = self.parts[(2, 2)].eval(z, 0)
         hi = hi11 + (hi12 * hi21 / (1.0 - hi22) if hi22 < 1.0 else math.inf)
         lo = lo11 + (lo12 * lo21 / (1.0 - lo22) if lo22 < 1.0 else math.inf)
         return lo, hi
 
     def Fprime(self, z: float):
-        p11 = self.parts[(1, 1)].eval_Fprime(z)
+        p11 = self.parts[(1, 1)].eval(z, 1)
         if p11 is None:
             return None
         if (1, 2) not in self.parts:
             return p11
         evals = {}
         for key in ((1, 2), (2, 1), (2, 2)):
-            fv = self.parts[key].eval_F(z)
-            dv = self.parts[key].eval_Fprime(z)
+            fv = self.parts[key].eval(z, 0)
+            dv = self.parts[key].eval(z, 1)
             if dv is None or fv[1] >= 1.0 and key == (2, 2):
                 return None
             evals[key] = (fv, dv)
         (f12, d12), (f21, d21), (f22, d22) = evals[(1, 2)], evals[(2, 1)], evals[(2, 2)]
-        if f22[1] >= 1.0:
-            return None
-        # d/dz [F12 F21 / (1 - F22)]
-        los = (
-            d12[0] * f21[0] / (1 - f22[0])
-            + f12[0] * d21[0] / (1 - f22[0])
-            + f12[0] * f21[0] * d22[0] / (1 - f22[0]) ** 2
-        )
-        his = (
-            d12[1] * f21[1] / (1 - f22[1])
-            + f12[1] * d21[1] / (1 - f22[1])
-            + f12[1] * f21[1] * d22[1] / (1 - f22[1]) ** 2
+        # d/dz [F12 F21 / (1 - F22)], at the lower and at the upper ends
+        los, his = (
+            d12[e] * f21[e] / (1 - f22[e]) + f12[e] * d21[e] / (1 - f22[e])
+            + f12[e] * f21[e] * d22[e] / (1 - f22[e]) ** 2
+            for e in (0, 1)
         )
         return p11[0] + los, p11[1] + his
 
-    def _root(self, pick_hi: bool, atol: float, z_max: float | None):
+    def _root(self, pick_hi: bool, atol: float):
         """Bracket the smallest z with F_env(z) = 1, env = upper or lower.
 
         Returns the rigorous side: the bisection's upper end when the root
@@ -632,7 +581,7 @@ class ReturnSeries:
             lo, hi = self.F(z)
             return hi if pick_hi else lo
 
-        zr = self.radius_lower if z_max is None else min(z_max, self.radius_lower)
+        zr = self.radius_lower
         if math.isinf(zr):
             hi = 1.0
             while env(hi) < 1.0:
@@ -656,37 +605,20 @@ class ReturnSeries:
         # env(lo) < 1 <= env(hi): the envelope's root lies in [lo, hi]
         return lo if pick_hi else hi
 
-    def root_lower(self, atol: float = 1e-10, z_max: float | None = None):
+    def root_lower(self, atol: float = 1e-10):
         """A certified lower bound for z* (via the upper envelope)."""
-        return self._root(True, atol, z_max)
+        return self._root(True, atol)
 
-    def root_upper(self, atol: float = 1e-10, z_max: float | None = None):
+    def root_upper(self, atol: float = 1e-10):
         """A certified upper bound for z* (via the lower envelope)."""
-        return self._root(False, atol, z_max)
+        return self._root(False, atol)
 
 
 def return_series(loops: LoopSystem, f: FiniteRangePotential | None = None) -> ReturnSeries:
     """Aggregate explicit loop weights and tails into an evaluable series."""
-    if f is not None:
-        if any(lp.label is None for lp in loops.loops):
-            raise PotentialError("potential given but loops carry no labels")
-        if not loops.base_words:
-            raise PotentialError("labeled loop system needs its base words to lift a potential")
-        dst_words = {1: loops.base_words[0], 2: loops.base_words[-1]}
-        explicit: dict[tuple[int, int], dict[int, float]] = {}
-        for lp in loops.loops:
-            w = float(_loop_weight(lp.label, dst_words[lp.dst], f))
-            d = explicit.setdefault((lp.src, lp.dst), {})
-            d[lp.length] = d.get(lp.length, 0.0) + lp.count * math.exp(w)
-        ind = InducedPresentation(loops=loops, source_words=loops.base_words,
-                                  offsets=(0, len(loops.base_words[0]) - 1))
-        tails = _weighted_tails(ind, f)
-    else:
-        explicit = {}
-        for lp in loops.loops:
-            d = explicit.setdefault((lp.src, lp.dst), {})
-            d[lp.length] = d.get(lp.length, 0.0) + lp.count * math.exp(float(lp.log_weight))
-        tails = loops.tails
+    weighted = _weigh(loops, f, with_tails=True)
+    explicit = _loop_weights(weighted, exact=False)
+    tails = weighted.tails
 
     keys = {(1, 1)}
     if loops.two_vertex:
@@ -708,42 +640,99 @@ def return_series(loops: LoopSystem, f: FiniteRangePotential | None = None) -> R
 # partition functions over loop compositions, and the coincidence check
 
 
+def _loop_weights(system: LoopSystem, exact: bool) -> dict[tuple[int, int], dict]:
+    """Per vertex pair and loop length, the total weight count * exp(log_weight)
+    of the loops: an ExpSum when ``exact`` (rational weights only), else a float.
+    """
+    out: dict[tuple[int, int], dict] = {}
+    for lp in system.loops:
+        d = out.setdefault((lp.src, lp.dst), {})
+        if not exact:
+            d[lp.length] = d.get(lp.length, 0.0) + lp.count * math.exp(float(lp.log_weight))
+        elif isinstance(lp.log_weight, (Fraction, int)):
+            d.setdefault(lp.length, ExpSum()).add_term(Fraction(lp.log_weight), lp.count)
+        else:
+            raise ValueError("exact loop composition needs rational weights")
+    return out
+
+
+def _renewal(weights: dict[tuple[int, int], dict], n_max: int, unit, total) -> dict[int, list]:
+    """Weighted counts of the loop chains of each length from vertex 1 to j.
+
+    A closed orbit through the distinguished vertex decomposes uniquely into
+    first-return loops, so ``state[j][n] = sum over i, k of state[i][n - k]
+    * w_ij(k)``, summed by ``total``.  ``state[j][0]`` is ``unit`` for j = 1
+    and None (nothing) otherwise.
+    """
+    verts = (1, 2) if any(2 in pair for pair in weights) else (1,)
+    state = {j: [unit if j == 1 else None] for j in verts}
+    for n in range(1, n_max + 1):
+        for j in verts:
+            state[j].append(total(
+                state[i][n - k] * w
+                for i in verts
+                for k, w in weights.get((i, j), {}).items()
+                if k <= n and state[i][n - k]
+            ))
+    return state
+
+
+def _renewal_errors(system: LoopSystem, f, weights, state) -> list[float]:
+    """Running error bounds for the float renewal table of ``system``
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.3).
+
+    A log weight is off by delta: the rounding of float(log_weight), plus,
+    for a float potential f, that of its Birkhoff sum of k table values
+    (gamma_k * k * max|f|, as in :func:`shiftlab.thermo._zn_from_points`).
+    exp turns delta into a factor within exp(+-delta); exp, the count, the
+    product and the sum of the m loops of one length round by at most
+    (m + 3) u more.  So each weight w^ lies within eta * w^ + tau of its
+    true value, tau covering exp results that underflow.  In the recurrence
+    every product and every fsum rounds by u relative plus half the
+    smallest subnormal; the bound of state[j][n] adds those to the
+    propagated bounds of the states it multiplies, so an underflowed state
+    keeps a positive bound.  The bounds are computed in floats, hence
+    raised by 32 u and a few subnormals.
+    """
+    u = _EPS / 2
+    tiny = math.ulp(0.0)
+    verts, n_max = tuple(state), len(state[1]) - 1
+    fmax = 0.0 if f is None or f.rational else max(abs(float(v)) for v in f.table.values())
+    delta = max(_EPS * abs(float(lp.log_weight)) + lp.length * u / (1 - lp.length * u) * lp.length * fmax
+                for lp in system.loops)
+    m = max(Counter((lp.src, lp.dst, lp.length) for lp in system.loops).values())
+    a = delta + (m + 3) * _EPS
+    if a >= 700.0:
+        return [math.inf] * (n_max + 1)
+    eta = math.expm1(a) * math.exp(a)
+    tau = tiny * math.exp(a) * sum(lp.count + 2 for lp in system.loops)
+    err = {j: [0.0] for j in verts}
+    for n in range(1, n_max + 1):
+        for j in verts:
+            terms = [
+                (eta + u) * w * state[i][n - k] + tau * state[i][n - k]
+                + ((1.0 + eta) * w + tau) * err[i][n - k] + 4 * tiny
+                for i in verts
+                for k, w in weights.get((i, j), {}).items()
+                if k <= n and (state[i][n - k] or err[i][n - k])
+            ]
+            bound = math.fsum(terms) + 2 * u * state[j][n] + 4 * tiny if terms else 0.0
+            err[j].append(bound * (1 + 32 * u))
+    return err[1]
+
+
 def loop_zn_exact(loops: LoopSystem, f: FiniteRangePotential | None, n_max: int) -> list[ExpSum]:
     """Z_n at the first distinguished vertex via loop compositions, exact.
 
-    Renewal recurrence over the loop structure: a closed orbit through the
-    distinguished vertex decomposes uniquely into first-return loops.  Needs
-    rational data; raises if explicit loops do not cover n_max (a nonzero
-    tail would make the result a lower bound).
+    The renewal recurrence over the first-return loops, weighted by f when
+    given.  Needs rational weights (ValueError otherwise).  Loops longer
+    than the explicit ones are not counted, so past the start of a nonzero
+    tail each entry is a lower bound.
     """
-    verts = (1, 2) if loops.two_vertex else (1,)
-    weights: dict[tuple[int, int], dict[int, ExpSum]] = {}
-    for lp in loops.loops:
-        if f is not None:
-            if lp.label is None:
-                raise PotentialError("potential given but loop has no label")
-            dst_word = loops.base_words[min(lp.dst, len(loops.base_words)) - 1]
-            w = _loop_weight(lp.label, dst_word, f)
-        else:
-            w = lp.log_weight
-        if not isinstance(w, (Fraction, int)):
-            raise ValueError("exact loop composition needs rational weights")
-        d = weights.setdefault((lp.src, lp.dst), {})
-        entry = d.setdefault(lp.length, ExpSum())
-        entry.add_term(Fraction(w), lp.count)
-    # state[j][n] = weighted count of length-n loop chains from vertex 1 to j
-    state: dict[int, list[ExpSum]] = {j: [ExpSum() for _ in range(n_max + 1)] for j in verts}
-    state[1][0] = ExpSum.unit()
-    for n in range(1, n_max + 1):
-        for j in verts:
-            acc = ExpSum()
-            for i in verts:
-                d = weights.get((i, j), {})
-                for k, w in d.items():
-                    if k <= n and state[i][n - k]:
-                        acc = acc + state[i][n - k] * w
-            state[j][n] = acc
-    return state[1][1: n_max + 1]
+    weighted = _weigh(loops, f, with_tails=False)
+    state = _renewal(_loop_weights(weighted, exact=True), n_max, ExpSum.unit(),
+                     lambda terms: sum(terms, ExpSum()))
+    return state[1][1:]
 
 
 def loop_partition_function(loops: LoopSystem, f: FiniteRangePotential | None, n_max: int):
@@ -756,25 +745,16 @@ def loop_partition_function(loops: LoopSystem, f: FiniteRangePotential | None, n
     note = None
     if covered < n_max:
         note = f"explicit loops cover lengths <= {covered}; entries beyond are lower bounds"
+    weighted = _weigh(loops, f, with_tails=False)
     try:
-        zs = loop_zn_exact(loops, f, n_max)
+        zs = loop_zn_exact(weighted, None, n_max)
         entries = {n: zs[n - 1] for n in range(1, n_max + 1)}
         exact = True
     except ValueError:
-        series = return_series(loops, f)
-        verts = (1, 2) if loops.two_vertex else (1,)
-        w = {key: part.explicit for key, part in series.parts.items()}
-        state = {j: [0.0] * (n_max + 1) for j in verts}
-        state[1][0] = 1.0
-        entries = {}
-        for n in range(1, n_max + 1):
-            for j in verts:
-                state[j][n] = math.fsum(
-                    w.get((i, j), {}).get(k, 0.0) * state[i][n - k]
-                    for i in verts
-                    for k in range(1, n + 1)
-                )
-            entries[n] = (state[1][n], abs(state[1][n]) * 1e-12)
+        weights = _loop_weights(weighted, exact=False)
+        state = _renewal(weights, n_max, 1.0, math.fsum)
+        errors = _renewal_errors(weighted, f, weights, state)
+        entries = {n: (state[1][n], errors[n]) for n in range(1, n_max + 1)}
         exact = False
     base = loops.base_words[0] if loops.base_words else ()
     return PartitionFunctionTable(

@@ -44,6 +44,8 @@ class FiniteRangePotential:
     def __post_init__(self):
         if self.left < 0 or self.right < 1:
             raise PotentialError("need left range >= 0 and right range >= 1")
+        if any(len(w) != self.span for w in self.table):
+            raise PotentialError(f"weight table keys must be {self.span}-words")
         want = set(self.graph.words(self.span))
         got = set(self.table)
         if want != got:

@@ -47,6 +47,10 @@ ZnValue = Union[ExpSum, FloatInterval]
 
 _EPS = 2.2e-16
 
+# Power-iteration targets: relative Collatz-Wielandt gap and iteration cap.
+_SPECTRAL_TOL, _SPECTRAL_MAX_ITER = 1e-13, 200_000
+_MEASURE_TOL, _MEASURE_MAX_ITER = 1e-14, 500_000
+
 
 # --------------------------------------------------------------------------
 # partition functions
@@ -203,9 +207,8 @@ class PressureEstimate:
 
 def _edge_weight_matrix(g: FiniteGraph, f: FiniteRangePotential) -> tuple[FiniteGraph, np.ndarray, tuple[Word, ...]]:
     """Recode g so f reads one block, then weight edges at the source."""
-    if f.graph is not g:
-        if f.graph.names != g.names or f.graph.edges != g.edges:
-            raise PotentialError("potential is defined over a different graph")
+    if f.graph != g:
+        raise PotentialError("potential is defined over a different graph")
     if f.left > 0:
         f = bowen_reduce(f)[0]
     span = f.span
@@ -238,12 +241,7 @@ def _power_bounds(M: np.ndarray, tol: float, max_iter: int) -> tuple[float, floa
     return lo_best - 1.0, hi_best - 1.0, it, v
 
 
-def pressure_spectral(
-    g,
-    f: FiniteRangePotential,
-    tol: float = 1e-13,
-    max_iter: int = 200_000,
-) -> PressureEstimate:
+def pressure_spectral(g, f: FiniteRangePotential) -> PressureEstimate:
     """log of the Perron root of the edge-weighted presentation.
 
     The error bound is half the width of the Collatz-Wielandt bracket, which
@@ -254,7 +252,7 @@ def pressure_spectral(
     if not flag:
         raise ValueError("pressure_spectral needs an irreducible graph")
     _, M, _ = _edge_weight_matrix(graph, f)
-    lam_lo, lam_hi, it, _ = _power_bounds(M, tol, max_iter)
+    lam_lo, lam_hi, it, _ = _power_bounds(M, _SPECTRAL_TOL, _SPECTRAL_MAX_ITER)
     if not (lam_lo > 0):
         raise ConvergenceError("power iteration did not separate the Perron root from 0")
     lo, hi = math.log(lam_lo), math.log(lam_hi)
@@ -475,12 +473,7 @@ def stationary_vector(P: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def equilibrium_measure(
-    g,
-    f: FiniteRangePotential,
-    tol: float = 1e-14,
-    max_iter: int = 500_000,
-) -> MarkovMeasure:
+def equilibrium_measure(g, f: FiniteRangePotential) -> MarkovMeasure:
     """The Markov measure maximizing entropy + integral of f.
 
     Built from the Perron data of the edge-weighted matrix:
@@ -493,10 +486,11 @@ def equilibrium_measure(
     if not flag:
         raise ValueError("equilibrium_measure needs an irreducible graph")
     H, M, blocks = _edge_weight_matrix(graph, f)
-    lam_lo, lam_hi, _, r = _power_bounds(M, tol, max_iter)
-    if lam_hi - lam_lo > tol * max(1.0, lam_hi) * 10:
+    lam_lo, lam_hi, _, r = _power_bounds(M, _MEASURE_TOL, _MEASURE_MAX_ITER)
+    if lam_hi - lam_lo > _MEASURE_TOL * max(1.0, lam_hi) * 10:
         raise ConvergenceError(
-            f"power iteration gap {lam_hi - lam_lo:.3e} did not reach {tol:.1e} within {max_iter} iterations"
+            f"power iteration gap {lam_hi - lam_lo:.3e} did not reach {_MEASURE_TOL:.1e}"
+            f" within {_MEASURE_MAX_ITER} iterations"
         )
     lam = 0.5 * (lam_lo + lam_hi)
     P = M * r[None, :] / (lam * r[:, None])
@@ -514,7 +508,7 @@ def measure_pressure(mu: MarkovMeasure, f: FiniteRangePotential) -> float:
 
     Requires the span of f to fit in k+1 coordinates (support/range match).
     """
-    if f.graph.names != mu.graph.names or f.graph.edges != mu.graph.edges:
+    if f.graph != mu.graph:
         raise PotentialError("measure and potential live on different presentations")
     if f.span > mu.order + 1:
         raise PotentialError(
@@ -601,23 +595,26 @@ def recurrence_classify(loops: "LoopSystem", f=None, atol: float = 1e-9) -> Recu
     from .induction import return_series  # deferred; induction depends on this module
 
     series = return_series(loops, f)
-    R_lo = series.radius_lower
+    R = series.radius_lower
     z_hi = series.root_upper(atol=1e-10)  # root of the lower envelope
     z_lo = series.root_lower(atol=1e-10)  # root of the upper envelope
-    if z_hi is not None and z_hi < R_lo * (1 - 1e-12):
-        lam_lo, lam_hi = 1.0 / z_hi, 1.0 / max(z_lo, 1e-300)
+
+    def spr(detail: str) -> RecurrenceClass:
+        lam_lo, lam_hi = 1.0 / (z_hi or R), 1.0 / max(z_lo or 0.0, 1e-300)
         lam = 0.5 * (lam_lo + lam_hi)
-        zmid = 1.0 / lam
         return RecurrenceClass(
             verdict="SPR",
             positive_recurrent=True,
             lam=lam,
             lam_bounds=(lam_lo, lam_hi),
-            F_at_z=series.F(zmid),
-            Fprime_at_z=series.Fprime(zmid),
-            radius=R_lo,
-            detail="first-return series reaches 1 strictly inside its disk of convergence",
+            F_at_z=series.F(1.0 / lam),
+            Fprime_at_z=series.Fprime(1.0 / lam),
+            radius=R,
+            detail=detail,
         )
+
+    if z_hi is not None and z_hi < R * (1 - 1e-12):
+        return spr("first-return series reaches 1 strictly inside its disk of convergence")
     if not series.tail_exact:
         return RecurrenceClass(
             verdict="indeterminate",
@@ -626,10 +623,9 @@ def recurrence_classify(loops: "LoopSystem", f=None, atol: float = 1e-9) -> Recu
             lam_bounds=None,
             F_at_z=None,
             Fprime_at_z=None,
-            radius=R_lo,
+            radius=R,
             detail="tail bound too weak to evaluate F at its radius",
         )
-    R = R_lo
     F_lo, F_hi = series.F(R)
     if F_hi < 1 - atol:
         return RecurrenceClass(
@@ -643,43 +639,20 @@ def recurrence_classify(loops: "LoopSystem", f=None, atol: float = 1e-9) -> Recu
             detail=f"F(R) <= {F_hi:.12g} < 1",
         )
     if F_lo > 1 + atol:
-        # root exists strictly inside; re-bisect on the exact series
-        z_hi2 = series.root_upper(atol=1e-10, z_max=R)
-        z_lo2 = series.root_lower(atol=1e-10, z_max=R)
-        lam_lo, lam_hi = 1.0 / (z_hi2 or R), 1.0 / max(z_lo2 or 0.0, 1e-300)
-        lam = 0.5 * (lam_lo + lam_hi)
-        return RecurrenceClass(
-            verdict="SPR",
-            positive_recurrent=True,
-            lam=lam,
-            lam_bounds=(lam_lo, lam_hi),
-            F_at_z=series.F(1.0 / lam),
-            Fprime_at_z=series.Fprime(1.0 / lam),
-            radius=R,
-            detail="F exceeds 1 before its radius",
-        )
+        # the root lies strictly inside; the bisections above bracket it
+        return spr("F exceeds 1 before its radius")
     if F_lo >= 1 - atol and F_hi <= 1 + atol:
         fp = series.Fprime(R)
-        if fp is None:
-            return RecurrenceClass(
-                verdict="null_recurrent",
-                positive_recurrent=False,
-                lam=1.0 / R,
-                lam_bounds=(1.0 / R, 1.0 / R),
-                F_at_z=(F_lo, F_hi),
-                Fprime_at_z=None,
-                radius=R,
-                detail="F(R) = 1 within tolerance and F'(R) diverges",
-            )
         return RecurrenceClass(
-            verdict="positive_recurrent",
-            positive_recurrent=True,
+            verdict="null_recurrent" if fp is None else "positive_recurrent",
+            positive_recurrent=fp is not None,
             lam=1.0 / R,
             lam_bounds=(1.0 / R, 1.0 / R),
             F_at_z=(F_lo, F_hi),
             Fprime_at_z=fp,
             radius=R,
-            detail="F(R) = 1 within tolerance with finite F'(R)",
+            detail="F(R) = 1 within tolerance and F'(R) diverges" if fp is None
+            else "F(R) = 1 within tolerance with finite F'(R)",
         )
     return RecurrenceClass(
         verdict="indeterminate",

@@ -6,8 +6,10 @@ weighted sums by matrix powers over a packed-exponent semiring or in
 60-digit decimal arithmetic, series by closed-form expansions, chains by
 scalar comparisons, strongly connected components by a transitive
 closure, stationary vectors by the Markov chain tree theorem in exact
-rationals, lifts of periodic points by filtering products of fibers, and
-the source letters on preimage paths by set-based reachability.
+rationals, lifts of periodic points by filtering products of fibers, the
+source letters on preimage paths by set-based reachability, loop-system
+Z_n by a 60-digit decimal renewal over closed-orbit weights, and tail
+series by full closed forms or zeta values minus exact partial sums.
 """
 from __future__ import annotations
 
@@ -238,6 +240,88 @@ def decimal_weighted_traces(graph, table: dict, n_max: int) -> list[Decimal]:
             power = nxt
             out.append(sum(power[i][i] for i in range(len(blocks))))
     return out
+
+
+def decimal_loop_zn(system, n_max: int, f=None) -> list[Decimal]:
+    """Z_1 .. Z_n_max of a loop system at its first vertex, to 60 digits.
+
+    A loop weighs count * exp(log_weight), or, with a potential f, count *
+    exp of the closed-orbit sum of f along its label repeated.  Floats and
+    rationals convert to Decimal exactly or at the 60th digit; Z_n is the
+    sum over chains of loops of total length n from vertex 1 back to 1,
+    built one loop at a time.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+
+        def dec(x):
+            if isinstance(x, float):
+                return Decimal(x)
+            x = Fraction(x)
+            return Decimal(x.numerator) / Decimal(x.denominator)
+
+        weights = []
+        for lp in system.loops:
+            if f is None:
+                log_weight = dec(lp.log_weight)
+            else:
+                orbit = lp.label * (f.span // lp.length + 2)
+                log_weight = sum((dec(f.table[orbit[t:t + f.span]]) for t in range(lp.length)), Decimal(0))
+            weights.append((lp.src, lp.dst, lp.length, lp.count * log_weight.exp()))
+        # chains[n][j]: total weight of loop chains of length n from vertex 1 to j
+        chains = [{1: Decimal(1)}] + [{} for _ in range(n_max)]
+        for n in range(n_max):
+            for src, dst, length, w in weights:
+                if src in chains[n] and n + length <= n_max:
+                    chains[n + length][dst] = chains[n + length].get(dst, Decimal(0)) + chains[n][src] * w
+        return [chains[n].get(1, Decimal(0)) for n in range(1, n_max + 1)]
+
+
+# zeta(2), zeta(3), zeta(4) to 40 digits
+ZETA = {
+    2: Decimal("1.644934066848226436472415166646025189219"),
+    3: Decimal("1.202056903159594285399738161511449990765"),
+    4: Decimal("1.082323233711138191516003696541167902775"),
+}
+
+
+def tail_series(kind: str, coef: float, param: float, start: int, z: float, d: int) -> Decimal | None:
+    """sum_{n > start} n^d w_n z^(n-d), to 30 digits or more; None when it diverges.
+
+    w_n = coef * param^n (geometric) or coef * n^-param (polynomial).
+    Geometric tails: the full closed form sum_{n >= 1} n^d x^n, x = param*z,
+    minus the exact partial sum, in rationals.  Polynomial tails at z = 1
+    (integer powers 2..4): zeta(power - d) minus the exact partial sum.
+    Polynomial tails at z <= 0.9: summed term by term in 60 digits until
+    the rest, at most coef * z^(n-d) / (1 - z), is below 1e-30 of the sum.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        N = start
+        if kind == "geometric":
+            c, z_ = Fraction(coef), Fraction(z)
+            x = Fraction(param) * z_
+            if x >= 1:
+                return None
+            full = x / (1 - x) ** (d + 1)
+            partial = sum(Fraction(n) ** d * x**n for n in range(1, N + 1))
+            value = c * (full - partial) / z_**d
+            return Decimal(value.numerator) / Decimal(value.denominator)
+        if z == 1.0:
+            q = int(param)
+            assert q == param and q in (2, 3, 4)
+            if q - d <= 1:
+                return None
+            partial = sum(Fraction(1, n ** (q - d)) for n in range(1, N + 1))
+            return Decimal(coef) * (ZETA[q - d] - Decimal(partial.numerator) / Decimal(partial.denominator))
+        assert z <= 0.9 and param >= d
+        c, q, z_ = Decimal(coef), Decimal(param), Decimal(z)
+        total, n = Decimal(0), N + 1
+        while True:
+            total += c * Decimal(n) ** (d - q) * z_ ** (n - d)
+            n += 1
+            if c * z_ ** (n - d) / (1 - z_) < Decimal("1e-30") * total:
+                return total
 
 
 def geometric_series_coeffs(a: Fraction, order: int) -> list[Fraction]:

@@ -269,9 +269,9 @@ def _mutated(doc, path, value=None, drop=False):
     return doc
 
 
-def _transport_mutations(doc, rng, per_kind):
-    """Seeded mutations: per_kind numeric literals made NaN, infinite,
-    negative and huge, and per_kind keys dropped, anywhere in the document."""
+def _document_mutations(doc, rng, per_kind):
+    """Seeded mutations: per_kind numeric literals (or all, if fewer) made NaN,
+    infinite, negative and huge, and per_kind keys dropped, anywhere in the document."""
     numeric = list(_numeric_paths(doc))
     keys = [p for p in _key_paths(doc) if isinstance(p[-1], str)]
     kinds = {
@@ -282,9 +282,9 @@ def _transport_mutations(doc, rng, per_kind):
     }
     out = []
     for kind, value in kinds.items():
-        for i in rng.choice(len(numeric), size=per_kind, replace=False):
+        for i in rng.choice(len(numeric), size=min(per_kind, len(numeric)), replace=False):
             out.append((kind, numeric[i], _mutated(doc, numeric[i], value)))
-    for i in rng.choice(len(keys), size=per_kind, replace=False):
+    for i in rng.choice(len(keys), size=min(per_kind, len(keys)), replace=False):
         out.append(("drop", keys[i], _mutated(doc, keys[i], drop=True)))
     return out
 
@@ -295,7 +295,7 @@ def test_transport_fuzzed_documents_exit_2(capsys, tmp_path, fixture_dir):
     cases = []
     for role, path in paths.items():
         doc = json.loads(path.read_text())
-        cases += [(role, kind, where, bad) for kind, where, bad in _transport_mutations(doc, rng, 6)]
+        cases += [(role, kind, where, bad) for kind, where, bad in _document_mutations(doc, rng, 6)]
     measure = json.loads(paths["measure"].read_text())
     cases.append(("measure", "order 0", ("order",), {**measure, "order": 0}))
     for role, kind, where, bad in cases:
@@ -305,6 +305,34 @@ def test_transport_fuzzed_documents_exit_2(capsys, tmp_path, fixture_dir):
         rc = main(["transport", "--ai", str(files["ai"]), "--measure", str(files["measure"]), "--order", "1"])
         err = capsys.readouterr().err
         assert rc == 2 and err.strip(), (role, kind, where, rc, err)
+
+
+@pytest.mark.parametrize("fixture, argv", [
+    ("gm-at-0-loops.json", ["classify", "--loops", "{doc}"]),
+    ("gm-exhaustion.json", ["pressure", "--shift", "{doc}"]),
+    ("gm-range1.json", ["pressure", "--shift", "{gm}", "--potential", "{doc}"]),
+])
+def test_shift_and_potential_fuzzed_documents(capsys, tmp_path, fixture_dir, fixture, argv):
+    """Mutated loop, exhaustion and potential documents never end in a traceback.
+
+    A mutation can leave a valid document (a dropped optional key, a negative
+    log weight), so such a case may exit 0; any other exit is 2 with a
+    message, and a non-finite literal is always rejected.
+    """
+    rng = np.random.default_rng(7)
+    doc = json.loads((fixture_dir / fixture).read_text())
+    rejected = set()
+    for kind, where, bad in _document_mutations(doc, rng, 6):
+        mutated = tmp_path / fixture
+        mutated.write_text(json.dumps(bad))  # writes NaN and Infinity literals
+        rc = main([a.format(doc=mutated, gm=fixture_dir / "gm.json") for a in argv])
+        err = capsys.readouterr().err
+        assert rc in (0, 2), (kind, where, rc, err)
+        assert rc == 0 or err.strip(), (kind, where)
+        assert rc == 2 or kind not in ("nan", "inf"), (kind, where)
+        if rc == 2:
+            rejected.add(kind)
+    assert {"nan", "inf", "negative", "drop"} <= rejected
 
 
 def test_verify_correspondence_cli(capsys, fixture_dir):

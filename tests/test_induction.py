@@ -1,5 +1,6 @@
 """Induced presentations, loop systems, recurrence classification."""
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,22 +11,32 @@ from shiftlab.induction import (
     Loop,
     LoopSystem,
     TailDescriptor,
+    _tail_sum,
     induce,
     induce_structured,
     lift_potential,
     loop_partition_function,
+    loop_zn_exact,
     phi_injective_on_periodic,
+    return_series,
     verify_zn_coincidence,
 )
 from shiftlab.potentials import (
     FiniteRangePotential,
+    PotentialError,
     GeometricTail,
     VariationCertificate,
     check_variation_certificate,
 )
 from shiftlab.thermo import partition_function, pressure_spectral, recurrence_classify
 
-from oracles import integer_trace, random_irreducible_graph, random_rational_values
+from oracles import (
+    decimal_loop_zn,
+    integer_trace,
+    random_irreducible_graph,
+    random_rational_values,
+    tail_series,
+)
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 C6 = 6.0 / math.pi**2
@@ -138,6 +149,91 @@ class TestLiftPotential:
         assert total == l1.log_weight + l2.log_weight
 
 
+def _random_potential(rng, g, span, left, rational):
+    values = random_rational_values(rng, len(g.words(span)))
+    if not rational:
+        values = [float(x) + float(rng.normal(0, 1e-3)) for x in values]
+    return FiniteRangePotential(g, left, span - left, dict(zip(g.words(span), values)))
+
+
+class TestWeighing:
+    def test_weighing_twice_equals_weighing_once(self):
+        # the series and Z_n of a system weighed through lift_potential equal
+        # those of the same system handed the potential directly
+        rng = np.random.default_rng(41)
+        kinds = set()
+        for _ in range(24):
+            names, edges = random_irreducible_graph(rng, 5)
+            g = build_graph(names, edges).graph
+            span = int(rng.integers(1, 4))
+            left = int(rng.integers(0, 2)) if span > 1 else 0
+            rational = bool(rng.integers(0, 2))
+            f = _random_potential(rng, g, span, left, rational)
+            v = int(rng.integers(0, g.n_vertices))
+            W = (v,) if span < 3 else (v, int(g.successors(v)[0]))
+            try:
+                ind = induce(g, W, maxlen=8, budget=50_000)
+            except BudgetExceededError:
+                continue
+            weighted, _ = lift_potential(ind, f)
+            once, twice = return_series(weighted), return_series(ind.loops, f)
+            for z in (0.05, 0.3, 0.55):  # repr, since an off-core tail bound can be NaN
+                assert repr((once.F(z), once.Fprime(z))) == repr((twice.F(z), twice.Fprime(z)))
+            if rational:
+                assert loop_zn_exact(ind.loops, f, 9) == loop_zn_exact(weighted, None, 9)
+            else:
+                for system, pot in ((ind.loops, f), (weighted, None)):
+                    with pytest.raises(ValueError, match="rational"):
+                        loop_zn_exact(system, pot, 9)
+            kinds.add((span, left, rational))
+        assert {k[0] for k in kinds} == {1, 2, 3} and {k[2] for k in kinds} == {True, False}
+        assert any(k[1] == 1 for k in kinds)
+
+    def test_labeled_system_without_base_words_rejected(self, gm):
+        ind = induce(gm.graph, (0,), maxlen=6)
+        bare = LoopSystem(loops=ind.loops.loops, tails=ind.loops.tails, names=ind.loops.names)
+        f = FiniteRangePotential.zero(gm.graph)
+        with pytest.raises(PotentialError, match="base words"):
+            loop_zn_exact(bare, f, 5)
+        with pytest.raises(PotentialError, match="base words"):
+            partition_function(bare, f, n_max=5)
+
+
+class TestTailSum:
+    @staticmethod
+    def _contains(tail, z, d):
+        want = tail_series(tail.kind, tail.coef, tail.ratio if tail.kind == "geometric" else tail.power,
+                           tail.start, z, d)
+        got = _tail_sum(tail, z, d)
+        if want is None:
+            assert got is None, (tail, z, d)
+            return
+        lo, hi = got
+        assert Decimal(lo) <= want <= Decimal(hi), (tail, z, d, lo, float(want), hi)
+
+    def test_geometric_tails_against_closed_forms(self):
+        for coef, ratio, start in ((0.25, 0.5, 1), (1.7, 1.3, 4), (0.01, 0.9, 0), (3.0, 2.0, 12)):
+            tail = TailDescriptor(kind="geometric", coef=coef, ratio=ratio, start=start)
+            for z in (0.05, 0.3, 0.5, 0.7, 0.76, 0.99):
+                for d in (0, 1):
+                    self._contains(tail, z, d)
+
+    def test_polynomial_tails_at_one_against_zeta(self):
+        for power in (2.0, 3.0, 4.0):
+            for start in (0, 1, 7, 40):
+                tail = TailDescriptor(kind="polynomial", coef=0.37, power=power, start=start)
+                for d in (0, 1):
+                    self._contains(tail, 1.0, d)
+
+    def test_polynomial_tails_inside_the_disk(self):
+        for power in (1.0, 1.5, 2.0, 3.5):
+            for start in (0, 3, 30):
+                tail = TailDescriptor(kind="polynomial", coef=2.5, power=power, start=start)
+                for z in (0.1, 0.5, 0.8, 0.9):
+                    for d in (0, 1):
+                        self._contains(tail, z, d)
+
+
 class TestZnCoincidence:
     def test_gm_at_one_example(self, gm):
         ind = induce(gm.graph, (1,), maxlen=10)
@@ -215,6 +311,45 @@ class TestZnCoincidence:
             e = exact.zn_float(n)
             a, err = approx.entries[n]
             assert abs(a - e) <= max(err, 1e-12 * max(1.0, abs(e)))
+
+    @staticmethod
+    def _misses(system, n_max, f=None):
+        table = loop_partition_function(system, f, n_max)
+        truth = decimal_loop_zn(system, n_max, f)
+        misses = []
+        for n in range(1, n_max + 1):
+            value, err = table.entries[n]
+            if abs(Decimal(value) - truth[n - 1]) > Decimal(err) or (err == 0 and truth[n - 1]):
+                misses.append((n, value, err, truth[n - 1]))
+        return misses
+
+    def test_float_table_error_contains_decimal_truth(self):
+        # the first entry that reaches the subnormal range, n = 255, and the
+        # entries that underflow to zero past n = 1064 keep a positive bound
+        decaying = LoopSystem(loops=(Loop(1, log_weight=-3.3), Loop(2, log_weight=-6.6)), tails=())
+        assert not self._misses(decaying, 400)
+        single = LoopSystem(loops=(Loop(1, log_weight=-0.7),), tails=())
+        assert not self._misses(single, 1200)
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            pairs = [(1, 1)] + ([(1, 2), (2, 1), (2, 2)] if rng.random() < 0.4 else [])
+            loops = tuple(
+                Loop(length=int(rng.integers(1, 8)), src=a, dst=b, count=int(rng.integers(1, 4)),
+                     log_weight=float(rng.normal(-1.0, 2.0)))
+                for a, b in pairs for _ in range(int(rng.integers(1, 4)))
+            )
+            assert not self._misses(LoopSystem(loops=loops, tails=()), 120)
+
+    def test_float_potential_table_error_contains_decimal_truth(self):
+        # weighing by a float potential rounds each loop's Birkhoff sum too
+        rng = np.random.default_rng(62)
+        for _ in range(12):
+            names, edges = random_irreducible_graph(rng, 5)
+            g = build_graph(names, edges).graph
+            span = int(rng.integers(1, 3))
+            f = FiniteRangePotential(g, 0, span, {w: float(rng.normal(0, 3)) for w in g.words(span)})
+            ind = induce(g, (int(rng.integers(0, g.n_vertices)),), maxlen=8)
+            assert not self._misses(ind.loops, 40, f)
 
     def test_truncated_tail_reports_inequality(self, gm):
         ind = induce(gm.graph, (1,), maxlen=5)
