@@ -369,6 +369,8 @@ def cmd_verify_correspondence(args) -> int:
         f"pressures {rep.pressure_s:.10f} / {rep.pressure_t:.10f} (gap {rep.pressure_gap:.2e})",
         f"witnesses checked: {rep.witnesses_checked}; passed: {rep.passed}",
     ]
+    if rep.measure_block_gap is None:
+        human.append("measure layer not checked: code_s is not a conjugacy, so the report cannot pass")
     _print_report(report, human)
     return 0 if rep.passed else 1
 

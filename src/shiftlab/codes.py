@@ -3,10 +3,11 @@
 A magic word pins down preimages: between two of its occurrences in the
 image, every preimage path must agree on an offset window.  Certification is
 exhaustive to a declared depth; refutations carry a concrete witness pair.
-The induced point map gamma is computed by constraint propagation over the
-fiber of the code, and measures move across it either in closed form (when
-both legs of an almost isomorphism are block conjugacies) or by seeded orbit
-sampling.
+The induced point map gamma = phi_T o phi_S^-1 is computed by one
+forward-backward constraint pass over the fiber of phi_S between the first
+and last magic-word occurrence.  Measures move across it in closed form when
+phi_S is a block conjugacy, whatever phi_T is (gamma is then a sliding block
+map), and otherwise by seeded orbit sampling.
 """
 from __future__ import annotations
 
@@ -365,11 +366,6 @@ class AlmostIsomorphism:
     def common(self) -> FiniteGraph:
         return self.code_s.source
 
-    @property
-    def conjugate_legs(self) -> bool:
-        return (self.code_s.conjugacy_window is not None
-                and self.code_t.conjugacy_window is not None)
-
 
 def assemble_ai(code_s, code_t, cert_s, cert_t) -> AlmostIsomorphism:
     return AlmostIsomorphism(code_s=code_s, code_t=code_t, cert_s=cert_s, cert_t=cert_t)
@@ -444,52 +440,51 @@ def _occurrences_in(seq, W: Word) -> np.ndarray:
     return np.flatnonzero(hit)
 
 
-def _occurrences(x: EventuallyPeriodicPoint, W: Word, a: int, b: int) -> list[int]:
-    return (a + _occurrences_in(x.window(a, b), W)).tolist()
+def _pinned_gamma(ai: AlmostIsomorphism, image) -> list[int]:
+    """gamma on [I, len(image) - |W| + I) of an S-word that starts and ends with W.
+
+    One forward-backward mask pass over the fiber of phi_S pins the preimage
+    there (every pinned letter is forced for all preimages); phi_T maps it.
+    """
+    W, I = ai.cert_s.word, ai.cert_s.offset
+    masks = _supported_letters(ai.code_s, image)
+    if masks is None:
+        raise CodeError("image window has no preimage (magic condition 1 violated)")
+    window = masks[I:I + len(image) - len(W)]
+    tmap = ai.code_t.symbol_map
+    image_of = {m: tmap[m.bit_length() - 1] for m in set(window)}
+    if any(m & (m - 1) for m in image_of):
+        raise CodeError("preimage window not pinned; magic property fails beyond the certified depth")
+    return list(map(image_of.__getitem__, window))
 
 
 def gamma_on_point(ai: AlmostIsomorphism, x: EventuallyPeriodicPoint) -> EventuallyPeriodicPoint:
     """Push a point of S seeing the magic word through the almost isomorphism.
 
-    The phi_S-preimage is pinned between consecutive magic-word occurrences
-    by the certificate window, then phi_T maps it onward.  Points whose
-    periodic tails never show the magic word are outside the domain.  The
-    image keeps the tail periods; its core widens to absorb the zone where
-    the preimage still feels the original core.
+    The phi_S-preimage is pinned from the first to the last magic-word
+    occurrence in a window around the core, then phi_T maps it onward.
+    Points whose periodic tails never show the magic word are outside the
+    domain.  The image keeps the tail periods; its core widens to absorb the
+    zone where the preimage still feels the original core.
     """
     W, I = ai.cert_s.word, ai.cert_s.offset
-    S = ai.code_s.target
-    x.validate(S)
+    x.validate(ai.code_s.target)
     lw = len(W)
     Lp, Rp = len(x.left), len(x.right)
     cs, ce = x.core_start, x.core_end
-    if not _occurrences(x, W, cs - 3 * Lp - 2 * lw, cs - lw + 1):
+    if not _occurrences_in(x.window(cs - 3 * Lp - 2 * lw, cs - lw + 1), W).size:
         raise DomainError("left periodic tail never shows the magic word")
-    if not _occurrences(x, W, ce, ce + 3 * Rp + 2 * lw):
+    if not _occurrences_in(x.window(ce, ce + 3 * Rp + 2 * lw), W).size:
         raise DomainError("right periodic tail never shows the magic word")
 
     margin = 4 * (Lp + Rp + lw + abs(I) + len(x.core) + 2)
     for _attempt in range(4):
-        a0, b0 = cs - margin, ce + margin
-        occ = _occurrences(x, W, a0, b0)
-        z_letters: dict[int, int] = {}
-        for a, b in zip(occ, occ[1:]):
-            image = x.window(a, b + lw)
-            masks = _supported_letters(ai.code_s, image)
-            if masks is None:
-                raise CodeError("image window has no preimage (magic condition 1 violated)")
-            for j in range(I, I + (b - a)):
-                if masks[j] & (masks[j] - 1):
-                    raise CodeError(
-                        "preimage window not pinned; magic property fails beyond the certified depth"
-                    )
-                pos = a + j
-                letter = masks[j].bit_length() - 1
-                if pos in z_letters and z_letters[pos] != letter:
-                    raise CodeError("inconsistent preimage windows")
-                z_letters[pos] = letter
-        lo, hi = occ[0] + I, occ[-1] + I
-        gaps = max((b - a for a, b in zip(occ, occ[1:])), default=margin)
+        a0 = cs - margin
+        seq = x.window(a0, ce + margin)
+        occ = _occurrences_in(seq, W)
+        a, b = int(occ[0]), int(occ[-1])
+        lo, hi = a0 + a + I, a0 + b + I
+        gaps = int(np.diff(occ).max())
         K_l = cs - (gaps + lw + abs(I) + 2 * Lp)  # widened core start
         K_r = ce + (gaps + lw + abs(I) + 2 * Rp)  # widened core end
         if lo <= K_l - 3 * Lp and hi >= K_r + 3 * Rp:
@@ -498,20 +493,13 @@ def gamma_on_point(ai: AlmostIsomorphism, x: EventuallyPeriodicPoint) -> Eventua
     else:
         raise CodeError("could not cover the point with preimage windows")
 
-    tmap = ai.code_t.symbol_map
-    y_at = {i: tmap[z_letters[i]] for i in range(lo, hi)}
-    for i in range(K_l - 2 * Lp, K_l):
-        if y_at[i] != y_at[i - Lp]:
-            raise CodeError("image failed to inherit the left period")
-    for i in range(K_r, K_r + 2 * Rp):
-        if y_at[i] != y_at[i + Rp]:
-            raise CodeError("image failed to inherit the right period")
-    y = EventuallyPeriodicPoint(
-        left=tuple(y_at[i] for i in range(K_l - Lp, K_l)),
-        core=tuple(y_at[i] for i in range(K_l, K_r)),
-        right=tuple(y_at[i] for i in range(K_r, K_r + Rp)),
-        core_start=K_l,
-    )
+    y_at = _pinned_gamma(ai, seq[a:b + lw])  # gamma at positions lo .. hi - 1
+    kl, kr = K_l - lo, K_r - lo
+    if y_at[kl - 2 * Lp:kl] != y_at[kl - 3 * Lp:kl - Lp]:
+        raise CodeError("image failed to inherit the left period")
+    if y_at[kr:kr + 2 * Rp] != y_at[kr + Rp:kr + 3 * Rp]:
+        raise CodeError("image failed to inherit the right period")
+    y = EventuallyPeriodicPoint(tuple(y_at[kl - Lp:kl]), tuple(y_at[kl:kr]), tuple(y_at[kr:kr + Rp]), K_l)
     y.validate(ai.code_t.target)
     return y
 
@@ -530,23 +518,6 @@ class TransportReport:
     seed: int | None = None
     samples: int | None = None
     confidence_width: float | None = None
-
-
-def _gamma_symbol_window(ai: AlmostIsomorphism) -> int:
-    assert ai.conjugate_legs
-    return ai.code_s.conjugacy_window
-
-
-def _sliding_gamma(ai: AlmostIsomorphism):
-    """gamma as a sliding word map for conjugate legs: window width and letter map."""
-    Ns = _gamma_symbol_window(ai)
-    blocks = {bw: i for i, bw in enumerate(ai.code_s._block_words)}
-    tmap = ai.code_t.symbol_map
-
-    def apply(w: Word) -> Word:
-        return tuple(tmap[blocks[w[j:j + Ns]]] for j in range(len(w) - Ns + 1))
-
-    return Ns, apply
 
 
 def _markovize(graph: FiniteGraph, order: int, qk: dict[Word, float], qk1: dict[Word, float]) -> tuple[MarkovMeasure, float]:
@@ -586,9 +557,13 @@ def transport_measure(
 ) -> TransportReport:
     """Move a fully supported Markov measure across the almost isomorphism.
 
-    Closed form (exact block recoding) when both legs are conjugacies and no
-    sample budget is forced; otherwise seeded orbit sampling through the
-    magic-word windows.  Sampling requires an explicit seed.
+    Closed form when code_s is a conjugacy and no sample budget is forced:
+    gamma is a sliding block map, so the image's (order+1)-word marginals
+    are exact pushforwards of mu's.  The order-``order`` Markov model built
+    from them reproduces them, so ``tv_gap`` is zero up to rounding; it does
+    not say whether the image is Markov of that order.  Otherwise seeded
+    orbit sampling through the magic-word windows, which requires an
+    explicit seed.
     """
     if order < 1:
         raise CodeError(f"transport order must be at least 1, got {order}")
@@ -599,27 +574,31 @@ def transport_measure(
         raise CodeError("measure does not live on the S leg of the almost isomorphism")
     if not mu.fully_supported():
         raise CodeError("transport is defined for fully supported measures")
-    if samples is None and ai.conjugate_legs:
+    if samples is None and ai.code_s.conjugacy_window is not None:
         return _transport_closed_form(ai, mu, order)
     if samples is None:
-        raise CodeError("non-conjugate legs need a sampling budget and seed")
+        raise CodeError("code_s is not a conjugacy: transport needs a sampling budget and seed")
     if seed is None:
         raise CodeError("sampling transport requires an explicit seed")
     return _transport_sampling(ai, mu, order, samples, seed)
 
 
 def _transport_closed_form(ai: AlmostIsomorphism, mu: MarkovMeasure, order: int) -> TransportReport:
-    Ns, gamma_word = _sliding_gamma(ai)
-    T = ai.code_t.target
+    """Push mu's (k+N-1)-word marginals through the sliding map of gamma.
+
+    With code_s the N-block labeling, phi_S^-1 reads the source letter at j
+    off the N-block of S at j, so gamma_j = phi_T(that letter): only the
+    symbol map of code_t enters.
+    """
+    N = ai.code_s.conjugacy_window
+    letter = {bw: ai.code_t.symbol_map[s] for s, bw in enumerate(ai.code_s._block_words)}
     qk: dict[Word, float] = {}
-    for w, p in mu.word_distribution(order + Ns - 1).items():
-        y = gamma_word(w)
-        qk[y] = qk.get(y, 0.0) + p
     qk1: dict[Word, float] = {}
-    for w, p in mu.word_distribution(order + Ns).items():
-        y = gamma_word(w)
-        qk1[y] = qk1.get(y, 0.0) + p
-    out, tv = _markovize(T, order, qk, qk1)
+    for k, q in ((order, qk), (order + 1, qk1)):
+        for w, p in mu.word_distribution(k + N - 1).items():
+            y = tuple(letter[w[j:j + N]] for j in range(k))
+            q[y] = q.get(y, 0.0) + p
+    out, tv = _markovize(ai.code_t.target, order, qk, qk1)
     return TransportReport(
         measure=out,
         method="closed-form",
@@ -641,21 +620,12 @@ def _sample_orbit_word(mu: MarkovMeasure, n_steps: int, rng: np.random.Generator
 
 def _gamma_finite_word(ai: AlmostIsomorphism, word: np.ndarray) -> np.ndarray:
     """gamma along a finite orbit segment, trimmed to the determined window."""
-    W, I = ai.cert_s.word, ai.cert_s.offset
-    lw = len(W)
+    W = ai.cert_s.word
     occ = _occurrences_in(word, W)
     if len(occ) < 2:
         raise DomainError("orbit sample too short to pin the magic word twice")
     a, b = int(occ[0]), int(occ[-1])
-    masks = _supported_letters(ai.code_s, word[a:b + lw].tolist())
-    if masks is None:
-        raise CodeError("sampled window has no preimage")
-    window = masks[I:I + (b - a)]
-    tmap = ai.code_t.symbol_map
-    image_of = {m: tmap[m.bit_length() - 1] for m in set(window)}
-    if any(m & (m - 1) for m in image_of):
-        raise CodeError("sampled window not pinned by the magic word")
-    return np.fromiter(map(image_of.__getitem__, window), dtype=np.int64, count=len(window))
+    return np.array(_pinned_gamma(ai, word[a:b + len(W)].tolist()), dtype=np.int64)
 
 
 def _block_frequencies(y: np.ndarray, k: int) -> dict[Word, float]:
@@ -750,7 +720,9 @@ def verify_correspondence(
     Three layers: g(gamma x) = f(x) on every eventually periodic witness of
     period <= n_max seeing the magic word; pressures agree within spectral
     tolerances; and the transported equilibrium measure of f matches the
-    equilibrium measure of g block by block.
+    equilibrium measure of g block by block.  The measure layer needs the
+    closed-form transport, so it runs only when code_s is a conjugacy;
+    otherwise ``measure_block_gap`` is None and the report does not pass.
     """
     from .thermo import equilibrium_measure, pressure_spectral
 
@@ -777,17 +749,17 @@ def verify_correspondence(
                 checked += 1
                 if not ok and failure is None:
                     failure = (x0.word, k)
-    mu_f = equilibrium_measure(S, f)
-    mu_g = equilibrium_measure(T, g)
-    order = max(mu_f.order, mu_g.order)
     block_gap = None
-    if ai.conjugate_legs:
+    if ai.code_s.conjugacy_window is not None:
+        mu_f = equilibrium_measure(S, f)
+        mu_g = equilibrium_measure(T, g)
+        order = max(mu_f.order, mu_g.order)
         moved = transport_measure(ai, mu_f, order=order).measure
         dist_m = moved.word_distribution(order + 1)
         dist_g = mu_g.word_distribution(order + 1)
         keys = set(dist_m) | set(dist_g)
         block_gap = max(abs(dist_m.get(w, 0.0) - dist_g.get(w, 0.0)) for w in keys)
-    passed = (gap <= p_tol) and failure is None and (block_gap is None or block_gap <= tol)
+    passed = (gap <= p_tol) and failure is None and block_gap is not None and block_gap <= tol
     return CorrespondenceReport(
         pressure_s=ps.value,
         pressure_t=pt.value,

@@ -88,6 +88,8 @@ class TailDescriptor:
             raise ValueError("distinguished vertices are numbered 1 and 2")
         if self.start < 0:
             raise ValueError("tail start must be >= 0")
+        if not all(map(math.isfinite, (self.coef, self.ratio, self.power))):
+            raise ValueError("tail coef, ratio and power must be finite")
         if self.coef < 0:
             raise ValueError("tail coefficient must be >= 0")
         if self.kind == "geometric" and self.ratio <= 0 and self.coef > 0:
@@ -368,6 +370,10 @@ def _weighted_tail_bound(
     for _ in range(200):
         nu = B @ u + u
         u = nu / nu.sum()
+    if not np.all(u > 0):
+        # an entry underflowed (a zero row of B stays put while the others
+        # grow): u = 1 gives the largest row sum, a finite bound
+        u = np.ones(B.shape[0])
     rho = float(np.max((B @ u) / u))
     if rho <= 0.0:
         return TailDescriptor(kind="zero", start=maxlen, src=src, dst=dst)

@@ -347,6 +347,42 @@ def test_verify_correspondence_cli(capsys, fixture_dir):
     assert report["pressure_gap"]["value"] <= 1e-9
 
 
+def test_road_colouring_ai_cli(capsys, fixture_dir):
+    # code_t is not a conjugacy; code_s is, so both commands take the exact route
+    ai = str(fixture_dir / "road-ai.json")
+    for order in ("1", "2", "3"):
+        rc, report, _ = run_cli(capsys, "transport", "--ai", ai,
+                                "--measure", str(fixture_dir / "road-parry.json"), "--order", order)
+        assert rc == 0
+        assert report["method"] == "closed-form"
+        assert abs(report["entropy_out"]["value"] - math.log(2)) <= 1e-12
+    rc, report, _ = run_cli(
+        capsys, "verify-correspondence", "--ai", ai,
+        "--potential", str(fixture_dir / "road-f.json"),
+        "--target-potential", str(fixture_dir / "road-g.json"), "--nmax", "8",
+    )
+    assert rc == 0
+    assert report["passed"] is True
+    assert report["equilibrium_block_gap"] is not None and report["equilibrium_block_gap"] <= 1e-9
+
+
+def test_verify_correspondence_unchecked_measure_layer(capsys, fixture_dir, tmp_path):
+    # gm-self-ai with the conjugacy marker of code_s dropped
+    doc = json.loads((fixture_dir / "gm-self-ai.json").read_text())
+    del doc["code_s"]["conjugacy_window"]
+    ai = tmp_path / "plain-ai.json"
+    ai.write_text(json.dumps(doc))
+    rc, report, err = run_cli(
+        capsys, "verify-correspondence", "--ai", str(ai),
+        "--potential", str(fixture_dir / "gm-range1.json"),
+        "--target-potential", str(fixture_dir / "gm-range1-block2.json"), "--nmax", "8",
+    )
+    assert rc == 1
+    assert report["passed"] is False and report["first_failure"] is None
+    assert report["equilibrium_block_gap"] is None
+    assert "measure layer not checked" in err
+
+
 def test_reports_byte_identical(fixture_dir, tmp_path, src_env):
     cmd = [
         sys.executable, "-m", "shiftlab.cli", "transport",

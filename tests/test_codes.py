@@ -27,11 +27,13 @@ from shiftlab.codes import (
     verify_correspondence,
     verify_magic,
 )
+from shiftlab.documents import loads, parse_ai, parse_measure, parse_potential
 from shiftlab.graphs import FiniteGraph, PeriodicPoint, build_graph, enumerate_periodic, higher_block
 from shiftlab.potentials import FiniteRangePotential
 from shiftlab.thermo import equilibrium_measure, measure_pressure
 
-from oracles import has_periodic_lift, scalar_chain, supported_letters
+from conftest import FIXTURES
+from oracles import has_periodic_lift, integer_trace, scalar_chain, supported_letters
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -77,6 +79,24 @@ def plain_ai(gm_graph):
     plain = OneBlockCode(source=H, target=gm_graph, symbol_map=lab.symbol_map)
     cert = verify_magic(plain, (1, 0), 0, 6)
     return assemble_ai(plain, plain, cert, cert)
+
+
+@pytest.fixture(scope="module")
+def road():
+    """The road-colouring almost isomorphism of fixtures/road-ai.json and its documents.
+
+    G on {a, b, c} (edges aa, ab, bc, ba, ca, cb) is not conjugate to the
+    full 2-shift, yet both have entropy log 2: code_s is the 2-block
+    labeling of G and code_t colours G's edges aa, bc, ca as 0 and ab, ba,
+    cb as 1 (a road colouring with synchronising word 000).
+    """
+    def doc(name):
+        return loads((FIXTURES / name).read_text())
+
+    ai = parse_ai(doc("road-ai.json"))
+    f, _ = parse_potential(doc("road-f.json"), ai.code_s.target)
+    g, _ = parse_potential(doc("road-g.json"), ai.code_t.target)
+    return ai, f, g, parse_measure(doc("road-parry.json"))
 
 
 def _random_code(rng, max_source=6, max_target=3) -> OneBlockCode:
@@ -259,7 +279,7 @@ class TestAssemble:
     def test_identity_ai(self, identity_code):
         cert = verify_magic(identity_code, (1,), 0, 6)
         ai = assemble_ai(identity_code, identity_code, cert, cert)
-        assert ai.conjugate_legs
+        assert ai.code_s.conjugacy_window is not None
 
     def test_refuted_certificate_rejected(self, collapse_code, identity_code):
         bad = verify_magic(collapse_code, (0,), 0, 2)
@@ -300,6 +320,55 @@ class TestGamma:
         x = EventuallyPeriodicPoint(left=(0, 1), core=(1, 1), right=(0,))
         s = shift_point(x, 2)
         assert [s.sample(i) for i in range(-3, 3)] == [x.sample(i + 2) for i in range(-3, 3)]
+
+    def test_pinning_equals_sliding(self, road):
+        # code_s the 2-block labeling of G, so gamma is also the sliding map
+        # y_j = phi_T(block (x_j, x_{j+1})); the single pinning pass must agree
+        rng = np.random.default_rng(808)
+        ais = [road[0]]
+        while len(ais) < 30:
+            V = int(rng.integers(2, 5))
+            perm = rng.permutation(V)
+            edges = {(int(perm[i]), int(perm[(i + 1) % V])) for i in range(V)}
+            edges |= {(u, v) for u in range(V) for v in range(V) if rng.random() < 0.35}
+            G = FiniteGraph(tuple(map(str, range(V))), tuple(sorted(edges)))
+            H, lab = higher_block(G, 2)
+            code_s = labeling_code(H, lab, G)
+            cert_s = verify_magic(code_s, (int(rng.integers(V)),), 0, 4)
+            if len(ais) % 2:
+                code_t = OneBlockCode(source=H, target=H, symbol_map=tuple(range(H.n_vertices)),
+                                      conjugacy_window=1)
+                ais.append(assemble_ai(code_s, code_t, cert_s, verify_magic(code_t, (0,), 0, 4)))
+                continue
+            symbol_map = tuple(int(t) for t in rng.integers(0, 2, H.n_vertices))
+            image = {(symbol_map[u], symbol_map[v]) for u, v in H.edges}
+            code_t = OneBlockCode(source=H, target=FiniteGraph(("0", "1"), tuple(sorted(image))),
+                                  symbol_map=symbol_map)
+            certs = [c for W in code_t.target.words(1) + code_t.target.words(2) for off in range(len(W) + 1)
+                     if (c := verify_magic(code_t, W, off, 4)).certified]
+            if certs:
+                ais.append(assemble_ai(code_s, code_t, cert_s, certs[0]))
+        compared = 0
+        for ai in ais:
+            G, tmap = ai.code_s.target, ai.code_t.symbol_map
+            block = {w: i for i, w in enumerate(ai.code_s._block_words)}
+            cycles = [pt.word for n in range(1, 5) for pt in enumerate_periodic(G, n)]
+            for _ in range(8):
+                left, right = (cycles[int(rng.integers(len(cycles)))] for _ in range(2))
+                core = [left[-1]]
+                for _ in range(int(rng.integers(0, 5))):
+                    core.append(int(rng.choice(G.successors(core[-1]))))
+                core += _bridge(G, core[-1], right[0])
+                x = EventuallyPeriodicPoint(left, tuple(core[1:]), right, int(rng.integers(-3, 4)))
+                try:
+                    y = gamma_on_point(ai, x)
+                except DomainError:
+                    continue
+                a, b = x.core_start - 2 * len(left), x.core_end + 2 * len(right)
+                xs = x.window(a, b + 1)
+                assert y.window(a, b) == tuple(tmap[block[xs[j:j + 2]]] for j in range(b - a)), (ai, x)
+                compared += 1
+        assert compared >= 100
 
 
 class TestTransport:
@@ -396,7 +465,7 @@ class TestTransport:
     def test_non_conjugate_legs_fall_back_to_sampling(self, gm_graph, plain_ai):
         # same codes but without the conjugacy marker: closed form unavailable
         ai = plain_ai
-        assert not ai.conjugate_legs
+        assert ai.code_s.conjugacy_window is None
         mu = equilibrium_measure(gm_graph, FiniteRangePotential.zero(gm_graph))
         with pytest.raises(CodeError, match="sampling budget and seed"):
             transport_measure(ai, mu, order=1)
@@ -461,6 +530,26 @@ class TestTransport:
         rep = transport_measure(gm_self_ai, mu, order=2)
         assert abs(rep.entropy_out - mu.entropy()) <= 1e-9
         assert abs(measure_pressure(rep.measure, g) - measure_pressure(mu, f)) <= 1e-9
+
+
+def _bridge(g, u, v) -> list[int]:
+    """A shortest list of letters p with u p v admissible in g."""
+    prev, frontier = {u: None}, [u]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            if g.has_edge(s, v):
+                path = []
+                while s != u:
+                    path.append(s)
+                    s = prev[s]
+                return path[::-1]
+            for t in map(int, g.successors(s)):
+                if t not in prev:
+                    prev[t] = s
+                    nxt.append(t)
+        frontier = nxt
+    raise AssertionError("no path: the graph is not irreducible")
 
 
 def _oracle_sampled_transport(ai, mu, order, samples, seed):
@@ -590,3 +679,55 @@ class TestCorrespondence:
         fx = f.table[tuple(x.sample(pos + i) for i in range(1))]
         gy = g_bad.table[tuple(y.sample(pos + i) for i in range(2))]
         assert fx != gy
+
+    def test_unchecked_measure_layer_does_not_pass(self, plain_ai, gm_graph):
+        # without the conjugacy marker on code_s the measure layer cannot run:
+        # the pointwise and pressure layers hold, yet the report does not pass
+        f = FiniteRangePotential.from_vertex_values(gm_graph, [F(1, 3), F(-1, 2)])
+        g = FiniteRangePotential(gm_graph, 0, 2, {w: f.table[w[:1]] for w in gm_graph.words(2)})
+        rep = verify_correspondence(plain_ai, f, g, n_max=8)
+        assert rep.first_failure is None and rep.witnesses_checked > 0
+        assert rep.pressure_gap <= rep.pressure_tolerance
+        assert rep.measure_block_gap is None
+        assert rep.passed is False
+
+
+class TestRoadColouringAi:
+    """A genuine almost isomorphism: G is not conjugate to the full 2-shift."""
+
+    def test_periodic_counts_differ_from_the_full_shift(self, road):
+        ai = road[0]
+        G, full2 = ai.code_s.target, ai.code_t.target
+        counts = [integer_trace(G.adjacency, n) for n in range(1, 7)]
+        assert counts == [1, 5, 7, 17, 31, 65]
+        assert [integer_trace(full2.adjacency, n) for n in range(1, 7)] == [2**n for n in range(1, 7)]
+        assert ai.code_s.conjugacy_window == 2 and ai.code_t.conjugacy_window is None
+
+    def test_correspondence_checks_every_layer(self, road):
+        ai, f, g, _ = road
+        rep = verify_correspondence(ai, f, g, n_max=8)
+        assert rep.passed
+        assert rep.first_failure is None and rep.witnesses_checked > 0
+        assert rep.measure_block_gap is not None and rep.measure_block_gap <= 1e-9
+
+    def test_perturbed_target_potential_fails_with_witness(self, road):
+        ai, f, g, _ = road
+        table = dict(g.table)
+        table[(0,)] += F(1, 50)
+        g_bad = FiniteRangePotential(g.graph, 0, 1, table)
+        rep = verify_correspondence(ai, f, g_bad, n_max=8)
+        assert not rep.passed
+        word, pos = rep.first_failure
+        x = from_periodic(PeriodicPoint(word))
+        y = gamma_on_point(ai, x)
+        assert f.value(x.window(pos, pos + 2)) != g_bad.value(y.window(pos, pos + 1))
+
+    def test_parry_measure_moves_to_the_uniform_bernoulli_measure(self, road):
+        ai, _, _, parry = road
+        for k in (1, 2, 3):
+            rep = transport_measure(ai, parry, order=k)
+            assert rep.method == "closed-form"
+            dist = rep.measure.word_distribution(k + 1)
+            assert len(dist) == 2 ** (k + 1)
+            assert all(abs(p - 2.0 ** -(k + 1)) <= 1e-15 for p in dist.values()), dist
+            assert abs(rep.entropy_out - math.log(2)) <= 1e-15

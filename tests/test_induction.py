@@ -177,7 +177,7 @@ class TestWeighing:
                 continue
             weighted, _ = lift_potential(ind, f)
             once, twice = return_series(weighted), return_series(ind.loops, f)
-            for z in (0.05, 0.3, 0.55):  # repr, since an off-core tail bound can be NaN
+            for z in (0.05, 0.3, 0.55):
                 assert repr((once.F(z), once.Fprime(z))) == repr((twice.F(z), twice.Fprime(z)))
             if rational:
                 assert loop_zn_exact(ind.loops, f, 9) == loop_zn_exact(weighted, None, 9)
@@ -188,6 +188,31 @@ class TestWeighing:
             kinds.add((span, left, rational))
         assert {k[0] for k in kinds} == {1, 2, 3} and {k[2] for k in kinds} == {True, False}
         assert any(k[1] == 1 for k in kinds)
+
+    def test_underflowed_power_iteration_gives_a_finite_tail(self):
+        # the off-core matrix has a zero row while its other entries grow by
+        # about e^4 per power step, so that entry of u underflows to 0 and the
+        # quotient (B u) / u was 0/0: a NaN tail and an SPR verdict at lam 5e299
+        g = build_graph(["0", "1", "2"], [(0, 1), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]).graph
+        f = FiniteRangePotential(g, 0, 3, {
+            (0, 1, 1): 4.0, (0, 1, 2): 0.83, (1, 1, 1): 0.0, (1, 1, 2): -1.0, (1, 2, 0): -0.57,
+            (1, 2, 1): 0.5, (1, 2, 2): -0.14, (2, 0, 1): -0.2, (2, 1, 1): 4.0, (2, 1, 2): 1.0,
+            (2, 2, 0): -2.0, (2, 2, 1): -1.5, (2, 2, 2): 4.0,
+        })
+        ind = induce(g, (0, 1), maxlen=8)
+        weighted, _ = lift_potential(ind, f)
+        longer, _ = lift_potential(induce(g, (0, 1), maxlen=14), f)
+        assert weighted.tails
+        for t in weighted.tails:
+            assert t.kind == "geometric" and math.isfinite(t.coef) and math.isfinite(t.ratio)
+            for n in range(t.start + 1, 15):  # the bound holds on the loops past maxlen
+                w_n = sum(lp.count * math.exp(lp.log_weight) for lp in longer.loops
+                          if lp.length == n and (lp.src, lp.dst) == (t.src, t.dst))
+                assert 0 < w_n <= t.coef * t.ratio**n
+        assert recurrence_classify(ind.loops, f).verdict == "indeterminate"
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                TailDescriptor(kind="geometric", coef=1.0, ratio=bad)
 
     def test_labeled_system_without_base_words_rejected(self, gm):
         ind = induce(gm.graph, (0,), maxlen=6)
