@@ -69,9 +69,14 @@ class OneBlockCode:
         target must have as many N-words as the source has letters and as
         many (N+1)-words as it has edges.  A labeling of a target that is
         not one cycle has more N-blocks than N, so N is at most the number
-        of source letters.
+        of source letters.  On a one-cycle target (as many edges as vertices)
+        every word is fixed by its first letter, so window |source| stands
+        for any larger one and is checked and stored.
         """
         N, V = self.conjugacy_window, self.source.n_vertices
+        if N > V and len(self.target.edges) == self.target.n_vertices:
+            N = V
+            object.__setattr__(self, "conjugacy_window", N)
         if not 1 <= N <= V:
             raise CodeError(f"conjugacy window must lie in [1, {V}], got {N}")
         words = self._block_words
@@ -520,7 +525,12 @@ class TransportReport:
     confidence_width: float | None = None
 
 
+def _total_variation(p: dict[Word, float], q: dict[Word, float]) -> float:
+    return 0.5 * sum(abs(p.get(w, 0.0) - q.get(w, 0.0)) for w in set(p) | set(q))
+
+
 def _markovize(graph: FiniteGraph, order: int, qk: dict[Word, float], qk1: dict[Word, float]) -> tuple[MarkovMeasure, float]:
+    """The order-``order`` Markov model of qk, qk1, and its total variation from qk1."""
     blocks = tuple(sorted(w for w, p in qk.items() if p > 0))
     idx = {w: i for i, w in enumerate(blocks)}
     P = np.zeros((len(blocks), len(blocks)))
@@ -538,14 +548,7 @@ def _markovize(graph: FiniteGraph, order: int, qk: dict[Word, float], qk1: dict[
     # invariance contract holds
     pi = stationary_vector(P)
     mu = MarkovMeasure(graph=graph, order=order, blocks=blocks, transitions=P, stationary=pi)
-    model_qk1 = {}
-    for i, u in enumerate(blocks):
-        for j in np.nonzero(P[i] > 0)[0]:
-            v = blocks[j]
-            model_qk1[u + (v[-1],)] = pi[i] * P[i, j]
-    keys = set(model_qk1) | {w for w, p in qk1.items() if p > 0}
-    tv = 0.5 * sum(abs(model_qk1.get(w, 0.0) - qk1.get(w, 0.0)) for w in keys)
-    return mu, tv
+    return mu, _total_variation(mu.word_distribution(order + 1), qk1)
 
 
 def transport_measure(
@@ -558,12 +561,12 @@ def transport_measure(
     """Move a fully supported Markov measure across the almost isomorphism.
 
     Closed form when code_s is a conjugacy and no sample budget is forced:
-    gamma is a sliding block map, so the image's (order+1)-word marginals
-    are exact pushforwards of mu's.  The order-``order`` Markov model built
-    from them reproduces them, so ``tv_gap`` is zero up to rounding; it does
-    not say whether the image is Markov of that order.  Otherwise seeded
-    orbit sampling through the magic-word windows, which requires an
-    explicit seed.
+    gamma is a sliding block map, so the image's word marginals are exact
+    pushforwards of mu's.  The order-``order`` model reproduces the
+    (order+1)-marginals; ``tv_gap`` compares its (order+2)-marginal with the
+    image's, so it is positive when the image is not Markov of that order.
+    Otherwise seeded orbit sampling through the magic-word windows, which
+    requires an explicit seed.
     """
     if order < 1:
         raise CodeError(f"transport order must be at least 1, got {order}")
@@ -592,19 +595,18 @@ def _transport_closed_form(ai: AlmostIsomorphism, mu: MarkovMeasure, order: int)
     """
     N = ai.code_s.conjugacy_window
     letter = {bw: ai.code_t.symbol_map[s] for s, bw in enumerate(ai.code_s._block_words)}
-    qk: dict[Word, float] = {}
-    qk1: dict[Word, float] = {}
-    for k, q in ((order, qk), (order + 1, qk1)):
+    q: dict[int, dict[Word, float]] = {k: {} for k in (order, order + 1, order + 2)}
+    for k, qk in q.items():
         for w, p in mu.word_distribution(k + N - 1).items():
             y = tuple(letter[w[j:j + N]] for j in range(k))
-            q[y] = q.get(y, 0.0) + p
-    out, tv = _markovize(ai.code_t.target, order, qk, qk1)
+            qk[y] = qk.get(y, 0.0) + p
+    out, _ = _markovize(ai.code_t.target, order, q[order], q[order + 1])
     return TransportReport(
         measure=out,
         method="closed-form",
         entropy_in=mu.entropy(),
         entropy_out=out.entropy(),
-        tv_gap=tv,
+        tv_gap=_total_variation(out.word_distribution(order + 2), q[order + 2]),
     )
 
 

@@ -28,15 +28,21 @@ from .graphs import (
     recurrent_core,
 )
 from .potentials import (
+    _EPS,
     FiniteRangePotential,
+    GeometricTail,
     Number,
+    PolynomialTail,
     PotentialError,
+    Tail,
     VariationCertificate,
+    ZeroTail,
     bowen_reduce,
     lift_variation,
+    tail_sum,
 )
 
-_EPS = 2.2e-16
+_ROOT_ATOL = 1e-10  # bisection width at which the roots of F are reported
 
 
 @dataclass(frozen=True)
@@ -96,6 +102,13 @@ class TailDescriptor:
             raise ValueError("geometric tail needs ratio > 0")
         if self.kind == "polynomial" and self.power <= 0 and self.coef > 0:
             raise ValueError("polynomial tail needs power > 0")
+
+    @property
+    def law(self) -> Tail:
+        """The potentials tail law of these weights, for :func:`tail_sum`."""
+        if self.kind == "zero":
+            return ZeroTail()
+        return GeometricTail(self.coef, self.ratio) if self.kind == "geometric" else PolynomialTail(self.coef, self.power)
 
     def radius(self) -> float:
         if self.kind == "zero" or self.coef == 0.0:
@@ -481,54 +494,13 @@ class _SeriesPart:
         """
         head = math.fsum(n**d * w * z ** (n - d) for n, w in self.explicit.items())
         slop = 1e-14 * (1.0 + abs(head))
-        t = _tail_sum(self.tail, z, d)
+        t = tail_sum(self.tail.law, self.tail.start, z, d)
         if t is None and d:
             return None
         lo, hi = t or (math.inf, math.inf)
         if self.tail.bound == "upper":
             lo = 0.0
         return head - slop + lo, head + slop + hi
-
-
-def _tail_sum(t: TailDescriptor, z: float, d: int):
-    """Bracket of sum_{n > start} n^d w_n z^(n-d) for the tail's weights w_n,
-    d in {0, 1}: the tail of F, or of F' when d = 1.  None when it diverges.
-    """
-    if t.kind == "zero" or t.coef == 0.0:
-        return 0.0, 0.0
-    N = t.start
-    if t.kind == "geometric":
-        x = t.ratio * z
-        if x >= 1.0:
-            return None
-        # sum_{n > N} n^d x^n = x^(N+1) ((N+1) - N x)^d / (1-x)^(d+1)
-        val = 0.0 if d and z <= 0 else (
-            (t.coef / z**d) * x ** (N + 1) * ((N + 1) - N * x) ** d / (1.0 - x) ** (d + 1))
-        return val * (1 - 1e-12), val * (1 + 1e-12)
-    # polynomial
-    q = t.power
-    if z > 1.0 or (z == 1.0 and q - d <= 1.0):
-        return None
-    if z == 1.0:
-        M = max(N + 1, 1_000_000)
-        ns = np.arange(N + 1, M + 1, dtype=np.float64)
-        partial = float(np.sum(t.coef * ns ** (d - q)))
-        # the rest lies between the integrals of x^(d-q) from M+1 and from M
-        lo = partial + t.coef * (M + 1) ** (1 + d - q) / (q - (1 + d))
-        hi = partial + t.coef * M ** (1 + d - q) / (q - (1 + d))
-        slop = 8 * _EPS * partial * math.log2(M)
-        return lo - slop, hi + slop
-    M = max(N + 1, 4096)
-    ns = np.arange(N + 1, M + 1, dtype=np.float64)
-    partial = float(np.sum(t.coef * ns ** (d - q) * z ** (ns - d)))
-    # the rest is at most (M+1)^-q times sum_{n > M} n^d z^(n-d)
-    if d:
-        rem_geom = ((M + 1) * z**M * (1 - z) + z ** (M + 1)) / (1 - z) ** 2
-        rem_hi = t.coef * (M + 1) ** -q * rem_geom
-    else:
-        rem_hi = t.coef * (M + 1) ** -q * z ** (M + 1) / (1.0 - z)
-    slop = 8 * _EPS * (partial + rem_hi + 1e-300)
-    return partial - slop, partial + rem_hi + slop
 
 
 @dataclass
@@ -576,7 +548,7 @@ class ReturnSeries:
         )
         return p11[0] + los, p11[1] + his
 
-    def _root(self, pick_hi: bool, atol: float):
+    def _root(self, pick_hi: bool):
         """Bracket the smallest z with F_env(z) = 1, env = upper or lower.
 
         Returns the rigorous side: the bisection's upper end when the root
@@ -601,7 +573,7 @@ class ReturnSeries:
                 return None
             lo, hi = 0.0, zr_in
         for _ in range(200):
-            if hi - lo <= atol:
+            if hi - lo <= _ROOT_ATOL:
                 break
             mid = 0.5 * (lo + hi)
             if env(mid) < 1.0:
@@ -611,13 +583,13 @@ class ReturnSeries:
         # env(lo) < 1 <= env(hi): the envelope's root lies in [lo, hi]
         return lo if pick_hi else hi
 
-    def root_lower(self, atol: float = 1e-10):
+    def root_lower(self):
         """A certified lower bound for z* (via the upper envelope)."""
-        return self._root(True, atol)
+        return self._root(True)
 
-    def root_upper(self, atol: float = 1e-10):
+    def root_upper(self):
         """A certified upper bound for z* (via the lower envelope)."""
-        return self._root(False, atol)
+        return self._root(False)
 
 
 def return_series(loops: LoopSystem, f: FiniteRangePotential | None = None) -> ReturnSeries:

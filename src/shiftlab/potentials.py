@@ -14,9 +14,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Union
 
+import numpy as np
+
 from .graphs import FiniteGraph, PeriodicPoint, Word
 
 Number = Union[Fraction, float]
+
+_EPS = 2.2e-16  # float epsilon, twice the unit roundoff u
+_TINY = math.ulp(0.0)  # the smallest subnormal
 
 
 class PotentialError(ValueError):
@@ -144,6 +149,7 @@ def birkhoff_sum(f: FiniteRangePotential, x: PeriodicPoint, n: int) -> Number:
 @dataclass(frozen=True)
 class ZeroTail:
     kind = "zero"
+    coef = Fraction(0)
 
     def omega(self, n: int) -> Fraction:
         return Fraction(0)
@@ -192,8 +198,8 @@ class VariationCertificate:
     words: tuple[Word, ...] | None = None
 
     def __post_init__(self):
-        if self.p < 0:
-            raise PotentialError("p must be >= 0")
+        if self.p not in (0, 1):
+            raise PotentialError(f"p must be 0 (E0+) or 1 (E1), got {self.p}")
         seq = [float(x) for x in self.prefix]
         if any(x < 0 for x in seq):
             raise PotentialError("omega values must be nonnegative")
@@ -230,78 +236,100 @@ class CertificateCheck:
     witness: str | None = None
 
 
-def _geometric_weighted_tail(coef, ratio, p: int, n0: int):
-    """sum_{n > n0} n^p coef ratio^n, exact for p in {0, 1}; None if divergent."""
-    if float(coef) == 0:
-        return Fraction(0) if _is_rational(coef) else 0.0
-    if float(ratio) >= 1:
+def tail_sum(tail: Tail, start: int, z: Number, d: int):
+    """Bracket ``(lo, hi)`` of sum_{n > start} n^d omega_n z^(n-d), d in {0, 1}.
+
+    The tail of F(z) = sum omega_n z^n (of F' when d = 1); at z = 1 the tail
+    of the sum a certificate claims finite.  None when it diverges.  Exact
+    for a zero tail and a rational geometric tail at rational z.  A float
+    geometric closed form is widened by how the exact relative error ux of
+    x = ratio * z and the other roundings propagate (Higham, ch. 3), at
+    least 1e-12 relative, and by the subnormals an underflow can lose.  A
+    polynomial tail is a partial sum plus an integral (z = 1) or geometric
+    (z < 1) remainder; a shifted one is re-indexed by m = n + shift (z = 1).
+    """
+    if tail.coef == 0:  # a ZeroTail too
+        return tail.coef * 0, tail.coef * 0
+    N = start
+    if isinstance(tail, GeometricTail):
+        exact = all(_is_rational(v) for v in (tail.coef, tail.ratio, z))
+        one = Fraction(1) if exact else 1.0
+        c, x = tail.coef * one, tail.ratio * one * z
+        if x >= 1:
+            return None
+        if d and z <= 0:
+            return 0 * one, 0 * one
+        # sum_{n > N} n^d x^n = x^(N+1) ((N+1) - N x)^d / (1-x)^(d+1)
+        a, lin, den = c / z**d, ((N + 1) - N * x) ** d, (1 - x) ** (d + 1)
+        val = a * x ** (N + 1) * lin / den
+        if exact:
+            return val, val
+        # ux = |x - ratio z| / (ratio z), exactly, over the integer ratios
+        (n1, d1), (n2, d2), (nx, dx) = (v.as_integer_ratio() for v in (tail.ratio, z, x))
+        u, ux = _EPS / 2, abs(nx * d1 * d2 - n1 * n2 * dx) / (dx * n1 * n2) if n1 * n2 else 0.0
+        # through x^(N+1), each 1/(1-x), (N+1) - N x, and a few u for the rest
+        rel = (N + 1) * ux + (d + 1) * x * ux / (1 - x) + d * N * x * (u + ux) + 12 * u
+        if rel >= 1:
+            return 0.0, math.inf
+        w = max(1e-12, rel / (1 - rel))
+        # a subnormal lost by a, x^(N+1) or a product, scaled by later factors
+        under = _TINY * (2 * (a + 3) * lin / den + 2)
+        return max(val * (1 - w) - under, 0.0), val * (1 + w) + under
+    if tail.shift:
+        if z != 1:
+            raise ValueError("a shifted polynomial tail is summed at z = 1")
+        # m = n + shift: sum n^d (n+s)^-q = T_d - s T_0 over m > start + s, ends crossed
+        s, plain = tail.shift, PolynomialTail(tail.coef, tail.power)
+        t = tail_sum(plain, N + s, 1, d)
+        if t is None or d == 0:
+            return t
+        t0 = tail_sum(plain, N + s, 1, 0)
+        return t[0] - s * t0[1], t[1] - s * t0[0]
+    c, q = float(tail.coef), float(tail.power)
+    if z > 1.0 or (z == 1.0 and q - d <= 1.0):
         return None
-    one = Fraction(1) if (_is_rational(coef) and _is_rational(ratio)) else 1.0
-    c, rho = coef * one, ratio * one
-    N = n0 + 1
-    if p == 0:
-        return c * rho**N / (1 - rho)
-    if p == 1:
-        # sum_{n >= N} n rho^n = rho^N (N - (N-1) rho) / (1-rho)^2
-        return c * rho**N * (N - (N - 1) * rho) / (1 - rho) ** 2
-    # p >= 2: ratio test bound; terms decrease once n > p / log(1/rho)
-    fr = float(rho)
-    start = max(N, int(p / -math.log(fr)) + 1)
-    head = sum(float(c) * n**p * fr**n for n in range(N, start))
-    q = fr * ((start + 1) / start) ** p
-    if q >= 1:
-        return None
-    return head + float(c) * start**p * fr**start / (1 - q)
+    if z == 1.0:
+        M = max(N + 1, 1_000_000)
+        ns = np.arange(N + 1, M + 1, dtype=np.float64)
+        partial = float(np.sum(c * ns ** (d - q)))
+        # the rest lies between the integrals of x^(d-q) from M+1 and from M
+        lo = partial + c * (M + 1) ** (1 + d - q) / (q - (1 + d))
+        hi = partial + c * M ** (1 + d - q) / (q - (1 + d))
+        slop = 8 * _EPS * partial * math.log2(M)
+        return lo - slop, hi + slop
+    M = max(N + 1, 4096)
+    ns = np.arange(N + 1, M + 1, dtype=np.float64)
+    partial = float(np.sum(c * ns ** (d - q) * z ** (ns - d)))
+    # the rest is at most (M+1)^-q times sum_{n > M} n^d z^(n-d)
+    if d:
+        rem_geom = ((M + 1) * z**M * (1 - z) + z ** (M + 1)) / (1 - z) ** 2
+        rem_hi = c * (M + 1) ** -q * rem_geom
+    else:
+        rem_hi = c * (M + 1) ** -q * z ** (M + 1) / (1.0 - z)
+    slop = 8 * _EPS * (partial + rem_hi + 1e-300)
+    return partial - slop, partial + rem_hi + slop
 
 
 def check_variation_certificate(cert: VariationCertificate) -> CertificateCheck:
     """Decide whether sum n^p omega_n provably converges, and bound its value.
 
-    Exact (zero-width) when the data is rational and the tail sums in closed
-    form; otherwise the value carries an interval from integral comparison.
+    The tail is :func:`tail_sum` at z = 1 with d = p.  Exact (zero width)
+    for a rational prefix and an exact tail; otherwise the error covers the
+    tail's bracket and the rounding of the float sums.
     """
-    p = cert.p
-    rational = all(_is_rational(x) for x in cert.prefix)
-    head: Number = Fraction(0) if rational else 0.0
-    for n, w in enumerate(cert.prefix, start=1):
-        head = head + (n**p) * w
-
-    t = cert.tail
-    if isinstance(t, ZeroTail):
-        total = head
-        exact = _is_rational(total)
-        return CertificateCheck(True, float(total), 0.0, exact)
-    if isinstance(t, GeometricTail):
-        tail_sum = _geometric_weighted_tail(t.coef, t.ratio, p, cert.n0)
-        if tail_sum is None:
-            return CertificateCheck(
-                False, math.inf, math.inf, False,
-                witness=f"geometric tail with ratio {t.ratio} >= 1 diverges",
-            )
-        total = head + tail_sum
-        exact = _is_rational(total)
-        err = 0.0 if exact else 8 * abs(float(total)) * 2.2e-16
-        return CertificateCheck(True, float(total), err, exact)
-    # polynomial tail: sum_{n > n0} n^p c (n+shift)^-q
-    q = float(t.power)
-    if q - p <= 1:
-        return CertificateCheck(
-            False, math.inf, math.inf, False,
-            witness=f"sum of n^{p} * n^-{q} diverges (needs power - p > 1)",
-        )
-    c = float(t.coef)
-    start = cert.n0 + 1
-    M = max(start, 100_000)
-    mid = math.fsum(c * n**p * (n + t.shift) ** -q for n in range(start, M + 1))
-    # integral comparison for the remainder sum_{n > M} n^p (n+shift)^-q:
-    # above by sum n^{p-q}, below by (M/(M+shift))^p * sum (n+shift)^{p-q}
-    expo = p - q
-    tail_hi = c * M ** (expo + 1) / (-expo - 1)
-    tail_lo = (
-        c * (M / (M + t.shift)) ** p * (M + 1 + t.shift) ** (expo + 1) / (-expo - 1)
-    )
-    value = float(head) + mid + 0.5 * (tail_lo + tail_hi)
-    err = 0.5 * (tail_hi - tail_lo) + 8 * abs(value) * 2.2e-16 * math.log2(M)
+    p, t = cert.p, cert.tail
+    bracket = tail_sum(t, cert.n0, 1, p)
+    if bracket is None:
+        return CertificateCheck(False, math.inf, math.inf, False, witness=f"sum of n^{p} omega_n diverges under {t}")
+    lo, hi = bracket
+    terms = [n**p * w for n, w in enumerate(cert.prefix, start=1)]
+    if lo == hi and all(map(_is_rational, terms + [lo])):
+        return CertificateCheck(True, float(sum(terms, lo)), 0.0, True)
+    # fsum rounds the sum once and each float term once: 2u of the head
+    head = math.fsum(terms)
+    lo, hi = head + float(lo), head + float(hi)
+    value = 0.5 * (lo + hi)
+    err = 0.5 * (hi - lo) + 3 * _EPS * value + cert.n0 * _TINY
     return CertificateCheck(True, value, err, False)
 
 

@@ -15,6 +15,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Union
 
@@ -32,7 +33,7 @@ from .graphs import (
     higher_block,
     irreducible_and_period,
 )
-from .potentials import FiniteRangePotential, PotentialError, birkhoff_sum, bowen_reduce
+from .potentials import _EPS, FiniteRangePotential, PotentialError, birkhoff_sum, bowen_reduce
 
 if TYPE_CHECKING:  # pragma: no cover
     from .induction import LoopSystem
@@ -44,8 +45,6 @@ class ConvergenceError(RuntimeError):
 
 FloatInterval = tuple[float, float]  # (value, error bound)
 ZnValue = Union[ExpSum, FloatInterval]
-
-_EPS = 2.2e-16
 
 # Power-iteration targets: relative Collatz-Wielandt gap and iteration cap.
 _SPECTRAL_TOL, _SPECTRAL_MAX_ITER = 1e-13, 200_000
@@ -390,21 +389,24 @@ class MarkovMeasure:
             raise ValueError("rows must sum to 1 within 1e-12")
         if np.max(np.abs(pi @ P - pi)) > 1e-12:
             raise ValueError("stationary vector must satisfy pi P = pi within 1e-12")
-        block_adj = {w: set() for w in self.blocks}
-        idx = {w: i for i, w in enumerate(self.blocks)}
-        for w in self.blocks:
-            for s in self.graph.successors(w[-1]):
-                nxt = w[1:] + (int(s),)
-                if nxt in idx:
-                    block_adj[w].add(idx[nxt])
-        for i, w in enumerate(self.blocks):
-            bad = [j for j in np.nonzero(P[i] > 0)[0] if j not in block_adj[w]]
-            if bad:
-                raise ValueError("transition supported outside the admissible block edges")
+        if np.any((P > 0) & ~self._block_edges):
+            raise ValueError("transition supported outside the admissible block edges")
 
-    @property
+    @cached_property
     def block_index(self) -> dict[Word, int]:
         return {w: i for i, w in enumerate(self.blocks)}
+
+    @cached_property
+    def _block_edges(self) -> np.ndarray:
+        """Boolean mask of the block edges w -> w[1:] + (s,) among ``blocks``."""
+        idx = self.block_index
+        mask = np.zeros((len(self.blocks),) * 2, dtype=bool)
+        for i, w in enumerate(self.blocks):
+            for s in self.graph.successors(w[-1]):
+                j = idx.get(w[1:] + (int(s),))
+                if j is not None:
+                    mask[i, j] = True
+        return mask
 
     def entropy(self) -> float:
         P, pi = self.transitions, self.stationary
@@ -413,15 +415,7 @@ class MarkovMeasure:
         return float(-(pi @ plogp.sum(axis=1)))
 
     def fully_supported(self) -> bool:
-        if np.any(self.stationary <= 0):
-            return False
-        idx = self.block_index
-        for i, w in enumerate(self.blocks):
-            for s in self.graph.successors(w[-1]):
-                j = idx.get(w[1:] + (int(s),))
-                if j is not None and self.transitions[i, j] <= 0:
-                    return False
-        return True
+        return bool(np.all(self.stationary > 0) and np.all(self.transitions[self._block_edges] > 0))
 
     def word_distribution(self, length: int) -> dict[Word, float]:
         """Marginal of the measure on admissible words of the given length."""
@@ -596,8 +590,8 @@ def recurrence_classify(loops: "LoopSystem", f=None, atol: float = 1e-9) -> Recu
 
     series = return_series(loops, f)
     R = series.radius_lower
-    z_hi = series.root_upper(atol=1e-10)  # root of the lower envelope
-    z_lo = series.root_lower(atol=1e-10)  # root of the upper envelope
+    z_hi = series.root_upper()  # root of the lower envelope
+    z_lo = series.root_lower()  # root of the upper envelope
 
     def spr(detail: str) -> RecurrenceClass:
         lam_lo, lam_hi = 1.0 / (z_hi or R), 1.0 / max(z_lo or 0.0, 1e-300)

@@ -9,7 +9,8 @@ closure, stationary vectors by the Markov chain tree theorem in exact
 rationals, lifts of periodic points by filtering products of fibers, the
 source letters on preimage paths by set-based reachability, loop-system
 Z_n by a 60-digit decimal renewal over closed-orbit weights, and tail
-series by full closed forms or zeta values minus exact partial sums.
+series by binomial expansions in 80 digits or zeta values minus exact
+partial sums.
 """
 from __future__ import annotations
 
@@ -285,40 +286,46 @@ ZETA = {
 }
 
 
-def tail_series(kind: str, coef: float, param: float, start: int, z: float, d: int) -> Decimal | None:
+def tail_series(kind: str, coef: float, param: float, start: int, z: float, d: int,
+                shift: int = 0) -> Decimal | None:
     """sum_{n > start} n^d w_n z^(n-d), to 30 digits or more; None when it diverges.
 
-    w_n = coef * param^n (geometric) or coef * n^-param (polynomial).
-    Geometric tails: the full closed form sum_{n >= 1} n^d x^n, x = param*z,
-    minus the exact partial sum, in rationals.  Polynomial tails at z = 1
-    (integer powers 2..4): zeta(power - d) minus the exact partial sum.
-    Polynomial tails at z <= 0.9: summed term by term in 60 digits until
-    the rest, at most coef * z^(n-d) / (1 - z), is below 1e-30 of the sum.
+    w_n = coef * param^n (geometric) or coef * (n + shift)^-param (polynomial).
+    Geometric tails: with x = param*z in 80 digits, x^start times the
+    binomial expansion sum_{m >= 1} (start + m)^d x^m = start^d x/(1-x)
+    + d x/(1-x)^2.  Polynomial tails at z = 1 (integer powers 2..4):
+    zeta values minus exact partial sums over m = n + shift, where
+    n = m - shift.  Polynomial tails at z <= 0.9: summed term by term in 60
+    digits until the rest, at most coef * z^(n-d) / (1 - z), is below 1e-30
+    of the sum.
     """
     with localcontext() as ctx:
-        ctx.prec = 60
+        ctx.prec = 80
         N = start
         if kind == "geometric":
-            c, z_ = Fraction(coef), Fraction(z)
-            x = Fraction(param) * z_
+            c, z_ = Decimal(coef), Decimal(z)
+            x = Decimal(param) * z_
             if x >= 1:
                 return None
-            full = x / (1 - x) ** (d + 1)
-            partial = sum(Fraction(n) ** d * x**n for n in range(1, N + 1))
-            value = c * (full - partial) / z_**d
-            return Decimal(value.numerator) / Decimal(value.denominator)
+            return c * x**N * (N**d * x / (1 - x) + d * x / (1 - x) ** 2) / z_**d
         if z == 1.0:
             q = int(param)
             assert q == param and q in (2, 3, 4)
             if q - d <= 1:
                 return None
-            partial = sum(Fraction(1, n ** (q - d)) for n in range(1, N + 1))
-            return Decimal(coef) * (ZETA[q - d] - Decimal(partial.numerator) / Decimal(partial.denominator))
+
+            def zeta_tail(e: int) -> Decimal:  # sum_{m > N + shift} m^-e
+                partial = sum(Fraction(1, m**e) for m in range(1, N + shift + 1))
+                return ZETA[e] - Decimal(partial.numerator) / Decimal(partial.denominator)
+
+            total = zeta_tail(q) if d == 0 else zeta_tail(q - 1) - shift * zeta_tail(q)
+            return Decimal(coef) * total
+        ctx.prec = 60
         assert z <= 0.9 and param >= d
         c, q, z_ = Decimal(coef), Decimal(param), Decimal(z)
         total, n = Decimal(0), N + 1
         while True:
-            total += c * Decimal(n) ** (d - q) * z_ ** (n - d)
+            total += c * Decimal(n) ** d * Decimal(n + shift) ** -q * z_ ** (n - d)
             n += 1
             if c * z_ ** (n - d) / (1 - z_) < Decimal("1e-30") * total:
                 return total

@@ -335,6 +335,15 @@ def test_shift_and_potential_fuzzed_documents(capsys, tmp_path, fixture_dir, fix
     assert {"nan", "inf", "negative", "drop"} <= rejected
 
 
+def test_certificate_p_outside_zero_one_exits_2(capsys, tmp_path, fixture_dir):
+    doc = json.loads((fixture_dir / "gm-range1.json").read_text())
+    doc["certificate"]["p"] = 2
+    bad = tmp_path / "p2.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["pressure", "--shift", str(fixture_dir / "gm.json"), "--potential", str(bad)])
+    assert rc == 2 and "p must be 0" in capsys.readouterr().err
+
+
 def test_verify_correspondence_cli(capsys, fixture_dir):
     rc, report, _ = run_cli(
         capsys, "verify-correspondence", "--ai", str(fixture_dir / "gm-self-ai.json"),

@@ -30,7 +30,7 @@ from shiftlab.codes import (
 from shiftlab.documents import loads, parse_ai, parse_measure, parse_potential
 from shiftlab.graphs import FiniteGraph, PeriodicPoint, build_graph, enumerate_periodic, higher_block
 from shiftlab.potentials import FiniteRangePotential
-from shiftlab.thermo import equilibrium_measure, measure_pressure
+from shiftlab.thermo import MarkovMeasure, equilibrium_measure, measure_pressure
 
 from conftest import FIXTURES
 from oracles import has_periodic_lift, integer_trace, scalar_chain, supported_letters
@@ -268,6 +268,21 @@ class TestBlockLabeling:
                 H, lab = higher_block(g, N)
                 code = labeling_code(H, lab, g)
                 assert code._block_words == lab.block_words
+
+    def test_one_cycle_target_takes_any_window(self):
+        # on a cycle every window spells the blocks of window |source|, which is stored
+        cycle = build_graph(["0", "1"], [(0, 1), (1, 0)]).graph
+        H2, lab2 = higher_block(cycle, 2)
+        mu = MarkovMeasure(graph=cycle, order=1, blocks=((0,), (1,)),
+                           transitions=np.array([[0.0, 1.0], [1.0, 0.0]]), stationary=np.array([0.5, 0.5]))
+        codes = [labeling_code(*higher_block(cycle, N), cycle) for N in range(1, 6)]
+        codes.append(OneBlockCode(source=H2, target=cycle, symbol_map=lab2.symbol_map, conjugacy_window=10**30))
+        for N, code in zip((1, 2, 3, 4, 5, 10**30), codes):
+            assert code.conjugacy_window == min(N, 2)
+            cert = verify_magic(code, (0,), 0, 4)
+            rep = transport_measure(assemble_ai(code, code, cert, cert), mu, order=1)
+            assert rep.method == "closed-form" and rep.measure.blocks == ((0,), (1,))
+            assert (rep.measure.transitions == mu.transitions).all() and rep.tv_gap == 0.0
 
     def test_non_injective_labeling_rejected(self, full2_graph):
         point = build_graph(["*"], [(0, 0)]).graph
@@ -731,3 +746,17 @@ class TestRoadColouringAi:
             assert len(dist) == 2 ** (k + 1)
             assert all(abs(p - 2.0 ** -(k + 1)) <= 1e-15 for p in dist.values()), dist
             assert abs(rep.entropy_out - math.log(2)) <= 1e-15
+            assert rep.tv_gap <= 1e-15  # the image is Markov: (k+2)-marginals agree
+
+    def test_non_markov_image_shows_in_tv_gap(self, road):
+        # the order-k model reproduces the image's (k+1)-marginals whatever k
+        # is; its (k+2)-marginals differ, and its entropy exceeds the image's
+        ai = road[0]
+        G = ai.code_s.target
+        mu = equilibrium_measure(G, FiniteRangePotential.from_vertex_values(G, [F(1, 3), F(-1, 2), F(1, 5)]))
+        gaps = []
+        for k in (1, 2, 3):
+            rep = transport_measure(ai, mu, order=k)
+            assert rep.entropy_out > rep.entropy_in
+            gaps.append(rep.tv_gap)
+        assert [round(g, 4) for g in gaps] == [0.0272, 0.0107, 0.0050]

@@ -11,7 +11,6 @@ from shiftlab.induction import (
     Loop,
     LoopSystem,
     TailDescriptor,
-    _tail_sum,
     induce,
     induce_structured,
     lift_potential,
@@ -27,6 +26,7 @@ from shiftlab.potentials import (
     GeometricTail,
     VariationCertificate,
     check_variation_certificate,
+    tail_sum,
 )
 from shiftlab.thermo import partition_function, pressure_spectral, recurrence_classify
 
@@ -229,7 +229,7 @@ class TestTailSum:
     def _contains(tail, z, d):
         want = tail_series(tail.kind, tail.coef, tail.ratio if tail.kind == "geometric" else tail.power,
                            tail.start, z, d)
-        got = _tail_sum(tail, z, d)
+        got = tail_sum(tail.law, tail.start, z, d)
         if want is None:
             assert got is None, (tail, z, d)
             return
@@ -242,6 +242,23 @@ class TestTailSum:
             for z in (0.05, 0.3, 0.5, 0.7, 0.76, 0.99):
                 for d in (0, 1):
                     self._contains(tail, z, d)
+
+    def test_geometric_tails_near_the_radius_and_far_out(self):
+        for coef in (1.0, 0.37):
+            for ratio in (0.3, 0.9, 1.3, 2.0):
+                for gap in (1e-7, 1e-5):
+                    for start in (10**3, 10**4, 10**5, 10**6):
+                        tail = TailDescriptor(kind="geometric", coef=coef, ratio=ratio, start=start)
+                        for d in (0, 1):
+                            self._contains(tail, (1 - gap) / ratio, d)
+
+    def test_underflowing_tail_keeps_a_positive_upper_end(self):
+        # x^(start+1) = 0.95^100001 underflows to 0; the value is about 1e-2224
+        tail = TailDescriptor(kind="geometric", coef=1.0, ratio=0.5, start=10**5)
+        for d in (0, 1):
+            lo, hi = tail_sum(tail.law, tail.start, 1.9, d)
+            assert lo == 0.0 < hi
+            self._contains(tail, 1.9, d)
 
     def test_polynomial_tails_at_one_against_zeta(self):
         for power in (2.0, 3.0, 4.0):

@@ -1,5 +1,6 @@
 """Potentials, Birkhoff sums, oscillation certificates, Bowen reduction."""
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import numpy as np
@@ -20,6 +21,8 @@ from shiftlab.potentials import (
     check_variation_certificate,
     lift_variation,
 )
+
+from oracles import tail_series
 
 # omega_n = 2^-n for every n: explicit first term, geometric remainder
 GEO_CERT = VariationCertificate(
@@ -119,6 +122,50 @@ class TestCertificates:
             res2 = check_variation_certificate(smaller)
             assert res2.accept
             assert res2.value <= res.value + 1e-12
+
+    def test_p_outside_zero_one_rejected(self):
+        for p in (2, -1):
+            with pytest.raises(PotentialError, match="p must be 0"):
+                VariationCertificate(prefix=(), tail=ZeroTail(), p=p)
+
+    @staticmethod
+    def _within_error(res, want: Decimal):
+        assert res.accept and not res.exact
+        assert abs(Decimal(res.value) - want) <= Decimal(res.error), (res, want)
+
+    def test_float_geometric_certificates_near_ratio_one(self):
+        # long prefixes of omega_n = c r^n with the tail c r^n past them
+        for ratio in (1 - 1e-6, 1 - 1e-9):
+            for n0 in (1000, 3000):
+                prefix = tuple(0.75 * ratio**n for n in range(1, n0 + 1))
+                for p in (0, 1):
+                    res = check_variation_certificate(
+                        VariationCertificate(prefix=prefix, tail=GeometricTail(0.75, ratio), p=p))
+                    head = sum(F(n) ** p * F(w) for n, w in enumerate(prefix, start=1))
+                    with localcontext() as ctx:
+                        ctx.prec = 60
+                        want = Decimal(head.numerator) / Decimal(head.denominator) + tail_series(
+                            "geometric", 0.75, ratio, n0, 1.0, p)
+                        self._within_error(res, want)
+
+    def test_shifted_polynomial_certificates_against_zeta(self):
+        for shift in range(1, 6):
+            for power in (2, 3, 4):
+                for p in (0, 1):
+                    for n0 in (0, 3):
+                        prefix = tuple(F(1, (n + shift) ** power) for n in range(1, n0 + 1))
+                        cert = VariationCertificate(prefix=prefix, tail=PolynomialTail(F(1), power, shift), p=p)
+                        res = check_variation_certificate(cert)
+                        if power - p <= 1:
+                            assert not res.accept and "diverges" in res.witness
+                            continue
+                        head = sum(F(n) ** p * w for n, w in enumerate(prefix, start=1))
+                        want = Decimal(head.numerator) / Decimal(head.denominator) + tail_series(
+                            "polynomial", 1.0, power, n0, 1.0, p, shift=shift)
+                        self._within_error(res, want)
+        # sum n (n+2)^-3 = zeta(2) - 5/4 - 2 (zeta(3) - 9/8)
+        res = check_variation_certificate(VariationCertificate(prefix=(), tail=PolynomialTail(1.0, 3, 2), p=1))
+        assert abs(res.value - 0.240820260529038) <= res.error <= 1e-12
 
     def test_nonincreasing_enforced(self):
         with pytest.raises(PotentialError, match="nonincreasing"):
