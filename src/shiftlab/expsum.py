@@ -85,14 +85,6 @@ class ExpSum:
     def float_value(self) -> float:
         return math.fsum(m * math.exp(float(e)) for e, m in self.terms.items())
 
-    def float_log(self) -> float:
-        """log of the value, computed stably via the dominant exponent."""
-        if not self.terms:
-            return -math.inf
-        top = max(self.terms)
-        rest = math.fsum(m * math.exp(float(e - top)) for e, m in self.terms.items())
-        return float(top) + math.log(rest)
-
     def pairs(self) -> list[tuple[Fraction, int]]:
         return sorted(self.terms.items())
 

@@ -120,16 +120,19 @@ class TailDescriptor:
 
 @dataclass(frozen=True)
 class OffCoreData:
-    """Block graph minus the distinguished vertices, for weighted tail bounds."""
+    """The block graph of an induction, for weighted tail bounds."""
 
     block_graph: FiniteGraph
     block_words: tuple[Word, ...]
-    distinguished: tuple[int, ...]  # vertex ids of W1 (and W2) in the block graph
 
 
 @dataclass(frozen=True)
 class LoopSystem:
-    """First-return data at one or two distinguished vertices."""
+    """First-return data at one or two distinguished vertices.
+
+    Loop vertex i is the block of ``base_words[i - 1]`` when the system
+    comes from an induction.
+    """
 
     loops: tuple[Loop, ...]
     tails: tuple[TailDescriptor, ...]
@@ -180,16 +183,11 @@ class InducedPresentation:
     """A loop system together with the block code back to the ambient shift."""
 
     loops: LoopSystem
-    source_words: tuple[Word, ...]
     offsets: tuple[int, int]  # (L, M) used for certificate lifting
 
     @property
-    def W1(self) -> Word:
-        return self.source_words[0]
-
-    @property
-    def W2(self) -> Word:
-        return self.source_words[-1]
+    def source_words(self) -> tuple[Word, ...]:
+        return self.loops.base_words
 
 
 # --------------------------------------------------------------------------
@@ -221,25 +219,20 @@ def induce(
     N = len(W1)
     H, labeling = higher_block(graph, N)
     index = labeling.block_index()
-    v1, v2 = index[W1], index[W2]
-    distinct = sorted({v1, v2})
+    base_words = (W1,) if index[W1] == index[W2] else (W1, W2)
+    ids = [index[w] for w in base_words]
 
     # extend maxlen when the off-core part is acyclic: tails become exactly zero
-    Vh = H.n_vertices
-    off_core = [(u, v) for u, v in H.edges if u not in distinct and v not in distinct]
-    nilpotent = not recurrent_core(off_core)[0]
-    if nilpotent:
-        maxlen = max(maxlen, Vh + 1)
+    if not _off_core_cyclic(H, ids):
+        maxlen = max(maxlen, H.n_vertices + 1)
 
     indptr, indices = H.csr
-    allowed = np.ones(Vh, dtype=bool)
-    for v in distinct:
-        allowed[v] = False
+    allowed = np.ones(H.n_vertices, dtype=bool)
+    allowed[ids] = False
 
     loops: list[Loop] = []
-    sides = [(1, v1)] + ([(2, v2)] if v2 != v1 else [])
-    for di, vstart in sides:
-        for dj, vend in sides:
+    for di, vstart in enumerate(ids, start=1):
+        for dj, vend in enumerate(ids, start=1):
             dist = _bfs_dist_to(H, allowed, vend)
             flat, lengths, overflow = kernels.first_return_paths(
                 indptr, indices, allowed, dist, vstart, vend, maxlen, budget
@@ -257,31 +250,16 @@ def induce(
                 loops.append(Loop(length=k, src=di, dst=dj, label=tuple(label)))
     if not loops:
         raise GraphError("no first return found up to maxlen; increase maxlen")
-    loops.sort(key=lambda lp: (lp.src, lp.dst, lp.length, lp.label))
 
-    ones = np.ones(Vh)
-    tails = [
-        TailDescriptor(kind="zero", start=maxlen, src=di, dst=dj) if nilpotent
-        else _weighted_tail_bound(H, distinct, vstart, vend, maxlen, ones, di, dj)
-        for di, vstart in sides
-        for dj, vend in sides
-    ]
+    off_core = OffCoreData(block_graph=H, block_words=labeling.block_words)
     system = LoopSystem(
         loops=tuple(loops),
-        tails=tuple(tails),
+        tails=_tails(off_core, base_words, None, maxlen),
         names=graph.names,
-        base_words=(W1,) if v1 == v2 else (W1, W2),
-        off_core=OffCoreData(
-            block_graph=H,
-            block_words=labeling.block_words,
-            distinguished=tuple(distinct),
-        ),
+        base_words=base_words,
+        off_core=off_core,
     )
-    return InducedPresentation(
-        loops=system,
-        source_words=(W1,) if v1 == v2 else (W1, W2),
-        offsets=(0, N - 1),
-    )
+    return InducedPresentation(loops=system, offsets=(0, N - 1))
 
 
 def _structured_extensions(graph: FiniteGraph, w: Word, total: int):
@@ -352,49 +330,67 @@ def _bfs_dist_to(H: FiniteGraph, allowed: np.ndarray, target: int) -> np.ndarray
     return dist
 
 
-def _weighted_tail_bound(
-    H: FiniteGraph,
-    distinguished: tuple[int, ...],
-    vstart: int,
-    vend: int,
-    maxlen: int,
-    weights: np.ndarray,
-    src: int,
-    dst: int,
-) -> TailDescriptor:
-    """Rigorous geometric upper bound for weighted first returns past maxlen.
+def _off_core_cyclic(H: FiniteGraph, ids) -> bool:
+    """Whether the block graph minus the loop vertices ``ids`` has a cycle."""
+    return bool(recurrent_core((u, v) for u, v in H.edges if u not in ids and v not in ids)[0])
 
-    First returns of length n >= 2 factor through the off-core matrix B:
+
+def _tails(oc: OffCoreData | None, base_words: tuple[Word, ...], g: FiniteRangePotential | None, start: int):
+    """Tail bounds of the first returns past ``start`` between every pair of
+    loop vertices, loop vertex i being the block of ``base_words[i - 1]``,
+    weighted by the future-only potential g when given.
+
+    Exactly zero when the off-core part has no cycle.  Otherwise first
+    returns of length n >= 2 factor through the off-core matrix B:
     w_n = out . B^{n-2} . in.  For any positive u, rho = max_i (Bu)_i/u_i
-    dominates B's Perron root and B^k in <= c u rho^k entrywise, giving
-    w_n <= C rho^n.
+    dominates B's Perron root and B^k in <= c u rho^k entrywise, giving the
+    geometric upper bound w_n <= C rho^n.  B and u are shared by all pairs.
     """
-    V = H.n_vertices
+    if oc is None:
+        raise PotentialError("loop system has no off-core data; bake weights via lift_potential at induction time")
+    H = oc.block_graph
+    index = {w: v for v, w in enumerate(oc.block_words)}
+    ids = [index[w] for w in base_words]
+    pairs = [(i, j) for i in range(1, len(ids) + 1) for j in range(1, len(ids) + 1)]
+    zero = {p: TailDescriptor(kind="zero", start=start, src=p[0], dst=p[1]) for p in pairs}
+    if not _off_core_cyclic(H, ids):
+        return tuple(zero.values())
+    weights = np.ones(H.n_vertices)
+    if g is not None:
+        # Each block weighs the largest value of g over the span-words that
+        # agree with it on their first min(span, N) symbols.  When span <= N
+        # that word is unique and the weight is exact; when g is wider than
+        # the blocks, a product of these per-step maxima bounds every path
+        # weight, so the tail stays an upper bound.
+        N = len(oc.block_words[0])
+        top: dict[Word, float] = {}
+        for w, v in g.table.items():
+            top[w[:N]] = max(top.get(w[:N], -math.inf), float(v))
+        weights = np.array([math.exp(top[bw[:g.span]]) for bw in oc.block_words])
     M = H.adjacency.astype(np.float64) * weights[:, None]
-    mask = np.ones(V, dtype=bool)
-    for v in distinguished:
-        mask[v] = False
+    mask = np.ones(H.n_vertices, dtype=bool)
+    mask[ids] = False
     B = M[np.ix_(mask, mask)]
-    out_w = M[vstart, mask]
-    in_w = M[mask, vend]
-    if B.size == 0 or not out_w.any() or not in_w.any():
-        return TailDescriptor(kind="zero", start=maxlen, src=src, dst=dst)
     u = np.ones(B.shape[0])
     for _ in range(200):
         nu = B @ u + u
         u = nu / nu.sum()
-    if not np.all(u > 0):
-        # an entry underflowed (a zero row of B stays put while the others
-        # grow): u = 1 gives the largest row sum, a finite bound
-        u = np.ones(B.shape[0])
-    rho = float(np.max((B @ u) / u))
-    if rho <= 0.0:
-        return TailDescriptor(kind="zero", start=maxlen, src=src, dst=dst)
-    c_in = float(np.max(np.where(u > 0, in_w / u, 0.0)))
-    C = c_in * float(out_w @ u) / (rho * rho)
-    C *= 1.0 + 1e-9  # float slop
-    return TailDescriptor(
-        kind="geometric", coef=C, ratio=rho, start=maxlen, bound="upper", src=src, dst=dst
+    outs, ins = [M[v, mask] for v in ids], [M[mask, v] for v in ids]
+    for u in (u, np.ones(B.shape[0])):
+        # u = 1, whose ratio is B's largest row sum, when an entry of u
+        # underflowed (a zero row of B stays put while the others grow) so
+        # far that (B u) / u or in / u leaves the float range
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rho = float(np.max((B @ u) / u))
+            c_in = [float(np.max(np.where(u > 0, in_w / u, 0.0))) for in_w in ins]
+        coef = {(i, j): c_in[j - 1] * float(outs[i - 1] @ u) / (rho * rho) * (1.0 + 1e-9)  # float slop
+                for i, j in pairs}
+        if all(map(math.isfinite, [rho, *coef.values()])):
+            break
+    return tuple(
+        TailDescriptor(kind="geometric", coef=coef[i, j], ratio=rho, start=start, bound="upper", src=i, dst=j)
+        if outs[i - 1].any() and ins[j - 1].any() else zero[i, j]
+        for i, j in pairs
     )
 
 
@@ -412,14 +408,13 @@ def _weigh(system: LoopSystem, f: FiniteRangePotential | None, with_tails: bool)
         return system
     if any(lp.label is None for lp in system.loops):
         raise PotentialError("potential given but loops carry no labels")
-    if not system.base_words:
+    if len(system.base_words) < max((lp.dst for lp in system.loops), default=1):
         raise PotentialError("labeled loop system needs its base words to lift a potential")
     g = bowen_reduce(f)[0] if f.left > 0 else f
     r = g.span
-    dst_words = {1: system.base_words[0], 2: system.base_words[-1]}
     loops = []
     for lp in system.loops:
-        dst_word = dst_words[lp.dst]
+        dst_word = system.base_words[lp.dst - 1]
         if r > len(dst_word) + 1:
             raise PotentialError(
                 f"potential span {r} too wide for induction at a word of length {len(dst_word)}"
@@ -429,7 +424,8 @@ def _weigh(system: LoopSystem, f: FiniteRangePotential | None, with_tails: bool)
         for t in range(lp.length):
             total = total + g.table[word[t: t + r]]
         loops.append(replace(lp, log_weight=total))
-    tails = _weighted_tails(system, g) if with_tails else system.tails
+    longest = max((lp.length for lp in system.loops), default=0)
+    tails = _tails(system.off_core, system.base_words, g, longest) if with_tails else system.tails
     return replace(system, loops=tuple(loops), tails=tails)
 
 
@@ -451,33 +447,6 @@ def lift_potential(
     return weighted, lifted
 
 
-def _weighted_tails(system: LoopSystem, g: FiniteRangePotential) -> tuple[TailDescriptor, ...]:
-    """Tail bounds of the first returns weighted by a future-only potential g."""
-    oc = system.off_core
-    if oc is None:
-        raise PotentialError("loop system has no off-core data; bake weights via lift_potential at induction time")
-    H = oc.block_graph
-    span = g.span
-    N = len(oc.block_words[0])
-    # Each block is weighted by the largest value of g over the
-    # span-words that agree with it on their first min(span, N) symbols.
-    # When span <= N that word is unique and the weight is exact; when
-    # g is wider than the blocks, a product of these per-step maxima
-    # bounds every path weight, so the tail stays an upper bound.
-    top: dict[Word, float] = {}
-    for w, v in g.table.items():
-        top[w[:N]] = max(top.get(w[:N], -math.inf), float(v))
-    weights = np.array([math.exp(top[bw[:span]]) for bw in oc.block_words])
-    ids = {1: oc.distinguished[0], 2: oc.distinguished[-1]}
-    maxlen = max((lp.length for lp in system.loops), default=0)
-    if all(t.kind == "zero" for t in system.tails):
-        return tuple(replace(t, start=maxlen) for t in system.tails)
-    return tuple(
-        _weighted_tail_bound(H, oc.distinguished, ids[t.src], ids[t.dst], maxlen, weights, t.src, t.dst)
-        for t in system.tails
-    )
-
-
 # --------------------------------------------------------------------------
 # the first-return generating series with rigorous envelopes
 
@@ -490,8 +459,11 @@ class _SeriesPart:
     def eval(self, z: float, d: int):
         """Bracket of the d-th derivative (d in {0, 1}) at z.
 
-        A divergent F has the upper end inf; a divergent F' gives None.
+        A divergent F has the upper end inf; a divergent F' gives None.  A
+        part with no loops and a zero tail is exactly (0, 0).
         """
+        if not self.explicit and self.tail.coef == 0:
+            return 0.0, 0.0
         head = math.fsum(n**d * w * z ** (n - d) for n, w in self.explicit.items())
         slop = 1e-14 * (1.0 + abs(head))
         t = tail_sum(self.tail.law, self.tail.start, z, d)
@@ -503,50 +475,60 @@ class _SeriesPart:
         return head - slop + lo, head + slop + hi
 
 
+def _prod(*ends):
+    """A product of ends >= 0, with 0 * inf = 0."""
+    return 0.0 if 0.0 in ends else math.prod(ends)
+
+
+def _over(num, f22, power=1):
+    """num / (1 - F22)^power for num >= 0; 1 - F22 <= 0 reads as inf: the
+    excursions through vertex 2 diverge."""
+    if num == 0.0:
+        return 0.0
+    return num / (1.0 - f22) ** power if f22 < 1.0 else math.inf
+
+
+def _excursions(f12, f21, f22, dz=None):
+    """One end of F12 F21 / (1 - F22), or of its derivative when ``dz``
+    holds the derivative ends (F12', F21', F22'); all ends are >= 0."""
+    if dz is None:
+        return _over(_prod(f12, f21), f22)
+    d12, d21, d22 = dz
+    return _over(_prod(d12, f21), f22) + _over(_prod(f12, d21), f22) + _over(_prod(f12, f21, d22), f22, 2)
+
+
 @dataclass
 class ReturnSeries:
     """Interval-valued F(z) for a loop system, reduced to the first vertex.
 
-    Two-vertex systems are folded through excursions:
-    ``F = F11 + F12 F21 / (1 - F22)``.
+    The excursions through vertex 2 fold in as
+    ``F = F11 + F12 F21 / (1 - F22)``; for a one-vertex system the last
+    three parts are empty and the fold adds exactly 0.
     """
 
     parts: dict[tuple[int, int], _SeriesPart]
     tail_exact: bool
     radius_lower: float
 
+    def _excursion_ends(self, z: float, d: int):
+        """The lower and the upper ends of (F12, F21, F22), or of their
+        derivatives when d = 1.  Lower ends are clamped at 0, as the true
+        values are >= 0; a divergent derivative reads as (inf, inf)."""
+        brackets = [self.parts[key].eval(z, d) or (math.inf, math.inf) for key in ((1, 2), (2, 1), (2, 2))]
+        return [max(b[0], 0.0) for b in brackets], [b[1] for b in brackets]
+
     def F(self, z: float) -> tuple[float, float]:
-        lo11, hi11 = self.parts[(1, 1)].eval(z, 0)
-        if (1, 2) not in self.parts:
-            return lo11, hi11
-        lo12, hi12 = self.parts[(1, 2)].eval(z, 0)
-        lo21, hi21 = self.parts[(2, 1)].eval(z, 0)
-        lo22, hi22 = self.parts[(2, 2)].eval(z, 0)
-        hi = hi11 + (hi12 * hi21 / (1.0 - hi22) if hi22 < 1.0 else math.inf)
-        lo = lo11 + (lo12 * lo21 / (1.0 - lo22) if lo22 < 1.0 else math.inf)
-        return lo, hi
+        f11, f = self.parts[(1, 1)].eval(z, 0), self._excursion_ends(z, 0)
+        return f11[0] + _excursions(*f[0]), f11[1] + _excursions(*f[1])
 
     def Fprime(self, z: float):
-        p11 = self.parts[(1, 1)].eval(z, 1)
-        if p11 is None:
+        """Bracket of F'(z); None when it diverges (its lower end is inf)."""
+        d11 = self.parts[(1, 1)].eval(z, 1)
+        if d11 is None:
             return None
-        if (1, 2) not in self.parts:
-            return p11
-        evals = {}
-        for key in ((1, 2), (2, 1), (2, 2)):
-            fv = self.parts[key].eval(z, 0)
-            dv = self.parts[key].eval(z, 1)
-            if dv is None or fv[1] >= 1.0 and key == (2, 2):
-                return None
-            evals[key] = (fv, dv)
-        (f12, d12), (f21, d21), (f22, d22) = evals[(1, 2)], evals[(2, 1)], evals[(2, 2)]
-        # d/dz [F12 F21 / (1 - F22)], at the lower and at the upper ends
-        los, his = (
-            d12[e] * f21[e] / (1 - f22[e]) + f12[e] * d21[e] / (1 - f22[e])
-            + f12[e] * f21[e] * d22[e] / (1 - f22[e]) ** 2
-            for e in (0, 1)
-        )
-        return p11[0] + los, p11[1] + his
+        f, dz = self._excursion_ends(z, 0), self._excursion_ends(z, 1)
+        lo, hi = (d11[e] + _excursions(*f[e], dz=dz[e]) for e in (0, 1))
+        return None if lo == math.inf else (lo, hi)
 
     def _root(self, pick_hi: bool):
         """Bracket the smallest z with F_env(z) = 1, env = upper or lower.
@@ -596,22 +578,16 @@ def return_series(loops: LoopSystem, f: FiniteRangePotential | None = None) -> R
     """Aggregate explicit loop weights and tails into an evaluable series."""
     weighted = _weigh(loops, f, with_tails=True)
     explicit = _loop_weights(weighted, exact=False)
-    tails = weighted.tails
-
-    keys = {(1, 1)}
-    if loops.two_vertex:
-        keys |= {(1, 2), (2, 1), (2, 2)}
-    parts = {}
-    tail_exact = True
-    radius = math.inf
-    tmap = {(t.src, t.dst): t for t in tails}
-    for key in keys:
-        t = tmap.get(key, TailDescriptor(kind="zero", src=key[0], dst=key[1]))
-        if t.coef > 0 and t.bound == "upper":
-            tail_exact = False
-        radius = min(radius, t.radius())
-        parts[key] = _SeriesPart(explicit=explicit.get(key, {}), tail=t)
-    return ReturnSeries(parts=parts, tail_exact=tail_exact, radius_lower=radius)
+    tails = {(t.src, t.dst): t for t in weighted.tails}
+    parts = {
+        key: _SeriesPart(explicit.get(key, {}), tails.get(key, TailDescriptor(kind="zero", src=key[0], dst=key[1])))
+        for key in ((1, 1), (1, 2), (2, 1), (2, 2))
+    }
+    return ReturnSeries(
+        parts=parts,
+        tail_exact=not any(p.tail.coef > 0 and p.tail.bound == "upper" for p in parts.values()),
+        radius_lower=min(p.tail.radius() for p in parts.values()),
+    )
 
 
 # --------------------------------------------------------------------------

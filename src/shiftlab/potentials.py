@@ -240,25 +240,44 @@ def tail_sum(tail: Tail, start: int, z: Number, d: int):
     """Bracket ``(lo, hi)`` of sum_{n > start} n^d omega_n z^(n-d), d in {0, 1}.
 
     The tail of F(z) = sum omega_n z^n (of F' when d = 1); at z = 1 the tail
-    of the sum a certificate claims finite.  None when it diverges.  Exact
-    for a zero tail and a rational geometric tail at rational z.  A float
+    of the sum a certificate claims finite.  None when it diverges; z < 0 is
+    a ValueError.  Exact for a zero tail, at z = 0 (up to the rounding of
+    omega_1), and for a rational geometric tail at rational z.  A float
     geometric closed form is widened by how the exact relative error ux of
     x = ratio * z and the other roundings propagate (Higham, ch. 3), at
     least 1e-12 relative, and by the subnormals an underflow can lose.  A
-    polynomial tail is a partial sum plus an integral (z = 1) or geometric
-    (z < 1) remainder; a shifted one is re-indexed by m = n + shift (z = 1).
+    polynomial tail is a partial sum plus an integral (z = 1) or the smaller
+    of a geometric and an integral remainder (z < 1); a shifted one is
+    re-indexed by m = n + shift (z = 1).
     """
+    if z < 0:
+        raise ValueError(f"tail sums are evaluated at z >= 0, got {z}")
     if tail.coef == 0:  # a ZeroTail too
         return tail.coef * 0, tail.coef * 0
     N = start
+    if isinstance(tail, PolynomialTail) and tail.shift:
+        if z != 1:
+            raise ValueError("a shifted polynomial tail is summed at z = 1")
+        # m = n + shift: sum n^d (n+s)^-q = T_d - s T_0 over m > start + s, ends crossed
+        s, plain = tail.shift, PolynomialTail(tail.coef, tail.power)
+        t = tail_sum(plain, N + s, 1, d)
+        if t is None or d == 0:
+            return t
+        t0 = tail_sum(plain, N + s, 1, 0)
+        return t[0] - s * t0[1], t[1] - s * t0[0]
+    if z == 0:
+        # only n = 1 survives, in F': omega_1 = coef * ratio or coef; a float
+        # omega_1 is one rounding of that, so one ulp either side holds it
+        v = tail.omega(1) if d and N == 0 else tail.coef * 0
+        if isinstance(v, float) and v:
+            return math.nextafter(v, 0.0), math.nextafter(v, math.inf)
+        return v, v
     if isinstance(tail, GeometricTail):
         exact = all(_is_rational(v) for v in (tail.coef, tail.ratio, z))
         one = Fraction(1) if exact else 1.0
         c, x = tail.coef * one, tail.ratio * one * z
         if x >= 1:
             return None
-        if d and z <= 0:
-            return 0 * one, 0 * one
         # sum_{n > N} n^d x^n = x^(N+1) ((N+1) - N x)^d / (1-x)^(d+1)
         a, lin, den = c / z**d, ((N + 1) - N * x) ** d, (1 - x) ** (d + 1)
         val = a * x ** (N + 1) * lin / den
@@ -275,16 +294,6 @@ def tail_sum(tail: Tail, start: int, z: Number, d: int):
         # a subnormal lost by a, x^(N+1) or a product, scaled by later factors
         under = _TINY * (2 * (a + 3) * lin / den + 2)
         return max(val * (1 - w) - under, 0.0), val * (1 + w) + under
-    if tail.shift:
-        if z != 1:
-            raise ValueError("a shifted polynomial tail is summed at z = 1")
-        # m = n + shift: sum n^d (n+s)^-q = T_d - s T_0 over m > start + s, ends crossed
-        s, plain = tail.shift, PolynomialTail(tail.coef, tail.power)
-        t = tail_sum(plain, N + s, 1, d)
-        if t is None or d == 0:
-            return t
-        t0 = tail_sum(plain, N + s, 1, 0)
-        return t[0] - s * t0[1], t[1] - s * t0[0]
     c, q = float(tail.coef), float(tail.power)
     if z > 1.0 or (z == 1.0 and q - d <= 1.0):
         return None
@@ -306,6 +315,9 @@ def tail_sum(tail: Tail, start: int, z: Number, d: int):
         rem_hi = c * (M + 1) ** -q * rem_geom
     else:
         rem_hi = c * (M + 1) ** -q * z ** (M + 1) / (1.0 - z)
+    if q - d > 1:
+        # and at most z^(M+1-d) times the integral of c x^(d-q) from M
+        rem_hi = min(rem_hi, c * z ** (M + 1 - d) * M ** (1 + d - q) / (q - 1 - d))
     slop = 8 * _EPS * (partial + rem_hi + 1e-300)
     return partial - slop, partial + rem_hi + slop
 

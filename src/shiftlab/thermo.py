@@ -267,9 +267,10 @@ def pressure_from_table(table: PartitionFunctionTable, period: int = 1) -> Press
     """Aitken-accelerated limit of (1/n) log Z_n along the admissible residues.
 
     Z_n vanishes off multiples of the period, so the sequence is read along
-    that class.  The error bound is anchored by the increment estimator
-    ``(log Z_{n+d} - log Z_n)/d`` and a geometric extrapolation of its own
-    drift, which keeps the claim honest even on slowly converging tables.
+    that class.  The error is a heuristic estimate, not a bound: it is
+    anchored by the increment estimator ``(log Z_{n+d} - log Z_n)/d`` and a
+    geometric extrapolation of its own drift, and it misses the true
+    pressure on about 1% of random tables (ROADMAP item 2).
     """
     ns = [n for n in table.positive_ns() if n % period == 0]
     if len(ns) < 6:

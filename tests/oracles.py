@@ -8,9 +8,10 @@ scalar comparisons, strongly connected components by a transitive
 closure, stationary vectors by the Markov chain tree theorem in exact
 rationals, lifts of periodic points by filtering products of fibers, the
 source letters on preimage paths by set-based reachability, loop-system
-Z_n by a 60-digit decimal renewal over closed-orbit weights, and tail
-series by binomial expansions in 80 digits or zeta values minus exact
-partial sums.
+Z_n by a 60-digit decimal renewal over closed-orbit weights, tail
+series by binomial expansions in 80 digits, zeta values minus exact
+partial sums or Euler's dilogarithm reflection, and two-vertex
+first-return series by folding those part values in 80 digits.
 """
 from __future__ import annotations
 
@@ -297,7 +298,10 @@ def tail_series(kind: str, coef: float, param: float, start: int, z: float, d: i
     zeta values minus exact partial sums over m = n + shift, where
     n = m - shift.  Polynomial tails at z <= 0.9: summed term by term in 60
     digits until the rest, at most coef * z^(n-d) / (1 - z), is below 1e-30
-    of the sum.
+    of the sum.  Polynomial tails at 0.9 < z < 1 with param - d = 2:
+    Li_2(z) / z^d minus an exact partial sum, with Euler's reflection
+    Li_2(z) = zeta(2) - ln z ln(1 - z) - Li_2(1 - z) and the fast series of
+    Li_2(1 - z).
     """
     with localcontext() as ctx:
         ctx.prec = 80
@@ -320,6 +324,12 @@ def tail_series(kind: str, coef: float, param: float, start: int, z: float, d: i
 
             total = zeta_tail(q) if d == 0 else zeta_tail(q - 1) - shift * zeta_tail(q)
             return Decimal(coef) * total
+        if z > 0.9:
+            assert z < 1 and param - d == 2 and not shift
+            z_, w = Decimal(z), 1 - Decimal(z)
+            li2 = ZETA[2] - z_.ln() * w.ln() - sum(w**k / k**2 for k in range(1, 80))
+            partial = sum(z_**n / n**2 for n in range(1, N + 1))
+            return Decimal(coef) * (li2 - partial) / z_**d
         ctx.prec = 60
         assert z <= 0.9 and param >= d
         c, q, z_ = Decimal(coef), Decimal(param), Decimal(z)
@@ -329,6 +339,34 @@ def tail_series(kind: str, coef: float, param: float, start: int, z: float, d: i
             n += 1
             if c * z_ ** (n - d) / (1 - z_) < Decimal("1e-30") * total:
                 return total
+
+
+def decimal_first_return(parts: dict, z: float, d: int) -> Decimal:
+    """F(z) (d = 0) or F'(z) (d = 1) of a two-vertex loop system, in 80 digits.
+
+    ``parts`` maps each vertex pair to ``(loops, tail)``: ``loops`` lists
+    ``(length, count, log_weight)`` with a rational log weight, and ``tail``
+    is ``(kind, coef, param, start)`` for :func:`tail_series` (kind "zero"
+    adds nothing).  Each part and its derivative is its loops' weights
+    count * exp(log_weight) times z^n (or n z^(n-1)) plus its tail series;
+    the parts fold through the excursions to vertex 2:
+    F = F11 + F12 F21 / (1 - F22), and
+    F' = F11' + (F12' F21 + F12 F21') / (1 - F22) + F12 F21 F22' / (1 - F22)^2.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 80
+        z_ = Decimal(z)
+        val = {}
+        for key, (loops, (kind, coef, param, start)) in parts.items():
+            for e in (0, 1):
+                head = sum((n**e * count * (Decimal(w.numerator) / Decimal(w.denominator)).exp() * z_ ** (n - e)
+                            for n, count, w in loops), Decimal(0))
+                val[key, e] = head + (tail_series(kind, coef, param, start, z, e) if kind != "zero" else 0)
+        f11, f12, f21, f22 = (val[k, 0] for k in ((1, 1), (1, 2), (2, 1), (2, 2)))
+        if d == 0:
+            return f11 + f12 * f21 / (1 - f22)
+        g11, g12, g21, g22 = (val[k, 1] for k in ((1, 1), (1, 2), (2, 1), (2, 2)))
+        return g11 + (g12 * f21 + f12 * g21) / (1 - f22) + f12 * f21 * g22 / (1 - f22) ** 2
 
 
 def geometric_series_coeffs(a: Fraction, order: int) -> list[Fraction]:

@@ -151,6 +151,60 @@ def test_induce_with_potential_bakes_weights(capsys, tmp_path, fixture_dir):
     assert abs(math.log(report["lambda"]["value"]) - preport["pressure"]["value"]) <= 1e-6
 
 
+def test_induce_two_words_with_potential_roundtrip_classify(capsys, tmp_path):
+    # the word "c" has a higher block index than word2 "a"; the lifted tails
+    # used to swap the loop vertices, and classify reported lambda
+    # 1.12838 +- 0.00205 against the Perron root 1.138872
+    shift, pot, out = tmp_path / "g.json", tmp_path / "f.json", tmp_path / "loops.json"
+    edges = [[0, 2], [1, 0], [1, 1], [2, 1]]
+    shift.write_text(json.dumps({"kind": "graph", "schema": 1, "alphabet": ["a", "b", "c"], "edges": edges}))
+    pot.write_text(json.dumps({"kind": "potential", "schema": 1, "left_range": 0, "right_range": 1,
+                               "weights": {"a": "1", "b": "-1", "c": "0"}}))
+    code, report, _ = run_cli(
+        capsys, "induce", "--shift", str(shift), "--word", "c", "--word2", "a", "--maxlen", "4",
+        "--potential", str(pot), "--out", str(out),
+    )
+    assert code == 0 and report["base"] == ["c", "a"]
+    assert json.loads(out.read_text())["base"] == ["c", "a"]
+    code, report, _ = run_cli(capsys, "classify", "--loops", str(out))
+    M = np.zeros((3, 3))
+    for u, v in edges:
+        M[u, v] = math.exp((1, -1, 0)[u])
+    rho = max(abs(np.linalg.eigvals(M)))
+    assert code == 0 and report["verdict"] == "SPR"
+    assert abs(report["lambda"]["value"] - rho) <= report["lambda"]["error"]
+    assert report["Fprime_at_1_over_lambda"] != "divergent"
+
+
+def test_entropy_of_a_loop_system_matches_classify(capsys, fixture_dir):
+    loops = str(fixture_dir / "gm-at-1-loops.json")
+    code, report, _ = run_cli(capsys, "entropy", "--shift", loops)
+    assert code == 0 and report["method"] == "loop-classification" and report["verdict"] == "SPR"
+    _, creport, _ = run_cli(capsys, "classify", "--loops", loops)
+    lam = creport["lambda"]["value"]
+    assert report["entropy"]["value"] == math.log(lam)
+    assert report["entropy"]["error"] == creport["lambda"]["error"] / lam
+    assert abs(report["entropy"]["value"] - math.log(PHI)) <= report["entropy"]["error"]
+
+
+def test_pressure_exhaustion_with_potential(capsys, fixture_dir):
+    # level 0 is the self-loop at 0, which weighs f(0) = 1/3; level 1 is the
+    # golden mean shift, whose pressure is the supremum
+    code, report, _ = run_cli(
+        capsys, "pressure", "--shift", str(fixture_dir / "gm-exhaustion.json"),
+        "--potential", str(fixture_dir / "gm-range1.json"),
+    )
+    assert code == 0 and report["method"] == "exhaustion-sup"
+    levels = [lv["value"] for lv in report["levels"]]
+    assert levels[0] == pytest.approx(1 / 3, abs=1e-12)
+    _, spectral, _ = run_cli(
+        capsys, "pressure", "--shift", str(fixture_dir / "gm.json"),
+        "--potential", str(fixture_dir / "gm-range1.json"),
+    )
+    assert levels[1] == report["pressure"]["value"] == spectral["pressure"]["value"]
+    assert report["pressure"]["value"] > levels[0]
+
+
 def test_verify_magic_certified_and_refuted(capsys, tmp_path, fixture_dir):
     from shiftlab import documents as docs
     from shiftlab.codes import OneBlockCode

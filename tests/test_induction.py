@@ -24,6 +24,7 @@ from shiftlab.potentials import (
     FiniteRangePotential,
     PotentialError,
     GeometricTail,
+    PolynomialTail,
     VariationCertificate,
     check_variation_certificate,
     tail_sum,
@@ -31,6 +32,7 @@ from shiftlab.potentials import (
 from shiftlab.thermo import partition_function, pressure_spectral, recurrence_classify
 
 from oracles import (
+    decimal_first_return,
     decimal_loop_zn,
     integer_trace,
     random_irreducible_graph,
@@ -214,6 +216,28 @@ class TestWeighing:
             with pytest.raises(ValueError, match="finite"):
                 TailDescriptor(kind="geometric", coef=1.0, ratio=bad)
 
+    def test_power_vector_beyond_the_float_range_gives_a_finite_tail(self):
+        # the self-loop at 3 outgrows the rest of the off-core part, so entries
+        # of u end up subnormal and in / u overflowed: an infinite tail
+        # coefficient, and a ValueError out of recurrence_classify
+        g = build_graph([str(i) for i in range(6)], [(0, 2), (0, 5), (1, 0), (1, 4), (2, 2), (2, 4), (3, 2),
+                                                     (3, 3), (4, 1), (4, 2), (4, 3), (5, 0), (5, 3)]).graph
+        f = FiniteRangePotential(g, 1, 1, {
+            (0, 2): F(1, 4), (0, 5): F(3, 4), (1, 0): F(0), (1, 4): F(-1, 6), (2, 2): F(-6), (2, 4): F(1),
+            (3, 2): F(4), (3, 3): F(5), (4, 1): F(-1, 7), (4, 2): F(-1), (4, 3): F(1), (5, 0): F(-5, 4),
+            (5, 3): F(-1, 7),
+        })
+        ind = induce(g, (4,), (1,), maxlen=7)
+        weighted, _ = lift_potential(ind, f)
+        longer, _ = lift_potential(induce(g, (4,), (1,), maxlen=12), f)
+        assert {t.kind for t in weighted.tails} == {"geometric", "zero"}
+        for t in weighted.tails:
+            for n in range(t.start + 1, 13):  # the bound holds on the loops past maxlen
+                w_n = sum(lp.count * math.exp(lp.log_weight) for lp in longer.loops
+                          if lp.length == n and (lp.src, lp.dst) == (t.src, t.dst))
+                assert w_n <= t.coef * t.ratio**n
+        assert recurrence_classify(ind.loops, f).verdict == "indeterminate"
+
     def test_labeled_system_without_base_words_rejected(self, gm):
         ind = induce(gm.graph, (0,), maxlen=6)
         bare = LoopSystem(loops=ind.loops.loops, tails=ind.loops.tails, names=ind.loops.names)
@@ -274,6 +298,164 @@ class TestTailSum:
                 for z in (0.1, 0.5, 0.8, 0.9):
                     for d in (0, 1):
                         self._contains(tail, z, d)
+
+
+    def test_polynomial_tails_just_inside_the_radius(self):
+        # past 4096 terms the rest is bounded by the integral of the summable
+        # terms too; the geometric remainder alone left relative widths of
+        # 0.36 (power 2) and 884 (power 3, F') at z = 1 - 1e-7
+        for power, d in ((2.0, 0), (3.0, 1)):
+            for start in (0, 5, 5000):
+                # (the oracle's dilogarithm cancels to nothing at z = 0.95 past 5000 terms)
+                for gap in (1e-7, 1e-5, 1e-3) + ((0.05,) if start < 5000 else ()):
+                    tail = TailDescriptor(kind="polynomial", coef=0.37, power=power, start=start)
+                    self._contains(tail, 1 - gap, d)
+                lo, hi = tail_sum(tail.law, start, 1 - 1e-7, d)
+                assert hi - lo <= 1e-4  # about the rest past 4096 terms, 0.37 / 4096
+
+    def test_z_zero_is_exact_and_negative_z_is_refused(self):
+        # at z = 0 only the n = 1 term survives, and only in F'
+        for tail, omega_1 in (
+            (GeometricTail(1.0, 0.5), F(1, 2)),
+            (GeometricTail(0.37, 0.9), F(0.37) * F(0.9)),
+            (GeometricTail(F(3, 4), F(1, 3)), F(1, 4)),
+            (PolynomialTail(0.37, 2.0), F(0.37)),
+        ):
+            for start in (0, 2):
+                for d in (0, 1):
+                    lo, hi = tail_sum(tail, start, 0.0, d)
+                    want = omega_1 if d and start == 0 else 0
+                    assert lo <= want <= hi and hi - lo <= 1e-15 * want, (tail, start, d, lo, hi)
+        for tail in (GeometricTail(1.0, 0.5), PolynomialTail(0.37, 2.0)):
+            with pytest.raises(ValueError, match="z >= 0"):
+                tail_sum(tail, 0, -0.5, 0)
+
+
+def _perron(g, f=None):
+    """Perron root of the weighted block matrix of f (of g when f is None)."""
+    if f is None:
+        return max(abs(np.linalg.eigvals(g.adjacency.astype(float))))
+    H, lab = higher_block(g, f.span)
+    M = np.zeros((H.n_vertices, H.n_vertices))
+    for u, v in H.edges:
+        M[u, v] = math.exp(float(f.table[lab.block_words[u]]))
+    return max(abs(np.linalg.eigvals(M)))
+
+
+class TestTwoVertex:
+    @staticmethod
+    def _assert_spr_brackets(r, rho):
+        assert r.verdict == "SPR"
+        lo, hi = r.lam_bounds
+        assert lo * (1 - 1e-12) <= rho <= hi * (1 + 1e-12), (lo, rho, hi)
+        assert r.Fprime_at_z is not None
+
+    def test_weighed_tails_follow_the_base_words(self):
+        # W1 = c has a higher block index than W2 = a.  Weighing f used to
+        # swap the tails (1,1) <-> (2,2) and (1,2) <-> (2,1), and the lambda
+        # bracket [1.127359, 1.129406] missed the Perron root 1.138872
+        g = build_graph(["a", "b", "c"], [(0, 2), (1, 0), (1, 1), (2, 1)]).graph
+        f = FiniteRangePotential.from_vertex_values(g, [F(1), F(-1), F(0)])
+        ind = induce(g, (2,), (0,), maxlen=4)
+        assert ind.source_words == ind.loops.base_words == ((2,), (0,))
+        weighted, _ = lift_potential(ind, f)
+        mirrored, _ = lift_potential(induce(g, (0,), (2,), maxlen=4), f)
+        swap = {(t.src, t.dst): (t.kind, t.coef, t.ratio) for t in mirrored.tails}
+        assert [(t.kind, t.coef, t.ratio) for t in weighted.tails] == [
+            swap[3 - t.src, 3 - t.dst] for t in weighted.tails
+        ]
+        self._assert_spr_brackets(recurrence_classify(ind.loops, f), _perron(g, f))
+
+    def test_upper_end_of_F22_at_one_leaves_Fprime_finite(self):
+        # only the upper end of F22 reaches 1 at 1/lambda: F' used to be
+        # reported divergent for this SPR system
+        g = build_graph(list("abcd"), [(0, 3), (1, 2), (1, 3), (2, 0), (2, 3), (3, 1)]).graph
+        r = recurrence_classify(induce(g, (0,), (2,), maxlen=4).loops)
+        self._assert_spr_brackets(r, _perron(g))
+        assert r.Fprime_at_z[0] > 0
+
+    def test_two_word_sweep_brackets_the_perron_root(self):
+        rng = np.random.default_rng(110)
+        spr = 0
+        for _ in range(30):
+            names, edges = random_irreducible_graph(rng, 6)
+            g = build_graph(names, edges).graph
+            words = g.words(int(rng.integers(1, 3)))
+            i, j = rng.choice(len(words), size=2, replace=False)
+            span = int(rng.integers(1, 3))
+            f = _random_potential(rng, g, span, int(rng.integers(0, span)), True)
+            for W1, W2 in ((words[i], words[j]), (words[j], words[i])):
+                try:
+                    ind = induce(g, W1, W2, maxlen=6, budget=50_000)
+                except (BudgetExceededError, GraphError):
+                    continue
+                for pot in (None, f):
+                    r = recurrence_classify(ind.loops, pot)
+                    if r.verdict == "SPR":
+                        self._assert_spr_brackets(r, _perron(g, pot))
+                        spr += 1
+        assert spr >= 60
+
+    def test_declared_brackets_contain_the_decimal_fold(self):
+        rng = np.random.default_rng(111)
+        tails = {
+            "zero": lambda: ("zero", 0.0, 0.0),
+            "geometric": lambda: ("geometric", float(rng.uniform(0.05, 0.4)), float(rng.uniform(0.3, 1.2))),
+            "polynomial": lambda: ("polynomial", float(rng.uniform(0.05, 0.3)), float(rng.choice([1.5, 2.0, 3.0]))),
+        }
+        pairs = ((1, 1), (1, 2), (2, 1), (2, 2))
+        checked = 0
+        for kind in tails:
+            for _ in range(6):
+                loops, parts, descriptors = [], {}, []
+                for src, dst in pairs:
+                    mine = [Loop(length=int(rng.integers(1, 5)), src=src, dst=dst,
+                                 log_weight=F(int(rng.integers(-12, 0)), 4))
+                            for _ in range(int(rng.integers(0, 3)))]
+                    loops += mine
+                    t_kind, coef, param = tails[kind]() if rng.random() < 0.7 else tails["zero"]()
+                    start = max((lp.length for lp in mine), default=0)
+                    descriptors.append(TailDescriptor(
+                        kind=t_kind, coef=coef, start=start, src=src, dst=dst,
+                        **({"ratio": param} if t_kind == "geometric" else {"power": param}),
+                    ))
+                    parts[src, dst] = ([(lp.length, lp.count, lp.log_weight) for lp in mine], (t_kind, coef, param, start))
+                series = return_series(LoopSystem(loops=tuple(loops), tails=tuple(descriptors)))
+                radius = min(0.9, series.radius_lower)
+                for z in (0.05 * radius, 0.4 * radius, 0.8 * radius, 0.99 * radius):
+                    empty = ([], ("zero", 0, 0, 0))
+                    if decimal_first_return({(1, 1): parts[2, 2], **{k: empty for k in pairs[1:]}}, z, 0) >= 1:
+                        continue  # F22(z) >= 1: the excursions through vertex 2 diverge
+                    for d, got in ((0, series.F(z)), (1, series.Fprime(z))):
+                        want = decimal_first_return(parts, z, d)
+                        assert got is not None and Decimal(got[0]) <= want <= Decimal(got[1]), (kind, z, d, got, want)
+                        checked += 1
+        assert checked >= 100
+
+    def test_near_the_pole_of_the_excursions(self):
+        # F22(z) = 1 - 1e-15: its upper end passes 1, so F' has upper end
+        # inf; it used to be reported divergent
+        loops = (Loop(1, 1, 1, log_weight=F(-1)), Loop(2, 1, 2, log_weight=F(-1)),
+                 Loop(1, 2, 1, log_weight=F(-2)), Loop(1, 2, 2, log_weight=F(0)))
+        system = LoopSystem(loops=loops, tails=())
+        parts = {(i, j): ([(lp.length, lp.count, lp.log_weight) for lp in loops if (lp.src, lp.dst) == (i, j)],
+                          ("zero", 0, 0, 0)) for i in (1, 2) for j in (1, 2)}
+        z = 1 - 1e-15
+        series = return_series(system)
+        for d, got in ((0, series.F(z)), (1, series.Fprime(z))):
+            want = decimal_first_return(parts, z, d)
+            assert got is not None and Decimal(got[0]) <= want <= Decimal(got[1]), (d, got, want)
+        assert series.Fprime(z)[1] == math.inf
+
+    def test_one_vertex_series_is_its_first_part(self):
+        rng = np.random.default_rng(112)
+        for _ in range(10):
+            names, edges = random_irreducible_graph(rng, 5)
+            g = build_graph(names, edges).graph
+            series = return_series(induce(g, (0,), maxlen=8).loops)
+            for z in (0.0, 0.1, 0.3, 0.6):
+                assert series.F(z) == series.parts[(1, 1)].eval(z, 0)
+                assert series.Fprime(z) == series.parts[(1, 1)].eval(z, 1)
 
 
 class TestZnCoincidence:
