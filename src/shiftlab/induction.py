@@ -223,7 +223,8 @@ def induce(
     ids = [index[w] for w in base_words]
 
     # extend maxlen when the off-core part is acyclic: tails become exactly zero
-    if not _off_core_cyclic(H, ids):
+    cyclic = _off_core_cyclic(H, ids)
+    if not cyclic:
         maxlen = max(maxlen, H.n_vertices + 1)
 
     indptr, indices = H.csr
@@ -254,7 +255,7 @@ def induce(
     off_core = OffCoreData(block_graph=H, block_words=labeling.block_words)
     system = LoopSystem(
         loops=tuple(loops),
-        tails=_tails(off_core, base_words, None, maxlen),
+        tails=_tails(off_core, ids, cyclic, None, maxlen),
         names=graph.names,
         base_words=base_words,
         off_core=off_core,
@@ -335,25 +336,22 @@ def _off_core_cyclic(H: FiniteGraph, ids) -> bool:
     return bool(recurrent_core((u, v) for u, v in H.edges if u not in ids and v not in ids)[0])
 
 
-def _tails(oc: OffCoreData | None, base_words: tuple[Word, ...], g: FiniteRangePotential | None, start: int):
+def _tails(oc: OffCoreData, ids: list[int], cyclic: bool, g: FiniteRangePotential | None, start: int):
     """Tail bounds of the first returns past ``start`` between every pair of
-    loop vertices, loop vertex i being the block of ``base_words[i - 1]``,
-    weighted by the future-only potential g when given.
+    loop vertices, loop vertex i being block ``ids[i - 1]`` (the block of
+    ``base_words[i - 1]``), weighted by the future-only potential g when given.
 
-    Exactly zero when the off-core part has no cycle.  Otherwise first
+    Exactly zero when the off-core part has no cycle (``cyclic`` is False),
+    or when B is zero because its weights underflowed.  Otherwise first
     returns of length n >= 2 factor through the off-core matrix B:
     w_n = out . B^{n-2} . in.  For any positive u, rho = max_i (Bu)_i/u_i
     dominates B's Perron root and B^k in <= c u rho^k entrywise, giving the
     geometric upper bound w_n <= C rho^n.  B and u are shared by all pairs.
     """
-    if oc is None:
-        raise PotentialError("loop system has no off-core data; bake weights via lift_potential at induction time")
     H = oc.block_graph
-    index = {w: v for v, w in enumerate(oc.block_words)}
-    ids = [index[w] for w in base_words]
     pairs = [(i, j) for i in range(1, len(ids) + 1) for j in range(1, len(ids) + 1)]
     zero = {p: TailDescriptor(kind="zero", start=start, src=p[0], dst=p[1]) for p in pairs}
-    if not _off_core_cyclic(H, ids):
+    if not cyclic:
         return tuple(zero.values())
     weights = np.ones(H.n_vertices)
     if g is not None:
@@ -383,6 +381,8 @@ def _tails(oc: OffCoreData | None, base_words: tuple[Word, ...], g: FiniteRangeP
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             rho = float(np.max((B @ u) / u))
             c_in = [float(np.max(np.where(u > 0, in_w / u, 0.0))) for in_w in ins]
+        if rho <= 0.0:
+            return tuple(zero.values())  # B is zero: its weights underflowed
         coef = {(i, j): c_in[j - 1] * float(outs[i - 1] @ u) / (rho * rho) * (1.0 + 1e-9)  # float slop
                 for i, j in pairs}
         if all(map(math.isfinite, [rho, *coef.values()])):
@@ -424,8 +424,15 @@ def _weigh(system: LoopSystem, f: FiniteRangePotential | None, with_tails: bool)
         for t in range(lp.length):
             total = total + g.table[word[t: t + r]]
         loops.append(replace(lp, log_weight=total))
+    if not with_tails:
+        return replace(system, loops=tuple(loops))
+    oc = system.off_core
+    if oc is None:
+        raise PotentialError("loop system has no off-core data; bake weights via lift_potential at induction time")
+    index = {w: v for v, w in enumerate(oc.block_words)}
+    ids = [index[w] for w in system.base_words]
     longest = max((lp.length for lp in system.loops), default=0)
-    tails = _tails(system.off_core, system.base_words, g, longest) if with_tails else system.tails
+    tails = _tails(oc, ids, _off_core_cyclic(oc.block_graph, ids), g, longest)
     return replace(system, loops=tuple(loops), tails=tails)
 
 

@@ -636,28 +636,31 @@ def recurrence_classify(loops: "LoopSystem", f=None, atol: float = 1e-9) -> Recu
     if F_lo > 1 + atol:
         # the root lies strictly inside; the bisections above bracket it
         return spr("F exceeds 1 before its radius")
+    fp, detail = None, f"F(R) in [{F_lo:.12g}, {F_hi:.12g}] cannot be separated from 1 at {atol:g}"
     if F_lo >= 1 - atol and F_hi <= 1 + atol:
         fp = series.Fprime(R)
-        return RecurrenceClass(
-            verdict="null_recurrent" if fp is None else "positive_recurrent",
-            positive_recurrent=fp is not None,
-            lam=1.0 / R,
-            lam_bounds=(1.0 / R, 1.0 / R),
-            F_at_z=(F_lo, F_hi),
-            Fprime_at_z=fp,
-            radius=R,
-            detail="F(R) = 1 within tolerance and F'(R) diverges" if fp is None
-            else "F(R) = 1 within tolerance with finite F'(R)",
-        )
+        if fp is None or fp[1] < math.inf:
+            return RecurrenceClass(
+                verdict="null_recurrent" if fp is None else "positive_recurrent",
+                positive_recurrent=fp is not None,
+                lam=1.0 / R,
+                lam_bounds=(1.0 / R, 1.0 / R),
+                F_at_z=(F_lo, F_hi),
+                Fprime_at_z=fp,
+                radius=R,
+                detail="F(R) = 1 within tolerance and F'(R) diverges" if fp is None
+                else "F(R) = 1 within tolerance with finite F'(R)",
+            )
+        detail = f"F(R) = 1 within tolerance, but F'(R) in [{fp[0]:.12g}, inf] is shown neither finite nor divergent"
     return RecurrenceClass(
         verdict="indeterminate",
         positive_recurrent=False,
         lam=None,
         lam_bounds=None,
         F_at_z=(F_lo, F_hi),
-        Fprime_at_z=None,
+        Fprime_at_z=fp,
         radius=R,
-        detail=f"F(R) in [{F_lo:.12g}, {F_hi:.12g}] cannot be separated from 1 at {atol:g}",
+        detail=detail,
     )
 
 

@@ -238,6 +238,18 @@ class TestWeighing:
                 assert w_n <= t.coef * t.ratio**n
         assert recurrence_classify(ind.loops, f).verdict == "indeterminate"
 
+    def test_underflowed_off_core_weights_give_zero_tails(self):
+        # exp(-800) is 0 in floats, so the weighted off-core matrix B is zero
+        # although the off-core part {b, c} has a cycle: rho = 0, and the
+        # tail coefficient was a division by zero
+        g = build_graph(["a", "b", "c"], [(0, 1), (1, 0), (1, 2), (2, 0), (2, 1)]).graph
+        f = FiniteRangePotential.from_vertex_values(g, [0.0, -800.0, -800.0])
+        ind = induce(g, (0,), maxlen=4)
+        assert [t.kind for t in ind.loops.tails] == ["geometric"]
+        weighted, _ = lift_potential(ind, f)
+        assert [(t.kind, t.start) for t in weighted.tails] == [("zero", 4)]
+        assert recurrence_classify(ind.loops, f).verdict == "indeterminate"
+
     def test_labeled_system_without_base_words_rejected(self, gm):
         ind = induce(gm.graph, (0,), maxlen=6)
         bare = LoopSystem(loops=ind.loops.loops, tails=ind.loops.tails, names=ind.loops.names)
@@ -446,6 +458,20 @@ class TestTwoVertex:
             want = decimal_first_return(parts, z, d)
             assert got is not None and Decimal(got[0]) <= want <= Decimal(got[1]), (d, got, want)
         assert series.Fprime(z)[1] == math.inf
+
+    def test_divergent_excursions_at_the_radius_are_not_called_finite(self):
+        # F(1) = 1 within tolerance, F12 = e^-40 and F21 = 1 are positive and
+        # F22' diverges, so F'(1) is infinite; F12's lower end is below the
+        # rounding slop and reads 0, so F'(1) is only bracketed [finite, inf],
+        # which once gave positive_recurrent with "finite F'(R)"
+        zeta3 = 1.2020569031595942
+        tails = (TailDescriptor(kind="polynomial", coef=(1 - 1e-10) / zeta3, power=3.0, src=1, dst=1),
+                 TailDescriptor(kind="polynomial", coef=0.1, power=2.0, src=2, dst=2))
+        system = LoopSystem(loops=(Loop(1, 1, 2, log_weight=-40.0), Loop(1, 2, 1, log_weight=0.0)), tails=tails)
+        lo, hi = return_series(system).Fprime(1.0)
+        assert math.isfinite(lo) and hi == math.inf
+        r = recurrence_classify(system)
+        assert r.verdict == "indeterminate" and not r.positive_recurrent
 
     def test_one_vertex_series_is_its_first_part(self):
         rng = np.random.default_rng(112)
