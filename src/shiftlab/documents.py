@@ -4,7 +4,8 @@ Every workspace document is ``{"kind": ..., "schema": 1, ...}``; parsers
 reject unknown keys so stale or misspelled fixtures fail loudly.  Emission
 is canonical (sorted keys, fixed indentation), so identical inputs give
 byte-identical files.  Rationals serialize as ``"p/q"`` strings; JSON
-numbers stay floats, JSON integers become exact rationals.
+numbers stay floats, JSON integers become exact rationals.  Output is strict
+JSON: an infinite float is written as the string ``"inf"`` or ``"-inf"``.
 """
 from __future__ import annotations
 
@@ -41,8 +42,20 @@ class SchemaError(ValueError):
     pass
 
 
+def _strict(obj):
+    """``obj`` with every infinite float written as the string "inf" or "-inf"."""
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    """Canonical strict JSON: infinities as strings, and NaN is an error."""
+    return json.dumps(_strict(doc), sort_keys=True, indent=1, allow_nan=False) + "\n"
 
 
 def loads(text: str) -> dict:

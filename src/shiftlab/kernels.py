@@ -6,6 +6,12 @@ one step at a time, and keeps them in lexicographic order.  Pruning uses exact
 k-step reachability tables, so the work done is proportional to the number
 of emitted paths, not to the number of dead branches.
 
+Closed paths have one walker, ``_closed_walk``, which owns the pruning and
+the budget and tracks only each partial path's first and last vertex.  Two
+accumulators consume its steps: ``closed_paths`` gathers path rows, and
+``closed_path_count_keys`` gathers packed visit-count keys and never builds
+a row.
+
 Caps are hard limits on emitted paths.  On overflow the kernels return a
 flag, and callers turn that into a budget error or a truncation marker.
 
@@ -58,31 +64,42 @@ def exact_reach(adj_bool: np.ndarray, n: int) -> np.ndarray:
 # closed paths (periodic points)
 
 
-def _closed_path_rows(indptr, indices, reach, n, prefix, cap):
-    # shared by both public routes, so a count-key call never passes
-    # through the public ``closed_paths`` name
+def _closed_walk(indptr, indices, reach, n, prefix, cap):
+    """The one walker behind both closed-path kernels.
+
+    Returns ``(start, steps)``.  ``start`` holds the partial paths the walk
+    begins from, one per row: the prefix, or every vertex on a closed path of
+    length n when the prefix is empty.  ``steps`` yields one ``(parent,
+    vertex)`` pair per further depth, in lexicographic order: partial path i
+    of the new depth is partial path ``parent[i]`` of the depth before,
+    extended by ``vertex[i]``.  It yields ``None`` and stops when a depth has
+    more than ``cap`` candidates.  A prefix that cannot close in n steps gives
+    an empty ``start`` of width n and no steps.
+    """
     adj = _dense_adjacency(indptr, indices)
+    prefix, cap = np.array(prefix, dtype=np.int32), int(cap)
     lp = len(prefix)
     if lp == 0:
-        starts = np.nonzero(reach[n].diagonal())[0]
-        paths = starts.reshape(-1, 1).astype(np.int32)
-        lp = 1
+        start = np.nonzero(reach[n].diagonal())[0].astype(np.int32).reshape(-1, 1)
+    elif reach[n - (lp - 1), prefix[-1], prefix[0]]:
+        start = prefix.reshape(1, -1)
     else:
-        if not reach[n - (lp - 1), prefix[-1], prefix[0]]:
-            return np.empty((0, n), dtype=np.int32), False
-        paths = np.array([prefix], dtype=np.int32)
-    for d in range(lp, n):
-        last = paths[:, -1]
-        # candidate successors that can still close the loop in n-d steps
-        cand = adj[last] & reach[n - d][:, paths[:, 0]].T
-        counts = cand.sum(axis=1)
-        if int(counts.sum()) > cap:
-            # budget exceeded; callers discard partial data on overflow
-            return np.empty((0, n), dtype=np.int32), True
-        rows = np.repeat(np.arange(paths.shape[0]), counts)
-        cols = np.nonzero(cand)[1].astype(np.int32)
-        paths = np.concatenate([paths[rows], cols[:, None]], axis=1)
-    return paths, False
+        return np.empty((0, n), dtype=np.int32), iter(())
+
+    def steps():
+        first, last = start[:, 0], start[:, -1]
+        for d in range(start.shape[1], n):
+            # candidate successors that can still close the loop in n-d steps
+            cand = adj[last] & reach[n - d][:, first].T
+            if np.count_nonzero(cand) > cap:
+                yield None
+                return
+            parent, last = np.nonzero(cand)
+            last = last.astype(np.int32)
+            first = first[parent]
+            yield parent, last
+
+    return start, steps()
 
 
 def closed_paths(indptr, indices, reach, n, prefix, cap):
@@ -91,8 +108,13 @@ def closed_paths(indptr, indices, reach, n, prefix, cap):
     Returns ``(paths, overflow)``; rows of ``paths`` are in lexicographic
     order, and ``paths`` is empty on overflow.
     """
-    prefix = np.asarray(prefix, dtype=np.int32)
-    return _closed_path_rows(indptr, indices, reach, n, prefix, int(cap))
+    paths, steps = _closed_walk(indptr, indices, reach, n, prefix, cap)
+    for step in steps:
+        if step is None:
+            return np.empty((0, n), dtype=np.int32), True
+        parent, vertex = step
+        paths = np.concatenate([paths[parent], vertex[:, None]], axis=1)
+    return paths, False
 
 
 def closed_path_count_keys(indptr, indices, reach, n, prefix, cap):
@@ -105,14 +127,17 @@ def closed_path_count_keys(indptr, indices, reach, n, prefix, cap):
     V = indptr.shape[0] - 1
     if V > 15 or n > 15:
         raise ValueError("count-key packing requires <=15 vertices and n<=15")
-    prefix = np.asarray(prefix, dtype=np.int32)
-    paths, overflow = _closed_path_rows(indptr, indices, reach, n, prefix, int(cap))
-    if paths.shape[0] == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64), overflow
+    start, steps = _closed_walk(indptr, indices, reach, n, prefix, cap)
     # a vertex is visited at most n <= 15 times, so the 4-bit fields never carry
-    keys = (np.int64(1) << (4 * paths.astype(np.int64))).sum(axis=1)
+    one = np.int64(1)
+    keys = (one << (4 * start.astype(np.int64))).sum(axis=1)
+    for step in steps:
+        if step is None:
+            return np.empty(0, np.int64), np.empty(0, np.int64), True
+        parent, vertex = step
+        keys = keys[parent] + (one << (4 * vertex.astype(np.int64)))
     uniq, mult = np.unique(keys, return_counts=True)
-    return uniq.astype(np.int64), mult.astype(np.int64), overflow
+    return uniq.astype(np.int64), mult.astype(np.int64), False
 
 
 def unpack_count_key(key: int, n_vertices: int) -> tuple[int, ...]:

@@ -91,7 +91,30 @@ class PartitionFunctionTable:
 
 def _zn_from_points(f, points, n) -> ZnValue:
     if f.rational:
-        return ExpSum(Counter(birkhoff_sum(f, x, n) for x in points))
+        # An n-periodic point's n-step Birkhoff sum adds f once over each of
+        # the n cyclic span-windows of its word: window k starts at letter
+        # k - left mod n, and as k runs over 0..n-1 so does k - left.  So the
+        # sum depends only on the multiset of those windows, for every left
+        # range, and each group of points sharing one costs one Birkhoff sum.
+        # Each window gets a dense id, built one letter at a time (ids stay
+        # below k n for k points, so id * V never overflows); a sorted row of
+        # ids is the multiset, and a lexicographic sort of the rows groups
+        # equal ones (faster here than np.unique(..., axis=0)).
+        sums: Counter = Counter()
+        if points:
+            words = np.array([x.word for x in points], dtype=np.int64)
+            ids = words
+            for i in range(1, f.span):
+                _, ids = np.unique(ids * f.graph.n_vertices + np.roll(words, -i, axis=1), return_inverse=True)
+                ids = ids.reshape(words.shape)
+            rows = np.sort(ids, axis=1)
+            order = np.lexsort(rows.T[::-1])
+            rows = rows[order]
+            starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+            sizes = np.diff(np.r_[starts, len(rows)])
+            for i, m in zip(order[starts].tolist(), sizes.tolist()):
+                sums[birkhoff_sum(f, points[i], n)] += m
+        return ExpSum(sums)
     vals = [birkhoff_sum(f, x, n) for x in points]
     total = math.fsum(math.exp(v) for v in vals)
     # Each float Birkhoff sum adds n table values left to right, so it is off
@@ -127,7 +150,11 @@ def _zn_single(graph: FiniteGraph, f: FiniteRangePotential, W: Word, n: int, bud
         exps, inverse = np.unique(numerators, return_inverse=True)
         totals = np.zeros(len(exps), dtype=np.int64)
         np.add.at(totals, inverse, mult)
-        return ExpSum({Fraction(e, q): m for e, m in zip(exps.tolist(), totals.tolist())})
+        # the exponents are distinct and the multiplicities positive, so the
+        # terms go in as they are, without one add_term per term
+        out = ExpSum()
+        out.terms = {Fraction(e, q): m for e, m in zip(exps.tolist(), totals.tolist())}
+        return out
     pts = _g.enumerate_periodic(graph, n, W, budget=budget)
     return _zn_from_points(f, pts, n)
 

@@ -176,6 +176,29 @@ def test_induce_two_words_with_potential_roundtrip_classify(capsys, tmp_path):
     assert report["Fprime_at_1_over_lambda"] != "divergent"
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_classify_writes_infinite_bracket_ends_as_strict_json(capsys, tmp_path):
+    # on this induced system F and F' at 1/lambda have an infinite upper end,
+    # which used to come out as the non-JSON literal Infinity
+    shift, out = tmp_path / "g.json", tmp_path / "loops.json"
+    edges = [[0, 3], [1, 2], [1, 3], [2, 0], [2, 3], [3, 1]]
+    shift.write_text(json.dumps({"kind": "graph", "schema": 1, "alphabet": ["a", "b", "c", "d"], "edges": edges}))
+    assert main(["induce", "--shift", str(shift), "--word", "a", "--word2", "c", "--maxlen", "4",
+                 "--out", str(out)]) == 0
+    _strict_json(capsys.readouterr().out)
+    _strict_json(out.read_text())
+    assert main(["classify", "--loops", str(out)]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    assert report["verdict"] == "SPR"
+    assert report["F_at_1_over_lambda"]["upper"] == report["Fprime_at_1_over_lambda"]["upper"] == "inf"
+
+
 def test_entropy_of_a_loop_system_matches_classify(capsys, fixture_dir):
     loops = str(fixture_dir / "gm-at-1-loops.json")
     code, report, _ = run_cli(capsys, "entropy", "--shift", loops)

@@ -190,6 +190,14 @@ class TestMeasureDocs:
             docs.parse_graph({**base["graph"], "edges": [[0, 0, 1]]})
 
 
+def test_dumps_is_strict_json():
+    text = docs.dumps({"b": [math.inf, -math.inf, 1.5], "a": (0.0, {"c": math.inf})})
+    assert "Infinity" not in text
+    assert docs.loads(text) == {"a": [0.0, {"c": "inf"}], "b": ["inf", "-inf", 1.5]}
+    with pytest.raises(ValueError):
+        docs.dumps({"x": math.nan})
+
+
 def test_canonical_emission_is_stable(gm, fixture_dir):
     text = (fixture_dir / "gm.json").read_text()
     doc = docs.loads(text)

@@ -1,4 +1,5 @@
 """The enumeration and sampling kernels against independent oracles."""
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -7,11 +8,15 @@ import pytest
 from shiftlab import kernels
 from shiftlab.graphs import build_graph
 from shiftlab.induction import _bfs_dist_to
+from shiftlab.potentials import FiniteRangePotential
+from shiftlab.thermo import partition_function
 
 from oracles import (
     brute_force_first_returns,
     brute_force_periodic,
+    integer_trace,
     random_irreducible_graph,
+    random_rational_values,
     scalar_chain,
 )
 
@@ -146,3 +151,51 @@ def test_step_chain_without_uniforms_stays_at_start():
     out = kernels.step_chain(cum, 2, np.empty(0))
     assert out.tolist() == [2] == scalar_chain(cum, 2, [])
     assert out.dtype == np.int32
+
+
+def _walk_peak(adj, n, prefix):
+    """Most candidates the closed-path walk meets at one depth, by matrix powers.
+
+    At depth d (from the start width max(len(prefix), 1) up to n - 1) the
+    candidates are the walks of d edges that start with ``prefix`` and whose
+    last vertex reaches the first in n - d steps.  A kernel overflows under a
+    cap exactly when this peak exceeds it.
+    """
+    A = adj.astype(object)
+    peak = 0
+    for d in range(max(len(prefix), 1), n):
+        closes = (np.linalg.matrix_power(A, n - d) > 0).T  # closes[u, v]: v reaches u
+        if prefix:
+            walks = np.linalg.matrix_power(A, d - len(prefix) + 1)[prefix[-1]]
+            count = walks[closes[prefix[0]]].sum()
+        else:
+            count = np.linalg.matrix_power(A, d)[closes].sum()
+        peak = max(peak, int(count))
+    return peak
+
+
+def test_count_keys_and_closed_paths_share_the_budget():
+    # every cap from 0 to the first that fits: both kernels overflow together,
+    # exactly when a depth holds more candidates than the cap, and
+    # partition_function truncates at the first n whose peak exceeds it
+    rng = np.random.default_rng(1511)
+    for _ in range(4):
+        g = build_graph(*random_irreducible_graph(rng, 4)).graph
+        f = FiniteRangePotential.from_vertex_values(g, random_rational_values(rng, g.n_vertices))
+        n_max = 1
+        while n_max < 15 and integer_trace(g.adjacency, n_max + 1) <= 300:
+            n_max += 1
+        for prefix in [(), *g.words(1)[:1], *g.words(2)[:1]]:
+            peaks = {n: _walk_peak(g.adjacency, n, prefix) for n in range(1, n_max + 1)}
+            for n in range(max(len(prefix), 1), n_max + 1):
+                indptr, indices, reach = _csr_and_reach(g, n)
+                for cap in range(peaks[n] + 1):
+                    _, overflow = kernels.closed_paths(indptr, indices, reach, n, prefix, cap)
+                    *_, key_overflow = kernels.closed_path_count_keys(indptr, indices, reach, n, prefix, cap)
+                    assert overflow == key_overflow == (cap < peaks[n]), (prefix, n, cap)
+            for cap in range(max(peaks.values()) + 1):
+                want = next((n for n in range(len(prefix), n_max + 1) if n >= 1 and cap < peaks[n]), None)
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "enumeration budget exceeded", UserWarning)
+                    table = partition_function(g, f, prefix, n_max, budget=cap)
+                assert table.truncated_at == want, (prefix, cap)

@@ -2,8 +2,10 @@
 
 Each reference below is the straightforward per-point or per-path loop:
 Birkhoff sums added one ``value_at`` at a time, count keys packed through a
-visit-count matrix, and Z_n summed over enumerated points.
+visit-count matrix, and Z_n summed over enumerated points with one Birkhoff
+sum per point.
 """
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab import kernels, thermo
+from shiftlab.expsum import ExpSum
 from shiftlab.graphs import (
     BudgetExceededError,
     FiniteGraph,
@@ -113,6 +116,26 @@ def test_count_exponents_decode_like_unpack_count_key(case):
     assert multiplicities.tolist() == mult.tolist()
 
 
+def per_point_zn(f, points, n):
+    return ExpSum(Counter(birkhoff_sum(f, x, n) for x in points))
+
+
+@SETTINGS
+@given(st.data())
+def test_window_class_route_equals_per_point_loop(data):
+    # spans 1-3, every left range, prefixes of length 0-2 (so n < len(W) too)
+    g, _ = data.draw(graph_with_cycle(max_vertices=4))
+    span = data.draw(st.integers(1, 3))
+    left = data.draw(st.integers(0, span - 1))
+    f = FiniteRangePotential(g, left, span - left, {w: data.draw(rationals) for w in g.words(span)})
+    W = data.draw(st.sampled_from(g.words(data.draw(st.integers(0, 2)))))
+    n = 1
+    while n <= 10 and integer_trace(g.adjacency, n) <= 2000:
+        points = enumerate_periodic(g, n, W)
+        assert thermo._zn_from_points(f, points, n) == per_point_zn(f, points, n)
+        n += 1
+
+
 @SETTINGS
 @given(st.data())
 def test_count_key_route_equals_per_point_route(data):
@@ -125,4 +148,4 @@ def test_count_key_route_equals_per_point_route(data):
     table = thermo.partition_function(g, f, W, n_max)
     for n in range(1, n_max + 1):
         points = enumerate_periodic(g, n, W)
-        assert table.zn_exact(n) == thermo._zn_from_points(f, points, n)
+        assert table.zn_exact(n) == thermo._zn_from_points(f, points, n) == per_point_zn(f, points, n)

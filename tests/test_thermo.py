@@ -1,5 +1,6 @@
 """Partition functions, pressure, equilibrium measures, zeta, distortion."""
 import math
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from shiftlab import documents as docs
+from shiftlab import kernels, thermo
 from shiftlab.expsum import ExpSum
 from shiftlab.graphs import (
     ExhaustionLevel,
@@ -156,6 +158,74 @@ class TestPartitionFunction:
         assert lines[0] == "n,Z_n,ratio"
         n, z, ratio = lines[1].split(",")
         assert (n, float(z), float(ratio)) == ("1", 1.0, 0.5)
+
+
+class TestWorkCounts:
+    """Work counted on fixed inputs, where a timing would only be noise."""
+
+    @staticmethod
+    def _window_classes(points, span, n):
+        return {frozenset(Counter(tuple(x.word[(k + i) % n] for i in range(span)) for k in range(n)).items())
+                for x in points}
+
+    def test_one_birkhoff_sum_per_window_class(self, gm, monkeypatch):
+        calls = Counter()
+        real = thermo.birkhoff_sum
+
+        def counting(f, x, n):
+            calls[n] += 1
+            return real(f, x, n)
+
+        monkeypatch.setattr(thermo, "birkhoff_sum", counting)
+        g = build_graph(*random_irreducible_graph(np.random.default_rng(8), 4)).graph
+        rng = np.random.default_rng(9)
+        for span, left in ((2, 0), (2, 1), (3, 1)):
+            words = g.words(span)
+            f = FiniteRangePotential(g, left, span - left, dict(zip(words, random_rational_values(rng, len(words)))))
+            calls.clear()
+            partition_function(g, f, (), 8)
+            for n in range(1, 9):
+                points = enumerate_periodic(g, n)
+                assert calls[n] == len(self._window_classes(points, span, n))
+            assert calls[8] < len(enumerate_periodic(g, 8))
+        # span 1 takes the per-point route only past n = 15
+        f = FiniteRangePotential.from_vertex_values(gm.graph, [F(1, 3), F(-2, 7)])
+        calls.clear()
+        partition_function(gm.graph, f, (), 17)
+        assert sorted(calls) == [16, 17]
+        for n in (16, 17):
+            assert calls[n] == len(self._window_classes(enumerate_periodic(gm.graph, n), 1, n))
+
+    def test_count_key_route_adds_no_terms_one_at_a_time(self, full2, monkeypatch):
+        calls = []
+        real = ExpSum.add_term
+
+        def counting(self, exponent, multiplicity=1):
+            calls.append(exponent)
+            return real(self, exponent, multiplicity)
+
+        monkeypatch.setattr(ExpSum, "add_term", counting)
+        f = FiniteRangePotential.from_vertex_values(full2.graph, [F(1, 3), F(-1, 2)])
+        # every n >= len(W), so every entry takes the count-key route
+        for W in ((), (0,), (1,)):
+            t = partition_function(full2.graph, f, W, 12)
+            assert len(t.entries) == 12
+        assert calls == []
+
+    def test_count_keys_emit_every_point(self):
+        # kernels.points_emitted, the multiplicities' sum, is the number of
+        # closed paths: the trace, or a diagonal entry, of A^n
+        g = build_graph(*random_irreducible_graph(np.random.default_rng(12), 6)).graph
+        indptr, indices = g.csr
+        A = g.adjacency.astype(object)
+        for n in (1, 4, 9, 12):
+            reach = kernels.exact_reach(g.adjacency, n)
+            power = np.linalg.matrix_power(A, n)
+            _, mult, overflow = kernels.closed_path_count_keys(indptr, indices, reach, n, (), 10**6)
+            assert not overflow and int(mult.sum()) == integer_trace(g.adjacency, n)
+            for v in range(g.n_vertices):
+                _, mult, _ = kernels.closed_path_count_keys(indptr, indices, reach, n, (v,), 10**6)
+                assert int(mult.sum()) == power[v, v]
 
 
 class TestPressureSpectral:
