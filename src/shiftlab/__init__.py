@@ -10,7 +10,6 @@ from .graphs import (
     FinitePresentation,
     GraphError,
     PeriodicPoint,
-    Symbol,
     build_graph,
     enumerate_periodic,
     higher_block,
@@ -40,7 +39,6 @@ from .thermo import (
     export_zn_csv,
     measure_pressure,
     partition_function,
-    positive_recurrence_test,
     pressure_exhaustion,
     pressure_from_table,
     pressure_spectral,

@@ -100,7 +100,7 @@ def cmd_entropy(args) -> int:
         _print_report(report, [f"entropy (exhaustion sup over {len(est.levels)} levels): {est.value:.10f} +- {est.error:.2e}"])
         return 0
     if isinstance(shift, LoopSystem):
-        verdict = recurrence_classify(shift, atol=args.atol)
+        verdict = recurrence_classify(shift)
         lam = verdict.lam
         report = {
             "command": "entropy",
@@ -199,7 +199,7 @@ def cmd_classify(args) -> int:
     shift = _load_shift(args.loops)
     if not isinstance(shift, LoopSystem):
         raise docs.SchemaError("classify expects a loop-system document")
-    verdict = recurrence_classify(shift, None, atol=args.atol)
+    verdict = recurrence_classify(shift)
     report = {
         "command": "classify",
         "verdict": verdict.verdict,
@@ -351,7 +351,7 @@ def cmd_verify_correspondence(args) -> int:
     ai = docs.parse_ai(_load(args.ai))
     f, _ = docs.parse_potential(_load(args.potential), ai.code_s.target)
     g, _ = docs.parse_potential(_load(args.target_potential), ai.code_t.target)
-    rep = verify_correspondence(ai, f, g, n_max=args.nmax, tol=args.tol)
+    rep = verify_correspondence(ai, f, g, n_max=args.nmax)
     report = {
         "command": "verify-correspondence",
         "passed": rep.passed,
@@ -381,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("entropy", help="topological entropy of a presentation")
     sp.add_argument("--shift", required=True)
-    sp.add_argument("--atol", type=float, default=1e-9)
     sp.set_defaults(func=cmd_entropy)
 
     sp = sub.add_parser("pressure", help="pressure of a shift with a potential")
@@ -401,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="recurrence class of a loop system")
     sp.add_argument("--loops", required=True)
-    sp.add_argument("--atol", type=float, default=1e-9)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("zeta", help="zeta-function series coefficients")
@@ -446,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--potential", required=True, help="potential on the S leg")
     sp.add_argument("--target-potential", required=True, help="potential on the T leg")
     sp.add_argument("--nmax", type=int, default=10)
-    sp.add_argument("--tol", type=float, default=1e-9)
     sp.set_defaults(func=cmd_verify_correspondence)
 
     return p

@@ -698,6 +698,11 @@ def _transport_sampling(
 # correspondence verification
 
 
+# Slack on the pressure gap, and bound on the equilibrium block gap, of a
+# passing correspondence (ROADMAP item 8 replaces it with derived brackets).
+_CORRESPONDENCE_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class CorrespondenceReport:
     pressure_s: float
@@ -715,16 +720,16 @@ def verify_correspondence(
     f: FiniteRangePotential,
     g: FiniteRangePotential,
     n_max: int = 10,
-    tol: float = 1e-9,
 ) -> CorrespondenceReport:
     """Check that 'g corresponds to f' across the almost isomorphism.
 
     Three layers: g(gamma x) = f(x) on every eventually periodic witness of
-    period <= n_max seeing the magic word; pressures agree within spectral
-    tolerances; and the transported equilibrium measure of f matches the
-    equilibrium measure of g block by block.  The measure layer needs the
-    closed-form transport, so it runs only when code_s is a conjugacy;
-    otherwise ``measure_block_gap`` is None and the report does not pass.
+    period <= n_max seeing the magic word; pressures agree within their
+    spectral errors plus 1e-9; and the transported equilibrium measure of f
+    matches the equilibrium measure of g block by block within 1e-9.  The
+    measure layer needs the closed-form transport, so it runs only when
+    code_s is a conjugacy; otherwise ``measure_block_gap`` is None and the
+    report does not pass.
     """
     from .thermo import equilibrium_measure, pressure_spectral
 
@@ -734,7 +739,7 @@ def verify_correspondence(
     ps = pressure_spectral(S, f)
     pt = pressure_spectral(T, g)
     gap = abs(ps.value - pt.value)
-    p_tol = ps.error + pt.error + tol
+    p_tol = ps.error + pt.error + _CORRESPONDENCE_TOL
 
     W = ai.cert_s.word
     checked = 0
@@ -761,7 +766,7 @@ def verify_correspondence(
         dist_g = mu_g.word_distribution(order + 1)
         keys = set(dist_m) | set(dist_g)
         block_gap = max(abs(dist_m.get(w, 0.0) - dist_g.get(w, 0.0)) for w in keys)
-    passed = (gap <= p_tol) and failure is None and block_gap is not None and block_gap <= tol
+    passed = (gap <= p_tol) and failure is None and block_gap is not None and block_gap <= _CORRESPONDENCE_TOL
     return CorrespondenceReport(
         pressure_s=ps.value,
         pressure_t=pt.value,

@@ -24,10 +24,6 @@ class ExpSum:
                 self.add_term(e, m)
 
     @classmethod
-    def zero(cls) -> "ExpSum":
-        return cls()
-
-    @classmethod
     def unit(cls) -> "ExpSum":
         """exp(0), the multiplicative identity."""
         return cls({Fraction(0): 1})

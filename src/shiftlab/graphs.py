@@ -30,12 +30,6 @@ DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
-class Symbol:
-    id: int
-    name: str
-
-
-@dataclass(frozen=True)
 class FiniteGraph:
     """Directed graph with named vertices; edges sorted and duplicate-free."""
 
@@ -60,10 +54,6 @@ class FiniteGraph:
     @property
     def n_vertices(self) -> int:
         return len(self.names)
-
-    @cached_property
-    def alphabet(self) -> tuple[Symbol, ...]:
-        return tuple(Symbol(i, name) for i, name in enumerate(self.names))
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -322,12 +312,16 @@ def enumerate_periodic(
     n: int,
     prefix=(),
     budget: int = DEFAULT_ENUMERATION_BUDGET,
+    *,
+    reach: np.ndarray | None = None,
 ) -> tuple[PeriodicPoint, ...]:
     """The n-periodic points whose length-n word begins with ``prefix``.
 
     Output is ordered lexicographically.  A prefix that is not an admissible
     word yields an empty result and a warning.  Raises
-    :class:`BudgetExceededError` past ``budget`` points.
+    :class:`BudgetExceededError` past ``budget`` points.  ``reach`` is a
+    :func:`~shiftlab.kernels.exact_reach` table of ``g`` to at least n steps,
+    built here when not given.
     """
     if n < 1:
         raise ValueError("period length must be >= 1")
@@ -345,11 +339,20 @@ def enumerate_periodic(
             return (PeriodicPoint(cand),)
         return ()
     indptr, indices = g.csr
-    reach = kernels.exact_reach(g.adjacency, n)
-    paths, overflow = kernels.closed_paths(indptr, indices, reach, n, prefix, budget)
+    paths, overflow = kernels.closed_paths(indptr, indices, _reach(g, n, reach), n, prefix, budget)
     if overflow:
         raise BudgetExceededError(f"more than {budget} periodic points of period {n}")
     return tuple(PeriodicPoint(tuple(row)) for row in paths.tolist())
+
+
+def _reach(g: FiniteGraph, n: int, reach: np.ndarray | None) -> np.ndarray:
+    """``reach``, checked to cover n steps of g, or a new table when it is None."""
+    if reach is None:
+        return kernels.exact_reach(g.adjacency, n)
+    V = g.n_vertices
+    if reach.ndim != 3 or reach.shape[0] <= n or reach.shape[1:] != (V, V):
+        raise ValueError(f"reach table of shape {reach.shape} does not cover {n} steps on {V} vertices")
+    return reach
 
 
 def periodic_count_exponents(
@@ -357,6 +360,8 @@ def periodic_count_exponents(
     n: int,
     prefix=(),
     budget: int = DEFAULT_ENUMERATION_BUDGET,
+    *,
+    reach: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Periodic points of period n aggregated by vertex-visit counts.
 
@@ -366,6 +371,7 @@ def periodic_count_exponents(
     points are the ones :func:`enumerate_periodic` yields, aggregated by
     :func:`~shiftlab.kernels.closed_path_count_keys`; rows follow its
     ascending key order.  Requires at most 15 vertices and ``n <= 15``.
+    ``reach`` is as for :func:`enumerate_periodic`.
     """
     prefix = tuple(int(s) for s in prefix)
     if n < 1 or len(prefix) > n or not g.is_word(prefix):
@@ -374,8 +380,7 @@ def periodic_count_exponents(
         counts = [np.bincount(pt.word, minlength=g.n_vertices) for pt in pts]
         return np.array(counts, dtype=np.int64).reshape(len(pts), g.n_vertices), np.ones(len(pts), dtype=np.int64)
     indptr, indices = g.csr
-    reach = kernels.exact_reach(g.adjacency, n)
-    keys, mult, overflow = kernels.closed_path_count_keys(indptr, indices, reach, n, prefix, budget)
+    keys, mult, overflow = kernels.closed_path_count_keys(indptr, indices, _reach(g, n, reach), n, prefix, budget)
     if overflow:
         raise BudgetExceededError(f"more than {budget} periodic points of period {n}")
     counts = (keys[:, None] >> (4 * np.arange(g.n_vertices, dtype=np.int64))) & 0xF

@@ -10,12 +10,12 @@ derived.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
+from . import intervals as iv
 from . import kernels
 from .expsum import ExpSum
 from .graphs import (
@@ -28,7 +28,6 @@ from .graphs import (
     recurrent_core,
 )
 from .potentials import (
-    _EPS,
     FiniteRangePotential,
     GeometricTail,
     Number,
@@ -41,8 +40,6 @@ from .potentials import (
     lift_variation,
     tail_sum,
 )
-
-_ROOT_ATOL = 1e-10  # bisection width at which the roots of F are reported
 
 
 @dataclass(frozen=True)
@@ -420,10 +417,10 @@ def _weigh(system: LoopSystem, f: FiniteRangePotential | None, with_tails: bool)
                 f"potential span {r} too wide for induction at a word of length {len(dst_word)}"
             )
         word = lp.label + dst_word
-        total: Number = Fraction(0) if g.rational else 0.0
-        for t in range(lp.length):
-            total = total + g.table[word[t: t + r]]
-        loops.append(replace(lp, log_weight=total))
+        # exact, and rounded once for a float table: its bracket is then the
+        # float either side (intervals.near)
+        total = sum(map(Fraction, (g.table[word[t: t + r]] for t in range(lp.length))))
+        loops.append(replace(lp, log_weight=total if g.rational else float(total)))
     if not with_tails:
         return replace(system, loops=tuple(loops))
     oc = system.off_core
@@ -460,7 +457,7 @@ def lift_potential(
 
 @dataclass
 class _SeriesPart:
-    explicit: dict[int, float]
+    explicit: dict[int, iv.Interval]
     tail: TailDescriptor
 
     def eval(self, z: float, d: int):
@@ -470,38 +467,24 @@ class _SeriesPart:
         part with no loops and a zero tail is exactly (0, 0).
         """
         if not self.explicit and self.tail.coef == 0:
-            return 0.0, 0.0
-        head = math.fsum(n**d * w * z ** (n - d) for n, w in self.explicit.items())
-        slop = 1e-14 * (1.0 + abs(head))
+            return iv.ZERO
+        # P(z) = sum_n n^d w_n z^(n-1) by Horner; F = z P and F' = P
+        head = iv.ZERO
+        for n in range(max(self.explicit, default=0), 0, -1):
+            head = iv.mul(head, (z, z))
+            if n in self.explicit:
+                w = self.explicit[n]
+                head = iv.add(head, iv.mul((float(n), float(n)), w) if d else w)
+        if d == 0:
+            head = iv.mul(head, (z, z))
         t = tail_sum(self.tail.law, self.tail.start, z, d)
         if t is None and d:
             return None
         lo, hi = t or (math.inf, math.inf)
-        if self.tail.bound == "upper":
-            lo = 0.0
-        return head - slop + lo, head + slop + hi
+        return iv.add(head, (0.0 if self.tail.bound == "upper" else max(float(lo), 0.0), float(hi)))
 
 
-def _prod(*ends):
-    """A product of ends >= 0, with 0 * inf = 0."""
-    return 0.0 if 0.0 in ends else math.prod(ends)
-
-
-def _over(num, f22, power=1):
-    """num / (1 - F22)^power for num >= 0; 1 - F22 <= 0 reads as inf: the
-    excursions through vertex 2 diverge."""
-    if num == 0.0:
-        return 0.0
-    return num / (1.0 - f22) ** power if f22 < 1.0 else math.inf
-
-
-def _excursions(f12, f21, f22, dz=None):
-    """One end of F12 F21 / (1 - F22), or of its derivative when ``dz``
-    holds the derivative ends (F12', F21', F22'); all ends are >= 0."""
-    if dz is None:
-        return _over(_prod(f12, f21), f22)
-    d12, d21, d22 = dz
-    return _over(_prod(d12, f21), f22) + _over(_prod(f12, d21), f22) + _over(_prod(f12, f21, d22), f22, 2)
+_EXCURSION_PARTS = ((1, 2), (2, 1), (2, 2))
 
 
 @dataclass
@@ -510,61 +493,56 @@ class ReturnSeries:
 
     The excursions through vertex 2 fold in as
     ``F = F11 + F12 F21 / (1 - F22)``; for a one-vertex system the last
-    three parts are empty and the fold adds exactly 0.
+    three parts are exactly 0 and the fold adds exactly 0.  Every bracket
+    is rounded outward by :mod:`shiftlab.intervals`.
     """
 
     parts: dict[tuple[int, int], _SeriesPart]
     tail_exact: bool
     radius_lower: float
 
-    def _excursion_ends(self, z: float, d: int):
-        """The lower and the upper ends of (F12, F21, F22), or of their
-        derivatives when d = 1.  Lower ends are clamped at 0, as the true
-        values are >= 0; a divergent derivative reads as (inf, inf)."""
-        brackets = [self.parts[key].eval(z, d) or (math.inf, math.inf) for key in ((1, 2), (2, 1), (2, 2))]
-        return [max(b[0], 0.0) for b in brackets], [b[1] for b in brackets]
-
-    def F(self, z: float) -> tuple[float, float]:
-        f11, f = self.parts[(1, 1)].eval(z, 0), self._excursion_ends(z, 0)
-        return f11[0] + _excursions(*f[0]), f11[1] + _excursions(*f[1])
+    def F(self, z: float) -> iv.Interval:
+        f12, f21, f22 = (self.parts[key].eval(z, 0) for key in _EXCURSION_PARTS)
+        return iv.add(self.parts[(1, 1)].eval(z, 0), iv.div(iv.mul(f12, f21), iv.sub(iv.ONE, f22)))
 
     def Fprime(self, z: float):
         """Bracket of F'(z); None when it diverges (its lower end is inf)."""
         d11 = self.parts[(1, 1)].eval(z, 1)
         if d11 is None:
             return None
-        f, dz = self._excursion_ends(z, 0), self._excursion_ends(z, 1)
-        lo, hi = (d11[e] + _excursions(*f[e], dz=dz[e]) for e in (0, 1))
+        f12, f21, f22 = (self.parts[key].eval(z, 0) for key in _EXCURSION_PARTS)
+        d12, d21, d22 = (self.parts[key].eval(z, 1) or (math.inf, math.inf) for key in _EXCURSION_PARTS)
+        # (F12 F21 / (1 - F22))' = (F12' F21 + F12 F21') / (1 - F22) + F12 F21 F22' / (1 - F22)^2
+        den = iv.sub(iv.ONE, f22)
+        lo, hi = iv.add(d11, iv.add(
+            iv.div(iv.add(iv.mul(d12, f21), iv.mul(f12, d21)), den),
+            iv.div(iv.div(iv.mul(iv.mul(f12, f21), d22), den), den),
+        ))
         return None if lo == math.inf else (lo, hi)
 
     def _root(self, pick_hi: bool):
-        """Bracket the smallest z with F_env(z) = 1, env = upper or lower.
+        """Bracket the smallest z < R with F_env(z) = 1, env = upper or lower,
+        by bisection down to adjacent floats; None when env stays below 1.
 
         Returns the rigorous side: the bisection's upper end when the root
         bounds z* from above (lower envelope), its lower end otherwise.
         """
 
         def env(z: float) -> float:
-            lo, hi = self.F(z)
-            return hi if pick_hi else lo
+            return self.F(z)[1 if pick_hi else 0]
 
-        zr = self.radius_lower
-        if math.isinf(zr):
+        if math.isinf(self.radius_lower):
             hi = 1.0
             while env(hi) < 1.0:
                 hi *= 2.0
                 if hi > 1e12:
                     return None
-            lo = 0.0
         else:
-            zr_in = zr * (1.0 - 1e-12)
-            if env(zr_in) < 1.0:
+            hi = math.nextafter(self.radius_lower, 0.0)
+            if env(hi) < 1.0:
                 return None
-            lo, hi = 0.0, zr_in
-        for _ in range(200):
-            if hi - lo <= _ROOT_ATOL:
-                break
-            mid = 0.5 * (lo + hi)
+        lo = 0.0
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
             if env(mid) < 1.0:
                 lo = mid
             else:
@@ -603,13 +581,15 @@ def return_series(loops: LoopSystem, f: FiniteRangePotential | None = None) -> R
 
 def _loop_weights(system: LoopSystem, exact: bool) -> dict[tuple[int, int], dict]:
     """Per vertex pair and loop length, the total weight count * exp(log_weight)
-    of the loops: an ExpSum when ``exact`` (rational weights only), else a float.
+    of the loops: an ExpSum when ``exact`` (rational weights only), else an
+    interval around a log weight that is exact or rounded once.
     """
     out: dict[tuple[int, int], dict] = {}
     for lp in system.loops:
         d = out.setdefault((lp.src, lp.dst), {})
         if not exact:
-            d[lp.length] = d.get(lp.length, 0.0) + lp.count * math.exp(float(lp.log_weight))
+            w = iv.mul((float(lp.count),) * 2, iv.exp(iv.near(lp.log_weight)))
+            d[lp.length] = iv.add(d.get(lp.length, iv.ZERO), w)
         elif isinstance(lp.log_weight, (Fraction, int)):
             d.setdefault(lp.length, ExpSum()).add_term(Fraction(lp.log_weight), lp.count)
         else:
@@ -617,69 +597,25 @@ def _loop_weights(system: LoopSystem, exact: bool) -> dict[tuple[int, int], dict
     return out
 
 
-def _renewal(weights: dict[tuple[int, int], dict], n_max: int, unit, total) -> dict[int, list]:
+def _renewal(weights: dict[tuple[int, int], dict], n_max: int, unit, dot) -> dict[int, list]:
     """Weighted counts of the loop chains of each length from vertex 1 to j.
 
     A closed orbit through the distinguished vertex decomposes uniquely into
     first-return loops, so ``state[j][n] = sum over i, k of state[i][n - k]
-    * w_ij(k)``, summed by ``total``.  ``state[j][0]`` is ``unit`` for j = 1
-    and None (nothing) otherwise.
+    * w_ij(k)``, the sum of products taken by ``dot``.  ``state[j][0]`` is
+    ``unit`` for j = 1 and None (nothing) otherwise.
     """
     verts = (1, 2) if any(2 in pair for pair in weights) else (1,)
     state = {j: [unit if j == 1 else None] for j in verts}
     for n in range(1, n_max + 1):
         for j in verts:
-            state[j].append(total(
-                state[i][n - k] * w
+            state[j].append(dot(
+                (state[i][n - k], w)
                 for i in verts
                 for k, w in weights.get((i, j), {}).items()
                 if k <= n and state[i][n - k]
             ))
     return state
-
-
-def _renewal_errors(system: LoopSystem, f, weights, state) -> list[float]:
-    """Running error bounds for the float renewal table of ``system``
-    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.3).
-
-    A log weight is off by delta: the rounding of float(log_weight), plus,
-    for a float potential f, that of its Birkhoff sum of k table values
-    (gamma_k * k * max|f|, as in :func:`shiftlab.thermo._zn_from_points`).
-    exp turns delta into a factor within exp(+-delta); exp, the count, the
-    product and the sum of the m loops of one length round by at most
-    (m + 3) u more.  So each weight w^ lies within eta * w^ + tau of its
-    true value, tau covering exp results that underflow.  In the recurrence
-    every product and every fsum rounds by u relative plus half the
-    smallest subnormal; the bound of state[j][n] adds those to the
-    propagated bounds of the states it multiplies, so an underflowed state
-    keeps a positive bound.  The bounds are computed in floats, hence
-    raised by 32 u and a few subnormals.
-    """
-    u = _EPS / 2
-    tiny = math.ulp(0.0)
-    verts, n_max = tuple(state), len(state[1]) - 1
-    fmax = 0.0 if f is None or f.rational else max(abs(float(v)) for v in f.table.values())
-    delta = max(_EPS * abs(float(lp.log_weight)) + lp.length * u / (1 - lp.length * u) * lp.length * fmax
-                for lp in system.loops)
-    m = max(Counter((lp.src, lp.dst, lp.length) for lp in system.loops).values())
-    a = delta + (m + 3) * _EPS
-    if a >= 700.0:
-        return [math.inf] * (n_max + 1)
-    eta = math.expm1(a) * math.exp(a)
-    tau = tiny * math.exp(a) * sum(lp.count + 2 for lp in system.loops)
-    err = {j: [0.0] for j in verts}
-    for n in range(1, n_max + 1):
-        for j in verts:
-            terms = [
-                (eta + u) * w * state[i][n - k] + tau * state[i][n - k]
-                + ((1.0 + eta) * w + tau) * err[i][n - k] + 4 * tiny
-                for i in verts
-                for k, w in weights.get((i, j), {}).items()
-                if k <= n and (state[i][n - k] or err[i][n - k])
-            ]
-            bound = math.fsum(terms) + 2 * u * state[j][n] + 4 * tiny if terms else 0.0
-            err[j].append(bound * (1 + 32 * u))
-    return err[1]
 
 
 def loop_zn_exact(loops: LoopSystem, f: FiniteRangePotential | None, n_max: int) -> list[ExpSum]:
@@ -692,7 +628,7 @@ def loop_zn_exact(loops: LoopSystem, f: FiniteRangePotential | None, n_max: int)
     """
     weighted = _weigh(loops, f, with_tails=False)
     state = _renewal(_loop_weights(weighted, exact=True), n_max, ExpSum.unit(),
-                     lambda terms: sum(terms, ExpSum()))
+                     lambda pairs: sum((a * b for a, b in pairs), ExpSum()))
     return state[1][1:]
 
 
@@ -712,10 +648,9 @@ def loop_partition_function(loops: LoopSystem, f: FiniteRangePotential | None, n
         entries = {n: zs[n - 1] for n in range(1, n_max + 1)}
         exact = True
     except ValueError:
-        weights = _loop_weights(weighted, exact=False)
-        state = _renewal(weights, n_max, 1.0, math.fsum)
-        errors = _renewal_errors(weighted, f, weights, state)
-        entries = {n: (state[1][n], errors[n]) for n in range(1, n_max + 1)}
+        state = _renewal(_loop_weights(weighted, exact=False), n_max, iv.ONE,
+                         lambda pairs: iv.fsum(iv.mul(a, b) for a, b in pairs))
+        entries = {n: iv.midrad(state[1][n]) for n in range(1, n_max + 1)}
         exact = False
     base = loops.base_words[0] if loops.base_words else ()
     return PartitionFunctionTable(

@@ -16,6 +16,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
+from . import intervals as iv
 from .graphs import FiniteGraph, PeriodicPoint, Word
 
 Number = Union[Fraction, float]
@@ -244,11 +245,11 @@ def tail_sum(tail: Tail, start: int, z: Number, d: int):
     a ValueError.  Exact for a zero tail, at z = 0 (up to the rounding of
     omega_1), and for a rational geometric tail at rational z.  A float
     geometric closed form is widened by how the exact relative error ux of
-    x = ratio * z and the other roundings propagate (Higham, ch. 3), at
-    least 1e-12 relative, and by the subnormals an underflow can lose.  A
-    polynomial tail is a partial sum plus an integral (z = 1) or the smaller
-    of a geometric and an integral remainder (z < 1); a shifted one is
-    re-indexed by m = n + shift (z = 1).
+    x = ratio * z and the other roundings propagate (Higham, ch. 3), and by
+    the subnormals an underflow can lose.  A polynomial tail is a partial
+    sum plus an integral (z = 1) or the smaller of a geometric and an
+    integral remainder (z < 1); a shifted one is re-indexed by m = n + shift
+    (z = 1).
     """
     if z < 0:
         raise ValueError(f"tail sums are evaluated at z >= 0, got {z}")
@@ -270,7 +271,7 @@ def tail_sum(tail: Tail, start: int, z: Number, d: int):
         # omega_1 is one rounding of that, so one ulp either side holds it
         v = tail.omega(1) if d and N == 0 else tail.coef * 0
         if isinstance(v, float) and v:
-            return math.nextafter(v, 0.0), math.nextafter(v, math.inf)
+            return iv.near(v)
         return v, v
     if isinstance(tail, GeometricTail):
         exact = all(_is_rational(v) for v in (tail.coef, tail.ratio, z))
@@ -290,7 +291,7 @@ def tail_sum(tail: Tail, start: int, z: Number, d: int):
         rel = (N + 1) * ux + (d + 1) * x * ux / (1 - x) + d * N * x * (u + ux) + 12 * u
         if rel >= 1:
             return 0.0, math.inf
-        w = max(1e-12, rel / (1 - rel))
+        w = rel / (1 - rel)
         # a subnormal lost by a, x^(N+1) or a product, scaled by later factors
         under = _TINY * (2 * (a + 3) * lin / den + 2)
         return max(val * (1 - w) - under, 0.0), val * (1 + w) + under
@@ -327,7 +328,8 @@ def check_variation_certificate(cert: VariationCertificate) -> CertificateCheck:
 
     The tail is :func:`tail_sum` at z = 1 with d = p.  Exact (zero width)
     for a rational prefix and an exact tail; otherwise the error covers the
-    tail's bracket and the rounding of the float sums.
+    tail's bracket and the prefix sum, rounded outward by
+    :mod:`shiftlab.intervals`.
     """
     p, t = cert.p, cert.tail
     bracket = tail_sum(t, cert.n0, 1, p)
@@ -337,11 +339,8 @@ def check_variation_certificate(cert: VariationCertificate) -> CertificateCheck:
     terms = [n**p * w for n, w in enumerate(cert.prefix, start=1)]
     if lo == hi and all(map(_is_rational, terms + [lo])):
         return CertificateCheck(True, float(sum(terms, lo)), 0.0, True)
-    # fsum rounds the sum once and each float term once: 2u of the head
-    head = math.fsum(terms)
-    lo, hi = head + float(lo), head + float(hi)
-    value = 0.5 * (lo + hi)
-    err = 0.5 * (hi - lo) + 3 * _EPS * value + cert.n0 * _TINY
+    head = iv.fsum(iv.mul((float(n**p),) * 2, iv.near(w)) for n, w in enumerate(cert.prefix, start=1))
+    value, err = iv.midrad(iv.add(head, (iv.down(float(lo)), iv.up(float(hi)))))
     return CertificateCheck(True, value, err, False)
 
 

@@ -21,6 +21,8 @@ from typing import TYPE_CHECKING, Mapping, Union
 
 import numpy as np
 
+from . import intervals as iv
+from . import kernels
 from .expsum import ExpSum
 from .graphs import (
     BudgetExceededError,
@@ -90,57 +92,45 @@ class PartitionFunctionTable:
 
 
 def _zn_from_points(f, points, n) -> ZnValue:
+    if not points:
+        return ExpSum() if f.rational else iv.ZERO
+    # An n-periodic point's n-step Birkhoff sum adds f once over each of the
+    # n cyclic span-windows of its word: window k starts at letter k - left
+    # mod n, and as k runs over 0..n-1 so does k - left.  So the sum depends
+    # only on the multiset of those windows, for every left range, and each
+    # class of points sharing one costs one Birkhoff sum.  Each window gets a
+    # dense id, built one letter at a time (ids stay below k n for k points,
+    # so id * V never overflows); a sorted row of ids is the multiset, and a
+    # lexicographic sort of the rows groups equal ones (faster here than
+    # np.unique(..., axis=0)).
+    words = np.array([x.word for x in points], dtype=np.int64)
+    ids = words
+    for i in range(1, f.span):
+        _, ids = np.unique(ids * f.graph.n_vertices + np.roll(words, -i, axis=1), return_inverse=True)
+        ids = ids.reshape(words.shape)
+    rows = np.sort(ids, axis=1)
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    classes = zip(order[starts].tolist(), np.diff(np.r_[starts, len(rows)]).tolist())
     if f.rational:
-        # An n-periodic point's n-step Birkhoff sum adds f once over each of
-        # the n cyclic span-windows of its word: window k starts at letter
-        # k - left mod n, and as k runs over 0..n-1 so does k - left.  So the
-        # sum depends only on the multiset of those windows, for every left
-        # range, and each group of points sharing one costs one Birkhoff sum.
-        # Each window gets a dense id, built one letter at a time (ids stay
-        # below k n for k points, so id * V never overflows); a sorted row of
-        # ids is the multiset, and a lexicographic sort of the rows groups
-        # equal ones (faster here than np.unique(..., axis=0)).
         sums: Counter = Counter()
-        if points:
-            words = np.array([x.word for x in points], dtype=np.int64)
-            ids = words
-            for i in range(1, f.span):
-                _, ids = np.unique(ids * f.graph.n_vertices + np.roll(words, -i, axis=1), return_inverse=True)
-                ids = ids.reshape(words.shape)
-            rows = np.sort(ids, axis=1)
-            order = np.lexsort(rows.T[::-1])
-            rows = rows[order]
-            starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
-            sizes = np.diff(np.r_[starts, len(rows)])
-            for i, m in zip(order[starts].tolist(), sizes.tolist()):
-                sums[birkhoff_sum(f, points[i], n)] += m
+        for i, m in classes:
+            sums[birkhoff_sum(f, points[i], n)] += m
         return ExpSum(sums)
-    vals = [birkhoff_sum(f, x, n) for x in points]
-    total = math.fsum(math.exp(v) for v in vals)
-    # Each float Birkhoff sum adds n table values left to right, so it is off
-    # by at most delta = gamma_n * n * max|f| (Higham, Accuracy and Stability
-    # of Numerical Algorithms, secs. 3.1 and 4.2; gamma_n rather than
-    # gamma_{n-1} also covers rational entries rounded to float), which exp
-    # turns into a relative error of at most expm1(delta).  The second term
-    # covers the rounding of exp itself and of the fsum, the third exp
-    # results that underflow.
-    u = _EPS / 2
-    delta = n * u / (1 - n * u) * n * max(abs(float(v)) for v in f.table.values())
-    if delta >= 709.0:
-        return (total, math.inf)
-    err = total * (math.expm1(delta) + _EPS * (8 + math.log2(len(vals) + 1)))
-    return (total, err + 2 * len(vals) * math.ulp(0.0))
+    # a float table: each class's sum of table values and its exp, bracketed
+    return iv.midrad(iv.fsum(
+        iv.mul((float(m), float(m)), iv.exp(iv.fsum(iv.near(f.value_at(points[i], k)) for k in range(n))))
+        for i, m in classes
+    ))
 
 
-def _zn_single(graph: FiniteGraph, f: FiniteRangePotential, W: Word, n: int, budget: int) -> ZnValue:
+def _zn_single(graph: FiniteGraph, f: FiniteRangePotential, W: Word, n: int, budget: int, reach) -> ZnValue:
     from . import graphs as _g
 
-    if n < len(W):
-        pts = _g.enumerate_periodic(graph, n, W, budget=budget)
-        return _zn_from_points(f, pts, n)
     if f.rational and f.span == 1 and graph.n_vertices <= 15 and n <= 15:
         # aggregate by visit counts; the exponent only depends on them
-        counts, mult = _g.periodic_count_exponents(graph, n, W, budget=budget)
+        counts, mult = _g.periodic_count_exponents(graph, n, W, budget=budget, reach=reach)
         q, table = f._integer_table
         weights = [table[(v,)] for v in range(graph.n_vertices)]
         # exponent numerators over q; int64 holds them unless the table's
@@ -155,8 +145,7 @@ def _zn_single(graph: FiniteGraph, f: FiniteRangePotential, W: Word, n: int, bud
         out = ExpSum()
         out.terms = {Fraction(e, q): m for e, m in zip(exps.tolist(), totals.tolist())}
         return out
-    pts = _g.enumerate_periodic(graph, n, W, budget=budget)
-    return _zn_from_points(f, pts, n)
+    return _zn_from_points(f, _g.enumerate_periodic(graph, n, W, budget=budget, reach=reach), n)
 
 
 def partition_function(
@@ -188,9 +177,10 @@ def partition_function(
                                       n_max, note="base word not admissible")
     entries: dict[int, ZnValue] = {}
     truncated_at = None
+    reach = kernels.exact_reach(graph.adjacency, n_max)  # one table serves every n
     for n in range(1, n_max + 1):
         try:
-            entries[n] = _zn_single(graph, f, W, n, budget)
+            entries[n] = _zn_single(graph, f, W, n, budget, reach)
         except BudgetExceededError:
             truncated_at = n
             break
@@ -231,17 +221,21 @@ class PressureEstimate:
             raise ValueError("error bound must be finite")
 
 
-def _edge_weight_matrix(g: FiniteGraph, f: FiniteRangePotential) -> tuple[FiniteGraph, np.ndarray, tuple[Word, ...]]:
-    """Recode g so f reads one block, then weight edges at the source."""
+def _edge_weight_matrix(g: FiniteGraph, f: FiniteRangePotential):
+    """Recode g so f reads one block, then weight edges at the source.
+
+    Returns the block graph, the weighted matrix, the block words and the
+    value of the recoded potential on each block.
+    """
     if f.graph != g:
         raise PotentialError("potential is defined over a different graph")
     if f.left > 0:
         f = bowen_reduce(f)[0]
     span = f.span
     H, labeling = higher_block(g, span)
-    weights = np.array([float(f.table[w]) for w in labeling.block_words])
-    M = H.adjacency.astype(np.float64) * np.exp(weights)[:, None]
-    return H, M, labeling.block_words
+    values = [f.table[w] for w in labeling.block_words]
+    M = H.adjacency.astype(np.float64) * np.exp([float(x) for x in values])[:, None]
+    return H, M, labeling.block_words, values
 
 
 def _power_bounds(M: np.ndarray, tol: float, max_iter: int) -> tuple[float, float, int, np.ndarray]:
@@ -270,24 +264,28 @@ def _power_bounds(M: np.ndarray, tol: float, max_iter: int) -> tuple[float, floa
 def pressure_spectral(g, f: FiniteRangePotential) -> PressureEstimate:
     """log of the Perron root of the edge-weighted presentation.
 
-    The error bound is half the width of the Collatz-Wielandt bracket, which
-    is rigorous up to float rounding at every iteration.
+    The error bound is half the width of the Collatz-Wielandt bracket at the
+    power iteration's last vector v: the Perron root lies between the least
+    and the largest (Mv)_u / v_u, and row u of M is exp(f(u)) on the
+    successors of u.  The ratios and their logs are rounded outward by
+    :mod:`shiftlab.intervals`.
     """
     graph = g.graph if isinstance(g, FinitePresentation) else g
     flag, _ = irreducible_and_period(graph)
     if not flag:
         raise ValueError("pressure_spectral needs an irreducible graph")
-    _, M, _ = _edge_weight_matrix(graph, f)
-    lam_lo, lam_hi, it, _ = _power_bounds(M, _SPECTRAL_TOL, _SPECTRAL_MAX_ITER)
+    H, M, _, values = _edge_weight_matrix(graph, f)
+    _, _, it, v = _power_bounds(M, _SPECTRAL_TOL, _SPECTRAL_MAX_ITER)
+    v = v.tolist()
+    ratios = [
+        iv.mul(iv.exp(iv.near(values[u])), iv.div(iv.fsum((v[s], v[s]) for s in H.successors(u)), (v[u], v[u])))
+        for u in range(H.n_vertices)
+    ]
+    lam_lo, lam_hi = min(r[0] for r in ratios), max(r[1] for r in ratios)
     if not (lam_lo > 0):
         raise ConvergenceError("power iteration did not separate the Perron root from 0")
-    lo, hi = math.log(lam_lo), math.log(lam_hi)
-    return PressureEstimate(
-        value=0.5 * (lo + hi),
-        method="spectral",
-        error=0.5 * (hi - lo) + 4 * _EPS,
-        iterations=it,
-    )
+    value, error = iv.midrad(iv.log((lam_lo, lam_hi)))
+    return PressureEstimate(value=value, method="spectral", error=error, iterations=it)
 
 
 def pressure_from_table(table: PartitionFunctionTable, period: int = 1) -> PressureEstimate:
@@ -507,7 +505,7 @@ def equilibrium_measure(g, f: FiniteRangePotential) -> MarkovMeasure:
     flag, _ = irreducible_and_period(graph)
     if not flag:
         raise ValueError("equilibrium_measure needs an irreducible graph")
-    H, M, blocks = _edge_weight_matrix(graph, f)
+    H, M, blocks, _ = _edge_weight_matrix(graph, f)
     lam_lo, lam_hi, _, r = _power_bounds(M, _MEASURE_TOL, _MEASURE_MAX_ITER)
     if lam_hi - lam_lo > _MEASURE_TOL * max(1.0, lam_hi) * 10:
         raise ConvergenceError(
@@ -542,48 +540,12 @@ def measure_pressure(mu: MarkovMeasure, f: FiniteRangePotential) -> float:
 
 
 # --------------------------------------------------------------------------
-# positive recurrence witness and recurrence classification
+# recurrence classification
 
-
-@dataclass(frozen=True)
-class PositiveRecurrenceWitness:
-    verdict: str  # stable | decaying | growing
-    ratio_min: float
-    ratio_max: float
-    window: tuple[int, int]
-    slope: float
-    disclaimer: str = "finite-window witness over the computed table, not a proof"
-
-
-def positive_recurrence_test(
-    table: PartitionFunctionTable,
-    pressure: float,
-    slope_tol: float = 0.01,
-) -> PositiveRecurrenceWitness:
-    """Inspect Z_n e^{-nP} over the table window.
-
-    Verdict is a heuristic reading of the log-ratio trend: ``stable`` when
-    flat to ``slope_tol`` per step, otherwise decaying/growing.
-    """
-    ns = table.positive_ns()
-    if not ns or ns[-1] - ns[0] < 8:
-        raise ValueError("table too short: need n_max at least 8 beyond the first positive entry")
-    ratios = [table.zn_float(n) * math.exp(-n * pressure) for n in ns]
-    logr = [math.log(x) for x in ratios]
-    slope = (logr[-1] - logr[0]) / (ns[-1] - ns[0])
-    if abs(slope) <= slope_tol:
-        verdict = "stable"
-    elif slope < 0:
-        verdict = "decaying"
-    else:
-        verdict = "growing"
-    return PositiveRecurrenceWitness(
-        verdict=verdict,
-        ratio_min=min(ratios),
-        ratio_max=max(ratios),
-        window=(ns[0], ns[-1]),
-        slope=slope,
-    )
+# A bracket of F(R) that holds 1 and lies this close to 1 reads as F(R) = 1.
+# Floats cannot do better for a series that sums to 1 (fixtures/renewal-6pi2.json
+# has the float F(1) = 1 + 3.9e-17), so the reading is fixed, not a parameter.
+_AT_ONE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -592,8 +554,9 @@ class RecurrenceClass:
 
     ``verdict`` is one of transient / null_recurrent / positive_recurrent /
     SPR / indeterminate; SPR implies positive recurrence, recorded in
-    ``positive_recurrent``.  Diagnostics carry lambda and the F, F' values at
-    z = 1/lambda with their rigorous bounds.
+    ``positive_recurrent``.  Diagnostics carry lambda and the brackets of F
+    and F' at z = 1/lambda: over the whole root bracket for SPR, at the
+    radius otherwise.
     """
 
     verdict: str
@@ -606,89 +569,70 @@ class RecurrenceClass:
     detail: str = ""
 
 
-def recurrence_classify(loops: "LoopSystem", f=None, atol: float = 1e-9) -> RecurrenceClass:
+def recurrence_classify(loops: "LoopSystem", f=None) -> RecurrenceClass:
     """Locate the root of the first-return series F(z) = sum w_n z^n.
 
-    Root strictly inside the radius of convergence: SPR.  At the boundary,
-    F(R) = 1 with F'(R) finite: positive recurrent; with F'(R) infinite:
-    null recurrent.  F(R) < 1: transient.  If the tail bounds cannot
-    separate the cases at ``atol`` the verdict is ``indeterminate``.
+    The verdict is read off outward-rounded brackets of F.  SPR iff the
+    lower envelope of F reaches 1 at some z below the radius R (or F(R) > 1);
+    lambda is then bracketed by the roots of the two envelopes, over which F
+    and F' are reported (both increase).  Transient iff the upper end of
+    F(R) is below 1.  A bracket of F(R) holding 1 reads as F(R) = 1 when it
+    lies within 1e-9 of 1, and then F'(R) finite is positive recurrent and
+    F'(R) divergent null recurrent.  Everything else is ``indeterminate``.
     """
     from .induction import return_series  # deferred; induction depends on this module
 
     series = return_series(loops, f)
     R = series.radius_lower
-    z_hi = series.root_upper()  # root of the lower envelope
-    z_lo = series.root_lower()  # root of the upper envelope
 
-    def spr(detail: str) -> RecurrenceClass:
-        lam_lo, lam_hi = 1.0 / (z_hi or R), 1.0 / max(z_lo or 0.0, 1e-300)
-        lam = 0.5 * (lam_lo + lam_hi)
+    def spr(z_hi: float, detail: str) -> RecurrenceClass:
+        z_lo = series.root_lower() or 0.0  # None: the upper envelope stays below 1 where searched
+        lam_lo, lam_hi = iv.div(iv.ONE, (z_lo, z_hi))
+        fp_lo, fp_hi = series.Fprime(z_lo), series.Fprime(z_hi)
         return RecurrenceClass(
             verdict="SPR",
             positive_recurrent=True,
-            lam=lam,
+            lam=0.5 * (lam_lo + lam_hi),
             lam_bounds=(lam_lo, lam_hi),
-            F_at_z=series.F(1.0 / lam),
-            Fprime_at_z=series.Fprime(1.0 / lam),
+            F_at_z=(series.F(z_lo)[0], series.F(z_hi)[1]),
+            Fprime_at_z=None if fp_lo is None else (fp_lo[0], math.inf if fp_hi is None else fp_hi[1]),
             radius=R,
             detail=detail,
         )
 
-    if z_hi is not None and z_hi < R * (1 - 1e-12):
-        return spr("first-return series reaches 1 strictly inside its disk of convergence")
+    def at_radius(verdict: str, detail: str, F=None, Fprime=None) -> RecurrenceClass:
+        decided = verdict != "indeterminate"
+        return RecurrenceClass(
+            verdict=verdict,
+            positive_recurrent=verdict == "positive_recurrent",
+            lam=1.0 / R if decided else None,
+            lam_bounds=(1.0 / R, 1.0 / R) if decided else None,
+            F_at_z=F,
+            Fprime_at_z=Fprime,
+            radius=R,
+            detail=detail,
+        )
+
+    z_hi = series.root_upper()  # root of the lower envelope
+    if z_hi is not None:
+        return spr(z_hi, "first-return series reaches 1 strictly inside its disk of convergence")
     if not series.tail_exact:
-        return RecurrenceClass(
-            verdict="indeterminate",
-            positive_recurrent=False,
-            lam=None,
-            lam_bounds=None,
-            F_at_z=None,
-            Fprime_at_z=None,
-            radius=R,
-            detail="tail bound too weak to evaluate F at its radius",
-        )
+        return at_radius("indeterminate", "tail bound too weak to evaluate F at its radius")
     F_lo, F_hi = series.F(R)
-    if F_hi < 1 - atol:
-        return RecurrenceClass(
-            verdict="transient",
-            positive_recurrent=False,
-            lam=1.0 / R,
-            lam_bounds=(1.0 / R, 1.0 / R),
-            F_at_z=(F_lo, F_hi),
-            Fprime_at_z=series.Fprime(R),
-            radius=R,
-            detail=f"F(R) <= {F_hi:.12g} < 1",
-        )
-    if F_lo > 1 + atol:
-        # the root lies strictly inside; the bisections above bracket it
-        return spr("F exceeds 1 before its radius")
-    fp, detail = None, f"F(R) in [{F_lo:.12g}, {F_hi:.12g}] cannot be separated from 1 at {atol:g}"
-    if F_lo >= 1 - atol and F_hi <= 1 + atol:
-        fp = series.Fprime(R)
-        if fp is None or fp[1] < math.inf:
-            return RecurrenceClass(
-                verdict="null_recurrent" if fp is None else "positive_recurrent",
-                positive_recurrent=fp is not None,
-                lam=1.0 / R,
-                lam_bounds=(1.0 / R, 1.0 / R),
-                F_at_z=(F_lo, F_hi),
-                Fprime_at_z=fp,
-                radius=R,
-                detail="F(R) = 1 within tolerance and F'(R) diverges" if fp is None
-                else "F(R) = 1 within tolerance with finite F'(R)",
-            )
-        detail = f"F(R) = 1 within tolerance, but F'(R) in [{fp[0]:.12g}, inf] is shown neither finite nor divergent"
-    return RecurrenceClass(
-        verdict="indeterminate",
-        positive_recurrent=False,
-        lam=None,
-        lam_bounds=None,
-        F_at_z=(F_lo, F_hi),
-        Fprime_at_z=fp,
-        radius=R,
-        detail=detail,
-    )
+    if F_hi < 1:
+        return at_radius("transient", f"F(R) <= {F_hi:.12g} < 1", (F_lo, F_hi), series.Fprime(R))
+    if F_lo > 1:
+        return spr(R, "F exceeds 1 before its radius")
+    if F_lo < 1 - _AT_ONE or F_hi > 1 + _AT_ONE:
+        return at_radius("indeterminate", f"F(R) in [{F_lo:.12g}, {F_hi:.12g}] cannot be separated from 1"
+                         f" within {_AT_ONE:g}", (F_lo, F_hi))
+    fp = series.Fprime(R)
+    if fp is None:
+        return at_radius("null_recurrent", f"F(R) = 1 within {_AT_ONE:g} and F'(R) diverges", (F_lo, F_hi))
+    if fp[1] < math.inf:
+        return at_radius("positive_recurrent", f"F(R) = 1 within {_AT_ONE:g} with finite F'(R)", (F_lo, F_hi), fp)
+    return at_radius("indeterminate", f"F(R) = 1 within {_AT_ONE:g}, but F'(R) in [{fp[0]:.12g}, inf]"
+                     " is shown neither finite nor divergent", (F_lo, F_hi), fp)
 
 
 # --------------------------------------------------------------------------

@@ -10,8 +10,9 @@ rationals, lifts of periodic points by filtering products of fibers, the
 source letters on preimage paths by set-based reachability, loop-system
 Z_n by a 60-digit decimal renewal over closed-orbit weights, tail
 series by binomial expansions in 80 digits, zeta values minus exact
-partial sums or Euler's dilogarithm reflection, and two-vertex
-first-return series by folding those part values in 80 digits.
+partial sums or Euler's dilogarithm reflection, two-vertex
+first-return series by folding those part values in 80 digits, and Perron
+roots by the trace of a rank-one matrix or the quadratic formula.
 """
 from __future__ import annotations
 
@@ -216,18 +217,27 @@ def weighted_trace_expsum(adj: np.ndarray, values: list[Fraction], n: int) -> Ex
     return acc
 
 
+def _dec(x) -> Decimal:
+    """A float exactly, an int or Fraction to the context's precision."""
+    if isinstance(x, float):
+        return Decimal(x)
+    x = Fraction(x)
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
 def decimal_weighted_traces(graph, table: dict, n_max: int) -> list[Decimal]:
     """Z_1 .. Z_n_max of a span-s word table, to 60 significant digits.
 
     Traces of the powers of the s-block matrix with ``B[w, w[1:] + (v,)] =
     exp(table[w])`` for each edge ``w[-1] -> v``.  Float table values
-    convert to Decimal exactly, so the only rounding is at the 60th digit.
+    convert to Decimal exactly and rational ones at the 60th digit, which is
+    the only other rounding.
     """
     blocks = sorted(table)
     index = {w: i for i, w in enumerate(blocks)}
     with localcontext() as ctx:
         ctx.prec = 60
-        weight = [Decimal(table[w]).exp() for w in blocks]
+        weight = [_dec(table[w]).exp() for w in blocks]
         succ = [[index[w[1:] + (v,)] for v in range(graph.n_vertices) if graph.has_edge(w[-1], v)]
                 for w in blocks]
         power = [[Decimal(int(i == j)) for j in range(len(blocks))] for i in range(len(blocks))]
@@ -256,19 +266,13 @@ def decimal_loop_zn(system, n_max: int, f=None) -> list[Decimal]:
     with localcontext() as ctx:
         ctx.prec = 60
 
-        def dec(x):
-            if isinstance(x, float):
-                return Decimal(x)
-            x = Fraction(x)
-            return Decimal(x.numerator) / Decimal(x.denominator)
-
         weights = []
         for lp in system.loops:
             if f is None:
-                log_weight = dec(lp.log_weight)
+                log_weight = _dec(lp.log_weight)
             else:
                 orbit = lp.label * (f.span // lp.length + 2)
-                log_weight = sum((dec(f.table[orbit[t:t + f.span]]) for t in range(lp.length)), Decimal(0))
+                log_weight = sum((_dec(f.table[orbit[t:t + f.span]]) for t in range(lp.length)), Decimal(0))
             weights.append((lp.src, lp.dst, lp.length, lp.count * log_weight.exp()))
         # chains[n][j]: total weight of loop chains of length n from vertex 1 to j
         chains = [{1: Decimal(1)}] + [{} for _ in range(n_max)]
@@ -367,6 +371,25 @@ def decimal_first_return(parts: dict, z: float, d: int) -> Decimal:
             return f11 + f12 * f21 / (1 - f22)
         g11, g12, g21, g22 = (val[k, 1] for k in ((1, 1), (1, 2), (2, 1), (2, 2)))
         return g11 + (g12 * f21 + f12 * g21) / (1 - f22) + f12 * f21 * g22 / (1 - f22) ** 2
+
+
+def decimal_log_perron(adj: np.ndarray, values: list[Fraction]) -> Decimal:
+    """log of the Perron root of M[u, v] = adj[u, v] exp(values[u]), to 60 digits.
+
+    Only for matrices with a closed form: when every row of ``adj`` is all
+    ones, M has rank one and its Perron root is its trace, sum exp(values);
+    otherwise M must be 2x2 and the root is (t + sqrt(t^2 - 4 d)) / 2 for
+    its trace t and determinant d.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        e = [(Decimal(v.numerator) / Decimal(v.denominator)).exp() for v in values]
+        if adj.all():
+            return sum(e, Decimal(0)).ln()
+        assert adj.shape == (2, 2), "no closed form for this matrix"
+        m = [[e[u] if adj[u, v] else Decimal(0) for v in range(2)] for u in range(2)]
+        t, d = m[0][0] + m[1][1], m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        return ((t + (t * t - 4 * d).sqrt()) / 2).ln()
 
 
 def geometric_series_coeffs(a: Fraction, order: int) -> list[Fraction]:

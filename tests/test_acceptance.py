@@ -193,7 +193,7 @@ def test_criterion_8_correspondence(gm):
     f = FiniteRangePotential.from_vertex_values(g_graph, [F(1, 3), F(-1, 2)])
     g = FiniteRangePotential(g_graph, 0, 2, {w: f.table[w[:1]] for w in g_graph.words(2)})
 
-    rep = verify_correspondence(ai, f, g, n_max=10, tol=1e-9)
+    rep = verify_correspondence(ai, f, g, n_max=10)
     ok = rep.passed
     ok &= rep.pressure_gap <= 1e-9
     ok &= rep.first_failure is None

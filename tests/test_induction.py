@@ -445,33 +445,49 @@ class TestTwoVertex:
         assert checked >= 100
 
     def test_near_the_pole_of_the_excursions(self):
-        # F22(z) = 1 - 1e-15: its upper end passes 1, so F' has upper end
-        # inf; it used to be reported divergent
+        # F22(z) = z: at z = 1 - 1e-15 the bracket of F22 stays below 1 and
+        # F' is finite; two ulps below 1 its upper end passes 1, so F' has
+        # upper end inf.  Neither was to be reported divergent
         loops = (Loop(1, 1, 1, log_weight=F(-1)), Loop(2, 1, 2, log_weight=F(-1)),
                  Loop(1, 2, 1, log_weight=F(-2)), Loop(1, 2, 2, log_weight=F(0)))
         system = LoopSystem(loops=loops, tails=())
         parts = {(i, j): ([(lp.length, lp.count, lp.log_weight) for lp in loops if (lp.src, lp.dst) == (i, j)],
                           ("zero", 0, 0, 0)) for i in (1, 2) for j in (1, 2)}
-        z = 1 - 1e-15
         series = return_series(system)
-        for d, got in ((0, series.F(z)), (1, series.Fprime(z))):
-            want = decimal_first_return(parts, z, d)
-            assert got is not None and Decimal(got[0]) <= want <= Decimal(got[1]), (d, got, want)
-        assert series.Fprime(z)[1] == math.inf
+        for z, upper in ((1 - 1e-15, "finite"), (1 - 2.2e-16, "inf")):
+            for d, got in ((0, series.F(z)), (1, series.Fprime(z))):
+                want = decimal_first_return(parts, z, d)
+                assert got is not None and Decimal(got[0]) <= want <= Decimal(got[1]), (d, got, want)
+            assert math.isfinite(series.Fprime(z)[1]) == (upper == "finite")
 
     def test_divergent_excursions_at_the_radius_are_not_called_finite(self):
-        # F(1) = 1 within tolerance, F12 = e^-40 and F21 = 1 are positive and
-        # F22' diverges, so F'(1) is infinite; F12's lower end is below the
-        # rounding slop and reads 0, so F'(1) is only bracketed [finite, inf],
-        # which once gave positive_recurrent with "finite F'(R)"
-        zeta3 = 1.2020569031595942
-        tails = (TailDescriptor(kind="polynomial", coef=(1 - 1e-10) / zeta3, power=3.0, src=1, dst=1),
-                 TailDescriptor(kind="polynomial", coef=0.1, power=2.0, src=2, dst=2))
-        system = LoopSystem(loops=(Loop(1, 1, 2, log_weight=-40.0), Loop(1, 2, 1, log_weight=0.0)), tails=tails)
-        lo, hi = return_series(system).Fprime(1.0)
-        assert math.isfinite(lo) and hi == math.inf
-        r = recurrence_classify(system)
-        assert r.verdict == "indeterminate" and not r.positive_recurrent
+        # F12 = e^-40 and F21 = 1 are positive and F22' diverges, so F'(1) is
+        # infinite.  An absolute rounding slop once read F12's lower end as 0,
+        # so F'(1) was only bracketed [finite, inf]; that gave
+        # positive_recurrent with "finite F'(R)", and later indeterminate.
+        # With F11(1) the float nearest 1 the system is null recurrent; with
+        # F11(1) = 1 - 1e-10 the bracket of F(1) excludes 1 and it is transient.
+        for coef, verdict in ((0.8319073725807075, "null_recurrent"), ((1 - 1e-10) / 1.2020569031595942, "transient")):
+            tails = (TailDescriptor(kind="polynomial", coef=coef, power=3.0, src=1, dst=1),
+                     TailDescriptor(kind="polynomial", coef=0.1, power=2.0, src=2, dst=2))
+            system = LoopSystem(loops=(Loop(1, 1, 2, log_weight=-40.0), Loop(1, 2, 1, log_weight=0.0)), tails=tails)
+            assert return_series(system).Fprime(1.0) is None
+            r = recurrence_classify(system)
+            assert r.verdict == verdict and not r.positive_recurrent
+
+    def test_root_next_to_a_pole_of_the_excursions(self):
+        # the root z* ~ 0.0025 lies a relative 1e-10 below the pole of
+        # 1/(1 - F22) made by the length-1 loop of weight e^6.  Bisecting to an
+        # absolute z width of 1e-10 put 1/lambda past the pole, and the SPR
+        # verdict reported F = (inf, inf) and F' divergent
+        g = build_graph(list("0123"), [(0, 0), (0, 2), (1, 3), (2, 1), (3, 0)]).graph
+        f = FiniteRangePotential(g, 0, 2, {(0, 0): F(6), (0, 2): F(3, 5), (1, 3): F(-6, 7), (2, 1): F(3, 5),
+                                           (3, 0): F(4, 7)})
+        r = recurrence_classify(induce(g, (2,), (0,), maxlen=5).loops, f)
+        self._assert_spr_brackets(r, _perron(g, f))  # 403.4287935...
+        lo, hi = r.F_at_z
+        assert lo <= 1 <= hi < math.inf
+        assert math.isfinite(r.Fprime_at_z[1])
 
     def test_one_vertex_series_is_its_first_part(self):
         rng = np.random.default_rng(112)
@@ -591,13 +607,18 @@ class TestZnCoincidence:
             assert not self._misses(LoopSystem(loops=loops, tails=()), 120)
 
     def test_float_potential_table_error_contains_decimal_truth(self):
-        # weighing by a float potential rounds each loop's Birkhoff sum too
+        # weighing by a float potential rounds each loop's Birkhoff sum too;
+        # in the last six tables a third of the values are sevenths, which no
+        # float holds exactly
         rng = np.random.default_rng(62)
-        for _ in range(12):
+        for trial in range(18):
             names, edges = random_irreducible_graph(rng, 5)
             g = build_graph(names, edges).graph
             span = int(rng.integers(1, 3))
-            f = FiniteRangePotential(g, 0, span, {w: float(rng.normal(0, 3)) for w in g.words(span)})
+            table = {w: float(rng.normal(0, 3)) for w in g.words(span)}
+            if trial >= 12:
+                table.update({w: F(int(rng.integers(-21, 22)), 7) for w in g.words(span)[1::3]})
+            f = FiniteRangePotential(g, 0, span, table)
             ind = induce(g, (int(rng.integers(0, g.n_vertices)),), maxlen=8)
             assert not self._misses(ind.loops, 40, f)
 
@@ -673,29 +694,54 @@ class TestRecurrenceClassify:
         assert abs(0.5 * (lo + hi) - 0.5) <= 1e-9
 
     def test_positive_recurrent_boundary(self):
-        # w_n = c n^-3 with c = 1/zeta(3): F(1) = 1, F'(1) = zeta(2)/zeta(3) finite
-        zeta3 = sum(n**-3.0 for n in range(1, 2_000_000))  # to float precision
+        # w_n = c n^-3 with c the float nearest 1/zeta(3): F(1) = 1 within
+        # 1e-16, F'(1) = zeta(2)/zeta(3) finite
         sys_ = LoopSystem(
-            loops=(), tails=(TailDescriptor(kind="polynomial", coef=1.0 / zeta3, power=3.0, start=0),)
+            loops=(), tails=(TailDescriptor(kind="polynomial", coef=0.8319073725807075, power=3.0, start=0),)
         )
-        r = recurrence_classify(sys_, atol=1e-6)
+        r = recurrence_classify(sys_)
         assert r.verdict == "positive_recurrent"
         assert r.Fprime_at_z is not None
+        # 1 over a float partial sum of zeta(3) is larger: F(1) is rigorously
+        # above 1, so the root lies inside the radius
+        zeta3 = sum(n**-3.0 for n in range(1, 2_000_000))
+        r = recurrence_classify(LoopSystem(
+            loops=(), tails=(TailDescriptor(kind="polynomial", coef=1.0 / zeta3, power=3.0, start=0),)
+        ))
+        assert r.verdict == "SPR"
+        lo, hi = r.lam_bounds
+        assert lo <= 1.0 < hi
+
+    def test_just_below_one_is_transient(self):
+        # F(1) = 1 - 1e-10 and 1 - 5e-10 have brackets that exclude 1; an
+        # absolute tolerance of 1e-9 once called both positive_recurrent
+        for eps in (1e-10, 5e-10):
+            sys_ = LoopSystem(loops=(), tails=(
+                TailDescriptor(kind="polynomial", coef=(1 - eps) / 1.2020569031595942, power=3.0),))
+            r = recurrence_classify(sys_)
+            assert r.verdict == "transient" and not r.positive_recurrent
+            lo, hi = r.F_at_z
+            assert lo <= 1 - eps <= hi < 1
 
     def test_indeterminate_when_tolerance_too_tight(self):
-        # F(1) = 1 but the rigorous interval is wider than the requested atol,
-        # so no class can be certified and the verdict must say so
+        # w_n = c n^-1.05 with c the float nearest 1/zeta(1.05): F(1) = 1, but
+        # the rigorous bracket of F(1) is about 2.4e-8 wide, wider than the
+        # 1e-9 that reads as F(1) = 1, so no class can be certified
+        sys_ = LoopSystem(
+            loops=(), tails=(TailDescriptor(kind="polynomial", coef=0.04858887154114592, power=1.05),)
+        )
+        r = recurrence_classify(sys_)
+        assert r.verdict == "indeterminate"
+        assert "cannot be separated" in r.detail
+        lo, hi = r.F_at_z
+        assert lo <= 1 <= hi and hi - lo > 1e-9
+        # a bracket within 1e-9 of 1 reads as F(1) = 1: null recurrent
         zeta2_minus_1 = math.pi**2 / 6 - 1.0
         sys_ = LoopSystem(
             loops=(Loop(length=1, log_weight=math.log(0.3)),),
             tails=(TailDescriptor(kind="polynomial", coef=0.7 / zeta2_minus_1, power=2.0, start=1),),
         )
-        r = recurrence_classify(sys_, atol=1e-15)
-        assert r.verdict == "indeterminate"
-        assert "cannot be separated" in r.detail
-        # at an honest tolerance the same system classifies as null recurrent
-        r2 = recurrence_classify(sys_, atol=1e-9)
-        assert r2.verdict == "null_recurrent"
+        assert recurrence_classify(sys_).verdict == "null_recurrent"
 
     def test_geometric_tail_always_spr(self):
         sys_ = LoopSystem(
