@@ -361,28 +361,34 @@ def periodic_count_exponents(
     prefix=(),
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     *,
+    n_min: int | None = None,
     reach: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Periodic points of period n aggregated by vertex-visit counts.
+    """Periodic points of every period in [n_min, n] aggregated by vertex-visit counts.
 
-    Returns ``(counts, multiplicities)``: row ``i`` of the int64 array
-    ``counts`` (shape ``(k, n_vertices)``) is one distinct visit-count
-    vector, and ``multiplicities[i]`` is the number of points with it.  The
-    points are the ones :func:`enumerate_periodic` yields, aggregated by
-    :func:`~shiftlab.kernels.closed_path_count_keys`; rows follow its
-    ascending key order.  Requires at most 15 vertices and ``n <= 15``.
-    ``reach`` is as for :func:`enumerate_periodic`.
+    ``n_min`` defaults to n.  Returns ``(counts, multiplicities)``: row ``i``
+    of the int64 array ``counts`` (shape ``(k, n_vertices)``) is one
+    distinct visit-count vector, and ``multiplicities[i]`` is the number of
+    points with it.  A row sums to its period.  The points are the ones
+    :func:`enumerate_periodic` yields for each period, aggregated by
+    :func:`~shiftlab.kernels.closed_path_count_keys` in one walk; rows follow
+    its order (by period, then by key).  Raises :class:`BudgetExceededError`
+    when any period has more than ``budget`` points.  Requires at most 15
+    vertices and ``n <= 15``.  ``reach`` is as for :func:`enumerate_periodic`.
     """
+    n_min = n if n_min is None else n_min
     prefix = tuple(int(s) for s in prefix)
-    if n < 1 or len(prefix) > n or not g.is_word(prefix):
-        # at most one point, or none (with enumerate_periodic's warning)
-        pts = enumerate_periodic(g, n, prefix, budget)
+    if n_min < 1 or len(prefix) > n_min or not g.is_word(prefix):
+        # at most one point per period, or none (with enumerate_periodic's warning)
+        pts = [pt for m in range(n_min, n + 1) for pt in enumerate_periodic(g, m, prefix, budget)]
         counts = [np.bincount(pt.word, minlength=g.n_vertices) for pt in pts]
         return np.array(counts, dtype=np.int64).reshape(len(pts), g.n_vertices), np.ones(len(pts), dtype=np.int64)
     indptr, indices = g.csr
-    keys, mult, overflow = kernels.closed_path_count_keys(indptr, indices, _reach(g, n, reach), n, prefix, budget)
+    keys, mult, overflow = kernels.closed_path_count_keys(
+        indptr, indices, _reach(g, n, reach), n, prefix, budget, n_min=n_min
+    )
     if overflow:
-        raise BudgetExceededError(f"more than {budget} periodic points of period {n}")
+        raise BudgetExceededError(f"more than {budget} periodic points of a period in [{n_min}, {n}]")
     counts = (keys[:, None] >> (4 * np.arange(g.n_vertices, dtype=np.int64))) & 0xF
     return counts, mult
 

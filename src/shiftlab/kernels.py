@@ -7,10 +7,12 @@ k-step reachability tables, so the work done is proportional to the number
 of emitted paths, not to the number of dead branches.
 
 Closed paths have one walker, ``_closed_walk``, which owns the pruning and
-the budget and tracks only each partial path's first and last vertex.  Two
-accumulators consume its steps: ``closed_paths`` gathers path rows, and
-``closed_path_count_keys`` gathers packed visit-count keys and never builds
-a row.
+the budget and tracks only each partial path's first and last vertex.  It
+walks a window of closing lengths [n_min, n] at once, because the walks of
+all those lengths share their prefixes; its budget is still that of one walk
+per length.  Two accumulators consume its steps: ``closed_paths`` gathers the
+path rows of one length, and ``closed_path_count_keys`` gathers packed
+visit-count keys for every length of the window and never builds a row.
 
 Caps are hard limits on emitted paths.  On overflow the kernels return a
 flag, and callers turn that into a budget error or a truncation marker.
@@ -64,42 +66,69 @@ def exact_reach(adj_bool: np.ndarray, n: int) -> np.ndarray:
 # closed paths (periodic points)
 
 
-def _closed_walk(indptr, indices, reach, n, prefix, cap):
+def _closed_walk(indptr, indices, reach, n_min, n, prefix, cap):
     """The one walker behind both closed-path kernels.
 
-    Returns ``(start, steps)``.  ``start`` holds the partial paths the walk
-    begins from, one per row: the prefix, or every vertex on a closed path of
-    length n when the prefix is empty.  ``steps`` yields one ``(parent,
-    vertex)`` pair per further depth, in lexicographic order: partial path i
-    of the new depth is partial path ``parent[i]`` of the depth before,
-    extended by ``vertex[i]``.  It yields ``None`` and stops when a depth has
-    more than ``cap`` candidates.  A prefix that cannot close in n steps gives
-    an empty ``start`` of width n and no steps.
+    Walks the closed paths of every length m in the window [n_min, n] whose
+    word starts with ``prefix`` (of length at most n_min) together, one
+    depth at a time and in lexicographic order.  A partial path survives
+    while it can still close at some length of the window.  Yields one
+    ``(parent, vertex, closed)`` triple per depth.  The first is the start:
+    ``parent`` is None and ``vertex`` holds the starting rows (the prefix, or
+    every vertex on a closed path of a length in the window when the prefix
+    is empty).  After it, partial path i of the new depth is partial path
+    ``parent[i]`` of the depth before, extended by ``vertex[i]``.
+    ``closed`` marks the partial paths of the depth that are closed paths,
+    or is None when the depth lies outside the window.
+
+    The budget is that of one walk per length: the walk for length m meets,
+    at depth d, the candidates that close in exactly m - d more steps.  When
+    one length is left, every candidate counts for it.  Otherwise, with
+    ``ways[k, u, f]`` the number of successors of u that reach f in k steps,
+    the counts of every length are the partial paths' (last, first) pair
+    counts weighed by ``ways``.  The walker yields ``None`` and stops at the
+    first depth where some length has more than ``cap`` candidates.
     """
+    V = indptr.shape[0] - 1
     adj = _dense_adjacency(indptr, indices)
     prefix, cap = np.array(prefix, dtype=np.int32), int(cap)
     lp = len(prefix)
+    if not 1 <= n_min <= n or lp > n_min:
+        raise ValueError(f"window [{n_min}, {n}] must hold the prefix length {lp} and start at 1 or more")
     if lp == 0:
-        start = np.nonzero(reach[n].diagonal())[0].astype(np.int32).reshape(-1, 1)
-    elif reach[n - (lp - 1), prefix[-1], prefix[0]]:
-        start = prefix.reshape(1, -1)
+        start = np.nonzero(reach[n_min:n + 1].diagonal(axis1=1, axis2=2).any(axis=0))[0]
+        start = start.astype(np.int32).reshape(-1, 1)
     else:
-        return np.empty((0, n), dtype=np.int32), iter(())
+        # the prefix needs m - (lp - 1) more steps to close at length m
+        closes = reach[n_min - lp + 1:n - lp + 2, prefix[-1], prefix[0]].any()
+        start = prefix.reshape(1, -1)[:int(closes)]
+    if n_min < n:
+        ways = adj.astype(np.int64) @ reach[:n + 1].astype(np.int64)
+    first, last = start[:, 0], start[:, -1]
 
-    def steps():
-        first, last = start[:, 0], start[:, -1]
-        for d in range(start.shape[1], n):
-            # candidate successors that can still close the loop in n-d steps
-            cand = adj[last] & reach[n - d][:, first].T
-            if np.count_nonzero(cand) > cap:
-                yield None
-                return
-            parent, last = np.nonzero(cand)
-            last = last.astype(np.int32)
-            first = first[parent]
-            yield parent, last
+    def closed(d):
+        # every partial path of the last depth closes
+        if d < n_min:
+            return None
+        return adj[last, first] if d < n else np.ones(len(last), dtype=bool)
 
-    return start, steps()
+    yield None, start, closed(start.shape[1])
+    for d in range(start.shape[1], n):
+        # a candidate closes at length m in m - d steps, m in [n_min, n] and m > d
+        lo, hi = max(n_min - d, 1), n - d
+        cand = adj[last] & reach[lo:hi + 1].any(axis=0)[:, first].T
+        if lo == hi:
+            peak = np.count_nonzero(cand)
+        else:
+            pairs = np.bincount(last * V + first, minlength=V * V).reshape(V, V)
+            peak = (ways[lo:hi + 1] * pairs).sum(axis=(1, 2)).max()
+        if peak > cap:
+            yield None
+            return
+        parent, last = np.nonzero(cand)
+        last = last.astype(np.int32)
+        first = first[parent]
+        yield parent, last, closed(d + 1)
 
 
 def closed_paths(indptr, indices, reach, n, prefix, cap):
@@ -108,36 +137,43 @@ def closed_paths(indptr, indices, reach, n, prefix, cap):
     Returns ``(paths, overflow)``; rows of ``paths`` are in lexicographic
     order, and ``paths`` is empty on overflow.
     """
-    paths, steps = _closed_walk(indptr, indices, reach, n, prefix, cap)
-    for step in steps:
+    for step in _closed_walk(indptr, indices, reach, n, n, prefix, cap):
         if step is None:
             return np.empty((0, n), dtype=np.int32), True
-        parent, vertex = step
-        paths = np.concatenate([paths[parent], vertex[:, None]], axis=1)
+        parent, vertex, _ = step
+        paths = vertex if parent is None else np.concatenate([paths[parent], vertex[:, None]], axis=1)
     return paths, False
 
 
-def closed_path_count_keys(indptr, indices, reach, n, prefix, cap):
-    """Closed paths aggregated by vertex-visit counts.
+def closed_path_count_keys(indptr, indices, reach, n, prefix, cap, *, n_min=None):
+    """Closed paths of every length in [n_min, n] aggregated by vertex-visit counts.
 
-    Keys pack per-vertex visit counts in 4-bit fields, so this route requires
-    ``n_vertices <= 15`` and ``n <= 15``.  Returns ``(keys, multiplicities,
-    overflow)`` with keys sorted ascending.
+    ``n_min`` defaults to n.  Keys pack per-vertex visit counts in 4-bit
+    fields, so this route requires ``n_vertices <= 15`` and ``n <= 15``.  A
+    key's fields sum to its path's length, so keys of different lengths never
+    collide.  Returns ``(keys, multiplicities, overflow)``: the keys of each
+    length in ascending order, shortest length first, exactly the
+    concatenation of one call per length.  ``overflow`` is set when any
+    length's walk has more than ``cap`` candidates at one depth, and the
+    arrays are then empty.
     """
     V = indptr.shape[0] - 1
     if V > 15 or n > 15:
         raise ValueError("count-key packing requires <=15 vertices and n<=15")
-    start, steps = _closed_walk(indptr, indices, reach, n, prefix, cap)
     # a vertex is visited at most n <= 15 times, so the 4-bit fields never carry
     one = np.int64(1)
-    keys = (one << (4 * start.astype(np.int64))).sum(axis=1)
-    for step in steps:
+    found_keys, found_mult = [], []  # the walk's last depth is always in the window
+    for step in _closed_walk(indptr, indices, reach, n if n_min is None else n_min, n, prefix, cap):
         if step is None:
             return np.empty(0, np.int64), np.empty(0, np.int64), True
-        parent, vertex = step
-        keys = keys[parent] + (one << (4 * vertex.astype(np.int64)))
-    uniq, mult = np.unique(keys, return_counts=True)
-    return uniq.astype(np.int64), mult.astype(np.int64), False
+        parent, vertex, closed = step
+        bits = one << (4 * vertex.astype(np.int64))
+        keys = bits.sum(axis=1) if parent is None else keys[parent] + bits
+        if closed is not None:
+            uniq, mult = np.unique(keys[closed], return_counts=True)
+            found_keys.append(uniq.astype(np.int64))
+            found_mult.append(mult.astype(np.int64))
+    return np.concatenate(found_keys), np.concatenate(found_mult), False
 
 
 def unpack_count_key(key: int, n_vertices: int) -> tuple[int, ...]:

@@ -125,26 +125,43 @@ def _zn_from_points(f, points, n) -> ZnValue:
     ))
 
 
+def _count_key_route(graph: FiniteGraph, f: FiniteRangePotential) -> bool:
+    # the exponent of a span-1 rational potential depends only on visit counts
+    return f.rational and f.span == 1 and graph.n_vertices <= 15
+
+
+def _zn_from_counts(f: FiniteRangePotential, n: int, counts, mult) -> ExpSum:
+    q, table = f._integer_table
+    weights = [table[(v,)] for v in range(counts.shape[1])]
+    # exponent numerators over q; int64 holds them unless the table's
+    # numerators are huge, and then numpy works on Python integers
+    dtype = np.int64 if n * max(abs(w) for w in weights) < 2**63 else object
+    numerators = counts.astype(dtype) @ np.array(weights, dtype=dtype)
+    exps, inverse = np.unique(numerators, return_inverse=True)
+    totals = np.zeros(len(exps), dtype=np.int64)
+    np.add.at(totals, inverse, mult)
+    # the exponents are distinct and the multiplicities positive, so the
+    # terms go in as they are, without one add_term per term
+    out = ExpSum()
+    out.terms = {Fraction(e, q): m for e, m in zip(exps.tolist(), totals.tolist())}
+    return out
+
+
+def _zn_by_counts(graph: FiniteGraph, f: FiniteRangePotential, W: Word, lo: int, hi: int, budget: int,
+                  reach) -> dict[int, ExpSum]:
+    """Z_n for every n in [lo, hi] from one count-key walk; rows split by their sum, the period."""
+    from . import graphs as _g
+
+    counts, mult = _g.periodic_count_exponents(graph, hi, W, budget=budget, n_min=lo, reach=reach)
+    periods = counts.sum(axis=1)
+    return {n: _zn_from_counts(f, n, counts[periods == n], mult[periods == n]) for n in range(lo, hi + 1)}
+
+
 def _zn_single(graph: FiniteGraph, f: FiniteRangePotential, W: Word, n: int, budget: int, reach) -> ZnValue:
     from . import graphs as _g
 
-    if f.rational and f.span == 1 and graph.n_vertices <= 15 and n <= 15:
-        # aggregate by visit counts; the exponent only depends on them
-        counts, mult = _g.periodic_count_exponents(graph, n, W, budget=budget, reach=reach)
-        q, table = f._integer_table
-        weights = [table[(v,)] for v in range(graph.n_vertices)]
-        # exponent numerators over q; int64 holds them unless the table's
-        # numerators are huge, and then numpy works on Python integers
-        dtype = np.int64 if n * max(abs(w) for w in weights) < 2**63 else object
-        numerators = counts.astype(dtype) @ np.array(weights, dtype=dtype)
-        exps, inverse = np.unique(numerators, return_inverse=True)
-        totals = np.zeros(len(exps), dtype=np.int64)
-        np.add.at(totals, inverse, mult)
-        # the exponents are distinct and the multiplicities positive, so the
-        # terms go in as they are, without one add_term per term
-        out = ExpSum()
-        out.terms = {Fraction(e, q): m for e, m in zip(exps.tolist(), totals.tolist())}
-        return out
+    if _count_key_route(graph, f) and n <= 15:
+        return _zn_by_counts(graph, f, W, n, n, budget, reach)[n]
     return _zn_from_points(f, _g.enumerate_periodic(graph, n, W, budget=budget, reach=reach), n)
 
 
@@ -178,9 +195,18 @@ def partition_function(
     entries: dict[int, ZnValue] = {}
     truncated_at = None
     reach = kernels.exact_reach(graph.adjacency, n_max)  # one table serves every n
+    # one count-key walk serves every n it covers; if some n overflows, the
+    # per-n calls below find the first that does
+    keyed: dict[int, ExpSum] = {}
+    lo, hi = max(1, len(W)), min(15, n_max)
+    if _count_key_route(graph, f) and lo <= hi:
+        try:
+            keyed = _zn_by_counts(graph, f, W, lo, hi, budget, reach)
+        except BudgetExceededError:
+            pass
     for n in range(1, n_max + 1):
         try:
-            entries[n] = _zn_single(graph, f, W, n, budget, reach)
+            entries[n] = keyed[n] if n in keyed else _zn_single(graph, f, W, n, budget, reach)
         except BudgetExceededError:
             truncated_at = n
             break
@@ -241,12 +267,21 @@ def _edge_weight_matrix(g: FiniteGraph, f: FiniteRangePotential):
 def _power_bounds(M: np.ndarray, tol: float, max_iter: int) -> tuple[float, float, int, np.ndarray]:
     """Two-sided Collatz-Wielandt bounds for the Perron root of M >= 0.
 
-    Iterates on M + I (primitive for irreducible M) so periodic graphs
-    converge too.  For any positive v, min_i (Bv/v)_i <= rho(B) <= max_i,
-    so every iterate yields rigorous bounds; we keep the best.
+    Iterates on M + cI, which is primitive for irreducible M, so periodic
+    graphs converge too.  c is half the geometric mean of the least and the
+    largest row sum, which bracket the Perron root rho.  A shift of the size
+    of rho moves the other eigenvalues of modulus rho (a periodic spectrum)
+    well inside the circle of radius rho + c, and it does not swamp a rho far
+    below 1 as a shift by 1 would; half the mean costs fewer steps than the
+    whole on aperiodic spectra.  For any positive v,
+    min_i (Bv/v)_i <= rho(B) <= max_i, so every iterate yields rigorous
+    bounds; we keep the best, and stop at a relative gap of ``tol``.
     """
     n = M.shape[0]
-    B = M + np.eye(n)
+    rows = M.sum(axis=1)
+    # (a least row sum that underflowed to 0 falls back to a shift by 1)
+    c = math.sqrt(float(rows.min())) * math.sqrt(float(rows.max())) / 2 or 1.0
+    B = M + c * np.eye(n)
     v = np.ones(n)
     lo_best, hi_best = 0.0, math.inf
     it = 0
@@ -256,9 +291,9 @@ def _power_bounds(M: np.ndarray, tol: float, max_iter: int) -> tuple[float, floa
         lo_best = max(lo_best, float(ratios.min()))
         hi_best = min(hi_best, float(ratios.max()))
         v = w / w.sum()
-        if hi_best - lo_best <= tol * max(1.0, lo_best):
+        if hi_best - lo_best <= tol * lo_best:
             break
-    return lo_best - 1.0, hi_best - 1.0, it, v
+    return lo_best - c, hi_best - c, it, v
 
 
 def pressure_spectral(g, f: FiniteRangePotential) -> PressureEstimate:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shiftlab import kernels
-from shiftlab.graphs import build_graph
+from shiftlab.graphs import FiniteGraph, build_graph
 from shiftlab.induction import _bfs_dist_to
 from shiftlab.potentials import FiniteRangePotential
 from shiftlab.thermo import partition_function
@@ -199,3 +199,34 @@ def test_count_keys_and_closed_paths_share_the_budget():
                     warnings.filterwarnings("ignore", "enumeration budget exceeded", UserWarning)
                     table = partition_function(g, f, prefix, n_max, budget=cap)
                 assert table.truncated_at == want, (prefix, cap)
+
+
+def test_window_walk_is_the_per_length_walks_concatenated():
+    # random graphs of 1-8 vertices (not necessarily irreducible), prefixes of
+    # length 0-2 and windows inside 1..15: at every cap from 0 to the peak the
+    # window's keys and multiplicities are the per-length calls' concatenated,
+    # and its overflow flag is their OR
+    rng = np.random.default_rng(1513)
+    for _ in range(30):
+        V = int(rng.integers(1, 9))
+        edges = {(int(u), int(v)) for u, v in rng.integers(0, V, size=(int(rng.integers(V, 3 * V + 1)), 2))}
+        g = FiniteGraph(tuple(str(v) for v in range(V)), tuple(sorted(edges)))
+        words = [w for lp in range(3) for w in g.words(lp)]
+        prefix = words[int(rng.integers(len(words)))]
+        # lengths from the prefix's up to 15 while the walks stay small
+        peaks = {}
+        for m in range(max(len(prefix), 1), 16):
+            peaks[m] = _walk_peak(g.adjacency, m, prefix)
+            if peaks[m] > 100:
+                break
+        n_min, n = sorted(int(m) for m in rng.choice(list(peaks), size=2))
+        indptr, indices, reach = _csr_and_reach(g, n)
+        peak = max(peaks[m] for m in range(n_min, n + 1))
+        for cap in range(peak + 2):
+            per_length = [kernels.closed_path_count_keys(indptr, indices, reach, m, prefix, cap)
+                          for m in range(n_min, n + 1)]
+            keys, mult, overflow = kernels.closed_path_count_keys(indptr, indices, reach, n, prefix, cap, n_min=n_min)
+            assert overflow == any(o for *_, o in per_length) == (cap < peak), (g.edges, prefix, n_min, n, cap)
+            if not overflow:
+                assert keys.tolist() == [int(k) for keys_m, _, _ in per_length for k in keys_m]
+                assert mult.tolist() == [int(c) for _, mult_m, _ in per_length for c in mult_m]

@@ -13,8 +13,10 @@ from shiftlab.expsum import ExpSum
 from shiftlab.graphs import (
     ExhaustionLevel,
     ExhaustionPresentation,
+    BudgetExceededError,
     build_graph,
     enumerate_periodic,
+    periodic_count_exponents,
 )
 from shiftlab.potentials import FiniteRangePotential, PotentialError, bowen_reduce
 from shiftlab.thermo import (
@@ -238,6 +240,45 @@ class TestWorkCounts:
         with pytest.raises(ValueError, match="does not cover"):
             enumerate_periodic(gm.graph, 10, reach=reach)
 
+    def test_one_count_key_walk_per_table(self, monkeypatch):
+        # a complete span-1 table makes one walk for every n <= 15 it covers;
+        # a table its budget truncates falls back to one walk per n and keeps
+        # the truncation and entries of per-n periodic_count_exponents calls
+        overflows = []
+        real = kernels.closed_path_count_keys
+
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            overflows.append(out[2])
+            return out
+
+        monkeypatch.setattr(kernels, "closed_path_count_keys", counting)
+        rng = np.random.default_rng(15)
+        g = build_graph(*random_irreducible_graph(rng, 5)).graph
+        values = random_rational_values(rng, g.n_vertices)
+        f = FiniteRangePotential.from_vertex_values(g, values)
+        for W in ((), g.words(1)[0], g.words(2)[0]):
+            overflows.clear()
+            t = partition_function(g, f, W, 12)
+            assert overflows == [False] and t.truncated_at is None and len(t.entries) == 12
+            budget = len(enumerate_periodic(g, 9, W)) - 1
+            overflows.clear()
+            with pytest.warns(UserWarning, match="budget exceeded"):
+                t = partition_function(g, f, W, 12, budget=budget)
+            walks = list(overflows)
+            want = {}
+            for n in range(1, 13):
+                try:
+                    counts, mult = periodic_count_exponents(g, n, W, budget)
+                except BudgetExceededError:
+                    break
+                terms = Counter()
+                for row, m in zip(counts.tolist(), mult.tolist()):
+                    terms[sum(c * v for c, v in zip(row, values))] += m
+                want[n] = ExpSum(terms)
+            assert t.truncated_at == n < 12 and t.entries == want, W
+            assert walks == [True] + [False] * (n - max(1, len(W))) + [True], W
+
     def test_count_keys_emit_every_point(self):
         # kernels.points_emitted, the multiplicities' sum, is the number of
         # closed paths: the trace, or a diagonal entry, of A^n
@@ -290,35 +331,48 @@ class TestPressureSpectral:
                    - pressure_spectral(full2.graph, fr).value) <= 1e-11
 
     def test_errors_contain_the_decimal_pressure(self):
-        # vertex potentials on graphs whose Perron root has a closed form:
-        # values up to +-60 on the full 2- and 3-shifts, with at least one
-        # value >= 0, and smaller ones on the other 2x2 graphs (the power
-        # iteration on M + I runs to its cap when the Perron root is far
-        # below 1 or the spectrum nearly periodic).  An absolute slop of 4
-        # eps missed values whose ulp is larger: (35/2, 33) on the full
-        # 2-shift gave 33.00000018553912 +- 8.8e-16, 2.8e-15 away from
-        # log(e^17.5 + e^33)
+        # vertex potentials up to +-60 on graphs whose Perron root has a
+        # closed form: the full 2- and 3-shifts, the golden mean, its mirror
+        # and the 2-cycle, whose spectrum {rho, -rho} is periodic.  An
+        # absolute slop of 4 eps missed values whose ulp is larger: (35/2, 33)
+        # on the full 2-shift gave 33.00000018553912 +- 8.8e-16, 2.8e-15 away
+        # from log(e^17.5 + e^33)
         shapes = [
-            ([(0, 0), (0, 1), (1, 0), (1, 1)], 60),
-            ([(u, v) for u in range(3) for v in range(3)], 60),
-            ([(0, 0), (0, 1), (1, 0)], 8),
-            ([(0, 1), (1, 0), (1, 1)], 8),
-            ([(0, 1), (1, 0)], 2),
+            [(0, 0), (0, 1), (1, 0), (1, 1)],
+            [(u, v) for u in range(3) for v in range(3)],
+            [(0, 0), (0, 1), (1, 0)],
+            [(0, 1), (1, 0), (1, 1)],
+            [(0, 1), (1, 0)],
         ]
-        graphs = [(build_graph([str(v) for v in range(1 + max(max(e) for e in edges))], edges).graph, top)
-                  for edges, top in shapes]
-        cases = [(graphs[0][0], [F(35, 2), F(33)])]
+        graphs = [build_graph([str(v) for v in range(1 + max(max(e) for e in edges))], edges).graph
+                  for edges in shapes]
+        cases = [(graphs[0], [F(35, 2), F(33)])]
         rng = np.random.default_rng(120)
         while len(cases) < 320:
-            g, top = graphs[int(rng.integers(len(graphs)))]
+            g = graphs[int(rng.integers(len(graphs)))]
             q = int(rng.integers(1, 11))
-            values = [F(int(rng.integers(-top * q, top * q + 1)), q) for _ in range(g.n_vertices)]
-            if max(values) >= 0:
-                cases.append((g, values))
+            cases.append((g, [F(int(rng.integers(-60 * q, 60 * q + 1)), q) for _ in range(g.n_vertices)]))
         for g, values in cases:
             est = pressure_spectral(g, FiniteRangePotential.from_vertex_values(g, values))
             want = decimal_log_perron(g.adjacency, values)
             assert abs(Decimal(est.value) - want) <= Decimal(est.error), (g.edges, values, est)
+
+    def test_far_from_one_or_periodic_converges_quickly(self):
+        # with a shift by 1 these ran the power iteration to its 200,000-step
+        # cap: a Perron root far below 1 (full 2- and 3-shifts), or the two
+        # largest moduli of M + I nearly equal (golden mean with e^60 on one
+        # vertex, the 2-cycle) -- and their errors were up to +-20
+        full3 = [(u, v) for u in range(3) for v in range(3)]
+        for edges, values in [
+            ([(0, 0), (0, 1), (1, 0), (1, 1)], [F(-10), F(-2256, 100)]),
+            ([(0, 0), (0, 1), (1, 0)], [F(0), F(60)]),
+            (full3, [F(-113, 2), F(-40), F(-33, 2)]),
+            ([(0, 1), (1, 0)], [F(1471, 100), F(357, 100)]),
+        ]:
+            g = build_graph([str(v) for v in range(1 + max(max(e) for e in edges))], edges).graph
+            est = pressure_spectral(g, FiniteRangePotential.from_vertex_values(g, values))
+            assert est.iterations < 1000 and est.error < 1e-12, (edges, est)
+            assert abs(Decimal(est.value) - decimal_log_perron(g.adjacency, values)) <= Decimal(est.error)
 
     def test_non_irreducible_rejected(self):
         from shiftlab.graphs import FiniteGraph
