@@ -372,15 +372,19 @@ def periodic_count_exponents(
     points with it.  A row sums to its period.  The points are the ones
     :func:`enumerate_periodic` yields for each period, aggregated by
     :func:`~shiftlab.kernels.closed_path_count_keys` in one walk; rows follow
-    its order (by period, then by key).  Raises :class:`BudgetExceededError`
-    when any period has more than ``budget`` points.  Requires at most 15
-    vertices and ``n <= 15``.  ``reach`` is as for :func:`enumerate_periodic`.
+    its order (by period, then by key).  A window of more than one period
+    must start at 1 or more and at or above the prefix length.  Raises
+    :class:`BudgetExceededError` when any period has more than ``budget``
+    points.  Requires at most 15 vertices and ``n <= 15``.  ``reach`` is as
+    for :func:`enumerate_periodic`.
     """
     n_min = n if n_min is None else n_min
     prefix = tuple(int(s) for s in prefix)
-    if n_min < 1 or len(prefix) > n_min or not g.is_word(prefix):
-        # at most one point per period, or none (with enumerate_periodic's warning)
-        pts = [pt for m in range(n_min, n + 1) for pt in enumerate_periodic(g, m, prefix, budget)]
+    if n_min != n and not max(1, len(prefix)) <= n_min < n:
+        raise ValueError(f"window [{n_min}, {n}] must start at 1 or more and hold the prefix length {len(prefix)}")
+    if n < 1 or len(prefix) > n or not g.is_word(prefix):
+        # at most one point of period n, or none (with enumerate_periodic's warning)
+        pts = enumerate_periodic(g, n, prefix, budget)
         counts = [np.bincount(pt.word, minlength=g.n_vertices) for pt in pts]
         return np.array(counts, dtype=np.int64).reshape(len(pts), g.n_vertices), np.ones(len(pts), dtype=np.int64)
     indptr, indices = g.csr

@@ -157,6 +157,26 @@ def _zn_by_counts(graph: FiniteGraph, f: FiniteRangePotential, W: Word, lo: int,
     return {n: _zn_from_counts(f, n, counts[periods == n], mult[periods == n]) for n in range(lo, hi + 1)}
 
 
+def _first_overflowing_period(graph: FiniteGraph, W: Word, lo: int, hi: int, budget: int) -> int | None:
+    """The first n in [lo, hi] whose closed-path walk from ``W`` overflows ``budget``, or None.
+
+    The walk of length n starts at depth lo = max(1, |W|).  For n > lo its
+    last depth's candidates are the n-periodic points starting with W, and
+    no depth holds more (each candidate extends to a distinct point), so it
+    overflows iff there are more than ``budget`` of them; at n = lo it counts
+    none.  Those points close a path of n - |W| + 1 edges from W's last
+    symbol to its first, or of n edges when W is empty: A^k counts them,
+    and n <= 15 on at most 15 vertices keeps A^k within int64.
+    """
+    A = graph.adjacency.astype(np.int64)
+    paths = A[W[-1]] if W else A  # A^k (only its row W[-1] when W is given), k = 1 at n = lo
+    for n in range(lo + 1, hi + 1):
+        paths = paths @ A
+        if (paths[W[0]] if W else paths.trace()) > budget:
+            return n
+    return None
+
+
 def _zn_single(graph: FiniteGraph, f: FiniteRangePotential, W: Word, n: int, budget: int, reach) -> ZnValue:
     from . import graphs as _g
 
@@ -195,15 +215,13 @@ def partition_function(
     entries: dict[int, ZnValue] = {}
     truncated_at = None
     reach = kernels.exact_reach(graph.adjacency, n_max)  # one table serves every n
-    # one count-key walk serves every n it covers; if some n overflows, the
-    # per-n calls below find the first that does
+    # one count-key walk serves every n it covers, up to the first n whose
+    # walk overflows; the per-n calls below meet that overflow
     keyed: dict[int, ExpSum] = {}
     lo, hi = max(1, len(W)), min(15, n_max)
     if _count_key_route(graph, f) and lo <= hi:
-        try:
-            keyed = _zn_by_counts(graph, f, W, lo, hi, budget, reach)
-        except BudgetExceededError:
-            pass
+        first = _first_overflowing_period(graph, W, lo, hi, budget)
+        keyed = _zn_by_counts(graph, f, W, lo, hi if first is None else first - 1, budget, reach)
     for n in range(1, n_max + 1):
         try:
             entries[n] = keyed[n] if n in keyed else _zn_single(graph, f, W, n, budget, reach)
@@ -265,35 +283,34 @@ def _edge_weight_matrix(g: FiniteGraph, f: FiniteRangePotential):
 
 
 def _power_bounds(M: np.ndarray, tol: float, max_iter: int) -> tuple[float, float, int, np.ndarray]:
-    """Two-sided Collatz-Wielandt bounds for the Perron root of M >= 0.
+    """Two-sided Collatz-Wielandt bounds for the Perron root rho of M >= 0.
 
-    Iterates on M + cI, which is primitive for irreducible M, so periodic
-    graphs converge too.  c is half the geometric mean of the least and the
-    largest row sum, which bracket the Perron root rho.  A shift of the size
-    of rho moves the other eigenvalues of modulus rho (a periodic spectrum)
-    well inside the circle of radius rho + c, and it does not swamp a rho far
-    below 1 as a shift by 1 would; half the mean costs fewer steps than the
-    whole on aperiodic spectra.  For any positive v,
-    min_i (Bv/v)_i <= rho(B) <= max_i, so every iterate yields rigorous
-    bounds; we keep the best, and stop at a relative gap of ``tol``.
+    For any positive v, lo = min_i (Mv/v)_i <= rho <= max_i (Mv/v)_i = hi,
+    so every iterate yields rigorous bounds; we keep the best.  The iterate
+    steps by M + cI, which is primitive for irreducible M, so periodic graphs
+    converge too.  c is half the geometric mean of the best bracket, a
+    running estimate of rho, but never above lo, so never above rho: a shift
+    of the size of rho moves the other eigenvalues of modulus rho (a periodic
+    spectrum) well inside the circle of radius rho + c, a shift far above rho
+    would slow every step, and half costs fewer steps than the whole on
+    aperiodic spectra.  The first bracket is the least and largest row sum.
+    Stops when the bracket of M + cI is within a relative ``tol``.
     """
-    n = M.shape[0]
-    rows = M.sum(axis=1)
-    # (a least row sum that underflowed to 0 falls back to a shift by 1)
-    c = math.sqrt(float(rows.min())) * math.sqrt(float(rows.max())) / 2 or 1.0
-    B = M + c * np.eye(n)
-    v = np.ones(n)
+    v = np.ones(M.shape[0])
     lo_best, hi_best = 0.0, math.inf
     it = 0
     for it in range(1, max_iter + 1):
-        w = B @ v
+        w = M @ v
         ratios = w / v
         lo_best = max(lo_best, float(ratios.min()))
         hi_best = min(hi_best, float(ratios.max()))
+        # (a lower bound of 0, from a row sum that underflowed, shifts by 1)
+        c = min(lo_best, math.sqrt(lo_best) * math.sqrt(hi_best) / 2) or 1.0
+        w += c * v
         v = w / w.sum()
-        if hi_best - lo_best <= tol * lo_best:
+        if hi_best - lo_best <= tol * (lo_best + c):
             break
-    return lo_best - c, hi_best - c, it, v
+    return lo_best, hi_best, it, v
 
 
 def pressure_spectral(g, f: FiniteRangePotential) -> PressureEstimate:

@@ -148,6 +148,20 @@ class TestPeriodicCountExponents:
         counts, mult = periodic_count_exponents(gm.graph, 1, (0, 0))
         assert counts.tolist() == [[1, 0]] and mult.tolist() == [1]
 
+    def test_window_must_hold_the_prefix(self, gm):
+        # a window of periods aggregates by visit counts only from the prefix
+        # length on; shorter periods are single calls
+        for n_min, n, W in [(1, 4, (0, 0)), (2, 5, (0, 1, 0)), (0, 3, ()), (4, 3, (0,))]:
+            with pytest.raises(ValueError, match="window"):
+                periodic_count_exponents(gm.graph, n, W, n_min=n_min)
+        with pytest.warns(UserWarning, match="not an admissible word"):
+            counts, mult = periodic_count_exponents(gm.graph, 5, (1, 1), n_min=2)
+        assert counts.shape == (0, 2) and mult.shape == (0,)
+        counts, mult = periodic_count_exponents(gm.graph, 5, (0, 0), n_min=2)
+        want = [periodic_count_exponents(gm.graph, m, (0, 0)) for m in range(2, 6)]
+        assert counts.tolist() == [row for c, _ in want for row in c.tolist()]
+        assert mult.tolist() == [k for _, m in want for k in m.tolist()]
+
 
 class TestEnumeratePeriodic:
     def test_full2_n3_prefix0(self, full2):

@@ -1,7 +1,7 @@
 """Partition functions, pressure, equilibrium measures, zeta, distortion."""
 import math
 from collections import Counter
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import numpy as np
@@ -242,8 +242,9 @@ class TestWorkCounts:
 
     def test_one_count_key_walk_per_table(self, monkeypatch):
         # a complete span-1 table makes one walk for every n <= 15 it covers;
-        # a table its budget truncates falls back to one walk per n and keeps
-        # the truncation and entries of per-n periodic_count_exponents calls
+        # a table its budget truncates makes one walk below the truncation and
+        # one that overflows, and keeps the truncation and entries of per-n
+        # periodic_count_exponents calls
         overflows = []
         real = kernels.closed_path_count_keys
 
@@ -261,6 +262,10 @@ class TestWorkCounts:
             overflows.clear()
             t = partition_function(g, f, W, 12)
             assert overflows == [False] and t.truncated_at is None and len(t.entries) == 12
+            # a budget that every period's points just fit still takes one walk
+            overflows.clear()
+            t = partition_function(g, f, W, 12, budget=max(len(enumerate_periodic(g, n, W)) for n in range(1, 13)))
+            assert overflows == [False] and t.truncated_at is None and len(t.entries) == 12
             budget = len(enumerate_periodic(g, 9, W)) - 1
             overflows.clear()
             with pytest.warns(UserWarning, match="budget exceeded"):
@@ -277,7 +282,7 @@ class TestWorkCounts:
                     terms[sum(c * v for c, v in zip(row, values))] += m
                 want[n] = ExpSum(terms)
             assert t.truncated_at == n < 12 and t.entries == want, W
-            assert walks == [True] + [False] * (n - max(1, len(W))) + [True], W
+            assert walks == [False, True], W
 
     def test_count_keys_emit_every_point(self):
         # kernels.points_emitted, the multiplicities' sum, is the number of
@@ -373,6 +378,25 @@ class TestPressureSpectral:
             est = pressure_spectral(g, FiniteRangePotential.from_vertex_values(g, values))
             assert est.iterations < 1000 and est.error < 1e-12, (edges, est)
             assert abs(Decimal(est.value) - decimal_log_perron(g.adjacency, values)) <= Decimal(est.error)
+
+    def test_row_sums_far_above_the_perron_root(self):
+        # span 2: the block rows run from e^-23 to e^46, while both cycles,
+        # the loop at 0 and 0 -> 1 -> 2 -> 0, weigh 1, so the Perron root
+        # solves lam^3 = lam^2 + 1 (about 1.4656).  A shift of the size of the
+        # row sums' geometric mean (e^11.5) ran to the iteration cap here
+        g = build_graph(["0", "1", "2"], [(0, 0), (0, 1), (1, 2), (2, 0)]).graph
+        f = FiniteRangePotential(g, 0, 2, {(0, 0): F(0), (0, 1): F(-23), (1, 2): F(46), (2, 0): F(-23)})
+        with localcontext() as ctx:
+            ctx.prec = 60
+            lam = Decimal(2)
+            for _ in range(30):
+                lam -= (lam**3 - lam**2 - 1) / (3 * lam**2 - 2 * lam)
+            want = lam.ln()
+        est = pressure_spectral(g, f)
+        assert est.iterations < 1000 and est.error < 1e-12, est
+        assert abs(Decimal(est.value) - want) <= Decimal(est.error)
+        mu = equilibrium_measure(g, f)
+        assert abs(measure_pressure(mu, f) - float(want)) <= 1e-9
 
     def test_non_irreducible_rejected(self):
         from shiftlab.graphs import FiniteGraph
