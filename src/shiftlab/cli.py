@@ -14,10 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import documents as docs
-from .codes import CodeError, DomainError, transport_measure, verify_correspondence, verify_magic
-from .graphs import BudgetExceededError, ExhaustionPresentation, FinitePresentation, GraphError
-from .induction import LoopSystem, induce, lift_potential
-from .potentials import FiniteRangePotential, PotentialError
+from .graphs import BudgetExceededError, ExhaustionPresentation, FinitePresentation
+from .potentials import FiniteRangePotential
 from .thermo import (
     ConvergenceError,
     export_zn_csv,
@@ -47,6 +45,12 @@ def _load(path: str) -> dict:
 
 def _load_shift(path: str):
     return docs.parse_shift(_load(path))
+
+
+def _is_loop_system(shift) -> bool:
+    # parse_shift returns a loop system for every document that is neither a
+    # graph nor an exhaustion; asking so keeps induction unloaded for the others
+    return not isinstance(shift, (FinitePresentation, ExhaustionPresentation))
 
 
 def _graph_of(shift):
@@ -99,7 +103,7 @@ def cmd_entropy(args) -> int:
         }
         _print_report(report, [f"entropy (exhaustion sup over {len(est.levels)} levels): {est.value:.10f} +- {est.error:.2e}"])
         return 0
-    if isinstance(shift, LoopSystem):
+    if _is_loop_system(shift):
         verdict = recurrence_classify(shift)
         lam = verdict.lam
         report = {
@@ -160,7 +164,7 @@ def cmd_pressure(args) -> int:
 
 def cmd_zn(args) -> int:
     shift = _load_shift(args.shift)
-    if isinstance(shift, LoopSystem):
+    if _is_loop_system(shift):
         from .induction import loop_partition_function
 
         f = None
@@ -197,7 +201,7 @@ def cmd_zn(args) -> int:
 
 def cmd_classify(args) -> int:
     shift = _load_shift(args.loops)
-    if not isinstance(shift, LoopSystem):
+    if not _is_loop_system(shift):
         raise docs.SchemaError("classify expects a loop-system document")
     verdict = recurrence_classify(shift)
     report = {
@@ -264,6 +268,8 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_induce(args) -> int:
+    from .induction import induce, lift_potential
+
     shift = _load_shift(args.shift)
     graph = _graph_of(shift)
     W1 = _parse_word_arg(graph.names, args.word)
@@ -295,6 +301,8 @@ def cmd_induce(args) -> int:
 
 
 def cmd_verify_magic(args) -> int:
+    from .codes import verify_magic
+
     code = docs.parse_code(_load(args.code))
     W = _parse_word_arg(code.target.names, args.word)
     cert = verify_magic(code, W, args.offset, args.depth)
@@ -323,6 +331,8 @@ def cmd_verify_magic(args) -> int:
 
 
 def cmd_transport(args) -> int:
+    from .codes import transport_measure
+
     ai = docs.parse_ai(_load(args.ai))
     mu = docs.parse_measure(_load(args.measure))
     rep = transport_measure(ai, mu, order=args.order, samples=args.samples, seed=args.seed)
@@ -348,6 +358,8 @@ def cmd_transport(args) -> int:
 
 
 def cmd_verify_correspondence(args) -> int:
+    from .codes import verify_correspondence
+
     ai = docs.parse_ai(_load(args.ai))
     f, _ = docs.parse_potential(_load(args.potential), ai.code_s.target)
     g, _ = docs.parse_potential(_load(args.target_potential), ai.code_t.target)
@@ -456,7 +468,7 @@ def main(argv=None) -> int:
     except docs.SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return 2
-    except (GraphError, PotentialError, CodeError, DomainError, ValueError) as e:
+    except ValueError as e:  # GraphError, PotentialError, CodeError and DomainError among them
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except OverflowError as e:

@@ -12,11 +12,10 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .codes import AlmostIsomorphism, MagicWordCertificate, OneBlockCode, verify_magic
 from .graphs import (
     ExhaustionLevel,
     ExhaustionPresentation,
@@ -25,7 +24,6 @@ from .graphs import (
     Word,
     build_graph,
 )
-from .induction import Loop, LoopSystem, TailDescriptor
 from .potentials import (
     FiniteRangePotential,
     GeometricTail,
@@ -34,6 +32,10 @@ from .potentials import (
     ZeroTail,
 )
 from .thermo import MarkovMeasure
+
+if TYPE_CHECKING:  # the leaf layers load when a parser needs them
+    from .codes import AlmostIsomorphism, MagicWordCertificate, OneBlockCode
+    from .induction import LoopSystem
 
 SCHEMA_VERSION = 1
 
@@ -241,6 +243,8 @@ def emit_loops(sys_: LoopSystem) -> dict:
 
 
 def parse_loops(obj: dict) -> LoopSystem:
+    from .induction import Loop, LoopSystem, TailDescriptor
+
     _check_header(obj, "loops")
     _check_keys(obj, {"kind", "schema", "alphabet", "base", "loops", "tails"})
     names = None if obj["alphabet"] is None else tuple(str(n) for n in obj["alphabet"])
@@ -388,6 +392,8 @@ def emit_code(code: OneBlockCode) -> dict:
 
 
 def parse_code(obj: dict) -> OneBlockCode:
+    from .codes import OneBlockCode
+
     _check_header(obj, "code")
     _check_keys(obj, {"kind", "schema", "source", "target", "phi"}, {"conjugacy_window"})
     source = parse_graph(obj["source"]).graph
@@ -434,6 +440,8 @@ def emit_ai(ai: AlmostIsomorphism) -> dict:
 
 def parse_ai(obj: dict) -> AlmostIsomorphism:
     """Rebuild an almost isomorphism, re-verifying both magic certificates."""
+    from .codes import AlmostIsomorphism, verify_magic
+
     _check_header(obj, "ai")
     _check_keys(obj, {"kind", "schema", "code_s", "code_t", "cert_s", "cert_t"})
     code_s = parse_code(obj["code_s"])

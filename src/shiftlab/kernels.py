@@ -3,16 +3,19 @@
 All kernels work on CSR adjacency (``indptr``, ``indices`` with successor
 lists sorted ascending).  Enumeration extends all partial paths together,
 one step at a time, and keeps them in lexicographic order.  Pruning uses exact
-k-step reachability tables, so the work done is proportional to the number
-of emitted paths, not to the number of dead branches.
+k-step path counts (``exact_reach``, nonzero iff a path runs), so the work
+done is proportional to the number of emitted paths, not to the number of
+dead branches.
 
 Closed paths have one walker, ``_closed_walk``, which owns the pruning and
 the budget and tracks only each partial path's first and last vertex.  It
 walks a window of closing lengths [n_min, n] at once, because the walks of
 all those lengths share their prefixes; its budget is still that of one walk
-per length.  Two accumulators consume its steps: ``closed_paths`` gathers the
-path rows of one length, and ``closed_path_count_keys`` gathers packed
-visit-count keys for every length of the window and never builds a row.
+per length, and ``overflowing_lengths`` decides it before the first step
+from the closed-path counts in the same table.  Two accumulators consume
+its steps: ``closed_paths`` gathers the path rows of one length, and
+``closed_path_count_keys`` gathers packed visit-count keys for every length
+of the window and never builds a row.
 
 Caps are hard limits on emitted paths.  On overflow the kernels return a
 flag, and callers turn that into a budget error or a truncation marker.
@@ -52,18 +55,50 @@ def _dense_adjacency(indptr, indices) -> np.ndarray:
 
 
 def exact_reach(adj_bool: np.ndarray, n: int) -> np.ndarray:
-    """reach[k, u, v] == True iff a path of exactly k edges runs u -> v."""
+    """reach[k, u, v]: the number of paths of exactly k edges u -> v.
+
+    Nonzero iff such a path runs.  The counts saturate at (2^63 - 1) // V,
+    so a product of a count row and A stays within int64; a saturated count
+    is at least that bound.
+    """
     V = adj_bool.shape[0]
-    reach = np.empty((n + 1, V, V), dtype=np.bool_)
-    reach[0] = np.eye(V, dtype=np.bool_)
+    sat = (2**63 - 1) // max(V, 1)
+    reach = np.empty((n + 1, V, V), dtype=np.int64)
+    reach[0] = np.eye(V, dtype=np.int64)
     a = adj_bool.astype(np.int64)
     for k in range(1, n + 1):
-        reach[k] = (reach[k - 1].astype(np.int64) @ a) > 0
+        # entries below sat are exact: a saturated one times an edge stays >= sat
+        np.minimum(reach[k - 1] @ a, sat, out=reach[k])
     return reach
 
 
 # --------------------------------------------------------------------------
 # closed paths (periodic points)
+
+
+def overflowing_lengths(reach: np.ndarray, prefix, n_min: int, n: int, cap: int) -> np.ndarray:
+    """``over[m - n_min]``: does the closed-path walk of length m from ``prefix`` exceed ``cap``?
+
+    For every m in [n_min, n], read off an :func:`exact_reach` table.  The
+    walk of length m steps from depth max(len(prefix), 1) to m - 1, and each
+    candidate of a depth extends to a distinct closed path of length m, so
+    its last depth holds the most candidates: every closed path of length m
+    whose word starts with ``prefix``.  It overflows iff there are more than
+    ``cap`` of those; a walk that takes no step never does.  ``reach``
+    counts them: the trace of reach[m], or reach[m - len + 1] at (prefix[-1],
+    prefix[0]).  A cap at or beyond the table's saturation bound reads as
+    that bound.
+    """
+    V = reach.shape[1]
+    lp = len(prefix)
+    if lp:
+        counts = reach[n_min - lp + 1:n - lp + 2, prefix[-1], prefix[0]]
+    else:
+        counts = np.trace(reach[n_min:n + 1], axis1=1, axis2=2)
+    over = counts >= min(int(cap) + 1, (2**63 - 1) // max(V, 1))
+    if n_min == max(lp, 1):
+        over[0] = False  # that walk takes no step
+    return over
 
 
 def _closed_walk(indptr, indices, reach, n_min, n, prefix, cap):
@@ -81,20 +116,18 @@ def _closed_walk(indptr, indices, reach, n_min, n, prefix, cap):
     ``closed`` marks the partial paths of the depth that are closed paths,
     or is None when the depth lies outside the window.
 
-    The budget is that of one walk per length: the walk for length m meets,
-    at depth d, the candidates that close in exactly m - d more steps.  When
-    one length is left, every candidate counts for it.  Otherwise, with
-    ``ways[k, u, f]`` the number of successors of u that reach f in k steps,
-    the counts of every length are the partial paths' (last, first) pair
-    counts weighed by ``ways``.  The walker yields ``None`` and stops at the
-    first depth where some length has more than ``cap`` candidates.
+    The budget is that of one walk per length, decided before any step by
+    :func:`overflowing_lengths`: when some length's walk would exceed
+    ``cap``, the walker yields ``None`` alone.
     """
-    V = indptr.shape[0] - 1
     adj = _dense_adjacency(indptr, indices)
-    prefix, cap = np.array(prefix, dtype=np.int32), int(cap)
+    prefix = np.array(prefix, dtype=np.int32)
     lp = len(prefix)
     if not 1 <= n_min <= n or lp > n_min:
         raise ValueError(f"window [{n_min}, {n}] must hold the prefix length {lp} and start at 1 or more")
+    if overflowing_lengths(reach, prefix, n_min, n, cap).any():
+        yield None
+        return
     if lp == 0:
         start = np.nonzero(reach[n_min:n + 1].diagonal(axis1=1, axis2=2).any(axis=0))[0]
         start = start.astype(np.int32).reshape(-1, 1)
@@ -102,8 +135,6 @@ def _closed_walk(indptr, indices, reach, n_min, n, prefix, cap):
         # the prefix needs m - (lp - 1) more steps to close at length m
         closes = reach[n_min - lp + 1:n - lp + 2, prefix[-1], prefix[0]].any()
         start = prefix.reshape(1, -1)[:int(closes)]
-    if n_min < n:
-        ways = adj.astype(np.int64) @ reach[:n + 1].astype(np.int64)
     first, last = start[:, 0], start[:, -1]
 
     def closed(d):
@@ -115,16 +146,7 @@ def _closed_walk(indptr, indices, reach, n_min, n, prefix, cap):
     yield None, start, closed(start.shape[1])
     for d in range(start.shape[1], n):
         # a candidate closes at length m in m - d steps, m in [n_min, n] and m > d
-        lo, hi = max(n_min - d, 1), n - d
-        cand = adj[last] & reach[lo:hi + 1].any(axis=0)[:, first].T
-        if lo == hi:
-            peak = np.count_nonzero(cand)
-        else:
-            pairs = np.bincount(last * V + first, minlength=V * V).reshape(V, V)
-            peak = (ways[lo:hi + 1] * pairs).sum(axis=(1, 2)).max()
-        if peak > cap:
-            yield None
-            return
+        cand = adj[last] & reach[max(n_min - d, 1):n - d + 1].any(axis=0)[:, first].T
         parent, last = np.nonzero(cand)
         last = last.astype(np.int32)
         first = first[parent]

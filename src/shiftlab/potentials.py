@@ -247,8 +247,9 @@ def tail_sum(tail: Tail, start: int, z: Number, d: int):
     geometric closed form is widened by how the exact relative error ux of
     x = ratio * z and the other roundings propagate (Higham, ch. 3), and by
     the subnormals an underflow can lose.  A polynomial tail is a partial
-    sum plus an integral (z = 1) or the smaller of a geometric and an
-    integral remainder (z < 1); a shifted one is re-indexed by m = n + shift
+    sum plus an integral (z = 1), or a partial sum plus a remainder between
+    a lower sum over a geometric grid and the smaller of a geometric and an
+    integral bound (z < 1); a shifted one is re-indexed by m = n + shift
     (z = 1).
     """
     if z < 0:
@@ -319,8 +320,26 @@ def tail_sum(tail: Tail, start: int, z: Number, d: int):
     if q - d > 1:
         # and at most z^(M+1-d) times the integral of c x^(d-q) from M
         rem_hi = min(rem_hi, c * z ** (M + 1 - d) * M ** (1 + d - q) / (q - 1 - d))
+    # and at least a lower sum over the blocks (K_{j-1}, K_j] of the grid
+    # K_j = floor(M (33/32)^j): n^(d-q) >= min(K_{j-1}^(d-q), K_j^(d-q)) there,
+    # times the block's geometric sum of z^(n-d).  The grid ends once
+    # z^(K_j-M) < e^-36.  A block is summed from its log, which is off by at
+    # most 4 eps (its parts' sizes + 2); one with a log below -700 counts as 0.
+    J = math.ceil(math.log1p(36 / ((1 - z) * M)) / math.log1p(1 / 32))
+    K = np.floor(M * (33 / 32) ** np.arange(J + 1))
+    log_z = math.log(z)
+    parts = np.array([
+        np.full(J, math.log(c)),
+        np.full(J, -math.log(1 - z)),
+        (d - q) * np.log(K[1:] if d < q else K[:-1]),
+        (K[:-1] + 1 - d) * log_z,
+        np.log(-np.expm1(np.diff(K) * log_z)),
+    ])
+    logs, sizes = parts.sum(axis=0), np.abs(parts).sum(axis=0)
+    keep = logs > -700
+    rem_lo = float(np.sum(np.exp(logs[keep]) * (1 - 4 * _EPS * (sizes[keep] + 2)))) * (1 - J * _EPS)
     slop = 8 * _EPS * (partial + rem_hi + 1e-300)
-    return partial - slop, partial + rem_hi + slop
+    return partial + rem_lo - slop, partial + rem_hi + slop
 
 
 def check_variation_certificate(cert: VariationCertificate) -> CertificateCheck:

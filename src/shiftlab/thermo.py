@@ -157,26 +157,6 @@ def _zn_by_counts(graph: FiniteGraph, f: FiniteRangePotential, W: Word, lo: int,
     return {n: _zn_from_counts(f, n, counts[periods == n], mult[periods == n]) for n in range(lo, hi + 1)}
 
 
-def _first_overflowing_period(graph: FiniteGraph, W: Word, lo: int, hi: int, budget: int) -> int | None:
-    """The first n in [lo, hi] whose closed-path walk from ``W`` overflows ``budget``, or None.
-
-    The walk of length n starts at depth lo = max(1, |W|).  For n > lo its
-    last depth's candidates are the n-periodic points starting with W, and
-    no depth holds more (each candidate extends to a distinct point), so it
-    overflows iff there are more than ``budget`` of them; at n = lo it counts
-    none.  Those points close a path of n - |W| + 1 edges from W's last
-    symbol to its first, or of n edges when W is empty: A^k counts them,
-    and n <= 15 on at most 15 vertices keeps A^k within int64.
-    """
-    A = graph.adjacency.astype(np.int64)
-    paths = A[W[-1]] if W else A  # A^k (only its row W[-1] when W is given), k = 1 at n = lo
-    for n in range(lo + 1, hi + 1):
-        paths = paths @ A
-        if (paths[W[0]] if W else paths.trace()) > budget:
-            return n
-    return None
-
-
 def _zn_single(graph: FiniteGraph, f: FiniteRangePotential, W: Word, n: int, budget: int, reach) -> ZnValue:
     from . import graphs as _g
 
@@ -220,8 +200,9 @@ def partition_function(
     keyed: dict[int, ExpSum] = {}
     lo, hi = max(1, len(W)), min(15, n_max)
     if _count_key_route(graph, f) and lo <= hi:
-        first = _first_overflowing_period(graph, W, lo, hi, budget)
-        keyed = _zn_by_counts(graph, f, W, lo, hi if first is None else first - 1, budget, reach)
+        # the walk of length lo takes no step, so lo itself never overflows
+        over = kernels.overflowing_lengths(reach, W, lo, hi, budget)
+        keyed = _zn_by_counts(graph, f, W, lo, lo + int(np.argmax(over)) - 1 if over.any() else hi, budget, reach)
     for n in range(1, n_max + 1):
         try:
             entries[n] = keyed[n] if n in keyed else _zn_single(graph, f, W, n, budget, reach)

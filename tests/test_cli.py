@@ -510,3 +510,66 @@ def test_import_loads_neither_scipy_nor_numba(src_env):
     code = "import sys, shiftlab, shiftlab.cli; print(sorted({'scipy', 'numba'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=src_env)
     assert out.stdout.strip() == "[]"
+
+
+# every name `from shiftlab import *` gave when __init__ imported every module
+PACKAGE_EXPORTS = sorted("""
+    AlmostIsomorphism BlockLabeling BudgetExceededError CodeError ConvergenceError DomainError
+    EventuallyPeriodicPoint ExhaustionLevel ExhaustionPresentation ExpSum FiniteGraph FinitePresentation
+    FiniteRangePotential GeometricTail GraphError InducedPresentation Loop LoopSystem MagicWordCertificate
+    MarkovMeasure OneBlockCode PartitionFunctionTable PeriodicPoint PolynomialTail PressureEstimate
+    RecurrenceClass RegularityClass TailDescriptor VariationCertificate ZeroTail assemble_ai birkhoff_sum
+    bowen_reduce build_graph certify_class check_variation_certificate codes distortion_constant
+    enumerate_periodic equilibrium_measure export_zn_csv expsum from_periodic gamma_on_point graphs
+    higher_block induce induce_structured induction intervals irreducible_and_period kernels labeling_code
+    lift_potential lift_variation loop_partition_function measure_pressure partition_function
+    phi_injective_on_periodic points_equal potentials pressure_exhaustion pressure_from_table
+    pressure_spectral recurrence_classify shift_point thermo transport_measure verify_correspondence
+    verify_magic verify_zn_coincidence zeta_series
+""".split())
+
+
+def test_package_names_resolve_with_the_leaf_layers_unloaded(src_env):
+    # import shiftlab loads the core only; each leaf name then resolves on first use,
+    # to the object its module defines, and an unknown name is still an AttributeError
+    code = """if True:
+        import json, sys, shiftlab
+        leaves = sorted({'shiftlab.codes', 'shiftlab.induction'} & set(sys.modules))
+        listed = set(dir(shiftlab))
+        same = all(getattr(shiftlab, n) is getattr(sys.modules['shiftlab.' + m], n) for n, m in shiftlab._LAZY.items())
+        star = {}
+        exec('from shiftlab import *', star)
+        try:
+            shiftlab.no_such_name
+            unknown = 'resolved'
+        except AttributeError:
+            unknown = 'AttributeError'
+        print(json.dumps([leaves, sorted(shiftlab.__all__), sorted(set(shiftlab.__all__) - listed), same,
+                          sorted(set(star) - {'__builtins__'}), unknown]))
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=src_env)
+    leaves, exported, unlisted, same, star, unknown = json.loads(out.stdout)
+    assert leaves == []
+    assert exported == star == PACKAGE_EXPORTS
+    assert unlisted == [] and same and unknown == "AttributeError"
+
+
+@pytest.mark.parametrize("argv, rc, leaves", [
+    (["entropy", "--shift", "gm.json"], 0, []),
+    (["zn", "--shift", "gm-at-0-loops.json"], 0, ["shiftlab.induction"]),
+    # the empty word is a CodeError, which main reports as an input error
+    (["verify-magic", "--code", "CODE", "--word", ""], 2, ["shiftlab.codes"]),
+])
+def test_a_command_loads_only_the_leaf_layers_it_runs(src_env, fixture_dir, tmp_path, argv, rc, leaves):
+    code_path = tmp_path / "code.json"
+    code_path.write_text(json.dumps(json.loads((fixture_dir / "gm-self-ai.json").read_text())["code_s"]))
+    argv = [str(code_path) if a == "CODE" else str(fixture_dir / a) if a.endswith(".json") else a for a in argv]
+    code = f"""if True:
+        import contextlib, io, json, sys
+        from shiftlab.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main({argv!r})
+        print(json.dumps([rc, sorted({{'shiftlab.codes', 'shiftlab.induction'}} & set(sys.modules))]))
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=src_env)
+    assert json.loads(out.stdout) == [rc, leaves], out.stderr

@@ -325,6 +325,20 @@ class TestTailSum:
                 lo, hi = tail_sum(tail.law, start, 1 - 1e-7, d)
                 assert hi - lo <= 1e-4  # about the rest past 4096 terms, 0.37 / 4096
 
+    def test_polynomial_tails_just_inside_the_radius_have_a_lower_end(self):
+        # past M = max(start + 1, 4096) terms the lower end adds a lower sum of
+        # the rest over a grid of ratio 33/32, which loses at most 1 - (32/33)^2
+        # of it when power - d = 2; without it the lower end at start 5000 was
+        # the partial sum alone, about 0
+        for power, d in ((2.0, 0), (3.0, 1)):
+            for start in (5, 5000, 20000):
+                for gap in (1e-7, 1e-5, 1e-3):
+                    tail = TailDescriptor(kind="polynomial", coef=0.37, power=power, start=start)
+                    self._contains(tail, 1 - gap, d)
+                    want = tail_series("polynomial", 0.37, power, start, 1 - gap, d)
+                    lo, _ = tail_sum(tail.law, start, 1 - gap, d)
+                    assert want - Decimal(lo) <= Decimal("0.061") * want, (power, start, gap, lo, float(want))
+
     def test_z_zero_is_exact_and_negative_z_is_refused(self):
         # at z = 0 only the n = 1 term survives, and only in F'
         for tail, omega_1 in (

@@ -230,3 +230,20 @@ def test_window_walk_is_the_per_length_walks_concatenated():
             if not overflow:
                 assert keys.tolist() == [int(k) for keys_m, _, _ in per_length for k in keys_m]
                 assert mult.tolist() == [int(c) for _, mult_m, _ in per_length for c in mult_m]
+
+
+def test_overflow_counts_saturate_instead_of_wrapping():
+    # on the complete graph with 64 vertices there are 64^m closed paths of
+    # length m (64^(m-1) from a one-letter prefix), past int64 from m = 11 on;
+    # saturated at cap + 1 the counts still decide every length exactly
+    adj = np.ones((64, 64), dtype=bool)
+    reach = kernels.exact_reach(adj, 15)
+    cap = 10**12  # 64^6 < cap < 64^7
+    assert kernels.overflowing_lengths(reach, (), 1, 15, cap).tolist() == [m >= 7 for m in range(1, 16)]
+    assert kernels.overflowing_lengths(reach, (0,), 1, 15, cap).tolist() == [m >= 8 for m in range(1, 16)]
+    # a walk that takes no step never overflows, even at cap 0
+    assert kernels.overflowing_lengths(reach, (0, 1), 2, 3, 0).tolist() == [False, True]
+    # an overflowing window walks nothing and returns empty arrays
+    indptr, indices = kernels.csr_adjacency(64, [(u, v) for u in range(64) for v in range(64)])
+    paths, overflow = kernels.closed_paths(indptr, indices, reach, 15, (), cap)
+    assert overflow and paths.shape == (0, 15) and paths.dtype == np.int32
