@@ -73,6 +73,10 @@ class FiniteGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self._edge_set
 
+    def is_closed_word(self, word) -> bool:
+        """True when each letter of ``word`` has an edge to the next, the last to the first."""
+        return self._edge_set.issuperset(zip(word, word[1:] + word[:1]))
+
     def successors(self, u: int) -> np.ndarray:
         indptr, indices = self.csr
         return indices[indptr[u]:indptr[u + 1]]
@@ -335,7 +339,7 @@ def enumerate_periodic(
         cand = prefix[:n]
         if any(prefix[i] != cand[i % n] for i in range(len(prefix))):
             return ()
-        if all(g.has_edge(cand[i], cand[(i + 1) % n]) for i in range(n)):
+        if g.is_closed_word(cand):
             return (PeriodicPoint(cand),)
         return ()
     indptr, indices = g.csr
@@ -372,11 +376,13 @@ def periodic_count_exponents(
     points with it.  A row sums to its period.  The points are the ones
     :func:`enumerate_periodic` yields for each period, aggregated by
     :func:`~shiftlab.kernels.closed_path_count_keys` in one walk; rows follow
-    its order (by period, then by key).  A window of more than one period
-    must start at 1 or more and at or above the prefix length.  Raises
+    its order (by period, then by key), and are decoded from its fields of
+    :func:`~shiftlab.kernels.count_key_width` bits.  A window of more than one
+    period must start at 1 or more and at or above the prefix length.  Raises
     :class:`BudgetExceededError` when any period has more than ``budget``
-    points.  Requires at most 15 vertices and ``n <= 15``.  ``reach`` is as
-    for :func:`enumerate_periodic`.
+    points, and ValueError when the keys do not fit: n_vertices times the
+    width must be at most 63 (n <= 15 on 15 vertices, n <= 31 on 12,
+    n <= 127 on 9).  ``reach`` is as for :func:`enumerate_periodic`.
     """
     n_min = n if n_min is None else n_min
     prefix = tuple(int(s) for s in prefix)
@@ -393,7 +399,8 @@ def periodic_count_exponents(
     )
     if overflow:
         raise BudgetExceededError(f"more than {budget} periodic points of a period in [{n_min}, {n}]")
-    counts = (keys[:, None] >> (4 * np.arange(g.n_vertices, dtype=np.int64))) & 0xF
+    width = kernels.count_key_width(g.n_vertices, n)
+    counts = (keys[:, None] >> (width * np.arange(g.n_vertices, dtype=np.int64))) & ((1 << width) - 1)
     return counts, mult
 
 

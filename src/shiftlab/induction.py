@@ -585,15 +585,18 @@ def _loop_weights(system: LoopSystem, exact: bool) -> dict[tuple[int, int], dict
     interval around a log weight that is exact or rounded once.
     """
     out: dict[tuple[int, int], dict] = {}
+    if exact:
+        if not all(isinstance(lp.log_weight, (Fraction, int)) for lp in system.loops):
+            raise ValueError("exact loop composition needs rational weights")
+        # one denominator for every weight, so the renewal's sums and products share it
+        q = math.lcm(*(Fraction(lp.log_weight).denominator for lp in system.loops))
     for lp in system.loops:
         d = out.setdefault((lp.src, lp.dst), {})
-        if not exact:
+        if exact:
+            d.setdefault(lp.length, ExpSum.from_coeffs(q, {})).add_term(lp.log_weight, lp.count)
+        else:
             w = iv.mul((float(lp.count),) * 2, iv.exp(iv.near(lp.log_weight)))
             d[lp.length] = iv.add(d.get(lp.length, iv.ZERO), w)
-        elif isinstance(lp.log_weight, (Fraction, int)):
-            d.setdefault(lp.length, ExpSum()).add_term(Fraction(lp.log_weight), lp.count)
-        else:
-            raise ValueError("exact loop composition needs rational weights")
     return out
 
 
@@ -689,7 +692,7 @@ def verify_zn_coincidence(
         rz = right[n - 1]
         if truncated and n > maxlen:
             # right side misses tail loops, so it must embed in the left multiset
-            eq = all(lz.terms.get(e, 0) >= m for e, m in rz.terms.items())
+            eq = lz.includes(rz)
         else:
             eq = lz == rz
         ok &= eq

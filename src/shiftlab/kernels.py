@@ -15,7 +15,10 @@ per length, and ``overflowing_lengths`` decides it before the first step
 from the closed-path counts in the same table.  Two accumulators consume
 its steps: ``closed_paths`` gathers the path rows of one length, and
 ``closed_path_count_keys`` gathers packed visit-count keys for every length
-of the window and never builds a row.
+of the window and never builds a row.  A key packs one field per vertex
+into an int64, each ``count_key_width(V, n)`` = max(4, n.bit_length()) bits
+wide, so the keys of a window up to length n need V * width <= 63: up to
+n = 15 on 15 vertices, n = 31 on 12, n = 127 on 9.
 
 Caps are hard limits on emitted paths.  On overflow the kernels return a
 flag, and callers turn that into a budget error or a truncation marker.
@@ -167,40 +170,53 @@ def closed_paths(indptr, indices, reach, n, prefix, cap):
     return paths, False
 
 
+def count_key_width(n_vertices: int, n: int) -> int:
+    """Bits per vertex field of the count keys of closed paths up to length n.
+
+    max(4, n.bit_length()): a vertex is visited at most n times, so a field
+    never carries, and windows up to length 15 keep 4-bit fields.  Raises
+    ValueError when the ``n_vertices`` fields do not fit in 63 bits.
+    """
+    width = max(4, int(n).bit_length())
+    if n_vertices * width > 63:
+        raise ValueError(f"count keys up to length {n} need {width}-bit fields; "
+                         f"{n_vertices} of them exceed 63 bits")
+    return width
+
+
+def max_count_key_length(n_vertices: int) -> int:
+    """The longest closed path whose count key fits on ``n_vertices`` vertices (0 past 15 vertices)."""
+    width = 63 // max(n_vertices, 1)
+    return 2**width - 1 if width >= 4 else 0
+
+
 def closed_path_count_keys(indptr, indices, reach, n, prefix, cap, *, n_min=None):
     """Closed paths of every length in [n_min, n] aggregated by vertex-visit counts.
 
-    ``n_min`` defaults to n.  Keys pack per-vertex visit counts in 4-bit
-    fields, so this route requires ``n_vertices <= 15`` and ``n <= 15``.  A
-    key's fields sum to its path's length, so keys of different lengths never
-    collide.  Returns ``(keys, multiplicities, overflow)``: the keys of each
-    length in ascending order, shortest length first, exactly the
-    concatenation of one call per length.  ``overflow`` is set when any
-    length's walk has more than ``cap`` candidates at one depth, and the
-    arrays are then empty.
+    ``n_min`` defaults to n.  A key packs the visit count of vertex v into
+    bits [v w, (v + 1) w), with w = :func:`count_key_width` of the vertex
+    count and n (ValueError when they do not fit).  A key's fields sum to
+    its path's length, so keys of different lengths never collide.  Returns
+    ``(keys, multiplicities, overflow)``: the keys of each length in
+    ascending order, shortest length first, exactly the concatenation of one
+    call per length when every length packs at the same width (as all up to
+    15 do).  ``overflow`` is set when any length's walk has more than ``cap``
+    candidates at one depth, and the arrays are then empty.
     """
-    V = indptr.shape[0] - 1
-    if V > 15 or n > 15:
-        raise ValueError("count-key packing requires <=15 vertices and n<=15")
-    # a vertex is visited at most n <= 15 times, so the 4-bit fields never carry
+    width = count_key_width(indptr.shape[0] - 1, n)
     one = np.int64(1)
     found_keys, found_mult = [], []  # the walk's last depth is always in the window
     for step in _closed_walk(indptr, indices, reach, n if n_min is None else n_min, n, prefix, cap):
         if step is None:
             return np.empty(0, np.int64), np.empty(0, np.int64), True
         parent, vertex, closed = step
-        bits = one << (4 * vertex.astype(np.int64))
+        bits = one << (width * vertex.astype(np.int64))
         keys = bits.sum(axis=1) if parent is None else keys[parent] + bits
         if closed is not None:
             uniq, mult = np.unique(keys[closed], return_counts=True)
             found_keys.append(uniq.astype(np.int64))
             found_mult.append(mult.astype(np.int64))
     return np.concatenate(found_keys), np.concatenate(found_mult), False
-
-
-def unpack_count_key(key: int, n_vertices: int) -> tuple[int, ...]:
-    """Inverse of the 4-bit count packing."""
-    return tuple((int(key) >> (4 * v)) & 0xF for v in range(n_vertices))
 
 
 # --------------------------------------------------------------------------

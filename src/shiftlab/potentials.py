@@ -127,9 +127,8 @@ def birkhoff_sum(f: FiniteRangePotential, x: PeriodicPoint, n: int) -> Number:
     if n < 1:
         raise ValueError("need n >= 1")
     word, p = x.word, len(x.word)
-    for i in range(p):
-        if not f.graph.has_edge(word[i], word[(i + 1) % p]):
-            raise PotentialError(f"orbit word {word} is not admissible")
+    if not f.graph.is_closed_word(word):
+        raise PotentialError(f"orbit word {word} is not admissible")
     # letters -left .. n + right - 2 of the orbit, so window k is ext[k:k + span]
     span = f.span
     start = -f.left % p

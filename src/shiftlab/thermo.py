@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -114,10 +113,14 @@ def _zn_from_points(f, points, n) -> ZnValue:
     starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
     classes = zip(order[starts].tolist(), np.diff(np.r_[starts, len(rows)]).tolist())
     if f.rational:
-        sums: Counter = Counter()
+        # each class's Birkhoff sum as a numerator over the table's denominator
+        q = f._integer_table[0]
+        coeffs: dict[int, int] = {}
         for i, m in classes:
-            sums[birkhoff_sum(f, points[i], n)] += m
-        return ExpSum(sums)
+            s = birkhoff_sum(f, points[i], n)
+            k = s.numerator * (q // s.denominator)
+            coeffs[k] = coeffs.get(k, 0) + m
+        return ExpSum.from_coeffs(q, coeffs)
     # a float table: each class's sum of table values and its exp, bracketed
     return iv.midrad(iv.fsum(
         iv.mul((float(m), float(m)), iv.exp(iv.fsum(iv.near(f.value_at(points[i], k)) for k in range(n))))
@@ -125,42 +128,50 @@ def _zn_from_points(f, points, n) -> ZnValue:
     ))
 
 
-def _count_key_route(graph: FiniteGraph, f: FiniteRangePotential) -> bool:
-    # the exponent of a span-1 rational potential depends only on visit counts
-    return f.rational and f.span == 1 and graph.n_vertices <= 15
+def _keyed_up_to(graph: FiniteGraph, f: FiniteRangePotential) -> int:
+    """The longest period the count-key route covers, 0 when it covers none.
 
-
-def _zn_from_counts(f: FiniteRangePotential, n: int, counts, mult) -> ExpSum:
-    q, table = f._integer_table
-    weights = [table[(v,)] for v in range(counts.shape[1])]
-    # exponent numerators over q; int64 holds them unless the table's
-    # numerators are huge, and then numpy works on Python integers
-    dtype = np.int64 if n * max(abs(w) for w in weights) < 2**63 else object
-    numerators = counts.astype(dtype) @ np.array(weights, dtype=dtype)
-    exps, inverse = np.unique(numerators, return_inverse=True)
-    totals = np.zeros(len(exps), dtype=np.int64)
-    np.add.at(totals, inverse, mult)
-    # the exponents are distinct and the multiplicities positive, so the
-    # terms go in as they are, without one add_term per term
-    out = ExpSum()
-    out.terms = {Fraction(e, q): m for e, m in zip(exps.tolist(), totals.tolist())}
-    return out
+    The exponent of a span-1 rational potential depends only on visit
+    counts, and the route runs as far as their keys fit.
+    """
+    return kernels.max_count_key_length(graph.n_vertices) if f.rational and f.span == 1 else 0
 
 
 def _zn_by_counts(graph: FiniteGraph, f: FiniteRangePotential, W: Word, lo: int, hi: int, budget: int,
                   reach) -> dict[int, ExpSum]:
-    """Z_n for every n in [lo, hi] from one count-key walk; rows split by their sum, the period."""
+    """Z_n for every n in [lo, hi] from one count-key walk, grouped once by (period, numerator).
+
+    A row's period is the sum of its visit counts, and its exponent is the
+    numerator (counts . q f) over the table's denominator q.
+    """
     from . import graphs as _g
 
     counts, mult = _g.periodic_count_exponents(graph, hi, W, budget=budget, n_min=lo, reach=reach)
+    q, table = f._integer_table
+    weights = [table[(v,)] for v in range(graph.n_vertices)]
     periods = counts.sum(axis=1)
-    return {n: _zn_from_counts(f, n, counts[periods == n], mult[periods == n]) for n in range(lo, hi + 1)}
+    out: dict[int, dict[int, int]] = {n: {} for n in range(lo, hi + 1)}
+    if hi * max(abs(w) for w in weights) < 2**63:
+        # the numerators fit in int64: sort the rows by (period, numerator) and
+        # add the multiplicities of each run
+        numerators = counts @ np.array(weights, dtype=np.int64)
+        order = np.lexsort((numerators, periods))
+        periods, numerators, mult = periods[order], numerators[order], mult[order]
+        change = (periods[1:] != periods[:-1]) | (numerators[1:] != numerators[:-1])
+        starts = np.flatnonzero(np.r_[len(mult) > 0, change])
+        rows = zip(periods[starts].tolist(), numerators[starts].tolist(), np.add.reduceat(mult, starts).tolist())
+    else:
+        numerators = counts.astype(object) @ np.array(weights, dtype=object)
+        rows = zip(periods.tolist(), numerators.tolist(), mult.tolist())
+    for n, k, m in rows:
+        out[n][k] = out[n].get(k, 0) + m
+    return {n: ExpSum.from_coeffs(q, coeffs) for n, coeffs in out.items()}
 
 
 def _zn_single(graph: FiniteGraph, f: FiniteRangePotential, W: Word, n: int, budget: int, reach) -> ZnValue:
     from . import graphs as _g
 
-    if _count_key_route(graph, f) and n <= 15:
+    if n <= _keyed_up_to(graph, f):
         return _zn_by_counts(graph, f, W, n, n, budget, reach)[n]
     return _zn_from_points(f, _g.enumerate_periodic(graph, n, W, budget=budget, reach=reach), n)
 
@@ -198,8 +209,8 @@ def partition_function(
     # one count-key walk serves every n it covers, up to the first n whose
     # walk overflows; the per-n calls below meet that overflow
     keyed: dict[int, ExpSum] = {}
-    lo, hi = max(1, len(W)), min(15, n_max)
-    if _count_key_route(graph, f) and lo <= hi:
+    lo, hi = max(1, len(W)), min(_keyed_up_to(graph, f), n_max)
+    if lo <= hi:
         # the walk of length lo takes no step, so lo itself never overflows
         over = kernels.overflowing_lengths(reach, W, lo, hi, budget)
         keyed = _zn_by_counts(graph, f, W, lo, lo + int(np.argmax(over)) - 1 if over.any() else hi, budget, reach)
@@ -263,20 +274,45 @@ def _edge_weight_matrix(g: FiniteGraph, f: FiniteRangePotential):
     return H, M, labeling.block_words, values
 
 
-def _power_bounds(M: np.ndarray, tol: float, max_iter: int) -> tuple[float, float, int, np.ndarray]:
+def _period_lower_bound(M: np.ndarray, period: int) -> float:
+    """(least row sum of M^p)^(1/p) for p = ``period``, a lower bound of the Perron root.
+
+    M^p >= 0 has Perron root rho^p, at least its least row sum.  The row
+    sums M^p 1 are taken by p products with M, each rescaled by its largest
+    entry so that none overflows; 0 when an entry underflows.
+    """
+    r, log_scale = np.ones(M.shape[0]), 0.0
+    for _ in range(period):
+        r = M @ r
+        top = float(r.max())
+        if not top > 0:
+            return 0.0
+        r /= top
+        log_scale += math.log(top)
+    least = float(r.min())
+    return math.exp((log_scale + math.log(least)) / period) if least > 0 else 0.0
+
+
+def _power_bounds(M: np.ndarray, tol: float, max_iter: int, period: int = 1) -> tuple[float, float, int, np.ndarray]:
     """Two-sided Collatz-Wielandt bounds for the Perron root rho of M >= 0.
 
     For any positive v, lo = min_i (Mv/v)_i <= rho <= max_i (Mv/v)_i = hi,
     so every iterate yields rigorous bounds; we keep the best.  The iterate
     steps by M + cI, which is primitive for irreducible M, so periodic graphs
     converge too.  c is half the geometric mean of the best bracket, a
-    running estimate of rho, but never above lo, so never above rho: a shift
+    running estimate of rho, but never above a lower bound of rho: a shift
     of the size of rho moves the other eigenvalues of modulus rho (a periodic
     spectrum) well inside the circle of radius rho + c, a shift far above rho
     would slow every step, and half costs fewer steps than the whole on
     aperiodic spectra.  The first bracket is the least and largest row sum.
-    Stops when the bracket of M + cI is within a relative ``tol``.
+    That lower bound is lo, or on a graph of ``period`` p > 1 the larger of
+    lo and :func:`_period_lower_bound`: there the least row sum of M can lie
+    far below rho (a cycle with weights e^-40 and e^40 has rho = 1), and lo
+    would climb to rho only about twofold per step.  The period bound only
+    chooses c; the returned bracket is lo and hi.  Stops when the bracket of
+    M + cI is within a relative ``tol``.
     """
+    floor = _period_lower_bound(M, period) if period > 1 else 0.0
     v = np.ones(M.shape[0])
     lo_best, hi_best = 0.0, math.inf
     it = 0
@@ -285,8 +321,9 @@ def _power_bounds(M: np.ndarray, tol: float, max_iter: int) -> tuple[float, floa
         ratios = w / v
         lo_best = max(lo_best, float(ratios.min()))
         hi_best = min(hi_best, float(ratios.max()))
+        lo = max(lo_best, floor)
         # (a lower bound of 0, from a row sum that underflowed, shifts by 1)
-        c = min(lo_best, math.sqrt(lo_best) * math.sqrt(hi_best) / 2) or 1.0
+        c = min(lo, math.sqrt(lo) * math.sqrt(hi_best) / 2) or 1.0
         w += c * v
         v = w / w.sum()
         if hi_best - lo_best <= tol * (lo_best + c):
@@ -304,11 +341,11 @@ def pressure_spectral(g, f: FiniteRangePotential) -> PressureEstimate:
     :mod:`shiftlab.intervals`.
     """
     graph = g.graph if isinstance(g, FinitePresentation) else g
-    flag, _ = irreducible_and_period(graph)
+    flag, period = irreducible_and_period(graph)
     if not flag:
         raise ValueError("pressure_spectral needs an irreducible graph")
     H, M, _, values = _edge_weight_matrix(graph, f)
-    _, _, it, v = _power_bounds(M, _SPECTRAL_TOL, _SPECTRAL_MAX_ITER)
+    _, _, it, v = _power_bounds(M, _SPECTRAL_TOL, _SPECTRAL_MAX_ITER, period)
     v = v.tolist()
     ratios = [
         iv.mul(iv.exp(iv.near(values[u])), iv.div(iv.fsum((v[s], v[s]) for s in H.successors(u)), (v[u], v[u])))
@@ -535,11 +572,11 @@ def equilibrium_measure(g, f: FiniteRangePotential) -> MarkovMeasure:
     log(lambda).
     """
     graph = g.graph if isinstance(g, FinitePresentation) else g
-    flag, _ = irreducible_and_period(graph)
+    flag, period = irreducible_and_period(graph)
     if not flag:
         raise ValueError("equilibrium_measure needs an irreducible graph")
     H, M, blocks, _ = _edge_weight_matrix(graph, f)
-    lam_lo, lam_hi, _, r = _power_bounds(M, _MEASURE_TOL, _MEASURE_MAX_ITER)
+    lam_lo, lam_hi, _, r = _power_bounds(M, _MEASURE_TOL, _MEASURE_MAX_ITER, period)
     if lam_hi - lam_lo > _MEASURE_TOL * max(1.0, lam_hi) * 10:
         raise ConvergenceError(
             f"power iteration gap {lam_hi - lam_lo:.3e} did not reach {_MEASURE_TOL:.1e}"

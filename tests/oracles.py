@@ -2,8 +2,9 @@
 
 Nothing here shares algorithms with the library: periodic points and first
 returns are counted by integer matrix powers or raw product filtering,
-weighted sums by matrix powers over a packed-exponent semiring or in
-60-digit decimal arithmetic, series by closed-form expansions, chains by
+visit-count keys by packing a tallied visit matrix, weighted sums by
+matrix powers over a packed-exponent semiring or in 60-digit decimal
+arithmetic, series by closed-form expansions, chains by
 scalar comparisons, strongly connected components by a transitive
 closure, stationary vectors by the Markov chain tree theorem in exact
 rationals, lifts of periodic points by filtering products of fibers, the
@@ -170,15 +171,39 @@ def has_periodic_lift(source_edges: set[tuple[int, int]], fibers: list[list[int]
     return False
 
 
+def key_width(n: int) -> int:
+    """Bits per vertex of a packed visit-count vector of a path of length <= n: at least 4,
+    and enough to hold n itself."""
+    width = 4
+    while n >= 2**width:
+        width += 1
+    return width
+
+
+def count_keys_by_visit_matrix(paths: np.ndarray, V: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct packed visit-count keys of the rows of ``paths`` and their multiplicities.
+
+    Counts are tallied into a (paths x V) visit matrix and packed with vertex
+    v's count in bits [v width, (v + 1) width), so V * width <= 63.
+    """
+    assert V * width <= 63
+    counts = np.zeros((paths.shape[0], V), dtype=np.int64)
+    np.add.at(counts, (np.arange(paths.shape[0])[:, None], paths), 1)
+    keys = counts @ (np.int64(1) << (width * np.arange(V, dtype=np.int64)))
+    return np.unique(keys, return_counts=True)
+
+
 def weighted_trace_expsum(adj: np.ndarray, values: list[Fraction], n: int) -> ExpSum:
     """Trace of the n-th power of M[u,v] = A[u,v] exp(values[u]), exactly.
 
     Matrix powers over the semiring of formal exp sums; exponents are packed
-    as 4-bit per-vertex visit counts (so V <= 15 and n <= 15).
+    as per-vertex visit counts of ``key_width(n)`` bits (so V times that width
+    is at most 63: n <= 15 on 15 vertices, n <= 31 on 12).
     """
     V = adj.shape[0]
-    assert V <= 15 and n <= 15
-    shifts = [np.int64(1) << np.int64(4 * v) for v in range(V)]
+    width = key_width(n)
+    assert V * width <= 63
+    shifts = [np.int64(1) << np.int64(width * v) for v in range(V)]
     # entry (u, v): keys array of packed counts, mult array
     cur: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     for u in range(V):
@@ -211,7 +236,7 @@ def weighted_trace_expsum(adj: np.ndarray, values: list[Fraction], n: int) -> Ex
             continue
         keys, mults = cur[(u, u)]
         for k, m in zip(keys, mults):
-            counts = [(int(k) >> (4 * v)) & 0xF for v in range(V)]
+            counts = [(int(k) >> (width * v)) % 2**width for v in range(V)]
             exponent = sum(c * values[v] for v, c in enumerate(counts))
             acc.add_term(exponent, int(m))
     return acc

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shiftlab import kernels
-from shiftlab.graphs import FiniteGraph, build_graph
+from shiftlab.graphs import FiniteGraph, build_graph, periodic_count_exponents
 from shiftlab.induction import _bfs_dist_to
 from shiftlab.potentials import FiniteRangePotential
 from shiftlab.thermo import partition_function
@@ -60,8 +60,11 @@ def test_closed_paths_and_count_keys_match_brute_force_on_random_graphs():
             keys, mult, overflow = kernels.closed_path_count_keys(indptr, indices, reach, n, (), 2_000_000)
             assert not overflow
             assert list(keys) == sorted(keys)
+            # periodic_count_exponents decodes the same walk's keys
+            counts, multiplicities = periodic_count_exponents(g, n, reach=reach)
+            assert multiplicities.tolist() == mult.tolist()
             by_counts = Counter(tuple(w.count(v) for v in range(g.n_vertices)) for w in expected)
-            assert {kernels.unpack_count_key(k, g.n_vertices): int(m) for k, m in zip(keys, mult)} == by_counts
+            assert {tuple(c): m for c, m in zip(counts.tolist(), multiplicities.tolist())} == by_counts
 
 
 def test_count_keys_aggregate_paths(gm):

@@ -193,13 +193,38 @@ class TestWorkCounts:
                 points = enumerate_periodic(g, n)
                 assert calls[n] == len(self._window_classes(points, span, n))
             assert calls[8] < len(enumerate_periodic(g, 8))
-        # span 1 takes the per-point route only past n = 15
+        # span 1 takes the count-key route as far as its keys fit: on the
+        # golden mean to n_max = 17 it makes no Birkhoff sum
         f = FiniteRangePotential.from_vertex_values(gm.graph, [F(1, 3), F(-2, 7)])
         calls.clear()
         partition_function(gm.graph, f, (), 17)
+        assert not calls
+        # 13 vertices keep 4-bit fields, so that route stops at 15 and the
+        # rest go per point
+        g13 = build_graph([str(v) for v in range(13)], [(v, (v + 1) % 13) for v in range(13)] + [(0, 0)]).graph
+        f13 = FiniteRangePotential.from_vertex_values(g13, [F(v, 3) for v in range(13)])
+        calls.clear()
+        partition_function(g13, f13, (), 17)
         assert sorted(calls) == [16, 17]
         for n in (16, 17):
-            assert calls[n] == len(self._window_classes(enumerate_periodic(gm.graph, n), 1, n))
+            assert calls[n] == len(self._window_classes(enumerate_periodic(g13, n), 1, n))
+
+    def test_span_one_tables_on_twelve_vertices_make_no_birkhoff_sum_to_31(self, monkeypatch):
+        # 12 vertex fields of 5 bits fit in 63, so every n <= 31 takes count
+        # keys; the table still equals the trace oracle's, which packs its own keys
+        calls = []
+        monkeypatch.setattr(thermo, "birkhoff_sum", lambda *a: calls.append(a))
+        edges = [(v, (v + 1) % 12) for v in range(12)] + [(0, 0), (5, 3), (9, 2)]
+        g = build_graph([str(v) for v in range(12)], edges).graph
+        values = random_rational_values(np.random.default_rng(31), 12)
+        f = FiniteRangePotential.from_vertex_values(g, values)
+        t = partition_function(g, f, (), 31)
+        assert not calls and t.truncated_at is None and len(t.entries) == 31
+        for n in (1, 12, 16, 23, 31):
+            assert t.zn_exact(n) == weighted_trace_expsum(g.adjacency, values, n), n
+        assert [t.zn_exact(n).count for n in range(1, 32)] == [integer_trace(g.adjacency, n) for n in range(1, 32)]
+        t0 = partition_function(g, f, (0, 0), 31)
+        assert not calls and t0.zn_exact(31).count == np.linalg.matrix_power(g.adjacency.astype(object), 30)[0, 0]
 
     def test_count_key_route_adds_no_terms_one_at_a_time(self, full2, monkeypatch):
         calls = []
@@ -241,7 +266,7 @@ class TestWorkCounts:
             enumerate_periodic(gm.graph, 10, reach=reach)
 
     def test_one_count_key_walk_per_table(self, monkeypatch):
-        # a complete span-1 table makes one walk for every n <= 15 it covers;
+        # a complete span-1 table makes one walk for every n its keys cover;
         # a table its budget truncates makes one walk below the truncation and
         # one that overflows, and keeps the truncation and entries of per-n
         # periodic_count_exponents calls
@@ -397,6 +422,20 @@ class TestPressureSpectral:
         assert abs(Decimal(est.value) - want) <= Decimal(est.error)
         mu = equilibrium_measure(g, f)
         assert abs(measure_pressure(mu, f) - float(want)) <= 1e-9
+
+    def test_periodic_graph_with_a_tiny_least_row_sum_converges_quickly(self):
+        # each cycle weighs 1, so rho = 1, but the least row sum of M is e^-300
+        # or e^-40: a shift capped by the Collatz-Wielandt lower bound of M
+        # alone climbed to rho about twofold per step (461, 86 and 141
+        # iterations); the bound from M^p, p the period, starts it at rho
+        for edges, values in [
+            ([(0, 1), (1, 0)], [F(-300), F(300)]),
+            ([(0, 1), (1, 0)], [F(-40), F(40)]),
+            ([(0, 1), (1, 2), (2, 0)], [F(-40), F(0), F(40)]),
+        ]:
+            g = build_graph([str(v) for v in range(len(values))], edges).graph
+            est = pressure_spectral(g, FiniteRangePotential.from_vertex_values(g, values))
+            assert est.iterations <= 80 and est.value - est.error <= 0.0 <= est.value + est.error, (values, est)
 
     def test_non_irreducible_rejected(self):
         from shiftlab.graphs import FiniteGraph
