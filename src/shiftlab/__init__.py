@@ -43,7 +43,6 @@ from .thermo import (
     PartitionFunctionTable,
     PressureEstimate,
     RecurrenceClass,
-    distortion_constant,
     equilibrium_measure,
     export_zn_csv,
     measure_pressure,

@@ -314,7 +314,7 @@ def cmd_verify_magic(args) -> int:
         "status": cert.status,
         "witness": None,
     }
-    human = [f"{args.word!r}: {cert.status} (depth {args.depth})"]
+    human = [f"{args.word!r}: {cert.status}"]
     if cert.witness is not None:
         C, u, v = cert.witness
         names_s, names_t = code.source.names, code.target.names
@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--code", required=True)
     sp.add_argument("--word", required=True)
     sp.add_argument("--offset", type=int, default=0)
-    sp.add_argument("--depth", type=int, default=8)
+    sp.add_argument("--depth", type=int, default=8, help="recorded in the report, not searched")
     sp.set_defaults(func=cmd_verify_magic)
 
     sp = sub.add_parser("transport", help="move a measure across an almost isomorphism")

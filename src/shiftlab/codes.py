@@ -1,8 +1,10 @@
 """One-block codes, magic-word certification, and measure transport.
 
 A magic word pins down preimages: between two of its occurrences in the
-image, every preimage path must agree on an offset window.  Certification is
-exhaustive to a declared depth; refutations carry a concrete witness pair.
+image, every preimage path must agree on an offset window.  Both magic-word
+conditions are decided exactly, on the fiber product of the code with itself
+and on a subset construction over its fibers; refutations carry a concrete
+witness.
 The induced point map gamma = phi_T o phi_S^-1 is computed by one
 forward-backward constraint pass over the fiber of phi_S between the first
 and last magic-word occurrence.  Measures move across it in closed form when
@@ -25,6 +27,8 @@ from .graphs import (
     PeriodicPoint,
     Word,
     enumerate_periodic,
+    least_accepted_path,
+    strongly_connected_components,
 )
 from .potentials import FiniteRangePotential, PotentialError
 from .thermo import MarkovMeasure, stationary_vector
@@ -168,21 +172,24 @@ def labeling_code(block_graph: FiniteGraph, labeling: BlockLabeling, base: Finit
 
 @dataclass(frozen=True)
 class MagicWordCertificate:
+    """Whether ``word`` is a magic word of a code, with its window at ``offset``.
+
+    A refutation carries a witness: the gap C and two preimages of W C W
+    that differ inside the window, or a closed target word through W whose
+    periodic point has no preimage.  ``depth`` records the caller's argument
+    and takes no part in the decision.
+    """
+
     word: Word
     offset: int
-    depth: int  # achieved depth; less than requested when the budget ran out
+    depth: int
     status: str  # certified | refuted
     witness: tuple[Word, Word, Word] | None = None  # (C, u, u')
-    periodic_failure: Word | None = None  # periodic image word with no preimage
-    requested_depth: int | None = None
+    periodic_failure: Word | None = None  # closed target word through W with no preimage
 
     @property
     def certified(self) -> bool:
         return self.status == "certified"
-
-    @property
-    def truncated(self) -> bool:
-        return self.requested_depth is not None and self.depth < self.requested_depth
 
 
 class _MaskUnion(dict):
@@ -263,39 +270,76 @@ def _periodic_points_containing(g: FiniteGraph, W: Word, period: int):
             yield pt
 
 
-def _has_periodic_preimage(code: OneBlockCode, word: Word) -> bool:
-    """Does the periodic target point of this cyclic word lift to the source?
+def _split_gap(code: OneBlockCode, W: Word, offset: int) -> Word | None:
+    """The least gap C for which two preimages of W C W differ inside the window.
 
-    Going once around the word maps a set of source letters over word[0]
-    to the letters over word[0] that some preimage path from the set
-    reaches.  Starting from the whole fiber, the sets shrink until they stop
-    changing; the letters left lie on a cycle of preimage paths, that is, on
-    a periodic lift, and every such lift keeps its letters in every set.
+    Two preimages of one image are one path in the fiber product of the
+    code with itself, whose states are pairs of source letters over one
+    target letter.  A state adds the stage: stages 0 .. |W| - 1 read W, stage
+    |W| reads any gap letter, the last |W| stages read W again; and a flag,
+    set once the pair has differed inside the window.  The least accepted
+    path spells W C W with the shortest, then lexicographically least, such
+    C; None when there is none.
+    """
+    n, phi = len(W), code.symbol_map
+    reads = (*W, None, *W)
+    inside = [k >= offset for k in range(n)] + [True] + [j < offset for j in range(n)]
+    after = [(k + 1,) for k in range(2 * n)] + [()]
+    after[n - 1] = after[n] = (n, n + 1)
+    succ = [list(map(int, code.source.successors(s))) for s in range(code.source.n_vertices)]
+
+    def step(state):
+        k, s, t, flag = state
+        for k2 in after[k]:
+            for x in succ[s]:
+                if reads[k2] in (None, phi[x]):
+                    for y in succ[t]:
+                        if phi[y] == phi[x]:
+                            yield phi[x], (k2, x, y, flag or (x != y and inside[k2]))
+
+    over = code.fibers()[W[0]]
+    starts = [(W[0], (0, s, t, s != t and inside[0])) for s in over for t in over]
+    path = least_accepted_path(starts, step, lambda state: state[0] == 2 * n and state[3])
+    return None if path is None else tuple(phi[s] for k, s, _, _ in path if k == n)
+
+
+def _unlifted_cycle(code: OneBlockCode, W: Word) -> Word | None:
+    """A closed target word through W whose periodic point has no preimage.
+
+    A periodic point through W lacks a preimage iff some closed word starting
+    with W has none (a window without a preimage sits in a power of the
+    period).  A subset construction over the fibers, run on the strongly
+    connected component of W[0], finds the shortest; none when W lies on no
+    cycle.  Its states are a target letter and the source letters over it
+    that end a preimage path of the word read so far.
     """
     fiber = code._fiber_masks
     succ = _MaskUnion(code._edge_masks[0])
-    cyclic = word[1:] + word[:1]
-    mask, prev = fiber[word[0]], -1
-    while mask and mask != prev:
-        prev = mask
-        for t in cyclic:
-            mask = succ[mask] & fiber[t]
-    return bool(mask)
+    comp = set(next(c for c in strongly_connected_components(code.target) if W[0] in c))
+    masks = _supported_letters(code, W)
+    mask = masks[-1] if masks else 0
+
+    def step(state):
+        t, mask = state
+        for a in map(int, code.target.successors(t)):
+            if a in comp:
+                yield a, (a, succ[mask] & fiber[a])
+
+    path = least_accepted_path([(W[-1], (W[-1], mask))], step,
+                               lambda state: not state[1] and code.target.has_edge(state[0], W[0]))
+    return None if path is None else W[:-1] + tuple(t for t, _ in path)
 
 
-def verify_magic(
-    code: OneBlockCode, W, offset: int, depth: int, budget: int = 1_000_000
-) -> MagicWordCertificate:
-    """Exhaustively check the magic-word conditions to the given depth.
+def verify_magic(code: OneBlockCode, W, offset: int, depth: int = 0) -> MagicWordCertificate:
+    """Decide whether W is a magic word of ``code`` with its window at ``offset``.
 
-    For every target word C with |C| <= depth such that W C W is admissible,
-    all source paths presenting W C W must agree on the window of length
-    |W| + |C| at ``offset``; and every target periodic point containing W of
-    period <= depth + 2|W| must have a source preimage.  Returns a
-    certificate or a refutation with the first violating pair.  ``budget``
-    caps the combinatorial work, counted in letters of the gap words and
-    periodic points checked; if it runs out, the certificate reports the
-    depth actually completed.
+    Condition 1: for every target word C with W C W admissible, all source
+    paths presenting W C W agree on the window of length |W| + |C| at
+    ``offset``.  Condition 2: every periodic target point through W has a
+    source preimage.  Both are decided exactly, for every C and period.  A
+    refutation carries the least violating C with two preimages that differ
+    at its first split window position, or a closed word through W without a
+    preimage.  ``depth`` is recorded on the certificate, not searched.
     """
     W = tuple(int(s) for s in W)
     if not W or not code.target.is_word(W):
@@ -304,45 +348,17 @@ def verify_magic(
         raise CodeError("offset must lie in [0, |W|] so the window is determined")
     if depth < 0:
         raise CodeError(f"depth must be nonnegative, got {depth}")
-    spent = 0
-    achieved = depth
-    for d in range(0, depth + 1):
-        gaps: list[Word] = [()] if d == 0 else code.target.words(d)
-        cost = len(gaps) * (2 * len(W) + d)
-        if spent + cost > budget:
-            achieved = d - 1
-            break
-        spent += cost
-        for C in gaps:
-            image = W + C + W
-            if not code.target.is_word(image):
-                continue
-            masks = _supported_letters(code, image)
-            if masks is None:
-                continue
-            for i in range(offset, offset + len(W) + len(C)):
-                if masks[i] & (masks[i] - 1):
-                    u, v = _two_preimages_differing_at(code, image, i)
-                    return MagicWordCertificate(
-                        word=W, offset=offset, depth=d, status="refuted",
-                        witness=(C, u, v), requested_depth=depth,
-                    )
-    for p in range(1, achieved + 2 * len(W) + 1):
-        points = list(_periodic_points_containing(code.target, W, p))
-        if spent + p * len(points) > budget:
-            # periods below p are checked, which covers this smaller depth
-            achieved = p - 1 - 2 * len(W)
-            break
-        spent += p * len(points)
-        for pt in points:
-            if not _has_periodic_preimage(code, pt.word):
-                return MagicWordCertificate(
-                    word=W, offset=offset, depth=achieved, status="refuted",
-                    periodic_failure=pt.word, requested_depth=depth,
-                )
-    return MagicWordCertificate(
-        word=W, offset=offset, depth=achieved, status="certified", requested_depth=depth
-    )
+    C = _split_gap(code, W, offset)
+    if C is not None:
+        image = W + C + W
+        masks = _supported_letters(code, image)
+        i = next(i for i in range(offset, offset + len(W) + len(C)) if masks[i] & (masks[i] - 1))
+        u, v = _two_preimages_differing_at(code, image, i)
+        return MagicWordCertificate(word=W, offset=offset, depth=depth, status="refuted", witness=(C, u, v))
+    cycle = _unlifted_cycle(code, W)
+    if cycle is not None:
+        return MagicWordCertificate(word=W, offset=offset, depth=depth, status="refuted", periodic_failure=cycle)
+    return MagicWordCertificate(word=W, offset=offset, depth=depth, status="certified")
 
 
 # --------------------------------------------------------------------------
@@ -361,11 +377,12 @@ class AlmostIsomorphism:
     def __post_init__(self):
         if self.code_s.source != self.code_t.source:
             raise CodeError("both codes must share the common source shift")
-        for cert in (self.cert_s, self.cert_t):
+        for code, cert in ((self.code_s, self.cert_s), (self.code_t, self.cert_t)):
             if not cert.certified:
                 raise CodeError("cannot assemble an almost isomorphism from a refuted certificate")
-            if cert.truncated:
-                raise CodeError("certificate was truncated below its requested depth; re-verify with a larger budget")
+            # a certificate is decided for one code; it must hold for the leg it sits on
+            if not verify_magic(code, cert.word, cert.offset).certified:
+                raise CodeError(f"magic word {cert.word} at offset {cert.offset} is refuted on its own leg")
 
     @property
     def common(self) -> FiniteGraph:
@@ -459,7 +476,7 @@ def _pinned_gamma(ai: AlmostIsomorphism, image) -> list[int]:
     tmap = ai.code_t.symbol_map
     image_of = {m: tmap[m.bit_length() - 1] for m in set(window)}
     if any(m & (m - 1) for m in image_of):
-        raise CodeError("preimage window not pinned; magic property fails beyond the certified depth")
+        raise CodeError("preimage window not pinned (magic condition 1 violated)")
     return list(map(image_of.__getitem__, window))
 
 

@@ -422,11 +422,7 @@ def parse_code(obj: dict) -> OneBlockCode:
 
 def emit_ai(ai: AlmostIsomorphism) -> dict:
     def cert(c: MagicWordCertificate, target_names) -> dict:
-        return {
-            "word": word_key(target_names, c.word),
-            "offset": c.offset,
-            "depth": c.depth,
-        }
+        return {"word": word_key(target_names, c.word), "offset": c.offset}
 
     return {
         "kind": "ai",
@@ -439,7 +435,7 @@ def emit_ai(ai: AlmostIsomorphism) -> dict:
 
 
 def parse_ai(obj: dict) -> AlmostIsomorphism:
-    """Rebuild an almost isomorphism, re-verifying both magic certificates."""
+    """Rebuild an almost isomorphism, deciding both magic words on their codes."""
     from .codes import AlmostIsomorphism, verify_magic
 
     _check_header(obj, "ai")
@@ -449,10 +445,9 @@ def parse_ai(obj: dict) -> AlmostIsomorphism:
     certs = []
     for code, key in ((code_s, "cert_s"), (code_t, "cert_t")):
         c = obj[key]
-        _check_keys(c, {"word", "offset", "depth"})
+        _check_keys(c, {"word", "offset"})
         word = parse_word(code.target.names, c["word"])
-        offset = _integer_in(c["offset"], f"{key} offset")
-        cert = verify_magic(code, word, offset, _integer_in(c["depth"], f"{key} depth"))
+        cert = verify_magic(code, word, _integer_in(c["offset"], f"{key} offset"))
         if not cert.certified:
             raise SchemaError(f"{key} failed re-verification: {cert}")
         certs.append(cert)

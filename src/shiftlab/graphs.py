@@ -237,6 +237,40 @@ def recurrent_core(edges) -> tuple[list, set]:
         edge_set = {(u, v) for u, v in edge_set if u in alive and v in alive}
 
 
+def least_accepted_path(starts, step, accept) -> list | None:
+    """The states along the least accepted path of a letter-labelled automaton.
+
+    A path begins at one of the ``(letter, state)`` pairs of ``starts`` and
+    follows the ``(letter, state)`` pairs ``step(state)`` yields; it spells
+    the letters of its states.  Paths are ordered by length, then by the
+    word they spell.  The search runs level by level, each level kept in
+    groups of states met along one word in ascending order, so it meets
+    every state first along its least path and stops at the least accepted
+    one.  None when no path is accepted.
+    """
+    parent: dict = {}
+
+    def groups(moves):
+        by_letter: dict = {}
+        for letter, state, prev in moves:
+            if state not in parent:
+                parent[state] = prev
+                by_letter.setdefault(letter, []).append(state)
+        return [by_letter[a] for a in sorted(by_letter)]
+
+    level = groups((a, s, None) for a, s in starts)
+    while level:
+        for group in level:
+            state = next((s for s in group if accept(s)), None)
+            if state is not None:
+                path = [state]
+                while (state := parent[state]) is not None:
+                    path.append(state)
+                return path[::-1]
+        level = [g for group in level for g in groups((a, t, s) for s in group for a, t in step(s))]
+    return None
+
+
 def strongly_connected_components(g: FiniteGraph) -> list[tuple[int, ...]]:
     """The strongly connected components of ``g``.
 

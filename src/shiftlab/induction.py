@@ -25,6 +25,7 @@ from .graphs import (
     GraphError,
     Word,
     higher_block,
+    least_accepted_path,
     recurrent_core,
 )
 from .potentials import (
@@ -700,23 +701,39 @@ def verify_zn_coincidence(
     return ZnCoincidenceReport(rows=tuple(rows), all_equal=ok, inequality_only=truncated)
 
 
-def phi_injective_on_periodic(ind: InducedPresentation, period_cap: int = 10):
-    """Distinct loop compositions must spell distinct ambient words."""
-    loops = [lp for lp in ind.loops.loops if lp.src == 1 and lp.dst == 1]
+def phi_injective_on_periodic(ind: InducedPresentation):
+    """Distinct loop compositions must spell distinct ambient words.
+
+    Decided on the fiber product of the loop-label automaton (one state per
+    loop and position in its label) with itself: two compositions spell one
+    word iff a path from (boundary, boundary) back to it passes an
+    off-diagonal pair.  Returns (True, None) or (False, (word, (chain,
+    chain'))) for the least such word.
+    """
     if ind.loops.two_vertex:
         raise ValueError("injectivity check runs on single-word inductions")
-    for n in range(1, period_cap + 1):
-        seen: dict[Word, list[tuple[int, ...]]] = {}
-        stack: list[tuple[Word, tuple[int, ...]]] = [((), ())]
-        while stack:
-            word, chain = stack.pop()
-            if len(word) == n:
-                seen.setdefault(word, []).append(chain)
-                continue
-            for i, lp in enumerate(loops):
-                if len(word) + lp.length <= n and lp.label is not None:
-                    stack.append((word + lp.label, chain + (i,)))
-        for word, chains in seen.items():
-            if len(chains) > 1:
-                return False, (word, chains)
-    return True, None
+    labels = [lp.label for lp in ind.loops.loops if lp.src == 1 and lp.dst == 1 and lp.label is not None]
+
+    def moves(i: int, j: int):
+        return [(i, j + 1)] if j + 1 < len(labels[i]) else [(k, 0) for k in range(len(labels))]
+
+    def step(state):
+        p, q, split = state
+        for p2 in moves(*p):
+            letter = labels[p2[0]][p2[1]]
+            for q2 in moves(*q):
+                if labels[q2[0]][q2[1]] == letter:
+                    yield letter, (p2, q2, split or p2 != q2)
+
+    def back_at_boundary(state):
+        p, q, split = state
+        return split and all(j + 1 == len(labels[i]) for i, j in (p, q))
+
+    starts = [(a[0], ((i, 0), (k, 0), i != k))
+              for i, a in enumerate(labels) for k, b in enumerate(labels) if a[0] == b[0]]
+    path = least_accepted_path(starts, step, back_at_boundary)
+    if path is None:
+        return True, None
+    word = tuple(labels[i][j] for (i, j), _, _ in path)
+    chains = tuple(tuple(state[side][0] for state in path if state[side][1] == 0) for side in (0, 1))
+    return False, (word, chains)

@@ -738,67 +738,3 @@ def zeta_series(table: PartitionFunctionTable, order: int):
     for k in range(1, order + 1):
         coeffs_f.append(math.fsum(zs_f[j - 1] * coeffs_f[k - j] for j in range(1, k + 1)) / k)
     return coeffs_f
-
-
-# --------------------------------------------------------------------------
-# distortion
-
-
-@dataclass(frozen=True)
-class DistortionReport:
-    value: float
-    theoretical_bound: float
-    witness: tuple[Word, Word, int] | None
-    pairs_checked: int
-
-
-def distortion_constant(
-    g,
-    f: FiniteRangePotential,
-    W,
-    horizon: int,
-) -> DistortionReport:
-    """Largest Birkhoff-sum discrepancy over matching windows framed by W.
-
-    For each n <= horizon, points agreeing on an n-window that starts and
-    ends with W can differ in S_n f only through the coordinates a span-wide
-    potential reads past the window; the sup and the a-priori bound
-    ``(m + r - 1) * osc(f)`` are both reported.  Pairs are realized by
-    enumerating admissible surroundings of each window.
-    """
-    graph = g.graph if isinstance(g, FinitePresentation) else g
-    W = tuple(int(s) for s in W)
-    if not graph.is_word(W):
-        raise ValueError("W must be an admissible word")
-    m, r = f.left, f.right
-    best = 0.0
-    witness = None
-    pairs = 0
-    n_windows = 0
-    for n in range(max(len(W), 1), horizon + 1):
-        ext_len = m + n + r - 1
-        groups: dict[Word, list[tuple[float, Word]]] = {}
-        for e in graph.words(ext_len):
-            core = e[m:m + n]
-            if core[: len(W)] != W or core[n - len(W):] != W:
-                continue
-            s = math.fsum(float(f.table[e[k:k + m + r]]) for k in range(n))
-            groups.setdefault(core, []).append((s, e))
-        n_windows += len(groups)
-        for core, vals in groups.items():
-            if len(vals) < 2:
-                continue
-            pairs += len(vals) * (len(vals) - 1) // 2
-            smax = max(vals)
-            smin = min(vals)
-            if smax[0] - smin[0] > best:
-                best = smax[0] - smin[0]
-                witness = (smax[1], smin[1], n)
-    if n_windows == 0:
-        warnings.warn("no qualifying windows below the horizon", stacklevel=2)
-    return DistortionReport(
-        value=best,
-        theoretical_bound=(m + r - 1) * f.oscillation,
-        witness=witness,
-        pairs_checked=pairs,
-    )

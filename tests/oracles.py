@@ -8,7 +8,8 @@ arithmetic, series by closed-form expansions, chains by
 scalar comparisons, strongly connected components by a transitive
 closure, stationary vectors by the Markov chain tree theorem in exact
 rationals, lifts of periodic points by filtering products of fibers, the
-source letters on preimage paths by set-based reachability, loop-system
+source letters on preimage paths by set-based reachability, magic-word
+violations by enumerating gaps and closed words letter by letter, loop-system
 Z_n by a 60-digit decimal renewal over closed-orbit weights, tail
 series by binomial expansions in 80 digits, zeta values minus exact
 partial sums or Euler's dilogarithm reflection, two-vertex
@@ -169,6 +170,37 @@ def has_periodic_lift(source_edges: set[tuple[int, int]], fibers: list[list[int]
             if all((cand[i], cand[(i + 1) % (p * m)]) in source_edges for i in range(p * m)):
                 return True
     return False
+
+
+def magic_word_violation(code, W, offset: int, depth: int):
+    """The first violation of the magic-word conditions up to ``depth``.
+
+    Gaps C with |C| <= depth go by length, then lexicographically, each
+    W C W filtered from the product of target letters; it violates
+    condition 1 when ``supported_letters`` leaves two letters at a window
+    position.  Then closed target words of period <= depth + 2|W| whose
+    periodic point shows W, checked with ``has_periodic_lift``.  Returns
+    ("gap", C), ("periodic", word) or None.
+    """
+    edges = set(code.target.edges)
+    letters = range(code.target.n_vertices)
+    for d in range(depth + 1):
+        for C in itertools.product(letters, repeat=d):
+            image = W + C + W
+            if all(e in edges for e in zip(image, image[1:])):
+                support = supported_letters(code, image)
+                if support is not None and any(len(s) > 1 for s in support[offset:offset + len(W) + d]):
+                    return "gap", C
+    source_edges, fibers = set(code.source.edges), code.fibers()
+    for p in range(1, depth + 2 * len(W) + 1):
+        for word in itertools.product(letters, repeat=p):
+            if not all(e in edges for e in zip(word, word[1:] + word[:1])):
+                continue
+            unrolled = word * (len(W) // p + 2)
+            shows_W = any(unrolled[i:i + len(W)] == W for i in range(p))
+            if shows_W and not has_periodic_lift(source_edges, fibers, word):
+                return "periodic", word
+    return None
 
 
 def key_width(n: int) -> int:

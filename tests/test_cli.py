@@ -519,7 +519,7 @@ PACKAGE_EXPORTS = sorted("""
     FiniteRangePotential GeometricTail GraphError InducedPresentation Loop LoopSystem MagicWordCertificate
     MarkovMeasure OneBlockCode PartitionFunctionTable PeriodicPoint PolynomialTail PressureEstimate
     RecurrenceClass RegularityClass TailDescriptor VariationCertificate ZeroTail assemble_ai birkhoff_sum
-    bowen_reduce build_graph certify_class check_variation_certificate codes distortion_constant
+    bowen_reduce build_graph certify_class check_variation_certificate codes
     enumerate_periodic equilibrium_measure export_zn_csv expsum from_periodic gamma_on_point graphs
     higher_block induce induce_structured induction intervals irreducible_and_period kernels labeling_code
     lift_potential lift_variation loop_partition_function measure_pressure partition_function

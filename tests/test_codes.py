@@ -4,15 +4,17 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shiftlab.codes import (
     AlmostIsomorphism,
     CodeError,
     DomainError,
     EventuallyPeriodicPoint,
+    MagicWordCertificate,
     OneBlockCode,
     _block_frequencies,
-    _has_periodic_preimage,
     _letters,
     _markovize,
     _occurrences_in,
@@ -33,7 +35,7 @@ from shiftlab.potentials import FiniteRangePotential
 from shiftlab.thermo import MarkovMeasure, equilibrium_measure, measure_pressure
 
 from conftest import FIXTURES
-from oracles import has_periodic_lift, integer_trace, scalar_chain, supported_letters
+from oracles import has_periodic_lift, integer_trace, magic_word_violation, scalar_chain, supported_letters
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -112,6 +114,42 @@ def _random_code(rng, max_source=6, max_target=3) -> OneBlockCode:
     )
 
 
+def _two_runs_code(L: int) -> OneBlockCode:
+    """Two parallel runs over one loop: not even finite-to-one, for any L.
+
+    The target is 0 -> 0 and 0 -> c1 -> ... -> cL -> 0; the source has one
+    letter a over 0 and two runs p1..pL and q1..qL over c1..cL, so the word
+    0 c1 ... cL 0 has two preimages that differ along the whole gap.
+    """
+    target = FiniteGraph(("0", *(f"c{i}" for i in range(1, L + 1))),
+                         ((0, 0), (0, 1), *((i, i + 1) for i in range(1, L)), (L, 0)))
+    runs = [((i, i + 1), (L + i, L + i + 1)) for i in range(1, L)]
+    source = FiniteGraph(("a", *(f"p{i}" for i in range(1, L + 1)), *(f"q{i}" for i in range(1, L + 1))),
+                         ((0, 0), (0, 1), (0, L + 1), *(e for pair in runs for e in pair), (L, 0), (2 * L, 0)))
+    return OneBlockCode(source=source, target=target, symbol_map=(0, *range(1, L + 1), *range(1, L + 1)))
+
+
+@st.composite
+def small_codes(draw):
+    """A code on 2-4 source letters, at most two over each letter of a
+    possibly reducible target, with a candidate word and an offset."""
+    Vs = draw(st.integers(2, 4))
+    Vt = draw(st.integers((Vs + 1) // 2, 3))
+    symbol_map = tuple(draw(st.lists(st.integers(0, Vt - 1), min_size=Vs, max_size=Vs)))
+    assume(all(symbol_map.count(t) <= 2 for t in range(Vt)))
+    letters = st.tuples(st.integers(0, Vs - 1), st.integers(0, Vs - 1))
+    src = draw(st.sets(letters, min_size=Vs))
+    tgt = {(symbol_map[u], symbol_map[v]) for u, v in src}
+    tgt |= draw(st.sets(st.tuples(st.integers(0, Vt - 1), st.integers(0, Vt - 1))))
+    code = OneBlockCode(
+        source=FiniteGraph(tuple(map(str, range(Vs))), tuple(src)),
+        target=FiniteGraph(tuple(map(str, range(Vt))), tuple(tgt)),
+        symbol_map=symbol_map,
+    )
+    W = draw(st.sampled_from(code.target.words(1) + code.target.words(2)))
+    return code, W, draw(st.integers(0, len(W)))
+
+
 class TestOneBlockCode:
     def test_identity_apply(self, identity_code):
         assert identity_code.apply(PeriodicPoint((1, 0))).word == (1, 0)
@@ -161,17 +199,6 @@ class TestVerifyMagic:
         with pytest.raises(CodeError, match="target word"):
             verify_magic(identity_code, (1, 1), 0, 4)
 
-    def test_budget_reports_partial_depth(self, block2_code):
-        cert = verify_magic(block2_code, (1, 0), 0, 8, budget=40)
-        assert cert.certified
-        assert cert.truncated
-        assert cert.depth < 8 and cert.requested_depth == 8
-
-    def test_truncated_certificate_cannot_assemble(self, block2_code):
-        cert = verify_magic(block2_code, (1, 0), 0, 8, budget=40)
-        with pytest.raises(CodeError, match="truncated"):
-            assemble_ai(block2_code, block2_code, cert, cert)
-
     def test_periodic_preimage_condition(self, gm_graph):
         # a code onto FULL2 from GM: the image point (11)^inf has no preimage,
         # so any magic-word candidate must be refuted on condition (1)
@@ -190,32 +217,67 @@ class TestVerifyMagic:
             code = _random_code(rng, max_source=5)
             src, symbol_map = code.source.edges, code.symbol_map
             fibers = code.fibers()
-            lifts = {}
-            for p in range(1, 4):
-                for pt in enumerate_periodic(code.target, p):
-                    lifts[pt.word] = has_periodic_lift(set(src), fibers, pt.word)
-                    assert _has_periodic_preimage(code, pt.word) == lifts[pt.word], (src, symbol_map, pt.word)
-                    outcomes.add(lifts[pt.word])
-            # the certificate's periodic condition is exactly the lift condition
             W = (symbol_map[0],)
-            cert = verify_magic(code, W, 0, 1)
+            cert = verify_magic(code, W, 0)
             if cert.periodic_failure is not None:
-                assert not lifts[cert.periodic_failure]
+                # the failing word may be longer than any fixed period bound
+                z = cert.periodic_failure
+                assert z[:1] == W and code.target.is_closed_word(z)
+                assert not has_periodic_lift(set(src), fibers, z), (src, symbol_map, z)
+                outcomes.add(False)
             elif cert.certified:
-                assert all(lifts[w] for w in lifts if W[0] in w)
+                lifts = [has_periodic_lift(set(src), fibers, pt.word)
+                         for p in range(1, 4) for pt in enumerate_periodic(code.target, p) if W[0] in pt.word]
+                assert all(lifts), (src, symbol_map)
+                outcomes.add(True)
         assert outcomes == {True, False}
 
     def test_negative_depth_rejected(self, identity_code):
         with pytest.raises(CodeError, match="depth"):
             verify_magic(identity_code, (0,), 0, -1)
 
-    def test_budget_caps_the_periodic_condition(self, block2_code):
-        # a requested depth far past the budget stops within it, and the
-        # depth it reports is one at which both conditions were checked
+    def test_depth_is_recorded_not_searched(self, block2_code):
         cert = verify_magic(block2_code, (1, 0), 0, 10**30)
-        assert cert.certified and cert.truncated and cert.depth >= 8
-        again = verify_magic(block2_code, (1, 0), 0, cert.depth)
-        assert again.certified and not again.truncated
+        assert cert.certified and cert.depth == 10**30
+        assert verify_magic(block2_code, (1, 0), 0) == MagicWordCertificate((1, 0), 0, 0, "certified")
+
+    @pytest.mark.parametrize("L", [9, 12])
+    def test_split_past_any_depth_is_refuted(self, L):
+        # a search to depth 8 certified these: the split gap is L letters long
+        code = _two_runs_code(L)
+        cert = verify_magic(code, (0,), 0, 8)
+        assert cert.status == "refuted"
+        C, u, v = cert.witness
+        assert C == tuple(range(1, L + 1))
+        assert u != v and code.apply_word(u) == code.apply_word(v) == (0, *C, 0)
+
+    def test_ai_between_shifts_of_unequal_entropy_refused(self):
+        code = _two_runs_code(9)
+        entropy = [math.log(max(abs(np.linalg.eigvals(g.adjacency.astype(float)))))
+                   for g in (code.source, code.target)]
+        assert abs(entropy[0] - 0.2282) < 1e-4 and abs(entropy[1] - 0.1802) < 1e-4
+        ident = OneBlockCode(code.source, code.source, tuple(range(code.source.n_vertices)), conjugacy_window=1)
+        with pytest.raises(CodeError):
+            assemble_ai(ident, code, verify_magic(ident, (0,), 0, 8), verify_magic(code, (0,), 0, 8))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(small_codes())
+    def test_decision_matches_enumeration_past_its_witness(self, case):
+        code, W, offset = case
+        cert = verify_magic(code, W, offset)
+        if cert.witness is not None:
+            C, u, v = cert.witness
+            assert magic_word_violation(code, W, offset, len(C)) == ("gap", C)
+            assert code.apply_word(u) == code.apply_word(v) == W + C + W
+            assert u[offset:offset + len(W) + len(C)] != v[offset:offset + len(W) + len(C)]
+        elif cert.periodic_failure is not None:
+            z = cert.periodic_failure
+            assert z[:len(W)] == W and code.target.is_closed_word(z)
+            assert not has_periodic_lift(set(code.source.edges), code.fibers(), z)
+            kind, word = magic_word_violation(code, W, offset, max(len(z) - 2 * len(W), 1))
+            assert kind == "periodic" and len(word) <= len(z)
+        else:
+            assert magic_word_violation(code, W, offset, 3) is None
 
 
 class TestSupportedLetters:
@@ -301,6 +363,16 @@ class TestAssemble:
         good = verify_magic(identity_code, (1,), 0, 4)
         with pytest.raises(CodeError, match="refuted"):
             assemble_ai(identity_code, identity_code, good, bad)
+
+    def test_certificate_of_another_code_rejected(self, gm_graph, block2_code):
+        # a word certified for the 2-block labeling does not carry over to a
+        # code that collapses the 2-block graph to one point
+        point = build_graph(["0"], [(0, 0)]).graph
+        collapse = OneBlockCode(source=block2_code.source, target=point, symbol_map=(0, 0, 0))
+        cert = verify_magic(block2_code, (0,), 0, 8)
+        assert cert.certified and verify_magic(collapse, (0,), 0, 8).status == "refuted"
+        with pytest.raises(CodeError, match="own leg"):
+            assemble_ai(block2_code, collapse, cert, cert)
 
     def test_mismatched_sources_rejected(self, identity_code, block2_code):
         cert1 = verify_magic(identity_code, (1,), 0, 4)

@@ -153,10 +153,14 @@ class TestCodeAndAiDocs:
             "kind": "ai", "schema": 1,
             "code_s": docs.emit_code(collapse),
             "code_t": docs.emit_code(collapse),
-            "cert_s": {"word": "*", "offset": 0, "depth": 2},
-            "cert_t": {"word": "*", "offset": 0, "depth": 2},
+            "cert_s": {"word": "*", "offset": 0},
+            "cert_t": {"word": "*", "offset": 0},
         }
         with pytest.raises(docs.SchemaError, match="re-verification"):
+            docs.parse_ai(doc)
+        # the depth a search once needed is no longer part of the document
+        doc["cert_s"]["depth"] = 8
+        with pytest.raises(docs.SchemaError, match="depth"):
             docs.parse_ai(doc)
 
 

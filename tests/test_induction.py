@@ -8,6 +8,7 @@ import pytest
 
 from shiftlab.graphs import BudgetExceededError, GraphError, build_graph, higher_block
 from shiftlab.induction import (
+    InducedPresentation,
     Loop,
     LoopSystem,
     TailDescriptor,
@@ -647,7 +648,7 @@ class TestInjectivity:
     def test_gm_both_vertices(self, gm):
         for v in (0, 1):
             ind = induce(gm.graph, (v,), maxlen=12)
-            ok, witness = phi_injective_on_periodic(ind, 10)
+            ok, witness = phi_injective_on_periodic(ind)
             assert ok and witness is None
 
     def test_random_graphs(self):
@@ -656,8 +657,18 @@ class TestInjectivity:
             names, edges = random_irreducible_graph(rng, 6)
             g = build_graph(names, edges).graph
             ind = induce(g, (0,), maxlen=8)
-            ok, _ = phi_injective_on_periodic(ind, 8)
+            ok, _ = phi_injective_on_periodic(ind)
             assert ok
+
+    @pytest.mark.parametrize("labels, word, chains", [
+        (((0,), (1, 0), (0, 1)), (0, 1, 0), ((0, 2), (1, 0))),
+        # the shortest collision, 0^6 0^7 = 0^7 0^6, is 13 letters long
+        (((0,) * 6, (0,) * 7), (0,) * 13, ((0, 1), (1, 0))),
+    ])
+    def test_collision_found_with_its_chains(self, labels, word, chains):
+        system = LoopSystem(loops=tuple(Loop(len(lb), label=lb) for lb in labels),
+                            tails=(TailDescriptor(kind="zero", start=0),))
+        assert phi_injective_on_periodic(InducedPresentation(system, (0, 0))) == (False, (word, chains))
 
 
 class TestRecurrenceClassify:

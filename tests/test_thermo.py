@@ -22,7 +22,6 @@ from shiftlab.potentials import FiniteRangePotential, PotentialError, bowen_redu
 from shiftlab.thermo import (
     MarkovMeasure,
     PartitionFunctionTable,
-    distortion_constant,
     equilibrium_measure,
     export_zn_csv,
     measure_pressure,
@@ -671,61 +670,6 @@ class TestZetaSeries:
         t = partition_function(gm.graph, zero(gm.graph), (0,), 6)
         with pytest.raises(ValueError, match="empty base word"):
             zeta_series(t, 4)
-
-
-class TestDistortion:
-    def test_zero_potential(self, gm):
-        rep = distortion_constant(gm.graph, zero(gm.graph), (1,), 8)
-        assert rep.value == 0.0
-
-    def test_range_one_windows_agree(self, gm):
-        f = FiniteRangePotential.from_vertex_values(gm.graph, [F(1, 3), F(7, 5)])
-        rep = distortion_constant(gm.graph, f, (1,), 8)
-        assert rep.value == 0.0
-        assert rep.theoretical_bound == 0.0
-
-    def test_range_two_edge_oscillation(self, full2):
-        # the last summand reads one letter past the window; the row that can
-        # follow the final 1 realizes the full oscillation
-        f = FiniteRangePotential(
-            full2.graph, 0, 2,
-            {(0, 0): F(1), (0, 1): F(2), (1, 0): F(0), (1, 1): F(3)},
-        )
-        rep = distortion_constant(full2.graph, f, (1, 1), 8)
-        assert rep.value == f.oscillation == 3.0
-        assert rep.theoretical_bound == 3.0
-        assert rep.pairs_checked > 0
-
-    def test_exhaustive_pair_oracle(self, full2):
-        # independent check: enumerate pairs of periodic points directly
-        rng = np.random.default_rng(31)
-        f = FiniteRangePotential(
-            full2.graph, 0, 2,
-            {w: F(int(rng.integers(0, 7)), 2) for w in full2.graph.words(2)},
-        )
-        from shiftlab.potentials import birkhoff_sum
-
-        W = (1,)
-        best = 0.0
-        for n in range(1, 7):
-            sums: dict[tuple, list] = {}
-            for q in range(n, n + 3):
-                for x in enumerate_periodic(full2.graph, q):
-                    w = tuple(x.letter(i) for i in range(n))
-                    if w[:1] != W or w[n - 1:] != W:
-                        continue
-                    s = float(sum(f.value_at(x, k) for k in range(n)))
-                    sums.setdefault(w, []).append(s)
-            for vals in sums.values():
-                if len(vals) > 1:
-                    best = max(best, max(vals) - min(vals))
-        rep = distortion_constant(full2.graph, f, W, 6)
-        assert abs(rep.value - best) <= 1e-12
-
-    def test_no_windows_flagged(self, gm):
-        with pytest.warns(UserWarning, match="no qualifying windows"):
-            rep = distortion_constant(gm.graph, zero(gm.graph), (1, 0), 1)
-        assert rep.value == 0.0
 
 
 class TestExhaustion:
