@@ -7,9 +7,11 @@ and on a subset construction over its fibers; refutations carry a concrete
 witness.
 The induced point map gamma = phi_T o phi_S^-1 is computed by one
 forward-backward constraint pass over the fiber of phi_S between the first
-and last magic-word occurrence.  Measures move across it in closed form when
-phi_S is a block conjugacy, whatever phi_T is (gamma is then a sliding block
-map), and otherwise by seeded orbit sampling.
+and last magic-word occurrence.  Measures move across it exactly by a lift
+through the common extension C: a fully supported Markov measure on S is the
+equilibrium state of log P, its lift is the equilibrium state of log P o phi_S
+on C, and phi_T pushes the lift forward.  Seeded orbit sampling stays as a
+second route, run only when a sample budget is given.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .graphs import (
     strongly_connected_components,
 )
 from .potentials import FiniteRangePotential, PotentialError
-from .thermo import MarkovMeasure, stationary_vector
+from .thermo import MarkovMeasure, equilibrium_measure, pressure_spectral, stationary_vector
 
 
 class CodeError(ValueError):
@@ -49,7 +51,6 @@ class OneBlockCode:
     source: FiniteGraph
     target: FiniteGraph
     symbol_map: tuple[int, ...]
-    conjugacy_window: int | None = None  # block length when this is a block labeling
 
     def __post_init__(self):
         if len(self.symbol_map) != self.source.n_vertices:
@@ -61,62 +62,6 @@ class OneBlockCode:
                 raise CodeError(
                     f"image of source edge ({u},{v}) is not a target edge"
                 )
-        if self.conjugacy_window is not None:
-            self._check_block_labeling()
-
-    def _check_block_labeling(self) -> None:
-        """Reject a conjugacy window unless this code is that block labeling.
-
-        The N-block labeling sends each N-block of the target to its first
-        letter.  So the source letters must spell distinct admissible
-        N-words, every source edge must join overlapping blocks, and the
-        target must have as many N-words as the source has letters and as
-        many (N+1)-words as it has edges.  A labeling of a target that is
-        not one cycle has more N-blocks than N, so N is at most the number
-        of source letters.  On a one-cycle target (as many edges as vertices)
-        every word is fixed by its first letter, so window |source| stands
-        for any larger one and is checked and stored.
-        """
-        N, V = self.conjugacy_window, self.source.n_vertices
-        if N > V and len(self.target.edges) == self.target.n_vertices:
-            N = V
-            object.__setattr__(self, "conjugacy_window", N)
-        if not 1 <= N <= V:
-            raise CodeError(f"conjugacy window must lie in [1, {V}], got {N}")
-        words = self._block_words
-        if len(set(words)) != V or not all(self.target.is_word(w) for w in words):
-            raise CodeError(f"source letters do not spell distinct {N}-blocks of the target")
-        if any(words[u][1:] != words[v][:-1] for u, v in self.source.edges):
-            raise CodeError(f"a source edge joins {N}-blocks that do not overlap")
-        ends = [1] * self.target.n_vertices  # paths of k letters ending at each vertex
-        counts = []
-        for _ in range(N + 1):
-            counts.append(sum(ends))
-            nxt = [0] * len(ends)
-            for u, v in self.target.edges:
-                nxt[v] += ends[u]
-            ends = nxt
-        if (counts[N - 1], counts[N]) != (V, len(self.source.edges)):
-            raise CodeError(f"source is not the {N}-block graph of the target")
-
-    @cached_property
-    def _block_words(self) -> tuple[Word, ...]:
-        """The word each source letter spells along any chain of successors.
-
-        In a block graph every successor of s carries the block shifted by
-        one, so these are the block words of a conjugacy labeling.
-        """
-        N = self.conjugacy_window
-        assert N is not None
-        words = []
-        for s in range(self.source.n_vertices):
-            cur = s
-            word = [self.symbol_map[cur]]
-            for _ in range(N - 1):
-                cur = int(self.source.successors(cur)[0])
-                word.append(self.symbol_map[cur])
-            words.append(tuple(word))
-        return tuple(words)
 
     def apply_word(self, word) -> Word:
         return tuple(self.symbol_map[s] for s in word)
@@ -158,12 +103,7 @@ class OneBlockCode:
 
 def labeling_code(block_graph: FiniteGraph, labeling: BlockLabeling, base: FiniteGraph) -> OneBlockCode:
     """The one-block code a higher-block labeling defines (a conjugacy)."""
-    return OneBlockCode(
-        source=block_graph,
-        target=base,
-        symbol_map=labeling.symbol_map,
-        conjugacy_window=labeling.block_length,
-    )
+    return OneBlockCode(source=block_graph, target=base, symbol_map=labeling.symbol_map)
 
 
 # --------------------------------------------------------------------------
@@ -533,7 +473,7 @@ def gamma_on_point(ai: AlmostIsomorphism, x: EventuallyPeriodicPoint) -> Eventua
 @dataclass(frozen=True)
 class TransportReport:
     measure: MarkovMeasure
-    method: str  # closed-form | sampling
+    method: str  # closed-form (the exact lift through C) | sampling
     entropy_in: float
     entropy_out: float
     tv_gap: float | None = None
@@ -577,13 +517,16 @@ def transport_measure(
 ) -> TransportReport:
     """Move a fully supported Markov measure across the almost isomorphism.
 
-    Closed form when code_s is a conjugacy and no sample budget is forced:
-    gamma is a sliding block map, so the image's word marginals are exact
-    pushforwards of mu's.  The order-``order`` model reproduces the
-    (order+1)-marginals; ``tv_gap`` compares its (order+2)-marginal with the
-    image's, so it is positive when the image is not Markov of that order.
-    Otherwise seeded orbit sampling through the magic-word windows, which
-    requires an explicit seed.
+    Exact for every almost isomorphism unless a sample budget is given: mu of
+    order k is the unique equilibrium state of f = log P, which reads k + 1
+    coordinates and has pressure 0.  Its lift to the common extension C is
+    the equilibrium state of f o phi_S there, which phi_S pushes forward to mu,
+    so the image gamma_* mu is the lift pushed forward by phi_T; its word
+    marginals are the lift's grouped by phi_T.  The order-``order`` model
+    reproduces the (order+1)-marginals; ``tv_gap`` compares its
+    (order+2)-marginal with the image's, so it is positive when the image is
+    not Markov of that order.  With ``samples``, seeded orbit sampling through
+    the magic-word windows instead, which requires an explicit seed.
     """
     if order < 1:
         raise CodeError(f"transport order must be at least 1, got {order}")
@@ -594,28 +537,26 @@ def transport_measure(
         raise CodeError("measure does not live on the S leg of the almost isomorphism")
     if not mu.fully_supported():
         raise CodeError("transport is defined for fully supported measures")
-    if samples is None and ai.code_s.conjugacy_window is not None:
-        return _transport_closed_form(ai, mu, order)
     if samples is None:
-        raise CodeError("code_s is not a conjugacy: transport needs a sampling budget and seed")
+        return _transport_lift(ai, mu, order)
     if seed is None:
         raise CodeError("sampling transport requires an explicit seed")
     return _transport_sampling(ai, mu, order, samples, seed)
 
 
-def _transport_closed_form(ai: AlmostIsomorphism, mu: MarkovMeasure, order: int) -> TransportReport:
-    """Push mu's (k+N-1)-word marginals through the sliding map of gamma.
-
-    With code_s the N-block labeling, phi_S^-1 reads the source letter at j
-    off the N-block of S at j, so gamma_j = phi_T(that letter): only the
-    symbol map of code_t enters.
-    """
-    N = ai.code_s.conjugacy_window
-    letter = {bw: ai.code_t.symbol_map[s] for s, bw in enumerate(ai.code_s._block_words)}
+def _transport_lift(ai: AlmostIsomorphism, mu: MarkovMeasure, order: int) -> TransportReport:
+    """Lift mu to its equilibrium state on C, then group the lift's marginals by phi_T."""
+    C, phi_s, phi_t = ai.common, ai.code_s.symbol_map, ai.code_t.symbol_map
+    P, idx = mu.transitions, mu.block_index
+    table = {}
+    for w in C.words(mu.order + 1):
+        x = tuple(phi_s[c] for c in w)
+        table[w] = math.log(P[idx[x[:-1]], idx[x[1:]]])
+    lift = equilibrium_measure(C, FiniteRangePotential(C, 0, mu.order + 1, table))
     q: dict[int, dict[Word, float]] = {k: {} for k in (order, order + 1, order + 2)}
     for k, qk in q.items():
-        for w, p in mu.word_distribution(k + N - 1).items():
-            y = tuple(letter[w[j:j + N]] for j in range(k))
+        for w, p in lift.word_distribution(k).items():
+            y = tuple(phi_t[c] for c in w)
             qk[y] = qk.get(y, 0.0) + p
     out, _ = _markovize(ai.code_t.target, order, q[order], q[order + 1])
     return TransportReport(
@@ -728,7 +669,7 @@ class CorrespondenceReport:
     pressure_tolerance: float
     witnesses_checked: int
     first_failure: tuple[Word, int] | None
-    measure_block_gap: float | None
+    measure_block_gap: float
     passed: bool
 
 
@@ -742,14 +683,11 @@ def verify_correspondence(
 
     Three layers: g(gamma x) = f(x) on every eventually periodic witness of
     period <= n_max seeing the magic word; pressures agree within their
-    spectral errors plus 1e-9; and the transported equilibrium measure of f
-    matches the equilibrium measure of g block by block within 1e-9.  The
-    measure layer needs the closed-form transport, so it runs only when
-    code_s is a conjugacy; otherwise ``measure_block_gap`` is None and the
-    report does not pass.
+    spectral errors plus 1e-9; and the equilibrium measure of f, moved by
+    the exact lift route of ``transport_measure``, matches the equilibrium
+    measure of g block by block within 1e-9.  All three run on every almost
+    isomorphism.
     """
-    from .thermo import equilibrium_measure, pressure_spectral
-
     S, T = ai.code_s.target, ai.code_t.target
     if f.graph.names != S.names or g.graph.names != T.names:
         raise PotentialError("potentials must live on the two legs of the almost isomorphism")
@@ -773,17 +711,15 @@ def verify_correspondence(
                 checked += 1
                 if not ok and failure is None:
                     failure = (x0.word, k)
-    block_gap = None
-    if ai.code_s.conjugacy_window is not None:
-        mu_f = equilibrium_measure(S, f)
-        mu_g = equilibrium_measure(T, g)
-        order = max(mu_f.order, mu_g.order)
-        moved = transport_measure(ai, mu_f, order=order).measure
-        dist_m = moved.word_distribution(order + 1)
-        dist_g = mu_g.word_distribution(order + 1)
-        keys = set(dist_m) | set(dist_g)
-        block_gap = max(abs(dist_m.get(w, 0.0) - dist_g.get(w, 0.0)) for w in keys)
-    passed = (gap <= p_tol) and failure is None and block_gap is not None and block_gap <= _CORRESPONDENCE_TOL
+    mu_f = equilibrium_measure(S, f)
+    mu_g = equilibrium_measure(T, g)
+    order = max(mu_f.order, mu_g.order)
+    moved = transport_measure(ai, mu_f, order=order).measure
+    dist_m = moved.word_distribution(order + 1)
+    dist_g = mu_g.word_distribution(order + 1)
+    keys = set(dist_m) | set(dist_g)
+    block_gap = max(abs(dist_m.get(w, 0.0) - dist_g.get(w, 0.0)) for w in keys)
+    passed = (gap <= p_tol) and failure is None and block_gap <= _CORRESPONDENCE_TOL
     return CorrespondenceReport(
         pressure_s=ps.value,
         pressure_t=pt.value,

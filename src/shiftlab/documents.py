@@ -387,7 +387,6 @@ def emit_code(code: OneBlockCode) -> dict:
             code.source.names[s]: code.target.names[t]
             for s, t in enumerate(code.symbol_map)
         },
-        "conjugacy_window": code.conjugacy_window,
     }
 
 
@@ -395,7 +394,7 @@ def parse_code(obj: dict) -> OneBlockCode:
     from .codes import OneBlockCode
 
     _check_header(obj, "code")
-    _check_keys(obj, {"kind", "schema", "source", "target", "phi"}, {"conjugacy_window"})
+    _check_keys(obj, {"kind", "schema", "source", "target", "phi"})
     source = parse_graph(obj["source"]).graph
     target = parse_graph(obj["target"]).graph
     sidx = _name_index(source.names)
@@ -411,13 +410,7 @@ def parse_code(obj: dict) -> OneBlockCode:
         seen.add(sname)
     if seen != set(source.names):
         raise SchemaError("phi must be total on the source alphabet")
-    window = obj.get("conjugacy_window")
-    return OneBlockCode(
-        source=source,
-        target=target,
-        symbol_map=tuple(symbol_map),
-        conjugacy_window=None if window is None else _integer_in(window, "conjugacy_window"),
-    )
+    return OneBlockCode(source=source, target=target, symbol_map=tuple(symbol_map))
 
 
 def emit_ai(ai: AlmostIsomorphism) -> dict:

@@ -511,7 +511,9 @@ class MarkovMeasure:
         return float(-(pi @ plogp.sum(axis=1)))
 
     def fully_supported(self) -> bool:
-        return bool(np.all(self.stationary > 0) and np.all(self.transitions[self._block_edges] > 0))
+        """Every admissible k-word is a block, and every state and block edge has positive mass."""
+        return (set(self.blocks) == set(self.graph.words(self.order))
+                and bool(np.all(self.stationary > 0) and np.all(self.transitions[self._block_edges] > 0)))
 
     def word_distribution(self, length: int) -> dict[Word, float]:
         """Marginal of the measure on admissible words of the given length."""

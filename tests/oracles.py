@@ -8,7 +8,9 @@ arithmetic, series by closed-form expansions, chains by
 scalar comparisons, strongly connected components by a transitive
 closure, stationary vectors by the Markov chain tree theorem in exact
 rationals, lifts of periodic points by filtering products of fibers, the
-source letters on preimage paths by set-based reachability, magic-word
+source letters on preimage paths by set-based reachability, images of a
+Markov measure under a sliding block map by summing its longer word
+marginals over each image word, magic-word
 violations by enumerating gaps and closed words letter by letter, loop-system
 Z_n by a 60-digit decimal renewal over closed-orbit weights, tail
 series by binomial expansions in 80 digits, zeta values minus exact
@@ -108,6 +110,22 @@ def supported_letters(code, image) -> list[list[int]] | None:
         if not cur:
             return None
     return [sorted(b) for b in bwd]
+
+
+def block_image_marginals(mu, block_words, letters, k: int) -> dict:
+    """The k-word marginals of mu's image under a sliding block map.
+
+    The map writes ``letters[i]`` wherever the N-block of the point starting
+    there is ``block_words[i]``, so an image k-word sums mu's (k + N - 1)-word
+    marginals over the words that slide onto it.
+    """
+    N = len(block_words[0])
+    letter = dict(zip(block_words, letters))
+    out: dict = {}
+    for w, p in mu.word_distribution(k + N - 1).items():
+        y = tuple(letter[w[j:j + N]] for j in range(k))
+        out[y] = out.get(y, 0.0) + p
+    return out
 
 
 def warshall_components(n_vertices: int, edges) -> list[tuple[int, ...]]:

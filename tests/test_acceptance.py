@@ -166,7 +166,7 @@ def test_criterion_6_recurrence_classification(gm):
 def test_criterion_7_magic_word_suite(gm, full2):
     from shiftlab.codes import OneBlockCode
 
-    identity = OneBlockCode(source=gm.graph, target=gm.graph, symbol_map=(0, 1), conjugacy_window=1)
+    identity = OneBlockCode(source=gm.graph, target=gm.graph, symbol_map=(0, 1))
     H, lab = higher_block(gm.graph, 2)
     block2 = labeling_code(H, lab, gm.graph)
     point = build_graph(["*"], [(0, 0)]).graph
@@ -197,7 +197,7 @@ def test_criterion_8_correspondence(gm):
     ok = rep.passed
     ok &= rep.pressure_gap <= 1e-9
     ok &= rep.first_failure is None
-    ok &= rep.measure_block_gap is not None and rep.measure_block_gap <= 1e-9
+    ok &= rep.measure_block_gap <= 1e-9
 
     mu_f = equilibrium_measure(g_graph, f)
     sampled = transport_measure(ai, mu_f, order=2, samples=100_000, seed=42)

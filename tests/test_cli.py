@@ -434,7 +434,7 @@ def test_verify_correspondence_cli(capsys, fixture_dir):
 
 
 def test_road_colouring_ai_cli(capsys, fixture_dir):
-    # code_t is not a conjugacy; code_s is, so both commands take the exact route
+    # code_t is not a conjugacy; both commands take the exact route all the same
     ai = str(fixture_dir / "road-ai.json")
     for order in ("1", "2", "3"):
         rc, report, _ = run_cli(capsys, "transport", "--ai", ai,
@@ -449,24 +449,40 @@ def test_road_colouring_ai_cli(capsys, fixture_dir):
     )
     assert rc == 0
     assert report["passed"] is True
-    assert report["equilibrium_block_gap"] is not None and report["equilibrium_block_gap"] <= 1e-9
+    assert report["equilibrium_block_gap"] <= 1e-9
 
 
-def test_verify_correspondence_unchecked_measure_layer(capsys, fixture_dir, tmp_path):
-    # gm-self-ai with the conjugacy marker of code_s dropped
-    doc = json.loads((fixture_dir / "gm-self-ai.json").read_text())
-    del doc["code_s"]["conjugacy_window"]
-    ai = tmp_path / "plain-ai.json"
-    ai.write_text(json.dumps(doc))
-    rc, report, err = run_cli(
-        capsys, "verify-correspondence", "--ai", str(ai),
-        "--potential", str(fixture_dir / "gm-range1.json"),
-        "--target-potential", str(fixture_dir / "gm-range1-block2.json"), "--nmax", "8",
+def test_reversed_road_ai_cli(capsys, fixture_dir, tmp_path):
+    # code_s is the road colouring, not injective: transport needs no sample
+    # budget, and the correspondence check runs its measure layer
+    ai = str(fixture_dir / "road-ai-reversed.json")
+    rc, report, _ = run_cli(capsys, "transport", "--ai", ai,
+                            "--measure", str(fixture_dir / "full2-bernoulli-half.json"), "--order", "2")
+    assert rc == 0
+    assert report["method"] == "closed-form" and report["samples"] is None
+    assert abs(report["entropy_out"]["value"] - math.log(2)) <= 1e-12
+    zero_g = tmp_path / "zero-g.json"
+    zero_g.write_text(json.dumps({"kind": "potential", "schema": 1, "left_range": 0, "right_range": 1,
+                                  "weights": {"a": 0, "b": 0, "c": 0}, "certificate": None}))
+    rc, report, _ = run_cli(
+        capsys, "verify-correspondence", "--ai", ai,
+        "--potential", str(fixture_dir / "zero.json"), "--target-potential", str(zero_g), "--nmax", "8",
     )
-    assert rc == 1
-    assert report["passed"] is False and report["first_failure"] is None
-    assert report["equilibrium_block_gap"] is None
-    assert "measure layer not checked" in err
+    assert rc == 0
+    assert report["passed"] is True and report["first_failure"] is None
+    assert isinstance(report["equilibrium_block_gap"], float) and report["equilibrium_block_gap"] <= 1e-9
+
+
+def test_transport_rejects_a_measure_on_a_fixed_point(capsys, fixture_dir, tmp_path):
+    # one block (0,) on the golden mean: the word (1,) has no mass
+    doc = json.loads((fixture_dir / "gm-parry.json").read_text())
+    doc.update(order=1, blocks=["0"], transitions=[[1.0]], stationary=[1.0])
+    measure = tmp_path / "fixed-point.json"
+    measure.write_text(json.dumps(doc))
+    rc = main(["transport", "--ai", str(fixture_dir / "gm-self-ai.json"), "--measure", str(measure),
+               "--order", "1"])
+    assert rc == 2
+    assert "fully supported" in capsys.readouterr().err
 
 
 def test_reports_byte_identical(fixture_dir, tmp_path, src_env):

@@ -19,6 +19,7 @@ from shiftlab.codes import (
     _markovize,
     _occurrences_in,
     _supported_letters,
+    _total_variation,
     assemble_ai,
     from_periodic,
     gamma_on_point,
@@ -35,7 +36,14 @@ from shiftlab.potentials import FiniteRangePotential
 from shiftlab.thermo import MarkovMeasure, equilibrium_measure, measure_pressure
 
 from conftest import FIXTURES
-from oracles import has_periodic_lift, integer_trace, magic_word_violation, scalar_chain, supported_letters
+from oracles import (
+    block_image_marginals,
+    has_periodic_lift,
+    integer_trace,
+    magic_word_violation,
+    scalar_chain,
+    supported_letters,
+)
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -52,7 +60,7 @@ def full2_graph():
 
 @pytest.fixture(scope="module")
 def identity_code(gm_graph):
-    return OneBlockCode(source=gm_graph, target=gm_graph, symbol_map=(0, 1), conjugacy_window=1)
+    return OneBlockCode(source=gm_graph, target=gm_graph, symbol_map=(0, 1))
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +84,7 @@ def gm_self_ai(block2_code):
 
 @pytest.fixture(scope="module")
 def plain_ai(gm_graph):
-    """The 2-block codes of gm_self_ai without the conjugacy marker."""
+    """The 2-block codes of gm_self_ai, built from the symbol map alone."""
     H, lab = higher_block(gm_graph, 2)
     plain = OneBlockCode(source=H, target=gm_graph, symbol_map=lab.symbol_map)
     cert = verify_magic(plain, (1, 0), 0, 6)
@@ -256,7 +264,7 @@ class TestVerifyMagic:
         entropy = [math.log(max(abs(np.linalg.eigvals(g.adjacency.astype(float)))))
                    for g in (code.source, code.target)]
         assert abs(entropy[0] - 0.2282) < 1e-4 and abs(entropy[1] - 0.1802) < 1e-4
-        ident = OneBlockCode(code.source, code.source, tuple(range(code.source.n_vertices)), conjugacy_window=1)
+        ident = OneBlockCode(code.source, code.source, tuple(range(code.source.n_vertices)))
         with pytest.raises(CodeError):
             assemble_ai(ident, code, verify_magic(ident, (0,), 0, 8), verify_magic(code, (0,), 0, 8))
 
@@ -318,45 +326,37 @@ class TestSupportedLetters:
 
 
 class TestBlockLabeling:
-    def test_wrong_window_rejected(self, gm_graph):
-        H, lab = higher_block(gm_graph, 2)
-        for window in (1, 3, 0, -1, 10**30):
-            with pytest.raises(CodeError):
-                OneBlockCode(source=H, target=gm_graph, symbol_map=lab.symbol_map, conjugacy_window=window)
+    """A higher-block labeling is a conjugacy, and the lift moves measures across it exactly."""
 
     def test_higher_block_labelings_accepted(self, gm_graph, full2_graph):
         for g in (gm_graph, full2_graph):
+            mu = equilibrium_measure(g, FiniteRangePotential.zero(g))
             for N in (1, 2, 3, 4):
                 H, lab = higher_block(g, N)
                 code = labeling_code(H, lab, g)
-                assert code._block_words == lab.block_words
+                assert code.symbol_map == lab.symbol_map
+                cert = verify_magic(code, (1, 0, 1, 0)[:N], 0)
+                rep = transport_measure(assemble_ai(code, code, cert, cert), mu, order=2)
+                got, want = rep.measure.word_distribution(3), mu.word_distribution(3)
+                assert max(abs(got.get(w, 0.0) - want.get(w, 0.0)) for w in set(got) | set(want)) <= 1e-12
 
-    def test_one_cycle_target_takes_any_window(self):
-        # on a cycle every window spells the blocks of window |source|, which is stored
+    def test_two_cycle_transport_is_exact_at_every_block_length(self):
         cycle = build_graph(["0", "1"], [(0, 1), (1, 0)]).graph
-        H2, lab2 = higher_block(cycle, 2)
         mu = MarkovMeasure(graph=cycle, order=1, blocks=((0,), (1,)),
                            transitions=np.array([[0.0, 1.0], [1.0, 0.0]]), stationary=np.array([0.5, 0.5]))
-        codes = [labeling_code(*higher_block(cycle, N), cycle) for N in range(1, 6)]
-        codes.append(OneBlockCode(source=H2, target=cycle, symbol_map=lab2.symbol_map, conjugacy_window=10**30))
-        for N, code in zip((1, 2, 3, 4, 5, 10**30), codes):
-            assert code.conjugacy_window == min(N, 2)
+        for N in range(1, 6):
+            code = labeling_code(*higher_block(cycle, N), cycle)
             cert = verify_magic(code, (0,), 0, 4)
             rep = transport_measure(assemble_ai(code, code, cert, cert), mu, order=1)
             assert rep.method == "closed-form" and rep.measure.blocks == ((0,), (1,))
             assert (rep.measure.transitions == mu.transitions).all() and rep.tv_gap == 0.0
-
-    def test_non_injective_labeling_rejected(self, full2_graph):
-        point = build_graph(["*"], [(0, 0)]).graph
-        with pytest.raises(CodeError):
-            OneBlockCode(source=full2_graph, target=point, symbol_map=(0, 0), conjugacy_window=1)
 
 
 class TestAssemble:
     def test_identity_ai(self, identity_code):
         cert = verify_magic(identity_code, (1,), 0, 6)
         ai = assemble_ai(identity_code, identity_code, cert, cert)
-        assert ai.code_s.conjugacy_window is not None
+        assert ai.common == identity_code.source
 
     def test_refuted_certificate_rejected(self, collapse_code, identity_code):
         bad = verify_magic(collapse_code, (0,), 0, 2)
@@ -412,33 +412,13 @@ class TestGamma:
         # code_s the 2-block labeling of G, so gamma is also the sliding map
         # y_j = phi_T(block (x_j, x_{j+1})); the single pinning pass must agree
         rng = np.random.default_rng(808)
-        ais = [road[0]]
-        while len(ais) < 30:
-            V = int(rng.integers(2, 5))
-            perm = rng.permutation(V)
-            edges = {(int(perm[i]), int(perm[(i + 1) % V])) for i in range(V)}
-            edges |= {(u, v) for u in range(V) for v in range(V) if rng.random() < 0.35}
-            G = FiniteGraph(tuple(map(str, range(V))), tuple(sorted(edges)))
-            H, lab = higher_block(G, 2)
-            code_s = labeling_code(H, lab, G)
-            cert_s = verify_magic(code_s, (int(rng.integers(V)),), 0, 4)
-            if len(ais) % 2:
-                code_t = OneBlockCode(source=H, target=H, symbol_map=tuple(range(H.n_vertices)),
-                                      conjugacy_window=1)
-                ais.append(assemble_ai(code_s, code_t, cert_s, verify_magic(code_t, (0,), 0, 4)))
-                continue
-            symbol_map = tuple(int(t) for t in rng.integers(0, 2, H.n_vertices))
-            image = {(symbol_map[u], symbol_map[v]) for u, v in H.edges}
-            code_t = OneBlockCode(source=H, target=FiniteGraph(("0", "1"), tuple(sorted(image))),
-                                  symbol_map=symbol_map)
-            certs = [c for W in code_t.target.words(1) + code_t.target.words(2) for off in range(len(W) + 1)
-                     if (c := verify_magic(code_t, W, off, 4)).certified]
-            if certs:
-                ais.append(assemble_ai(code_s, code_t, cert_s, certs[0]))
+        ais = _labeling_ais(rng, [road[0]], 30)
         compared = 0
         for ai in ais:
             G, tmap = ai.code_s.target, ai.code_t.symbol_map
-            block = {w: i for i, w in enumerate(ai.code_s._block_words)}
+            H, lab = higher_block(G, 2)
+            assert H == ai.common
+            block = lab.block_index()
             cycles = [pt.word for n in range(1, 5) for pt in enumerate_periodic(G, n)]
             for _ in range(8):
                 left, right = (cycles[int(rng.integers(len(cycles)))] for _ in range(2))
@@ -460,7 +440,7 @@ class TestGamma:
 
 class TestTransport:
     def test_identity_ai_keeps_bernoulli(self, full2_graph):
-        code = OneBlockCode(source=full2_graph, target=full2_graph, symbol_map=(0, 1), conjugacy_window=1)
+        code = OneBlockCode(source=full2_graph, target=full2_graph, symbol_map=(0, 1))
         cert = verify_magic(code, (0,), 0, 6)
         ai = assemble_ai(code, code, cert, cert)
         from shiftlab.thermo import MarkovMeasure
@@ -477,7 +457,7 @@ class TestTransport:
     def test_sampling_concentrated_measure(self, full2_graph):
         # every sampled 2-block is "00": nine frequencies of 1/9 sum to
         # 1 + 2**-52, and the width must still come out real
-        code = OneBlockCode(source=full2_graph, target=full2_graph, symbol_map=(0, 1), conjugacy_window=1)
+        code = OneBlockCode(source=full2_graph, target=full2_graph, symbol_map=(0, 1))
         cert = verify_magic(code, (0,), 0, 6)
         ai = assemble_ai(code, code, cert, cert)
         from shiftlab.thermo import MarkovMeasure
@@ -495,7 +475,7 @@ class TestTransport:
     def test_sampling_width_positive_on_concentrated_measure(self, full2_graph):
         # every sampled 2-block is "00"; nine identical blocks are no certainty,
         # and the Wilson half-width at p = 1 is z^2 / (2 (n + z^2)) with n = 9
-        code = OneBlockCode(source=full2_graph, target=full2_graph, symbol_map=(0, 1), conjugacy_window=1)
+        code = OneBlockCode(source=full2_graph, target=full2_graph, symbol_map=(0, 1))
         cert = verify_magic(code, (0,), 0, 6)
         ai = assemble_ai(code, code, cert, cert)
         from shiftlab.thermo import MarkovMeasure
@@ -549,16 +529,43 @@ class TestTransport:
         with pytest.raises(CodeError, match="fully supported"):
             transport_measure(gm_self_ai, mu, order=1)
 
-    def test_non_conjugate_legs_fall_back_to_sampling(self, gm_graph, plain_ai):
-        # same codes but without the conjugacy marker: closed form unavailable
-        ai = plain_ai
-        assert ai.code_s.conjugacy_window is None
+    def test_plain_ai_is_exact_and_samples_only_with_a_budget(self, gm_graph, plain_ai):
         mu = equilibrium_measure(gm_graph, FiniteRangePotential.zero(gm_graph))
-        with pytest.raises(CodeError, match="sampling budget and seed"):
-            transport_measure(ai, mu, order=1)
-        rep = transport_measure(ai, mu, order=1, samples=50_000, seed=11)
+        rep = transport_measure(plain_ai, mu, order=1)
+        assert rep.method == "closed-form" and rep.samples is None and rep.confidence_width is None
+        assert abs(rep.entropy_out - LOG_PHI) <= 1e-12 and rep.tv_gap <= 1e-12
+        rep = transport_measure(plain_ai, mu, order=1, samples=50_000, seed=11)
         assert rep.method == "sampling"
         assert abs(rep.entropy_out - LOG_PHI) <= 0.02
+
+    def test_measure_on_a_fixed_point_is_not_fully_supported(self, gm_self_ai, gm_graph):
+        # the block (0,) alone carries 0^inf: the golden mean's word (1,) has no mass
+        mu = MarkovMeasure(graph=gm_graph, order=1, blocks=((0,),),
+                           transitions=np.array([[1.0]]), stationary=np.array([1.0]))
+        assert not mu.fully_supported()
+        with pytest.raises(CodeError, match="fully supported"):
+            transport_measure(gm_self_ai, mu, order=1)
+
+    def test_lift_matches_the_block_labeling_oracle(self, road):
+        # code_s a 2-block labeling: gamma is the sliding map y_j = phi_T(block (x_j, x_{j+1})),
+        # so the image's marginals are mu's pushed through that map
+        rng = np.random.default_rng(4242)
+        ais = _labeling_ais(rng, [road[0]], 30)
+        for i, ai in enumerate(ais):
+            G = ai.code_s.target
+            H, lab = higher_block(G, 2)
+            assert H == ai.common
+            values = {w: F(int(rng.integers(-6, 7)), int(rng.integers(1, 6))) for w in G.words(1 + i % 2)}
+            mu = equilibrium_measure(G, FiniteRangePotential(G, 0, 1 + i % 2, values))
+            for order in (1, 2):
+                rep = transport_measure(ai, mu, order=order)
+                q = {k: block_image_marginals(mu, lab.block_words, ai.code_t.symbol_map, k)
+                     for k in (order, order + 1, order + 2)}
+                model, _ = _markovize(ai.code_t.target, order, q[order], q[order + 1])
+                got, want = rep.measure.word_distribution(order + 2), model.word_distribution(order + 2)
+                assert max(abs(got.get(w, 0.0) - want.get(w, 0.0)) for w in set(got) | set(want)) <= 1e-12
+                assert abs(rep.entropy_out - model.entropy()) <= 1e-12
+                assert abs(rep.tv_gap - _total_variation(want, q[order + 2])) <= 1e-12
 
     @pytest.mark.parametrize("ai_name, order, samples, seed", [
         ("gm_self_ai", 1, 20_000, 5),
@@ -617,6 +624,37 @@ class TestTransport:
         rep = transport_measure(gm_self_ai, mu, order=2)
         assert abs(rep.entropy_out - mu.entropy()) <= 1e-9
         assert abs(measure_pressure(rep.measure, g) - measure_pressure(mu, f)) <= 1e-9
+
+
+def _labeling_ais(rng, ais: list, count: int) -> list:
+    """Extend ``ais`` to ``count`` random almost isomorphisms whose code_s is the
+    2-block labeling of an irreducible G on 2-4 letters.
+
+    code_t is the identity of the 2-block graph when the list has odd length,
+    and otherwise a random 0/1 colouring of it with a certified magic word.
+    """
+    while len(ais) < count:
+        V = int(rng.integers(2, 5))
+        perm = rng.permutation(V)
+        edges = {(int(perm[i]), int(perm[(i + 1) % V])) for i in range(V)}
+        edges |= {(u, v) for u in range(V) for v in range(V) if rng.random() < 0.35}
+        G = FiniteGraph(tuple(map(str, range(V))), tuple(sorted(edges)))
+        H, lab = higher_block(G, 2)
+        code_s = labeling_code(H, lab, G)
+        cert_s = verify_magic(code_s, (int(rng.integers(V)),), 0, 4)
+        if len(ais) % 2:
+            code_t = OneBlockCode(source=H, target=H, symbol_map=tuple(range(H.n_vertices)))
+            ais.append(assemble_ai(code_s, code_t, cert_s, verify_magic(code_t, (0,), 0, 4)))
+            continue
+        symbol_map = tuple(int(t) for t in rng.integers(0, 2, H.n_vertices))
+        image = {(symbol_map[u], symbol_map[v]) for u, v in H.edges}
+        code_t = OneBlockCode(source=H, target=FiniteGraph(("0", "1"), tuple(sorted(image))),
+                              symbol_map=symbol_map)
+        certs = [c for W in code_t.target.words(1) + code_t.target.words(2) for off in range(len(W) + 1)
+                 if (c := verify_magic(code_t, W, off, 4)).certified]
+        if certs:
+            ais.append(assemble_ai(code_s, code_t, cert_s, certs[0]))
+    return ais
 
 
 def _bridge(g, u, v) -> list[int]:
@@ -681,8 +719,7 @@ class TestDistinctLegsAi:
         H, lab = higher_block(gm_graph, 2)
         code_s = labeling_code(H, lab, gm_graph)          # R = H -> S = GM
         code_t = OneBlockCode(source=H, target=H,
-                              symbol_map=tuple(range(H.n_vertices)),
-                              conjugacy_window=1)          # R = H -> T = H
+                              symbol_map=tuple(range(H.n_vertices)))  # R = H -> T = H
         cert_s = verify_magic(code_s, (1, 0), 0, 6)
         cert_t = verify_magic(code_t, (0,), 0, 4)
         return assemble_ai(code_s, code_t, cert_s, cert_t), H, lab
@@ -767,16 +804,14 @@ class TestCorrespondence:
         gy = g_bad.table[tuple(y.sample(pos + i) for i in range(2))]
         assert fx != gy
 
-    def test_unchecked_measure_layer_does_not_pass(self, plain_ai, gm_graph):
-        # without the conjugacy marker on code_s the measure layer cannot run:
-        # the pointwise and pressure layers hold, yet the report does not pass
+    def test_measure_layer_runs_on_plain_ai(self, plain_ai, gm_graph):
         f = FiniteRangePotential.from_vertex_values(gm_graph, [F(1, 3), F(-1, 2)])
         g = FiniteRangePotential(gm_graph, 0, 2, {w: f.table[w[:1]] for w in gm_graph.words(2)})
         rep = verify_correspondence(plain_ai, f, g, n_max=8)
         assert rep.first_failure is None and rep.witnesses_checked > 0
         assert rep.pressure_gap <= rep.pressure_tolerance
-        assert rep.measure_block_gap is None
-        assert rep.passed is False
+        assert rep.measure_block_gap <= 1e-9
+        assert rep.passed is True
 
 
 class TestRoadColouringAi:
@@ -788,14 +823,13 @@ class TestRoadColouringAi:
         counts = [integer_trace(G.adjacency, n) for n in range(1, 7)]
         assert counts == [1, 5, 7, 17, 31, 65]
         assert [integer_trace(full2.adjacency, n) for n in range(1, 7)] == [2**n for n in range(1, 7)]
-        assert ai.code_s.conjugacy_window == 2 and ai.code_t.conjugacy_window is None
 
     def test_correspondence_checks_every_layer(self, road):
         ai, f, g, _ = road
         rep = verify_correspondence(ai, f, g, n_max=8)
         assert rep.passed
         assert rep.first_failure is None and rep.witnesses_checked > 0
-        assert rep.measure_block_gap is not None and rep.measure_block_gap <= 1e-9
+        assert rep.measure_block_gap <= 1e-9
 
     def test_perturbed_target_potential_fails_with_witness(self, road):
         ai, f, g, _ = road
@@ -832,3 +866,52 @@ class TestRoadColouringAi:
             assert rep.entropy_out > rep.entropy_in
             gaps.append(rep.tv_gap)
         assert [round(g, 4) for g in gaps] == [0.0272, 0.0107, 0.0050]
+
+
+@pytest.fixture(scope="module")
+def road_reversed():
+    """fixtures/road-ai-reversed.json: the road AI with its legs swapped.
+
+    S is the full 2-shift and code_s the road colouring, which is not
+    injective; T is G on {a, b, c}.
+    """
+    return parse_ai(loads((FIXTURES / "road-ai-reversed.json").read_text()))
+
+
+def _bernoulli(graph, p0: float) -> MarkovMeasure:
+    row = np.array([p0, 1 - p0])
+    return MarkovMeasure(graph=graph, order=1, blocks=((0,), (1,)),
+                         transitions=np.array([row, row]), stationary=row.copy())
+
+
+class TestReversedRoadAi:
+    """The paper's case: code_s is a road colouring, not a conjugacy."""
+
+    def test_uniform_bernoulli_moves_to_the_parry_measure(self, road_reversed):
+        ai = road_reversed
+        G = ai.code_t.target
+        parry = equilibrium_measure(G, FiniteRangePotential.zero(G))
+        for order in (1, 2, 3):
+            rep = transport_measure(ai, _bernoulli(ai.code_s.target, 0.5), order=order)
+            assert rep.method == "closed-form"
+            for k in (1, 2, 3):
+                got, want = rep.measure.word_distribution(k), parry.word_distribution(k)
+                assert set(got) == set(want)
+                assert max(abs(got[w] - want[w]) for w in want) <= 1e-15, (order, k)
+            assert abs(rep.entropy_out - math.log(2)) <= 1e-15
+
+    def test_correspondence_of_zero_potentials_passes(self, road_reversed):
+        ai = road_reversed
+        rep = verify_correspondence(ai, FiniteRangePotential.zero(ai.code_s.target),
+                                    FiniteRangePotential.zero(ai.code_t.target), n_max=8)
+        assert rep.passed and rep.first_failure is None and rep.witnesses_checked > 0
+        assert isinstance(rep.measure_block_gap, float) and rep.measure_block_gap <= 1e-9
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sampler_lies_within_two_wilson_widths_of_the_lift(self, road_reversed, seed):
+        mu = _bernoulli(road_reversed.code_s.target, 0.3)
+        exact = transport_measure(road_reversed, mu, order=2).measure.word_distribution(3)
+        rep = transport_measure(road_reversed, mu, order=2, samples=200_000, seed=seed)
+        sampled = rep.measure.word_distribution(3)
+        gap = max(abs(sampled.get(w, 0.0) - exact.get(w, 0.0)) for w in set(sampled) | set(exact))
+        assert rep.method == "sampling" and gap <= 2 * rep.confidence_width

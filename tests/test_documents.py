@@ -132,9 +132,11 @@ class TestCodeAndAiDocs:
     def test_code_round_trip(self, gm):
         H, lab = higher_block(gm.graph, 2)
         code = labeling_code(H, lab, gm.graph)
-        back = docs.parse_code(roundtrip(docs.emit_code(code)))
+        doc = roundtrip(docs.emit_code(code))
+        back = docs.parse_code(doc)
         assert back.symbol_map == code.symbol_map
-        assert back.conjugacy_window == 2
+        with pytest.raises(docs.SchemaError, match="unknown keys"):
+            docs.parse_code({**doc, "conjugacy_window": 2})
 
     def test_ai_round_trip_reverifies(self, gm):
         H, lab = higher_block(gm.graph, 2)
@@ -206,3 +208,16 @@ def test_canonical_emission_is_stable(gm, fixture_dir):
     text = (fixture_dir / "gm.json").read_text()
     doc = docs.loads(text)
     assert docs.dumps(doc) == text
+
+
+PARSERS = {"graph": docs.parse_graph, "exhaustion": docs.parse_exhaustion, "loops": docs.parse_loops,
+           "code": docs.parse_code, "ai": docs.parse_ai, "measure": docs.parse_measure}
+
+
+def test_every_fixture_parses(fixture_dir):
+    # potentials need the graph they live on, and the tests that use them supply it
+    for path in sorted(fixture_dir.glob("*.json")):
+        doc = docs.loads(path.read_text())
+        assert doc["kind"] in {*PARSERS, "potential"}, path.name
+        if doc["kind"] != "potential":
+            PARSERS[doc["kind"]](doc)
