@@ -29,6 +29,7 @@ from .graphs import (
     PeriodicPoint,
     Word,
     enumerate_periodic,
+    irreducible_and_period,
     least_accepted_path,
     strongly_connected_components,
 )
@@ -317,6 +318,8 @@ class AlmostIsomorphism:
     def __post_init__(self):
         if self.code_s.source != self.code_t.source:
             raise CodeError("both codes must share the common source shift")
+        if not irreducible_and_period(self.common)[0]:
+            raise CodeError("the common extension of an almost isomorphism must be irreducible")
         for code, cert in ((self.code_s, self.cert_s), (self.code_t, self.cert_t)):
             if not cert.certified:
                 raise CodeError("cannot assemble an almost isomorphism from a refuted certificate")

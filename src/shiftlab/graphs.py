@@ -351,19 +351,26 @@ def enumerate_periodic(
     prefix=(),
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     *,
+    n_min: int | None = None,
     reach: np.ndarray | None = None,
 ) -> tuple[PeriodicPoint, ...]:
-    """The n-periodic points whose length-n word begins with ``prefix``.
+    """The periodic points of every period in [n_min, n] whose word begins with ``prefix``.
 
-    Output is ordered lexicographically.  A prefix that is not an admissible
-    word yields an empty result and a warning.  Raises
-    :class:`BudgetExceededError` past ``budget`` points.  ``reach`` is a
-    :func:`~shiftlab.kernels.exact_reach` table of ``g`` to at least n steps,
-    built here when not given.
+    ``n_min`` defaults to n.  Output is ordered by period, then
+    lexicographically, and comes from one walk of
+    :func:`~shiftlab.kernels.closed_paths`.  A window of more than one period
+    must start at 1 or more and at or above the prefix length.  A prefix that
+    is not an admissible word yields an empty result and a warning.  Raises
+    :class:`BudgetExceededError` when any period has more than ``budget``
+    points.  ``reach`` is a :func:`~shiftlab.kernels.exact_reach` table of
+    ``g`` to at least n steps, built here when not given.
     """
     if n < 1:
         raise ValueError("period length must be >= 1")
+    n_min = n if n_min is None else n_min
     prefix = tuple(int(s) for s in prefix)
+    if n_min != n and not max(1, len(prefix)) <= n_min < n:
+        raise ValueError(f"window [{n_min}, {n}] must start at 1 or more and hold the prefix length {len(prefix)}")
     if not g.is_word(prefix):
         warnings.warn("prefix is not an admissible word; no periodic points", stacklevel=2)
         return ()
@@ -377,10 +384,14 @@ def enumerate_periodic(
             return (PeriodicPoint(cand),)
         return ()
     indptr, indices = g.csr
-    paths, overflow = kernels.closed_paths(indptr, indices, _reach(g, n, reach), n, prefix, budget)
+    paths, overflow = kernels.closed_paths(indptr, indices, _reach(g, n, reach), n, prefix, budget, n_min=n_min)
     if overflow:
-        raise BudgetExceededError(f"more than {budget} periodic points of period {n}")
-    return tuple(PeriodicPoint(tuple(row)) for row in paths.tolist())
+        periods = f"period {n}" if n_min == n else f"a period in [{n_min}, {n}]"
+        raise BudgetExceededError(f"more than {budget} periodic points of {periods}")
+    # rows run by period; row i of period m holds -1 past column m
+    bounds = np.searchsorted(n - (paths < 0).sum(axis=1), np.arange(n_min, n + 2)).tolist()
+    return tuple(PeriodicPoint(tuple(row)) for m in range(n_min, n + 1)
+                 for row in paths[bounds[m - n_min]:bounds[m - n_min + 1], :m].tolist())
 
 
 def _reach(g: FiniteGraph, n: int, reach: np.ndarray | None) -> np.ndarray:

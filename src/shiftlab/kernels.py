@@ -12,13 +12,15 @@ the budget and tracks only each partial path's first and last vertex.  It
 walks a window of closing lengths [n_min, n] at once, because the walks of
 all those lengths share their prefixes; its budget is still that of one walk
 per length, and ``overflowing_lengths`` decides it before the first step
-from the closed-path counts in the same table.  Two accumulators consume
-its steps: ``closed_paths`` gathers the path rows of one length, and
-``closed_path_count_keys`` gathers packed visit-count keys for every length
-of the window and never builds a row.  A key packs one field per vertex
-into an int64, each ``count_key_width(V, n)`` = max(4, n.bit_length()) bits
-wide, so the keys of a window up to length n need V * width <= 63: up to
-n = 15 on 15 vertices, n = 31 on 12, n = 127 on 9.
+from ``closed_path_counts``, the closed-path counts in the same table (all a
+caller needs when a path's weight depends only on its length).  Two
+accumulators consume its steps, each for every length of the window:
+``closed_paths`` gathers the path rows, padded with -1 to the longest
+length, and ``closed_path_count_keys`` gathers packed visit-count keys and
+never builds a row.  A key packs one field per vertex into an int64, each
+``count_key_width(V, n)`` = max(4, n.bit_length()) bits wide, so the keys of
+a window up to length n need V * width <= 63: up to n = 15 on 15 vertices,
+n = 31 on 12, n = 127 on 9.
 
 Caps are hard limits on emitted paths.  On overflow the kernels return a
 flag, and callers turn that into a budget error or a truncation marker.
@@ -79,27 +81,35 @@ def exact_reach(adj_bool: np.ndarray, n: int) -> np.ndarray:
 # closed paths (periodic points)
 
 
+def closed_path_counts(reach: np.ndarray, prefix, n_min: int, n: int) -> np.ndarray:
+    """``counts[m - n_min]``: the number of closed paths of length m whose word starts with ``prefix``.
+
+    For every m in [n_min, n], with n_min at least the prefix length, read
+    off an :func:`exact_reach` table: the trace of reach[m], or reach[m - len
+    + 1] at (prefix[-1], prefix[0]).  A count below the table's saturation
+    bound (2^63 - 1) // V is exact; one at or above it is at least that
+    bound.
+    """
+    lp = len(prefix)
+    if lp:
+        return reach[n_min - lp + 1:n - lp + 2, prefix[-1], prefix[0]]
+    return np.trace(reach[n_min:n + 1], axis1=1, axis2=2)
+
+
 def overflowing_lengths(reach: np.ndarray, prefix, n_min: int, n: int, cap: int) -> np.ndarray:
     """``over[m - n_min]``: does the closed-path walk of length m from ``prefix`` exceed ``cap``?
 
-    For every m in [n_min, n], read off an :func:`exact_reach` table.  The
-    walk of length m steps from depth max(len(prefix), 1) to m - 1, and each
-    candidate of a depth extends to a distinct closed path of length m, so
-    its last depth holds the most candidates: every closed path of length m
-    whose word starts with ``prefix``.  It overflows iff there are more than
-    ``cap`` of those; a walk that takes no step never does.  ``reach``
-    counts them: the trace of reach[m], or reach[m - len + 1] at (prefix[-1],
-    prefix[0]).  A cap at or beyond the table's saturation bound reads as
-    that bound.
+    The walk of length m steps from depth max(len(prefix), 1) to m - 1, and
+    each candidate of a depth extends to a distinct closed path of length m,
+    so its last depth holds the most candidates: every closed path of length
+    m whose word starts with ``prefix``.  It overflows iff there are more
+    than ``cap`` of those, as :func:`closed_path_counts` gives them; a walk
+    that takes no step never does.  A cap at or beyond the table's
+    saturation bound reads as that bound.
     """
     V = reach.shape[1]
-    lp = len(prefix)
-    if lp:
-        counts = reach[n_min - lp + 1:n - lp + 2, prefix[-1], prefix[0]]
-    else:
-        counts = np.trace(reach[n_min:n + 1], axis1=1, axis2=2)
-    over = counts >= min(int(cap) + 1, (2**63 - 1) // max(V, 1))
-    if n_min == max(lp, 1):
+    over = closed_path_counts(reach, prefix, n_min, n) >= min(int(cap) + 1, (2**63 - 1) // max(V, 1))
+    if n_min == max(len(prefix), 1):
         over[0] = False  # that walk takes no step
     return over
 
@@ -116,8 +126,9 @@ def _closed_walk(indptr, indices, reach, n_min, n, prefix, cap):
     every vertex on a closed path of a length in the window when the prefix
     is empty).  After it, partial path i of the new depth is partial path
     ``parent[i]`` of the depth before, extended by ``vertex[i]``.
-    ``closed`` marks the partial paths of the depth that are closed paths,
-    or is None when the depth lies outside the window.
+    ``closed`` indexes the partial paths of the depth that are closed paths
+    (a full slice at depth n, where all of them are), or is None when the
+    depth lies outside the window.
 
     The budget is that of one walk per length, decided before any step by
     :func:`overflowing_lengths`: when some length's walk would exceed
@@ -135,8 +146,7 @@ def _closed_walk(indptr, indices, reach, n_min, n, prefix, cap):
         start = np.nonzero(reach[n_min:n + 1].diagonal(axis1=1, axis2=2).any(axis=0))[0]
         start = start.astype(np.int32).reshape(-1, 1)
     else:
-        # the prefix needs m - (lp - 1) more steps to close at length m
-        closes = reach[n_min - lp + 1:n - lp + 2, prefix[-1], prefix[0]].any()
+        closes = closed_path_counts(reach, prefix, n_min, n).any()
         start = prefix.reshape(1, -1)[:int(closes)]
     first, last = start[:, 0], start[:, -1]
 
@@ -144,7 +154,7 @@ def _closed_walk(indptr, indices, reach, n_min, n, prefix, cap):
         # every partial path of the last depth closes
         if d < n_min:
             return None
-        return adj[last, first] if d < n else np.ones(len(last), dtype=bool)
+        return adj[last, first] if d < n else slice(None)
 
     yield None, start, closed(start.shape[1])
     for d in range(start.shape[1], n):
@@ -156,18 +166,33 @@ def _closed_walk(indptr, indices, reach, n_min, n, prefix, cap):
         yield parent, last, closed(d + 1)
 
 
-def closed_paths(indptr, indices, reach, n, prefix, cap):
-    """All closed paths of length n whose word starts with ``prefix``.
+def closed_paths(indptr, indices, reach, n, prefix, cap, *, n_min=None):
+    """All closed paths of every length in [n_min, n] whose word starts with ``prefix``.
 
-    Returns ``(paths, overflow)``; rows of ``paths`` are in lexicographic
-    order, and ``paths`` is empty on overflow.
+    ``n_min`` defaults to n.  Returns ``(paths, overflow)``.  ``paths`` has
+    one row per path and n columns; a path of length m fills the first m and
+    holds -1 past them.  Rows run by length, shortest first, and
+    lexicographically within a length: exactly the concatenation of one call
+    per length, each padded to n columns.  ``overflow`` is set when any
+    length's walk has more than ``cap`` candidates at one depth, and
+    ``paths`` is then empty.
     """
-    for step in _closed_walk(indptr, indices, reach, n, n, prefix, cap):
+    found = []  # the walk's last depth is always in the window
+    for step in _closed_walk(indptr, indices, reach, n if n_min is None else n_min, n, prefix, cap):
         if step is None:
             return np.empty((0, n), dtype=np.int32), True
-        parent, vertex, _ = step
+        parent, vertex, closed = step
         paths = vertex if parent is None else np.concatenate([paths[parent], vertex[:, None]], axis=1)
-    return paths, False
+        if closed is not None:
+            found.append(paths[closed])
+    if len(found) == 1:  # one length: the walk's own rows, not a copy
+        return found[0], False
+    out = np.full((sum(len(rows) for rows in found), n), -1, dtype=np.int32)
+    i = 0
+    for rows in found:
+        out[i:i + len(rows), :rows.shape[1]] = rows
+        i += len(rows)
+    return out, False
 
 
 def count_key_width(n_vertices: int, n: int) -> int:

@@ -24,7 +24,6 @@ from . import intervals as iv
 from . import kernels
 from .expsum import ExpSum
 from .graphs import (
-    BudgetExceededError,
     DEFAULT_ENUMERATION_BUDGET,
     FiniteGraph,
     FinitePresentation,
@@ -176,6 +175,41 @@ def _zn_single(graph: FiniteGraph, f: FiniteRangePotential, W: Word, n: int, bud
     return _zn_from_points(f, _g.enumerate_periodic(graph, n, W, budget=budget, reach=reach), n)
 
 
+def _constant_numerator(f: FiniteRangePotential) -> int | None:
+    """k when every window of a rational table reads k / q (q its denominator), else None."""
+    if not f.rational:
+        return None
+    numerators = set(f._integer_table[1].values())
+    return numerators.pop() if len(numerators) == 1 else None
+
+
+def _zn_window(graph: FiniteGraph, f: FiniteRangePotential, W: Word, lo: int, hi: int, budget: int,
+               reach) -> dict[int, ZnValue]:
+    """Z_n for every n in [lo, hi], with lo >= max(len(W), 1) and no period's points over ``budget``.
+
+    A constant rational table weighs each of the N_n points by exp(n k / q),
+    and the reach table counts them, so no path is walked.  Otherwise one
+    count-key walk serves the periods its keys cover, and one walk of the
+    points serves the rest.
+    """
+    from . import graphs as _g
+
+    k = _constant_numerator(f)
+    if k is not None:
+        q = f._integer_table[0]
+        counts = kernels.closed_path_counts(reach, W, lo, hi).tolist()
+        return {n: ExpSum.from_coeffs(q, {n * k: c} if c else {}) for n, c in zip(range(lo, hi + 1), counts)}
+    keyed_hi = min(_keyed_up_to(graph, f), hi)
+    out: dict[int, ZnValue] = _zn_by_counts(graph, f, W, lo, keyed_hi, budget, reach) if lo <= keyed_hi else {}
+    if keyed_hi < hi:
+        first = max(lo, keyed_hi + 1)
+        by_period: dict[int, list[PeriodicPoint]] = {n: [] for n in range(first, hi + 1)}
+        for x in _g.enumerate_periodic(graph, hi, W, budget, n_min=first, reach=reach):
+            by_period[x.period].append(x)
+        out.update((n, _zn_from_points(f, points, n)) for n, points in by_period.items())
+    return out
+
+
 def partition_function(
     shift,
     f: FiniteRangePotential,
@@ -185,10 +219,27 @@ def partition_function(
 ) -> PartitionFunctionTable:
     """Weighted counts of the n-periodic points starting with ``W``.
 
-    ``Z_n = sum exp(f(x) + ... + f(S^{n-1} x))`` over the points enumerated
-    by :func:`~shiftlab.graphs.enumerate_periodic`.  Exact when the weight
-    table is rational.  Loop-system presentations are delegated to the
-    renewal recurrence on their first-return weights.
+    ``Z_n = sum exp(f(x) + ... + f(S^{n-1} x))`` over the n-periodic points
+    x whose length-n word starts with ``W``.  Exact when the weight table is
+    rational.  The table ends before the first n with more than ``budget``
+    such points, read off the path counts of
+    :func:`~shiftlab.kernels.exact_reach` before anything is walked; it is
+    marked ``truncated_at`` that n.  For n >= max(len(W), 1):
+
+    * a constant rational table, value c, has Z_n = N_n exp(n c), with N_n
+      the path count, and walks nothing (Bowen--Lanford: for the zero
+      potential Z_n(()) is the trace of A^n);
+    * other span-1 rational tables group one walk of
+      :func:`~shiftlab.kernels.closed_path_count_keys` by visit counts, as
+      far as its keys fit;
+    * the remaining periods, and every period of a float table or a wider
+      span, take the points of one windowed
+      :func:`~shiftlab.graphs.enumerate_periodic` call, with one Birkhoff
+      sum per class of points with the same cyclic windows.
+
+    The periods shorter than W have at most one point each, found from W.
+    Loop-system presentations are delegated to the renewal recurrence on
+    their first-return weights.
     """
     from .induction import LoopSystem  # local import; induction builds on this module
 
@@ -203,23 +254,15 @@ def partition_function(
         zero = ExpSum() if f.rational else (0.0, 0.0)
         return PartitionFunctionTable(W, f.rational, {n: zero for n in range(1, n_max + 1)},
                                       n_max, note="base word not admissible")
-    entries: dict[int, ZnValue] = {}
-    truncated_at = None
     reach = kernels.exact_reach(graph.adjacency, n_max)  # one table serves every n
-    # one count-key walk serves every n it covers, up to the first n whose
-    # walk overflows; the per-n calls below meet that overflow
-    keyed: dict[int, ExpSum] = {}
-    lo, hi = max(1, len(W)), min(_keyed_up_to(graph, f), n_max)
-    if lo <= hi:
-        # the walk of length lo takes no step, so lo itself never overflows
-        over = kernels.overflowing_lengths(reach, W, lo, hi, budget)
-        keyed = _zn_by_counts(graph, f, W, lo, lo + int(np.argmax(over)) - 1 if over.any() else hi, budget, reach)
-    for n in range(1, n_max + 1):
-        try:
-            entries[n] = keyed[n] if n in keyed else _zn_single(graph, f, W, n, budget, reach)
-        except BudgetExceededError:
-            truncated_at = n
-            break
+    lo = max(1, len(W))
+    entries = {n: _zn_single(graph, f, W, n, budget, reach) for n in range(1, min(lo, n_max + 1))}
+    truncated_at = None
+    if lo <= n_max:
+        over = kernels.overflowing_lengths(reach, W, lo, n_max, budget)
+        if over.any():
+            truncated_at = lo + int(np.argmax(over))
+        entries.update(_zn_window(graph, f, W, lo, n_max if truncated_at is None else truncated_at - 1, budget, reach))
     if truncated_at is not None:
         warnings.warn(f"enumeration budget exceeded at n={truncated_at}; partial table", stacklevel=2)
     return PartitionFunctionTable(
@@ -727,14 +770,16 @@ def zeta_series(table: PartitionFunctionTable, order: int):
         table.zn_exact(n).is_integer() for n in range(1, order + 1)
     )
     if exact:
-        zs = [Fraction(table.zn_exact(n).as_integer()) for n in range(1, order + 1)]
-        coeffs = [Fraction(1)]
+        # d_k = k! c_k = sum_j Z_j (k-1)!/(k-j)! d_{k-j}, all in integers
+        zs = [table.zn_exact(n).as_integer() for n in range(1, order + 1)]
+        d = [1]
         for k in range(1, order + 1):
-            acc = Fraction(0)
+            acc, falling = 0, 1  # falling = (k-1)!/(k-j)!
             for j in range(1, k + 1):
-                acc += zs[j - 1] * coeffs[k - j]
-            coeffs.append(acc / k)
-        return coeffs
+                acc += zs[j - 1] * falling * d[k - j]
+                falling *= k - j
+            d.append(acc)
+        return [Fraction(d_k, math.factorial(k)) for k, d_k in enumerate(d)]
     zs_f = [table.zn_float(n) for n in range(1, order + 1)]
     coeffs_f = [1.0]
     for k in range(1, order + 1):

@@ -4,10 +4,12 @@ Nothing here shares algorithms with the library: periodic points and first
 returns are counted by integer matrix powers or raw product filtering,
 visit-count keys by packing a tallied visit matrix, weighted sums by
 matrix powers over a packed-exponent semiring or in 60-digit decimal
-arithmetic, series by closed-form expansions, chains by
-scalar comparisons, strongly connected components by a transitive
-closure, stationary vectors by the Markov chain tree theorem in exact
-rationals, lifts of periodic points by filtering products of fibers, the
+arithmetic, series by closed-form expansions, zeta coefficients by the
+Fraction recurrence c_k = (1/k) sum_j Z_j c_{k-j} and det(I - tA) by the
+Leibniz formula over polynomial entries, chains by scalar comparisons,
+strongly connected components by a transitive closure, stationary
+vectors by the Markov chain tree theorem in exact rationals, lifts of
+periodic points by filtering products of fibers, the
 source letters on preimage paths by set-based reachability, images of a
 Markov measure under a sliding block map by summing its longer word
 marginals over each image word, magic-word
@@ -482,6 +484,33 @@ def rational_series_coeffs(denominator: list[Fraction], order: int) -> list[Frac
             acc += denominator[j] * coeffs[k - j]
         coeffs.append(-acc)
     return coeffs
+
+
+def zeta_fraction_recurrence(zs: list[int], order: int) -> list[Fraction]:
+    """Coefficients of exp(sum_n zs[n - 1] t^n / n): c_k = (1/k) sum_j Z_j c_{k-j}, all in Fractions."""
+    coeffs = [Fraction(1)]
+    for k in range(1, order + 1):
+        acc = Fraction(0)
+        for j in range(1, k + 1):
+            acc += zs[j - 1] * coeffs[k - j]
+        coeffs.append(acc / k)
+    return coeffs
+
+
+def det_one_minus_tA(adj: np.ndarray) -> list[Fraction]:
+    """Coefficients of det(I - tA), by the Leibniz formula over degree-1 polynomial entries (tiny matrices only)."""
+    V = adj.shape[0]
+    total = [Fraction(0)] * (V + 1)
+    for perm in itertools.permutations(range(V)):
+        inversions = sum(perm[i] > perm[j] for i in range(V) for j in range(i + 1, V))
+        term = [Fraction(-1 if inversions % 2 else 1)]
+        for i, j in enumerate(perm):
+            entry = (int(i == j), -int(adj[i, j]))  # (I - tA)[i, j] = entry[0] + entry[1] t
+            term = [sum(term[a] * entry[d - a] for a in range(len(term)) if 0 <= d - a <= 1)
+                    for d in range(len(term) + 1)]
+        for d, c in enumerate(term):
+            total[d] += c
+    return total
 
 
 def lucas_numbers(count: int) -> list[int]:

@@ -374,6 +374,16 @@ class TestAssemble:
         with pytest.raises(CodeError, match="own leg"):
             assemble_ai(block2_code, collapse, cert, cert)
 
+    def test_reducible_common_extension_rejected(self, gm_graph):
+        # the golden mean plus an isolated fixed point z, both sent onto the
+        # golden mean: (1,) is certified on both legs, but C is reducible
+        C = FiniteGraph(("a", "b", "z"), ((0, 0), (0, 1), (1, 0), (2, 2)))
+        code = OneBlockCode(source=C, target=gm_graph, symbol_map=(0, 1, 0))
+        cert = verify_magic(code, (1,), 0)
+        assert cert.certified
+        with pytest.raises(CodeError, match="almost isomorphism must be irreducible"):
+            assemble_ai(code, code, cert, cert)
+
     def test_mismatched_sources_rejected(self, identity_code, block2_code):
         cert1 = verify_magic(identity_code, (1,), 0, 4)
         cert2 = verify_magic(block2_code, (1, 0), 0, 4)

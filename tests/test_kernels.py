@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shiftlab import kernels
-from shiftlab.graphs import FiniteGraph, build_graph, periodic_count_exponents
+from shiftlab.graphs import BudgetExceededError, FiniteGraph, build_graph, enumerate_periodic, periodic_count_exponents
 from shiftlab.induction import _bfs_dist_to
 from shiftlab.potentials import FiniteRangePotential
 from shiftlab.thermo import partition_function
@@ -207,8 +207,10 @@ def test_count_keys_and_closed_paths_share_the_budget():
 def test_window_walk_is_the_per_length_walks_concatenated():
     # random graphs of 1-8 vertices (not necessarily irreducible), prefixes of
     # length 0-2 and windows inside 1..15: at every cap from 0 to the peak the
-    # window's keys and multiplicities are the per-length calls' concatenated,
-    # and its overflow flag is their OR
+    # window's keys and multiplicities, its path rows (each padded with -1 to
+    # the window's longest length) and its periodic points are the per-length
+    # calls' concatenated, and its overflow flag is their OR (on overflow,
+    # enumerate_periodic raises for the window exactly when some length does)
     rng = np.random.default_rng(1513)
     for _ in range(30):
         V = int(rng.integers(1, 9))
@@ -233,6 +235,18 @@ def test_window_walk_is_the_per_length_walks_concatenated():
             if not overflow:
                 assert keys.tolist() == [int(k) for keys_m, _, _ in per_length for k in keys_m]
                 assert mult.tolist() == [int(c) for _, mult_m, _ in per_length for c in mult_m]
+            rows_per_length = [kernels.closed_paths(indptr, indices, reach, m, prefix, cap) for m in range(n_min, n + 1)]
+            rows, row_overflow = kernels.closed_paths(indptr, indices, reach, n, prefix, cap, n_min=n_min)
+            assert row_overflow == overflow == any(o for _, o in rows_per_length)
+            if row_overflow:
+                assert rows.shape == (0, n)
+                with pytest.raises(BudgetExceededError):
+                    enumerate_periodic(g, n, prefix, cap, n_min=n_min, reach=reach)
+                continue
+            assert rows.dtype == np.int32 and rows.shape[1] == n
+            assert rows.tolist() == [list(r) + [-1] * (n - len(r)) for rows_m, _ in rows_per_length for r in rows_m.tolist()]
+            points = enumerate_periodic(g, n, prefix, cap, n_min=n_min, reach=reach)
+            assert points == tuple(x for m in range(n_min, n + 1) for x in enumerate_periodic(g, m, prefix, cap))
 
 
 def test_overflow_counts_saturate_instead_of_wrapping():

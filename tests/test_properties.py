@@ -6,6 +6,7 @@ visit-count matrix, Z_n summed over enumerated points with one Birkhoff
 sum per point, and ExpSum arithmetic on dicts keyed by Fraction exponents.
 """
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from shiftlab.graphs import (
 )
 from shiftlab.potentials import FiniteRangePotential, birkhoff_sum
 
-from oracles import count_keys_by_visit_matrix, integer_trace, key_width
+from oracles import brute_force_periodic, count_keys_by_visit_matrix, integer_trace, key_width
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -198,6 +199,40 @@ def test_count_key_route_equals_per_point_route(data):
     for n in range(1, n_max + 1):
         points = enumerate_periodic(g, n, W)
         assert table.zn_exact(n) == thermo._zn_from_points(f, points, n) == per_point_zn(f, points, n)
+
+
+@SETTINGS
+@given(st.data())
+def test_constant_tables_are_counts_times_exp_nc(data):
+    # a constant table c of span 1-2 and left range 0-1, W of length 0-2 (not
+    # always admissible) and budgets that truncate: Z_n(W) is the brute-force
+    # count of the n-periodic points through W times exp(n c); the table ends
+    # at the first n past max(|W|, 1) whose count exceeds the budget (the walk
+    # of that length takes no step, so no budget cuts it); an inadmissible W
+    # gives the zero table
+    g, _ = data.draw(graph_with_cycle(max_vertices=3, max_period=4))
+    span = data.draw(st.integers(1, 2))
+    left = data.draw(st.integers(0, span - 1))
+    c = data.draw(st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-20, 20), st.integers(1, 7))))
+    f = FiniteRangePotential(g, left, span - left, {w: c for w in g.words(span)})
+    V = g.n_vertices
+    W = tuple(data.draw(st.lists(st.integers(0, V - 1), max_size=2)))
+    n_max = data.draw(st.integers(1, 7))
+    budget = data.draw(st.integers(0, 40))
+    counts = {n: sum(all(x[i % n] == s for i, s in enumerate(W)) for x in brute_force_periodic(set(g.edges), V, n))
+              for n in range(1, n_max + 1)}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = thermo.partition_function(g, f, W, n_max, budget=budget)
+    messages = [str(w.message) for w in caught]
+    if not g.is_word(W):
+        assert table.note == "base word not admissible" and table.truncated_at is None
+        assert table.entries == {n: ExpSum() for n in range(1, n_max + 1)}
+        return
+    cut = next((n for n in range(max(len(W), 1) + 1, n_max + 1) if counts[n] > budget), None)
+    assert table.truncated_at == cut
+    assert any("budget exceeded" in m for m in messages) == (cut is not None)
+    assert table.entries == {n: ExpSum({n * c: counts[n]}) for n in range(1, cut or n_max + 1)}
 
 
 # --------------------------------------------------------------------------

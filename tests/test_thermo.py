@@ -1,5 +1,6 @@
 """Partition functions, pressure, equilibrium measures, zeta, distortion."""
 import math
+import warnings
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
@@ -36,6 +37,7 @@ from shiftlab.thermo import (
 from oracles import (
     decimal_log_perron,
     decimal_weighted_traces,
+    det_one_minus_tA,
     integer_trace,
     lucas_numbers,
     random_irreducible_graph,
@@ -43,6 +45,7 @@ from oracles import (
     rational_series_coeffs,
     tree_theorem_stationary,
     weighted_trace_expsum,
+    zeta_fraction_recurrence,
 )
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
@@ -267,8 +270,8 @@ class TestWorkCounts:
     def test_one_count_key_walk_per_table(self, monkeypatch):
         # a complete span-1 table makes one walk for every n its keys cover;
         # a table its budget truncates makes one walk below the truncation and
-        # one that overflows, and keeps the truncation and entries of per-n
-        # periodic_count_exponents calls
+        # none at it (the path counts decide the overflow), and keeps the
+        # truncation and entries of per-n periodic_count_exponents calls
         overflows = []
         real = kernels.closed_path_count_keys
 
@@ -306,7 +309,59 @@ class TestWorkCounts:
                     terms[sum(c * v for c, v in zip(row, values))] += m
                 want[n] = ExpSum(terms)
             assert t.truncated_at == n < 12 and t.entries == want, W
-            assert walks == [False, True], W
+            assert walks == [False], W
+
+    def test_constant_tables_walk_nothing(self, monkeypatch):
+        # a constant rational table, of any span and left range, reads N_n off
+        # the reach table: Z_n = N_n exp(n c), and no closed-path walk of
+        # either kind is made, also when the budget truncates the table
+        g = build_graph(*random_irreducible_graph(np.random.default_rng(18), 5)).graph
+        A = g.adjacency.astype(object)
+        tables = [(zero(g), F(0)),
+                  (FiniteRangePotential(g, 1, 1, {w: F(-2, 3) for w in g.words(2)}), F(-2, 3)),
+                  (FiniteRangePotential(g, 0, 2, {w: F(5) for w in g.words(2)}), F(5))]
+        cases = [(W, len(enumerate_periodic(g, 9, W)) - 1) for W in ((), g.words(1)[0], g.words(2)[0])]
+        walks = []
+        monkeypatch.setattr(kernels, "closed_paths", lambda *a, **k: walks.append(a))
+        monkeypatch.setattr(kernels, "closed_path_count_keys", lambda *a, **k: walks.append(a))
+        for f, c in tables:
+            for W, budget in cases:
+                t = partition_function(g, f, W, 12)
+                with pytest.warns(UserWarning, match="budget exceeded"):
+                    cut = partition_function(g, f, W, 12, budget=budget)
+                assert not walks and t.truncated_at is None and cut.truncated_at <= 9
+                for n in range(max(len(W), 1), 13):
+                    power = np.linalg.matrix_power(A, n - max(len(W), 1) + 1)
+                    count = int(np.trace(power)) if not W else int(power[W[-1], W[0]])
+                    assert t.zn_exact(n) == ExpSum({n * c: count}), (W, n)
+                assert cut.entries == {n: t.entries[n] for n in range(1, cut.truncated_at)}
+
+    def test_span_two_tables_walk_once(self, monkeypatch):
+        # the per-point route makes one closed_paths walk for all the periods of
+        # a table, truncated or not, and one Birkhoff sum per window class of
+        # each period
+        rng = np.random.default_rng(19)
+        g = build_graph(*random_irreducible_graph(rng, 5)).graph
+        words = g.words(2)
+        f = FiniteRangePotential(g, 1, 1, dict(zip(words, random_rational_values(rng, len(words)))))
+        cases = []
+        for W in ((), g.words(1)[0], g.words(2)[0]):
+            classes = {n: len(self._window_classes(enumerate_periodic(g, n, W), 2, n)) for n in range(1, 11)}
+            cases += [(W, None, classes), (W, len(enumerate_periodic(g, 8, W)) - 1, classes)]
+        walks, sums = [], Counter()
+        real_walk, real_sum = kernels.closed_paths, thermo.birkhoff_sum
+        monkeypatch.setattr(kernels, "closed_paths", lambda *a, **k: walks.append(a) or real_walk(*a, **k))
+        monkeypatch.setattr(thermo, "birkhoff_sum", lambda f, x, n: sums.update([n]) or real_sum(f, x, n))
+        for W, budget, classes in cases:
+            walks.clear()
+            sums.clear()
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "enumeration budget exceeded", UserWarning)
+                t = partition_function(g, f, W, 10, **({} if budget is None else {"budget": budget}))
+            assert (t.truncated_at is None) == (budget is None)
+            assert len(walks) == 1, (W, budget)
+            assert {n: sums[n] for n in t.entries} == {n: classes[n] for n in t.entries}
+            assert sum(sums.values()) == sum(classes[n] for n in t.entries)
 
     def test_count_keys_emit_every_point(self):
         # kernels.points_emitted, the multiplicities' sum, is the number of
@@ -656,6 +711,20 @@ class TestZetaSeries:
         assert zeta_series(t_f, 10) == rational_series_coeffs([F(1), F(-2)], 10)
         t_g = partition_function(gm.graph, zero(gm.graph), (), 10)
         assert zeta_series(t_g, 10) == rational_series_coeffs([F(1), F(-1), F(-1)], 10)
+
+    def test_integer_recurrence_matches_the_fraction_recurrence_and_the_determinant(self):
+        # on random graphs to order 20 the integer recurrence returns the
+        # Fractions of the reference recurrence and of 1 / det(I - tA)
+        rng = np.random.default_rng(1970)
+        for _ in range(8):
+            g = build_graph(*random_irreducible_graph(rng, 6)).graph
+            t = partition_function(g, zero(g), (), 20, budget=10**18)
+            zs = [t.zn_exact(n).as_integer() for n in range(1, 21)]
+            assert zs == [integer_trace(g.adjacency, n) for n in range(1, 21)]
+            got = zeta_series(t, 20)
+            assert all(type(c) is F for c in got)
+            assert got == zeta_fraction_recurrence(zs, 20)
+            assert got == rational_series_coeffs(det_one_minus_tA(g.adjacency), 20)
 
     def test_empty_shift(self):
         t = PartitionFunctionTable((), True, {n: ExpSum() for n in range(1, 5)}, 4)
