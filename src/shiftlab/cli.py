@@ -472,6 +472,9 @@ def main(argv=None) -> int:
     except OverflowError as e:
         print(f"input error: a value is out of float range ({e})", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        print(f"input error: too large for memory ({e})", file=sys.stderr)
+        return 2
     except (BudgetExceededError, ConvergenceError) as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 1

@@ -639,6 +639,8 @@ def loop_zn_exact(loops: LoopSystem, f: FiniteRangePotential | None, n_max: int)
 def loop_partition_function(loops: LoopSystem, f: FiniteRangePotential | None, n_max: int):
     from .thermo import PartitionFunctionTable
 
+    if n_max < 0:
+        raise ValueError(f"table length n_max = {n_max} must be at least 0")
     covered = min(
         (t.start for t in loops.tails if t.coef > 0),
         default=max((lp.length for lp in loops.loops), default=0),

@@ -3,9 +3,10 @@
 All kernels work on CSR adjacency (``indptr``, ``indices`` with successor
 lists sorted ascending).  Enumeration extends all partial paths together,
 one step at a time, and keeps them in lexicographic order.  Pruning uses exact
-k-step path counts (``exact_reach``, nonzero iff a path runs), so the work
-done is proportional to the number of emitted paths, not to the number of
-dead branches.
+k-step path counts (``exact_reach``, nonzero iff a path runs), so no walk
+extends a dead branch: ``closed_paths`` does work proportional to the number
+of paths it emits, and ``closed_path_count_keys``, which merges equal states,
+to the number of distinct states at each depth.
 
 Closed paths have one walker, ``_closed_walk``, which owns the pruning and
 the budget and tracks only each partial path's first and last vertex.  It
@@ -17,10 +18,12 @@ caller needs when a path's weight depends only on its length).  Two
 accumulators consume its steps, each for every length of the window:
 ``closed_paths`` gathers the path rows, padded with -1 to the longest
 length, and ``closed_path_count_keys`` gathers packed visit-count keys and
-never builds a row.  A key packs one field per vertex into an int64, each
-``count_key_width(V, n)`` = max(4, n.bit_length()) bits wide, so the keys of
-a window up to length n need V * width <= 63: up to n = 15 on 15 vertices,
-n = 31 on 12, n = 127 on 9.
+never builds a row: at each depth it merges the partial paths with the same
+first vertex, last vertex and key into one state with a multiplicity, and
+sends the walker back the states to extend.  A key packs one field per
+vertex into an int64, each ``count_key_width(V, n)`` = max(4,
+n.bit_length()) bits wide, so the keys of a window up to length n need
+V * width <= 63: up to n = 15 on 15 vertices, n = 31 on 12, n = 127 on 9.
 
 Caps are hard limits on emitted paths.  On overflow the kernels return a
 flag, and callers turn that into a budget error or a truncation marker.
@@ -128,7 +131,10 @@ def _closed_walk(indptr, indices, reach, n_min, n, prefix, cap):
     ``parent[i]`` of the depth before, extended by ``vertex[i]``.
     ``closed`` indexes the partial paths of the depth that are closed paths
     (a full slice at depth n, where all of them are), or is None when the
-    depth lies outside the window.
+    depth lies outside the window.  A consumer that merges partial paths
+    with the same first and last vertex may send back, for a depth, the
+    indices of the ones to keep; the walk then extends only those, and the
+    next ``parent`` indexes the kept ones in the order sent.
 
     The budget is that of one walk per length, decided before any step by
     :func:`overflowing_lengths`: when some length's walk would exceed
@@ -156,14 +162,16 @@ def _closed_walk(indptr, indices, reach, n_min, n, prefix, cap):
             return None
         return adj[last, first] if d < n else slice(None)
 
-    yield None, start, closed(start.shape[1])
+    keep = yield None, start, closed(start.shape[1])
     for d in range(start.shape[1], n):
+        if keep is not None:
+            first, last = first[keep], last[keep]
         # a candidate closes at length m in m - d steps, m in [n_min, n] and m > d
         cand = adj[last] & reach[max(n_min - d, 1):n - d + 1].any(axis=0)[:, first].T
         parent, last = np.nonzero(cand)
         last = last.astype(np.int32)
         first = first[parent]
-        yield parent, last, closed(d + 1)
+        keep = yield parent, last, closed(d + 1)
 
 
 def closed_paths(indptr, indices, reach, n, prefix, cap, *, n_min=None):
@@ -215,6 +223,13 @@ def max_count_key_length(n_vertices: int) -> int:
     return 2**width - 1 if width >= 4 else 0
 
 
+def _runs(values: np.ndarray) -> np.ndarray:
+    """Start indices of the runs of equal entries in sorted ``values``."""
+    change = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=change[1:])
+    return np.flatnonzero(change)
+
+
 def closed_path_count_keys(indptr, indices, reach, n, prefix, cap, *, n_min=None):
     """Closed paths of every length in [n_min, n] aggregated by vertex-visit counts.
 
@@ -227,21 +242,60 @@ def closed_path_count_keys(indptr, indices, reach, n, prefix, cap, *, n_min=None
     call per length when every length packs at the same width (as all up to
     15 do).  ``overflow`` is set when any length's walk has more than ``cap``
     candidates at one depth, and the arrays are then empty.
+
+    No path is kept: at each depth the partial paths with the same first
+    vertex, last vertex and key merge into one state with a multiplicity
+    (they close the same ways), so the work grows with the number of such
+    states, not of paths, and one sort groups the closing states of the
+    whole window.  The multiplicities are int64, so a window of 2^63 or
+    more closed paths raises ValueError.
     """
-    width = count_key_width(indptr.shape[0] - 1, n)
-    one = np.int64(1)
-    found_keys, found_mult = [], []  # the walk's last depth is always in the window
-    for step in _closed_walk(indptr, indices, reach, n if n_min is None else n_min, n, prefix, cap):
-        if step is None:
-            return np.empty(0, np.int64), np.empty(0, np.int64), True
+    V = indptr.shape[0] - 1
+    width = count_key_width(V, n)
+    bits = np.int64(1) << (width * np.arange(V, dtype=np.int64))
+    # A depth's keys all sum to the depth, so their low V - 1 fields tell them
+    # apart; ends[first, last] puts first V + last < 15 * 15 in the 8 bits
+    # above those fields of a uint64 (V w <= 63 with w >= 4 gives
+    # (V - 1) w <= 56).
+    low = np.int64(2 ** ((V - 1) * width) - 1)
+    ends = (np.arange(V * V, dtype=np.uint64) << np.uint64((V - 1) * width)).reshape(V, V)
+    n_min = n if n_min is None else n_min
+    walk = _closed_walk(indptr, indices, reach, n_min, n, prefix, cap)
+    step = next(walk)
+    if step is None:
+        return np.empty(0, np.int64), np.empty(0, np.int64), True
+    # a partial path extends to a closed path of the window, a distinct one for each
+    if sum(closed_path_counts(reach, prefix, n_min, n).tolist()) >= 2**63:
+        raise ValueError(f"2^63 or more closed paths of lengths [{n_min}, {n}]; multiplicities are int64")
+    found = []  # (lengths, keys, multiplicities) of the closing states; the last depth is in the window
+    while True:
         parent, vertex, closed = step
-        bits = one << (width * vertex.astype(np.int64))
-        keys = bits.sum(axis=1) if parent is None else keys[parent] + bits
+        keep = None
+        if parent is None:
+            keys, mult = bits[vertex].sum(axis=1), np.ones(len(vertex), np.int64)
+            first, depth = vertex[:, 0], vertex.shape[1]
+        else:
+            keys, mult, first, depth = keys[parent] + bits[vertex], mult[parent], first[parent], depth + 1
+            if depth < n:
+                # merge the runs of equal (first, last, key) in one sort
+                state = (keys & low).view(np.uint64) | ends[first, vertex]
+                order = np.argsort(state)
+                starts = _runs(state[order])
+                keep = order[starts]
+                keys, mult, first = keys[keep], np.add.reduceat(mult[order], starts), first[keep]
+                closed = None if closed is None else closed[keep]
         if closed is not None:
-            uniq, mult = np.unique(keys[closed], return_counts=True)
-            found_keys.append(uniq.astype(np.int64))
-            found_mult.append(mult.astype(np.int64))
-    return np.concatenate(found_keys), np.concatenate(found_mult), False
+            k = keys[closed]
+            found.append((np.full(len(k), depth, np.int64), k, mult[closed]))
+        try:
+            step = walk.send(keep)
+        except StopIteration:
+            break
+    lengths, keys, mult = map(np.concatenate, zip(*found))
+    order = np.lexsort((keys, lengths))
+    keys = keys[order]
+    starts = _runs(keys)  # equal keys have equal lengths
+    return keys[starts], np.add.reduceat(mult[order], starts), False
 
 
 # --------------------------------------------------------------------------

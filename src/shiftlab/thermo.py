@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING, Mapping, Union
 
 import numpy as np
@@ -28,7 +29,6 @@ from .graphs import (
     FiniteGraph,
     FinitePresentation,
     ExhaustionPresentation,
-    PeriodicPoint,
     Word,
     higher_block,
     irreducible_and_period,
@@ -89,42 +89,52 @@ class PartitionFunctionTable:
         return [n for n in sorted(self.entries) if self.zn_float(n) > 0]
 
 
-def _zn_from_points(f, points, n) -> ZnValue:
-    if not points:
-        return ExpSum() if f.rational else iv.ZERO
-    # An n-periodic point's n-step Birkhoff sum adds f once over each of the
-    # n cyclic span-windows of its word: window k starts at letter k - left
-    # mod n, and as k runs over 0..n-1 so does k - left.  So the sum depends
-    # only on the multiset of those windows, for every left range, and each
-    # class of points sharing one costs one Birkhoff sum.  Each window gets a
-    # dense id, built one letter at a time (ids stay below k n for k points,
-    # so id * V never overflows); a sorted row of ids is the multiset, and a
-    # lexicographic sort of the rows groups equal ones (faster here than
-    # np.unique(..., axis=0)).
-    words = np.array([x.word for x in points], dtype=np.int64)
-    ids = words
-    for i in range(1, f.span):
-        _, ids = np.unique(ids * f.graph.n_vertices + np.roll(words, -i, axis=1), return_inverse=True)
-        ids = ids.reshape(words.shape)
-    rows = np.sort(ids, axis=1)
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
-    classes = zip(order[starts].tolist(), np.diff(np.r_[starts, len(rows)]).tolist())
+def _zn_from_points(f, points, lo, hi) -> dict[int, ZnValue]:
+    """Z_n for every n in [lo, hi] from ``points``, the points of those periods, grouped once."""
+    classes = []
+    if points:
+        # An n-periodic point's n-step Birkhoff sum adds f once over each of
+        # the n cyclic span-windows of its word: window k starts at letter
+        # k - left mod n, and as k runs over 0..n-1 so does k - left.  So the
+        # sum depends only on the multiset of those windows, for every left
+        # range, and each class of points sharing one costs one Birkhoff sum.
+        # Row i holds point i's windows in columns k < n_i and a sentinel past
+        # them, so rows of different periods never match.  Each window gets a
+        # dense id, built one letter at a time (ids stay below the row count
+        # times hi, so id * V never overflows); a sorted row of ids is the
+        # multiset, and a lexicographic sort of the rows groups equal ones
+        # (faster here than np.unique(..., axis=0)).
+        words = [x.word for x in points]
+        periods = np.fromiter(map(len, words), np.int64, len(words))
+        letters = np.fromiter(chain.from_iterable(words), np.int64, int(periods.sum()))
+        row_start = (np.cumsum(periods) - periods)[:, None]
+        cols = np.arange(hi)
+        ids = letters[row_start + cols % periods[:, None]]
+        for i in range(1, f.span):
+            nxt = letters[row_start + (cols + i) % periods[:, None]]
+            ids = np.unique(ids * f.graph.n_vertices + nxt, return_inverse=True)[1].reshape(nxt.shape)
+        ids[cols >= periods[:, None]] = np.iinfo(np.int64).max
+        rows = np.sort(ids, axis=1)
+        order = np.lexsort(rows.T[::-1])
+        rows = rows[order]
+        starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+        reps = order[starts]
+        classes = zip(reps.tolist(), periods[reps].tolist(), np.diff(np.r_[starts, len(rows)]).tolist())
     if f.rational:
         # each class's Birkhoff sum as a numerator over the table's denominator
         q = f._integer_table[0]
-        coeffs: dict[int, int] = {}
-        for i, m in classes:
+        coeffs: dict[int, dict[int, int]] = {n: {} for n in range(lo, hi + 1)}
+        for i, n, m in classes:
             s = birkhoff_sum(f, points[i], n)
             k = s.numerator * (q // s.denominator)
-            coeffs[k] = coeffs.get(k, 0) + m
-        return ExpSum.from_coeffs(q, coeffs)
+            coeffs[n][k] = coeffs[n].get(k, 0) + m
+        return {n: ExpSum.from_coeffs(q, c) if c else ExpSum() for n, c in coeffs.items()}
     # a float table: each class's sum of table values and its exp, bracketed
-    return iv.midrad(iv.fsum(
-        iv.mul((float(m), float(m)), iv.exp(iv.fsum(iv.near(f.value_at(points[i], k)) for k in range(n))))
-        for i, m in classes
-    ))
+    terms: dict[int, list] = {n: [] for n in range(lo, hi + 1)}
+    for i, n, m in classes:
+        s = iv.fsum(iv.near(f.value_at(points[i], k)) for k in range(n))
+        terms[n].append(iv.mul((float(m), float(m)), iv.exp(s)))
+    return {n: iv.midrad(iv.fsum(t)) for n, t in terms.items()}
 
 
 def _keyed_up_to(graph: FiniteGraph, f: FiniteRangePotential) -> int:
@@ -172,7 +182,7 @@ def _zn_single(graph: FiniteGraph, f: FiniteRangePotential, W: Word, n: int, bud
 
     if n <= _keyed_up_to(graph, f):
         return _zn_by_counts(graph, f, W, n, n, budget, reach)[n]
-    return _zn_from_points(f, _g.enumerate_periodic(graph, n, W, budget=budget, reach=reach), n)
+    return _zn_from_points(f, _g.enumerate_periodic(graph, n, W, budget=budget, reach=reach), n, n)[n]
 
 
 def _constant_numerator(f: FiniteRangePotential) -> int | None:
@@ -203,10 +213,7 @@ def _zn_window(graph: FiniteGraph, f: FiniteRangePotential, W: Word, lo: int, hi
     out: dict[int, ZnValue] = _zn_by_counts(graph, f, W, lo, keyed_hi, budget, reach) if lo <= keyed_hi else {}
     if keyed_hi < hi:
         first = max(lo, keyed_hi + 1)
-        by_period: dict[int, list[PeriodicPoint]] = {n: [] for n in range(first, hi + 1)}
-        for x in _g.enumerate_periodic(graph, hi, W, budget, n_min=first, reach=reach):
-            by_period[x.period].append(x)
-        out.update((n, _zn_from_points(f, points, n)) for n, points in by_period.items())
+        out.update(_zn_from_points(f, _g.enumerate_periodic(graph, hi, W, budget, n_min=first, reach=reach), first, hi))
     return out
 
 
@@ -224,18 +231,22 @@ def partition_function(
     rational.  The table ends before the first n with more than ``budget``
     such points, read off the path counts of
     :func:`~shiftlab.kernels.exact_reach` before anything is walked; it is
-    marked ``truncated_at`` that n.  For n >= max(len(W), 1):
+    marked ``truncated_at`` that n.  ValueError when n_max < 0.  For
+    n >= max(len(W), 1):
 
     * a constant rational table, value c, has Z_n = N_n exp(n c), with N_n
       the path count, and walks nothing (Bowen--Lanford: for the zero
       potential Z_n(()) is the trace of A^n);
     * other span-1 rational tables group one walk of
       :func:`~shiftlab.kernels.closed_path_count_keys` by visit counts, as
-      far as its keys fit;
+      far as its keys fit; the walk merges paths with equal counts as it
+      goes, so its work follows the distinct visit-count states, not the
+      points;
     * the remaining periods, and every period of a float table or a wider
       span, take the points of one windowed
-      :func:`~shiftlab.graphs.enumerate_periodic` call, with one Birkhoff
-      sum per class of points with the same cyclic windows.
+      :func:`~shiftlab.graphs.enumerate_periodic` call, grouped once for
+      the whole window into classes of points with the same cyclic
+      windows, with one Birkhoff sum per class.
 
     The periods shorter than W have at most one point each, found from W.
     Loop-system presentations are delegated to the renewal recurrence on
@@ -243,6 +254,8 @@ def partition_function(
     """
     from .induction import LoopSystem  # local import; induction builds on this module
 
+    if n_max < 0:
+        raise ValueError(f"table length n_max = {n_max} must be at least 0")
     if isinstance(shift, LoopSystem):
         from .induction import loop_partition_function
 

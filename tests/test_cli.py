@@ -301,6 +301,19 @@ def test_transport_rejects_order_and_budget_below_one(capsys, fixture_dir, extra
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["pressure", "--method", "table", "--nmax", "-1"], "n_max = -1 must be at least 0"),
+    (["zn", "--nmax", "-5"], "n_max = -5 must be at least 0"),
+    (["zeta", "--order", "-3"], "n_max = -3 must be at least 0"),
+    # a reach table of 10^17 steps cannot be mapped at all
+    (["zn", "--nmax", str(10**17)], "too large for memory"),
+])
+def test_bad_table_lengths_exit_2(capsys, fixture_dir, argv, message):
+    rc = main([argv[0], "--shift", str(fixture_dir / "gm.json"), *argv[1:]])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_transport_rejects_nan_measure(capsys, tmp_path, fixture_dir):
     text = (fixture_dir / "full2-bernoulli-half.json").read_text()
     bad = tmp_path / "nan.json"

@@ -1,4 +1,5 @@
 """The enumeration and sampling kernels against independent oracles."""
+import math
 import warnings
 from collections import Counter
 
@@ -83,6 +84,56 @@ def test_count_keys_aggregate_paths(gm):
         key = sum(c << (4 * v) for v, c in enumerate(counts))
         seen[key] = seen.get(key, 0) + 1
     assert seen == {int(k): int(m) for k, m in zip(keys, mult)}
+
+
+def test_merged_count_keys_are_multinomials_on_the_full_3_shift():
+    # every word of length m is a closed path of the full 3-shift, so the key
+    # with visit counts c has multiplicity m! / (c_0! c_1! c_2!): the walk
+    # merges 43 million paths of length 16 into 153 keys
+    V, n = 3, 16
+    indptr, indices = kernels.csr_adjacency(V, [(u, v) for u in range(V) for v in range(V)])
+    reach = kernels.exact_reach(np.ones((V, V), dtype=bool), n)
+    width = kernels.count_key_width(V, n)
+
+    def counts(keys):
+        return [tuple((int(k) >> (width * v)) & (2**width - 1) for v in range(V)) for k in keys]
+
+    def multinomial(c):
+        return math.factorial(sum(c)) // math.prod(math.factorial(x) for x in c)
+
+    def compositions(m):
+        return [(a, b, m - a - b) for a in range(m + 1) for b in range(m + 1 - a)]
+
+    keys, mult, overflow = kernels.closed_path_count_keys(indptr, indices, reach, n, (), 3**n)
+    assert not overflow and keys.tolist() == sorted(keys.tolist())
+    assert sorted(counts(keys)) == sorted(compositions(n))
+    assert mult.tolist() == [multinomial(c) for c in counts(keys)]
+    assert int(mult.sum()) == 3**n
+    # the prefix (0, 1) pins two letters and leaves the other n - 2 free
+    keys, mult, overflow = kernels.closed_path_count_keys(indptr, indices, reach, n, (0, 1), 3**n)
+    assert not overflow and len(keys) == len(compositions(n - 2))
+    assert mult.tolist() == [multinomial((a - 1, b - 1, c)) for a, b, c in counts(keys)]
+    assert int(mult.sum()) == 3 ** (n - 2)
+    # the window [1, n]: every length's keys in ascending order, shortest first
+    keys, mult, overflow = kernels.closed_path_count_keys(indptr, indices, reach, n, (), 3**n, n_min=1)
+    lengths = [sum(c) for c in counts(keys)]
+    assert not overflow and lengths == [m for m in range(1, n + 1) for _ in compositions(m)]
+    assert all(a < b for a, b, m, l in zip(keys.tolist(), keys.tolist()[1:], lengths, lengths[1:]) if m == l)
+    assert mult.tolist() == [multinomial(c) for c in counts(keys)]
+    assert int(mult.sum()) == sum(3**m for m in range(1, n + 1))
+
+
+def test_count_keys_refuse_windows_past_int64(gm):
+    # the golden mean's closed paths of lengths 1..89 number 1.13 * 2^63,
+    # each length's below the cap: the multiplicities could wrap, so refuse
+    g = gm.graph
+    indptr, indices, reach = _csr_and_reach(g, 89)
+    assert sum(kernels.closed_path_counts(reach, (), 1, 89).tolist()) >= 2**63
+    with pytest.raises(ValueError, match="2\\^63 or more closed paths"):
+        kernels.closed_path_count_keys(indptr, indices, reach, 89, (), 2**62, n_min=1)
+    # length 89 alone has 0.43 * 2^63 closed paths, with 0 to 44 isolated 1s
+    keys, mult, overflow = kernels.closed_path_count_keys(indptr, indices, reach, 89, (), 2**62)
+    assert not overflow and len(keys) == 45 and int(mult.sum()) == int(np.trace(reach[89]))
 
 
 def test_closed_paths_overflow(full2):

@@ -8,6 +8,7 @@ sum per point, and ExpSum arithmetic on dicts keyed by Fraction exponents.
 import math
 import warnings
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -170,20 +171,51 @@ def per_point_zn(f, points, n):
     return ExpSum(Counter(birkhoff_sum(f, x, n) for x in points))
 
 
+def decimal_zn(f, points, n):
+    """sum exp(S_n f(x)) over the points to 60 digits: exact Birkhoff sums, then Decimal exp."""
+    exact = FiniteRangePotential(f.graph, f.left, f.right, {w: Fraction(v) for w, v in f.table.items()})
+    sums = [birkhoff_sum(exact, x, n) for x in points]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return sum(((Decimal(s.numerator) / s.denominator).exp() for s in sums), Decimal(0))
+
+
+def window_zn(f, g, W, lo, hi):
+    """_zn_from_points on one window of mixed periods; periods below lo (shorter than W) one at a time."""
+    out = thermo._zn_from_points(f, enumerate_periodic(g, hi, W, n_min=lo), lo, hi)
+    assert sorted(out) == list(range(lo, hi + 1))
+    for n in range(1, lo):
+        out[n] = thermo._zn_from_points(f, enumerate_periodic(g, n, W), n, n)[n]
+    return out
+
+
 @SETTINGS
 @given(st.data())
 def test_window_class_route_equals_per_point_loop(data):
-    # spans 1-3, every left range, prefixes of length 0-2 (so n < len(W) too)
+    # spans 1-3, every left range, rational and float tables, prefixes of
+    # length 0-2 (so n < len(W) too) and every window [lo, hi] that holds the
+    # prefix: grouping the window's points of mixed periods once gives each
+    # period's per-point sum, exactly for rational tables and inside the
+    # bracket for float ones
     g, _ = data.draw(graph_with_cycle(max_vertices=4))
     span = data.draw(st.integers(1, 3))
     left = data.draw(st.integers(0, span - 1))
-    f = FiniteRangePotential(g, left, span - left, {w: data.draw(rationals) for w in g.words(span)})
+    values = rationals if data.draw(st.booleans()) else st.floats(-4, 4)
+    f = FiniteRangePotential(g, left, span - left, {w: data.draw(values) for w in g.words(span)})
     W = data.draw(st.sampled_from(g.words(data.draw(st.integers(0, 2)))))
-    n = 1
-    while n <= 10 and integer_trace(g.adjacency, n) <= 2000:
+    hi = 1
+    while hi < 10 and integer_trace(g.adjacency, hi + 1) <= 2000:
+        hi += 1
+    hi = max(hi, len(W))
+    lo = data.draw(st.integers(max(1, len(W)), hi))  # a window holds the prefix
+    window = window_zn(f, g, W, lo, hi)
+    for n in range(1, hi + 1):
         points = enumerate_periodic(g, n, W)
-        assert thermo._zn_from_points(f, points, n) == per_point_zn(f, points, n)
-        n += 1
+        if f.rational:
+            assert window[n] == per_point_zn(f, points, n)
+        else:
+            value, err = map(Fraction, window[n])
+            assert value - err <= Fraction(decimal_zn(f, points, n)) <= value + err
 
 
 @SETTINGS
@@ -196,9 +228,11 @@ def test_count_key_route_equals_per_point_route(data):
     while n_max < 15 and integer_trace(g.adjacency, n_max + 1) <= 3000:
         n_max += 1
     table = thermo.partition_function(g, f, W, n_max)
+    lo = min(max(1, len(W)), n_max)
+    by_points = window_zn(f, g, W, lo, n_max)
     for n in range(1, n_max + 1):
         points = enumerate_periodic(g, n, W)
-        assert table.zn_exact(n) == thermo._zn_from_points(f, points, n) == per_point_zn(f, points, n)
+        assert table.zn_exact(n) == by_points[n] == per_point_zn(f, points, n)
 
 
 @SETTINGS
