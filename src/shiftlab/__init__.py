@@ -18,7 +18,6 @@ from .graphs import (
     FiniteGraph,
     FinitePresentation,
     GraphError,
-    PeriodicPoint,
     build_graph,
     enumerate_periodic,
     higher_block,

@@ -26,7 +26,6 @@ from .graphs import (
     BlockLabeling,
     FiniteGraph,
     GraphError,
-    PeriodicPoint,
     Word,
     enumerate_periodic,
     irreducible_and_period,
@@ -68,11 +67,7 @@ class OneBlockCode:
         return tuple(self.symbol_map[s] for s in word)
 
     def apply(self, x):
-        """Image of a word or periodic point, symbol by symbol."""
-        if isinstance(x, PeriodicPoint):
-            if not self.source.is_word(x.word) or not self.source.has_edge(x.word[-1], x.word[0]):
-                raise CodeError("point is not admissible in the source")
-            return PeriodicPoint(self.apply_word(x.word))
+        """Image of a word, symbol by symbol."""
         if not self.source.is_word(tuple(x)):
             raise CodeError("word is not admissible in the source")
         return self.apply_word(x)
@@ -204,11 +199,11 @@ def _two_preimages_differing_at(code: OneBlockCode, image: Word, pos: int) -> tu
 
 
 def _periodic_points_containing(g: FiniteGraph, W: Word, period: int):
-    """The points of ``g`` with least period dividing ``period`` whose orbit shows W."""
-    for pt in enumerate_periodic(g, period):
-        doubled = pt.word * ((len(W) + period) // period + 1)
+    """The orbit words of the points of ``g`` with least period dividing ``period`` whose orbit shows W."""
+    for word in enumerate_periodic(g, period):
+        doubled = word * ((len(W) + period) // period + 1)
         if any(doubled[i:i + len(W)] == W for i in range(period)):
-            yield pt
+            yield word
 
 
 def _split_gap(code: OneBlockCode, W: Word, offset: int) -> Word | None:
@@ -373,8 +368,9 @@ class EventuallyPeriodicPoint:
                 raise GraphError(f"inadmissible step at index {i}")
 
 
-def from_periodic(pt: PeriodicPoint) -> EventuallyPeriodicPoint:
-    return EventuallyPeriodicPoint(left=pt.word, core=(), right=pt.word)
+def from_periodic(word: Word) -> EventuallyPeriodicPoint:
+    """The periodic point that traverses ``word``, as an eventually periodic point."""
+    return EventuallyPeriodicPoint(left=word, core=(), right=word)
 
 
 def shift_point(x: EventuallyPeriodicPoint, k: int = 1) -> EventuallyPeriodicPoint:
@@ -713,7 +709,7 @@ def verify_correspondence(
                 ok = (fv == gv) if exact else abs(float(fv) - float(gv)) <= 1e-12
                 checked += 1
                 if not ok and failure is None:
-                    failure = (x0.word, k)
+                    failure = (x0, k)
     mu_f = equilibrium_measure(S, f)
     mu_g = equilibrium_measure(T, g)
     order = max(mu_f.order, mu_g.order)

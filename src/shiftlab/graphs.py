@@ -74,8 +74,8 @@ class FiniteGraph:
         return (u, v) in self._edge_set
 
     def is_closed_word(self, word) -> bool:
-        """True when each letter of ``word`` has an edge to the next, the last to the first."""
-        return self._edge_set.issuperset(zip(word, word[1:] + word[:1]))
+        """True when ``word`` is nonempty and each letter has an edge to the next, the last to the first."""
+        return bool(word) and self._edge_set.issuperset(zip(word, word[1:] + word[:1]))
 
     def successors(self, u: int) -> np.ndarray:
         indptr, indices = self.csr
@@ -107,20 +107,6 @@ class FiniteGraph:
     def word_name(self, word) -> str:
         sep = "" if all(len(n) == 1 for n in self.names) else ","
         return sep.join(self.names[s] for s in word)
-
-
-@dataclass(frozen=True)
-class PeriodicPoint:
-    """A point of period n given by the length-n word it traverses cyclically."""
-
-    word: Word
-
-    @property
-    def period(self) -> int:
-        return len(self.word)
-
-    def letter(self, i: int) -> int:
-        return self.word[i % len(self.word)]
 
 
 @dataclass(frozen=True)
@@ -353,9 +339,10 @@ def enumerate_periodic(
     *,
     n_min: int | None = None,
     reach: np.ndarray | None = None,
-) -> tuple[PeriodicPoint, ...]:
-    """The periodic points of every period in [n_min, n] whose word begins with ``prefix``.
+) -> tuple[Word, ...]:
+    """The orbit words of the periodic points of every period in [n_min, n] that begin with ``prefix``.
 
+    A point of period m is the length-m word it traverses cyclically.
     ``n_min`` defaults to n.  Output is ordered by period, then
     lexicographically, and comes from one walk of
     :func:`~shiftlab.kernels.closed_paths`.  A window of more than one period
@@ -367,10 +354,7 @@ def enumerate_periodic(
     """
     if n < 1:
         raise ValueError("period length must be >= 1")
-    n_min = n if n_min is None else n_min
-    prefix = tuple(int(s) for s in prefix)
-    if n_min != n and not max(1, len(prefix)) <= n_min < n:
-        raise ValueError(f"window [{n_min}, {n}] must start at 1 or more and hold the prefix length {len(prefix)}")
+    n_min, prefix = _window(n, n_min, prefix)
     if not g.is_word(prefix):
         warnings.warn("prefix is not an admissible word; no periodic points", stacklevel=2)
         return ()
@@ -380,9 +364,7 @@ def enumerate_periodic(
         cand = prefix[:n]
         if any(prefix[i] != cand[i % n] for i in range(len(prefix))):
             return ()
-        if g.is_closed_word(cand):
-            return (PeriodicPoint(cand),)
-        return ()
+        return (cand,) if g.is_closed_word(cand) else ()
     indptr, indices = g.csr
     paths, overflow = kernels.closed_paths(indptr, indices, _reach(g, n, reach), n, prefix, budget, n_min=n_min)
     if overflow:
@@ -390,8 +372,17 @@ def enumerate_periodic(
         raise BudgetExceededError(f"more than {budget} periodic points of {periods}")
     # rows run by period; row i of period m holds -1 past column m
     bounds = np.searchsorted(n - (paths < 0).sum(axis=1), np.arange(n_min, n + 2)).tolist()
-    return tuple(PeriodicPoint(tuple(row)) for m in range(n_min, n + 1)
+    return tuple(tuple(row) for m in range(n_min, n + 1)
                  for row in paths[bounds[m - n_min]:bounds[m - n_min + 1], :m].tolist())
+
+
+def _window(n: int, n_min: int | None, prefix) -> tuple[int, Word]:
+    """``(n_min, prefix)`` with n_min defaulted to n and the prefix as ints; ValueError for a bad window."""
+    n_min = n if n_min is None else n_min
+    prefix = tuple(int(s) for s in prefix)
+    if n_min != n and not max(1, len(prefix)) <= n_min < n:
+        raise ValueError(f"window [{n_min}, {n}] must start at 1 or more and hold the prefix length {len(prefix)}")
+    return n_min, prefix
 
 
 def _reach(g: FiniteGraph, n: int, reach: np.ndarray | None) -> np.ndarray:
@@ -429,14 +420,11 @@ def periodic_count_exponents(
     width must be at most 63 (n <= 15 on 15 vertices, n <= 31 on 12,
     n <= 127 on 9).  ``reach`` is as for :func:`enumerate_periodic`.
     """
-    n_min = n if n_min is None else n_min
-    prefix = tuple(int(s) for s in prefix)
-    if n_min != n and not max(1, len(prefix)) <= n_min < n:
-        raise ValueError(f"window [{n_min}, {n}] must start at 1 or more and hold the prefix length {len(prefix)}")
+    n_min, prefix = _window(n, n_min, prefix)
     if n < 1 or len(prefix) > n or not g.is_word(prefix):
         # at most one point of period n, or none (with enumerate_periodic's warning)
         pts = enumerate_periodic(g, n, prefix, budget)
-        counts = [np.bincount(pt.word, minlength=g.n_vertices) for pt in pts]
+        counts = [np.bincount(pt, minlength=g.n_vertices) for pt in pts]
         return np.array(counts, dtype=np.int64).reshape(len(pts), g.n_vertices), np.ones(len(pts), dtype=np.int64)
     indptr, indices = g.csr
     keys, mult, overflow = kernels.closed_path_count_keys(

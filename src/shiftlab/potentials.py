@@ -17,7 +17,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from . import intervals as iv
-from .graphs import FiniteGraph, PeriodicPoint, Word
+from .graphs import FiniteGraph, Word
 
 Number = Union[Fraction, float]
 
@@ -77,9 +77,14 @@ class FiniteRangePotential:
 
     @cached_property
     def _integer_table(self) -> tuple[int, dict[Word, int]]:
-        """``(q, {w: q * f(w)})`` with q the common denominator (rational tables)."""
-        q = math.lcm(*(x.denominator for x in self.table.values()))
-        return q, {w: x.numerator * (q // x.denominator) for w, x in self.table.items()}
+        """``(q, {w: q * f(w)})`` with q the common denominator.
+
+        Exact for float tables too: a float is a dyadic rational, so
+        ``Fraction(x)`` is its exact value.
+        """
+        exact = {w: Fraction(x) for w, x in self.table.items()}
+        q = math.lcm(*(x.denominator for x in exact.values()))
+        return q, {w: x.numerator * (q // x.denominator) for w, x in exact.items()}
 
     @property
     def sup_value(self) -> float:
@@ -100,10 +105,6 @@ class FiniteRangePotential:
         except KeyError:
             raise PotentialError(f"window {tuple(window)} is not admissible") from None
 
-    def value_at(self, x: PeriodicPoint, k: int) -> Number:
-        """f(S^k x): the window is read cyclically around the orbit word."""
-        return self.value(tuple(x.letter(k - self.left + i) for i in range(self.span)))
-
     @classmethod
     def zero(cls, graph: FiniteGraph) -> "FiniteRangePotential":
         return cls(graph, 0, 1, {(v,): Fraction(0) for v in range(graph.n_vertices)})
@@ -116,30 +117,25 @@ class FiniteRangePotential:
         return cls(graph, 0, 1, {(v,): vals[v] for v in range(graph.n_vertices)})
 
 
-def birkhoff_sum(f: FiniteRangePotential, x: PeriodicPoint, n: int) -> Number:
-    """f(x) + f(Sx) + ... + f(S^{n-1} x) along the closed orbit word.
+def birkhoff_sum(f: FiniteRangePotential, word: Word, n: int) -> Fraction:
+    """f(x) + f(Sx) + ... + f(S^{n-1} x) for the periodic point x that traverses ``word``.
 
-    Exact (Fraction) whenever the table is rational: the sum is taken over
-    integer numerators and divided by the common denominator once.  Float
-    tables are summed left to right.  Raises :class:`PotentialError` if the
-    orbit word leaves the table domain.
+    Exact for every table: the sum is taken over the integer numerators of
+    the table's values (floats included, each read as the dyadic rational it
+    is) and divided by their common denominator once.  Raises
+    :class:`PotentialError` if the orbit word is empty or leaves the table
+    domain.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    word, p = x.word, len(x.word)
     if not f.graph.is_closed_word(word):
         raise PotentialError(f"orbit word {word} is not admissible")
     # letters -left .. n + right - 2 of the orbit, so window k is ext[k:k + span]
-    span = f.span
+    span, p = f.span, len(word)
     start = -f.left % p
     ext = (word * ((start + n + span - 1) // p + 1))[start:start + n + span - 1]
-    if f.rational:
-        q, table = f._integer_table
-        return Fraction(sum(table[ext[k:k + span]] for k in range(n)), q)
-    total = 0.0
-    for k in range(n):
-        total = total + f.table[ext[k:k + span]]
-    return total
+    q, table = f._integer_table
+    return Fraction(sum(table[ext[k:k + span]] for k in range(n)), q)
 
 
 # --------------------------------------------------------------------------

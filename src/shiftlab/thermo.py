@@ -90,7 +90,12 @@ class PartitionFunctionTable:
 
 
 def _zn_from_points(f, points, lo, hi) -> dict[int, ZnValue]:
-    """Z_n for every n in [lo, hi] from ``points``, the points of those periods, grouped once."""
+    """Z_n for every n in [lo, hi] from ``points``, the orbit words of those periods, grouped once.
+
+    Each class of points with the same cyclic windows takes one exact
+    Birkhoff sum: a rational table adds its numerator to an
+    :class:`ExpSum`, a float table rounds it once to a bracket.
+    """
     classes = []
     if points:
         # An n-periodic point's n-step Birkhoff sum adds f once over each of
@@ -104,9 +109,8 @@ def _zn_from_points(f, points, lo, hi) -> dict[int, ZnValue]:
         # times hi, so id * V never overflows); a sorted row of ids is the
         # multiset, and a lexicographic sort of the rows groups equal ones
         # (faster here than np.unique(..., axis=0)).
-        words = [x.word for x in points]
-        periods = np.fromiter(map(len, words), np.int64, len(words))
-        letters = np.fromiter(chain.from_iterable(words), np.int64, int(periods.sum()))
+        periods = np.fromiter(map(len, points), np.int64, len(points))
+        letters = np.fromiter(chain.from_iterable(points), np.int64, int(periods.sum()))
         row_start = (np.cumsum(periods) - periods)[:, None]
         cols = np.arange(hi)
         ids = letters[row_start + cols % periods[:, None]]
@@ -129,11 +133,9 @@ def _zn_from_points(f, points, lo, hi) -> dict[int, ZnValue]:
             k = s.numerator * (q // s.denominator)
             coeffs[n][k] = coeffs[n].get(k, 0) + m
         return {n: ExpSum.from_coeffs(q, c) if c else ExpSum() for n, c in coeffs.items()}
-    # a float table: each class's sum of table values and its exp, bracketed
     terms: dict[int, list] = {n: [] for n in range(lo, hi + 1)}
     for i, n, m in classes:
-        s = iv.fsum(iv.near(f.value_at(points[i], k)) for k in range(n))
-        terms[n].append(iv.mul((float(m), float(m)), iv.exp(s)))
+        terms[n].append(iv.mul((float(m), float(m)), iv.exp(iv.near(birkhoff_sum(f, points[i], n)))))
     return {n: iv.midrad(iv.fsum(t)) for n, t in terms.items()}
 
 
@@ -243,10 +245,11 @@ def partition_function(
       goes, so its work follows the distinct visit-count states, not the
       points;
     * the remaining periods, and every period of a float table or a wider
-      span, take the points of one windowed
+      span, take the orbit words of one windowed
       :func:`~shiftlab.graphs.enumerate_periodic` call, grouped once for
       the whole window into classes of points with the same cyclic
-      windows, with one Birkhoff sum per class.
+      windows, with one exact :func:`~shiftlab.potentials.birkhoff_sum`
+      per class (a float table rounds each class's sum once).
 
     The periods shorter than W have at most one point each, found from W.
     Loop-system presentations are delegated to the renewal recurrence on

@@ -541,12 +541,13 @@ def test_import_loads_neither_scipy_nor_numba(src_env):
     assert out.stdout.strip() == "[]"
 
 
-# every name `from shiftlab import *` gave when __init__ imported every module
+# every name `from shiftlab import *` gave when __init__ imported every module,
+# less PeriodicPoint (a periodic point is now its orbit word, a plain tuple)
 PACKAGE_EXPORTS = sorted("""
     AlmostIsomorphism BlockLabeling BudgetExceededError CodeError ConvergenceError DomainError
     EventuallyPeriodicPoint ExhaustionLevel ExhaustionPresentation ExpSum FiniteGraph FinitePresentation
     FiniteRangePotential GeometricTail GraphError InducedPresentation Loop LoopSystem MagicWordCertificate
-    MarkovMeasure OneBlockCode PartitionFunctionTable PeriodicPoint PolynomialTail PressureEstimate
+    MarkovMeasure OneBlockCode PartitionFunctionTable PolynomialTail PressureEstimate
     RecurrenceClass RegularityClass TailDescriptor VariationCertificate ZeroTail assemble_ai birkhoff_sum
     bowen_reduce build_graph certify_class check_variation_certificate codes
     enumerate_periodic equilibrium_measure export_zn_csv expsum from_periodic gamma_on_point graphs

@@ -31,7 +31,7 @@ from shiftlab.codes import (
     verify_magic,
 )
 from shiftlab.documents import loads, parse_ai, parse_measure, parse_potential
-from shiftlab.graphs import FiniteGraph, PeriodicPoint, build_graph, enumerate_periodic, higher_block
+from shiftlab.graphs import FiniteGraph, build_graph, enumerate_periodic, higher_block
 from shiftlab.potentials import FiniteRangePotential
 from shiftlab.thermo import MarkovMeasure, equilibrium_measure, measure_pressure
 
@@ -160,16 +160,15 @@ def small_codes(draw):
 
 class TestOneBlockCode:
     def test_identity_apply(self, identity_code):
-        assert identity_code.apply(PeriodicPoint((1, 0))).word == (1, 0)
+        assert identity_code.apply((1, 0)) == (1, 0)
 
     def test_labeling_applies_first_letter(self, gm_graph, block2_code):
         H, lab = higher_block(gm_graph, 2)
         idx = lab.block_index()
-        x = PeriodicPoint((idx[(1, 0)], idx[(0, 1)]))
-        assert block2_code.apply(x).word == (1, 0)
+        assert block2_code.apply((idx[(1, 0)], idx[(0, 1)])) == (1, 0)
 
     def test_collapse_constant(self, collapse_code):
-        assert collapse_code.apply(PeriodicPoint((0, 1))).word == (0, 0)
+        assert collapse_code.apply((0, 1)) == (0, 0)
 
     def test_edge_violation_rejected(self, gm_graph, full2_graph):
         # mapping FULL2 onto GM sends the forbidden 11 edge nowhere
@@ -178,7 +177,7 @@ class TestOneBlockCode:
 
     def test_inadmissible_input_rejected(self, identity_code):
         with pytest.raises(CodeError, match="not admissible"):
-            identity_code.apply(PeriodicPoint((1, 1)))
+            identity_code.apply((1, 1))
 
 
 class TestVerifyMagic:
@@ -234,8 +233,8 @@ class TestVerifyMagic:
                 assert not has_periodic_lift(set(src), fibers, z), (src, symbol_map, z)
                 outcomes.add(False)
             elif cert.certified:
-                lifts = [has_periodic_lift(set(src), fibers, pt.word)
-                         for p in range(1, 4) for pt in enumerate_periodic(code.target, p) if W[0] in pt.word]
+                lifts = [has_periodic_lift(set(src), fibers, z)
+                         for p in range(1, 4) for z in enumerate_periodic(code.target, p) if W[0] in z]
                 assert all(lifts), (src, symbol_map)
                 outcomes.add(True)
         assert outcomes == {True, False}
@@ -393,7 +392,7 @@ class TestAssemble:
 
 class TestGamma:
     def test_identity_on_periodic(self, gm_self_ai):
-        x = from_periodic(PeriodicPoint((1, 0)))
+        x = from_periodic((1, 0))
         y = gamma_on_point(gm_self_ai, x)
         assert points_equal(x, y)
 
@@ -411,7 +410,7 @@ class TestGamma:
 
     def test_domain_error_without_magic_word(self, gm_self_ai):
         with pytest.raises(DomainError):
-            gamma_on_point(gm_self_ai, from_periodic(PeriodicPoint((0,))))
+            gamma_on_point(gm_self_ai, from_periodic((0,)))
 
     def test_point_shifting(self):
         x = EventuallyPeriodicPoint(left=(0, 1), core=(1, 1), right=(0,))
@@ -429,7 +428,7 @@ class TestGamma:
             H, lab = higher_block(G, 2)
             assert H == ai.common
             block = lab.block_index()
-            cycles = [pt.word for n in range(1, 5) for pt in enumerate_periodic(G, n)]
+            cycles = [w for n in range(1, 5) for w in enumerate_periodic(G, n)]
             for _ in range(8):
                 left, right = (cycles[int(rng.integers(len(cycles)))] for _ in range(2))
                 core = [left[-1]]
@@ -737,9 +736,9 @@ class TestDistinctLegsAi:
     def test_gamma_is_block_recoding(self, cross_ai, gm_graph):
         ai, H, lab = cross_ai
         idx = lab.block_index()
-        x = from_periodic(PeriodicPoint((1, 0)))
+        x = from_periodic((1, 0))
         y = gamma_on_point(ai, x)
-        expected = from_periodic(PeriodicPoint((idx[(1, 0)], idx[(0, 1)])))
+        expected = from_periodic((idx[(1, 0)], idx[(0, 1)]))
         assert points_equal(y, expected)
 
     def test_transport_preserves_entropy_across_presentations(self, cross_ai, gm_graph):
@@ -808,7 +807,7 @@ class TestCorrespondence:
         assert rep.first_failure is not None
         word, pos = rep.first_failure
         # the witness really does disagree there
-        x = from_periodic(PeriodicPoint(word))
+        x = from_periodic(word)
         y = gamma_on_point(gm_self_ai, x)
         fx = f.table[tuple(x.sample(pos + i) for i in range(1))]
         gy = g_bad.table[tuple(y.sample(pos + i) for i in range(2))]
@@ -849,7 +848,7 @@ class TestRoadColouringAi:
         rep = verify_correspondence(ai, f, g_bad, n_max=8)
         assert not rep.passed
         word, pos = rep.first_failure
-        x = from_periodic(PeriodicPoint(word))
+        x = from_periodic(word)
         y = gamma_on_point(ai, x)
         assert f.value(x.window(pos, pos + 2)) != g_bad.value(y.window(pos, pos + 1))
 

@@ -55,6 +55,11 @@ class TestBuildGraph:
         assert again.graph == pres.graph
         assert again.removed == ()
 
+    def test_closed_words_are_nonempty(self, gm):
+        assert gm.graph.is_closed_word((0,)) and gm.graph.is_closed_word((0, 1))
+        assert not gm.graph.is_closed_word((1,))
+        assert not gm.graph.is_closed_word(())
+
 
 class TestIrreducibleAndPeriod:
     def test_full2(self, full2):
@@ -136,7 +141,7 @@ class TestPeriodicCountExponents:
                             points = enumerate_periodic(g, n, W)
                             counts, mult = periodic_count_exponents(g, n, W)
                         assert len(caught) == (0 if g.is_word(W) else 2), (W, n)
-                        want = Counter(tuple(np.bincount(pt.word, minlength=V)) for pt in points)
+                        want = Counter(tuple(np.bincount(pt, minlength=V)) for pt in points)
                         got = Counter({tuple(c): int(m) for c, m in zip(counts.tolist(), mult.tolist())})
                         assert got == want, (g.edges, n, W)
                         assert counts.shape == (len(want), V)
@@ -170,7 +175,7 @@ class TestEnumeratePeriodic:
 
     def test_gm_n4_prefix1(self, gm):
         pts = enumerate_periodic(gm.graph, 4, (1,))
-        assert [p.word for p in pts] == [(1, 0, 0, 0), (1, 0, 1, 0)]
+        assert pts == ((1, 0, 0, 0), (1, 0, 1, 0))
 
     def test_gm_n1_prefix1_empty(self, gm):
         assert enumerate_periodic(gm.graph, 1, (1,)) == ()
@@ -180,11 +185,9 @@ class TestEnumeratePeriodic:
             assert enumerate_periodic(gm.graph, 3, (1, 1)) == ()
 
     def test_period_shorter_than_prefix(self, gm):
-        (pt,) = enumerate_periodic(gm.graph, 1, (0, 0, 0))
-        assert pt.word == (0,)
+        assert enumerate_periodic(gm.graph, 1, (0, 0, 0)) == ((0,),)
         # period 2 repeating (0,0) also spells 000...
-        (pt2,) = enumerate_periodic(gm.graph, 2, (0, 0, 0))
-        assert pt2.word == (0, 0)
+        assert enumerate_periodic(gm.graph, 2, (0, 0, 0)) == ((0, 0),)
         # but no period-2 point can start with 001
         assert enumerate_periodic(gm.graph, 2, (0, 0, 1)) == ()
 
@@ -196,7 +199,7 @@ class TestEnumeratePeriodic:
         for pres in (gm, full2):
             g = pres.graph
             for n in range(1, 7):
-                got = [p.word for p in enumerate_periodic(g, n)]
+                got = list(enumerate_periodic(g, n))
                 assert got == brute_force_periodic(set(g.edges), g.n_vertices, n)
 
     def test_counts_equal_trace(self, gm, full2):
@@ -247,9 +250,9 @@ class TestHigherBlock:
         # the labeling is injective on periodic points of every period
         H, lab = higher_block(gm.graph, 3)
         for n in range(1, 9):
-            images = [lab.apply(p.word) for p in enumerate_periodic(H, n)]
+            images = [lab.apply(p) for p in enumerate_periodic(H, n)]
             assert len(set(images)) == len(images)
-            assert set(images) == {p.word for p in enumerate_periodic(gm.graph, n)}
+            assert set(images) == set(enumerate_periodic(gm.graph, n))
 
 
 def test_words_lexicographic(gm):

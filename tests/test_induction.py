@@ -144,11 +144,9 @@ class TestLiftPotential:
         ind = induce(gm.graph, (0,), maxlen=10)
         system, _ = lift_potential(ind, f)
         from shiftlab.potentials import birkhoff_sum
-        from shiftlab.graphs import PeriodicPoint
 
         l1, l2 = system.loops[0], system.loops[1]
-        composed = PeriodicPoint(l1.label + l2.label)
-        total = birkhoff_sum(f, composed, l1.length + l2.length)
+        total = birkhoff_sum(f, l1.label + l2.label, l1.length + l2.length)
         assert total == l1.log_weight + l2.log_weight
 
 

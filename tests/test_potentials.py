@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from shiftlab.graphs import PeriodicPoint, enumerate_periodic
+from shiftlab.graphs import enumerate_periodic
 from shiftlab.potentials import (
     FiniteRangePotential,
     GeometricTail,
@@ -33,24 +33,24 @@ GEO_CERT = VariationCertificate(
 class TestBirkhoffSum:
     def test_zero_potential(self, full2):
         f = FiniteRangePotential.zero(full2.graph)
-        assert birkhoff_sum(f, PeriodicPoint((0, 1)), 7) == 0
+        assert birkhoff_sum(f, (0, 1), 7) == 0
 
     def test_first_coordinate(self, full2):
         f = FiniteRangePotential.from_vertex_values(full2.graph, [F(0), F(1)])
-        assert birkhoff_sum(f, PeriodicPoint((0, 1)), 4) == 2
+        assert birkhoff_sum(f, (0, 1), 4) == 2
 
     def test_pair_indicator_counts_cyclically(self, gm):
         # weight 1 exactly on the window 00; the orbit word 0010 wraps around,
         # so both the position-0 and the position-3 windows contribute
         f = FiniteRangePotential(gm.graph, 0, 2, {(0, 0): F(1), (0, 1): F(0), (1, 0): F(0)})
-        assert birkhoff_sum(f, PeriodicPoint((0, 0, 1, 0)), 4) == 2
+        assert birkhoff_sum(f, (0, 0, 1, 0), 4) == 2
 
     def test_additivity(self, gm):
         f = FiniteRangePotential.from_vertex_values(gm.graph, [F(1, 3), F(-2, 7)])
-        x = PeriodicPoint((0, 0, 1))
+        x = (0, 0, 1)
         for n in range(1, 6):
             for m in range(1, 6):
-                shifted = PeriodicPoint(tuple(x.letter(n + i) for i in range(3)))
+                shifted = x[n % 3:] + x[:n % 3]
                 assert birkhoff_sum(f, x, n + m) == birkhoff_sum(f, x, n) + birkhoff_sum(
                     f, shifted, m
                 )
@@ -58,7 +58,13 @@ class TestBirkhoffSum:
     def test_invalid_point_rejected(self, gm):
         f = FiniteRangePotential.zero(gm.graph)
         with pytest.raises(PotentialError):
-            birkhoff_sum(f, PeriodicPoint((1, 1)), 2)
+            birkhoff_sum(f, (1, 1), 2)
+
+    def test_empty_orbit_word_rejected(self, gm):
+        # a closed orbit has at least one letter; () once died dividing by its length
+        f = FiniteRangePotential.zero(gm.graph)
+        with pytest.raises(PotentialError, match="not admissible"):
+            birkhoff_sum(f, (), 3)
 
 
 class TestTableValidation:

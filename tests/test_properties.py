@@ -1,9 +1,11 @@
 """Property tests of the integer Z_n route against the loops it replaced.
 
 Each reference below is the straightforward per-point or per-path loop:
-Birkhoff sums added one ``value_at`` at a time, count keys packed through a
-visit-count matrix, Z_n summed over enumerated points with one Birkhoff
-sum per point, and ExpSum arithmetic on dicts keyed by Fraction exponents.
+Birkhoff sums added one cyclic window at a time as Fractions, count keys
+packed through a visit-count matrix, Z_n summed over enumerated points with
+one Birkhoff sum per point, and ExpSum arithmetic on dicts keyed by Fraction
+exponents.  Two cross-route invariants close it: a Bowen reduction and an
+induction leave every exact Z_n unchanged.
 """
 import math
 import warnings
@@ -21,11 +23,11 @@ from shiftlab.expsum import ExpSum
 from shiftlab.graphs import (
     BudgetExceededError,
     FiniteGraph,
-    PeriodicPoint,
     enumerate_periodic,
     periodic_count_exponents,
 )
-from shiftlab.potentials import FiniteRangePotential, birkhoff_sum
+from shiftlab.induction import induce, verify_zn_coincidence
+from shiftlab.potentials import FiniteRangePotential, birkhoff_sum, bowen_reduce
 
 from oracles import brute_force_periodic, count_keys_by_visit_matrix, integer_trace, key_width
 
@@ -37,6 +39,9 @@ rationals = st.one_of(
     st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**40)),
 )
 floats = st.floats(allow_nan=False, allow_infinity=False)
+# the ends of the float range a Z_n can still hold: the least subnormal,
+# exponents near exp's overflow and underflow, and a non-dyadic Fraction
+EXTREMES = (5e-324, -5e-324, 700.0, -700.0, 1e-300, Fraction(1, 3))
 
 
 @st.composite
@@ -49,28 +54,26 @@ def graph_with_cycle(draw, max_vertices=4, max_period=6):
     return FiniteGraph(tuple(str(v) for v in range(V)), tuple(sorted(edges))), word
 
 
-def looped_birkhoff_sum(f, x, n):
-    total = Fraction(0) if f.rational else 0.0
-    for k in range(n):
-        total = total + f.value_at(x, k)
-    return total
+def windowwise_birkhoff_sum(f, word, n):
+    """S_n f as a Fraction, one cyclic window at a time: window k reads letters k - left .. k + right - 1."""
+    p = len(word)
+    windows = (tuple(word[(k - f.left + i) % p] for i in range(f.span)) for k in range(n))
+    return sum((Fraction(f.table[w]) for w in windows), Fraction(0))
 
 
 @SETTINGS
 @given(st.data())
 def test_birkhoff_sum_matches_windowwise_sum(data):
+    # rational, float (the whole finite range) and mixed tables: the sum is
+    # the exact Fraction sum of the windows
     g, word = data.draw(graph_with_cycle())
     span = data.draw(st.integers(1, 3))
     left = data.draw(st.integers(0, min(2, span - 1)))
-    values = rationals if data.draw(st.booleans()) else floats
+    values = data.draw(st.sampled_from([rationals, floats, st.one_of(rationals, floats, st.sampled_from(EXTREMES))]))
     f = FiniteRangePotential(g, left, span - left, {w: data.draw(values) for w in g.words(span)})
-    x = PeriodicPoint(word)
     for n in range(1, 3 * len(word) + 2):
-        got, want = birkhoff_sum(f, x, n), looped_birkhoff_sum(f, x, n)
-        if f.rational:
-            assert type(got) is Fraction and got == want
-        else:
-            assert got.hex() == want.hex()  # bit-identical, signed zeros included
+        got = birkhoff_sum(f, word, n)
+        assert type(got) is Fraction and got == windowwise_birkhoff_sum(f, word, n)
 
 
 @st.composite
@@ -173,11 +176,18 @@ def per_point_zn(f, points, n):
 
 def decimal_zn(f, points, n):
     """sum exp(S_n f(x)) over the points to 60 digits: exact Birkhoff sums, then Decimal exp."""
-    exact = FiniteRangePotential(f.graph, f.left, f.right, {w: Fraction(v) for w, v in f.table.items()})
-    sums = [birkhoff_sum(exact, x, n) for x in points]
+    sums = [windowwise_birkhoff_sum(f, x, n) for x in points]
     with localcontext() as ctx:
         ctx.prec = 60
         return sum(((Decimal(s.numerator) / s.denominator).exp() for s in sums), Decimal(0))
+
+
+def longest_n(g, cap, points=2000):
+    """The largest n <= cap (at least 1) whose n-periodic points number at most ``points``."""
+    n = 1
+    while n < cap and integer_trace(g.adjacency, n + 1) <= points:
+        n += 1
+    return n
 
 
 def window_zn(f, g, W, lo, hi):
@@ -189,24 +199,43 @@ def window_zn(f, g, W, lo, hi):
     return out
 
 
+def wide_table(data, g, span):
+    """A mixed Fraction/float table with values across the float range whose Z_n stay finite.
+
+    Each window w reads c(w) + h(last letter) - h(first letter), with h at
+    the float range's ends (the h terms cancel around every closed orbit for
+    span >= 2) and c small, subnormal, -700 or 1/3; each value is kept as a
+    Fraction or rounded to a float.
+    """
+    h = [Fraction(data.draw(st.sampled_from((0.0,) + EXTREMES))) for _ in range(g.n_vertices)]
+    small = st.one_of(st.floats(-4, 4), st.sampled_from((5e-324, -5e-324, -700.0, Fraction(1, 3))))
+    table = {}
+    for w in g.words(span):
+        value = Fraction(data.draw(small)) + h[w[-1]] - h[w[0]]
+        table[w] = value if data.draw(st.booleans()) else float(value)
+    return table
+
+
 @SETTINGS
 @given(st.data())
 def test_window_class_route_equals_per_point_loop(data):
-    # spans 1-3, every left range, rational and float tables, prefixes of
-    # length 0-2 (so n < len(W) too) and every window [lo, hi] that holds the
-    # prefix: grouping the window's points of mixed periods once gives each
-    # period's per-point sum, exactly for rational tables and inside the
-    # bracket for float ones
+    # spans 1-3, every left range, rational, float and wide tables, prefixes
+    # of length 0-2 (so n < len(W) too) and every window [lo, hi] that holds
+    # the prefix: grouping the window's points of mixed periods once gives
+    # each period's per-point sum, exactly for rational tables and inside the
+    # bracket for the others
     g, _ = data.draw(graph_with_cycle(max_vertices=4))
     span = data.draw(st.integers(1, 3))
     left = data.draw(st.integers(0, span - 1))
-    values = rationals if data.draw(st.booleans()) else st.floats(-4, 4)
-    f = FiniteRangePotential(g, left, span - left, {w: data.draw(values) for w in g.words(span)})
+    kind = data.draw(st.sampled_from(["rational", "float", "wide"]))
+    if kind == "wide":
+        table = wide_table(data, g, span)
+    else:
+        values = rationals if kind == "rational" else st.floats(-4, 4)
+        table = {w: data.draw(values) for w in g.words(span)}
+    f = FiniteRangePotential(g, left, span - left, table)
     W = data.draw(st.sampled_from(g.words(data.draw(st.integers(0, 2)))))
-    hi = 1
-    while hi < 10 and integer_trace(g.adjacency, hi + 1) <= 2000:
-        hi += 1
-    hi = max(hi, len(W))
+    hi = max(longest_n(g, 10), len(W))
     lo = data.draw(st.integers(max(1, len(W)), hi))  # a window holds the prefix
     window = window_zn(f, g, W, lo, hi)
     for n in range(1, hi + 1):
@@ -224,15 +253,61 @@ def test_count_key_route_equals_per_point_route(data):
     g, _ = data.draw(graph_with_cycle(max_vertices=5))
     f = FiniteRangePotential.from_vertex_values(g, [data.draw(rationals) for _ in range(g.n_vertices)])
     W = data.draw(st.sampled_from(g.words(data.draw(st.integers(0, 2)))))
-    n_max = 1
-    while n_max < 15 and integer_trace(g.adjacency, n_max + 1) <= 3000:
-        n_max += 1
+    n_max = longest_n(g, 15, 3000)
     table = thermo.partition_function(g, f, W, n_max)
     lo = min(max(1, len(W)), n_max)
     by_points = window_zn(f, g, W, lo, n_max)
     for n in range(1, n_max + 1):
         points = enumerate_periodic(g, n, W)
         assert table.zn_exact(n) == by_points[n] == per_point_zn(f, points, n)
+
+
+@SETTINGS
+@given(st.data())
+def test_bowen_reduction_leaves_every_zn_unchanged(data):
+    # span 2-3 with left range >= 1 and prefixes of length 0-2: the
+    # future-only reduction has the same Z_n, exactly for rational tables,
+    # and with overlapping brackets for float ones
+    g, _ = data.draw(graph_with_cycle(max_vertices=4))
+    span = data.draw(st.integers(2, 3))
+    left = data.draw(st.integers(1, span - 1))
+    values = rationals if data.draw(st.booleans()) else st.floats(-4, 4)
+    f = FiniteRangePotential(g, left, span - left, {w: data.draw(values) for w in g.words(span)})
+    W = data.draw(st.sampled_from(g.words(data.draw(st.integers(0, 2)))))
+    n_max = longest_n(g, 10)
+    t, u = (thermo.partition_function(g, p, W, n_max) for p in (f, bowen_reduce(f)[0]))
+    assert t.entries.keys() == u.entries.keys() == set(range(1, n_max + 1))
+    for n in t.entries:
+        if f.rational:
+            assert t.zn_exact(n) == u.zn_exact(n)
+        else:
+            (a, ea), (b, eb) = (map(Fraction, e) for e in (t.entries[n], u.entries[n]))
+            assert max(a - ea, b - eb) <= min(a + ea, b + eb)
+
+
+@st.composite
+def irreducible_graph(draw, max_vertices=5):
+    """A graph on 2..max_vertices vertices: a cycle through every vertex plus any further edges."""
+    V = draw(st.integers(2, max_vertices))
+    perm = draw(st.permutations(range(V)))
+    edges = {(perm[i], perm[(i + 1) % V]) for i in range(V)}
+    edges |= draw(st.sets(st.tuples(st.integers(0, V - 1), st.integers(0, V - 1))))
+    return FiniteGraph(tuple(str(v) for v in range(V)), tuple(sorted(edges)))
+
+
+@SETTINGS
+@given(st.data())
+def test_induction_gives_the_ambient_zn(data):
+    # a word W of length 1-2 and a rational potential of span <= |W| + 1,
+    # every left range: the loop compositions of the induction at W give
+    # each Z_n(W) exactly, up to the induction's maxlen
+    g = data.draw(irreducible_graph())
+    W = data.draw(st.sampled_from(g.words(data.draw(st.integers(1, 2)))))
+    span = data.draw(st.integers(1, len(W) + 1))
+    left = data.draw(st.integers(0, span - 1))
+    f = FiniteRangePotential(g, left, span - left, {w: data.draw(rationals) for w in g.words(span)})
+    n_max = longest_n(g, 10)
+    assert verify_zn_coincidence(g, f, W, induce(g, W, maxlen=n_max), n_max).all_equal
 
 
 @SETTINGS

@@ -172,7 +172,7 @@ class TestWorkCounts:
 
     @staticmethod
     def _window_classes(points, span, n):
-        return {frozenset(Counter(tuple(x.word[(k + i) % n] for i in range(span)) for k in range(n)).items())
+        return {frozenset(Counter(tuple(x[(k + i) % n] for i in range(span)) for k in range(n)).items())
                 for x in points}
 
     def test_one_birkhoff_sum_per_window_class(self, gm, monkeypatch):
