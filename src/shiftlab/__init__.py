@@ -27,14 +27,9 @@ from .potentials import (
     FiniteRangePotential,
     GeometricTail,
     PolynomialTail,
-    RegularityClass,
-    VariationCertificate,
     ZeroTail,
     birkhoff_sum,
     bowen_reduce,
-    certify_class,
-    check_variation_certificate,
-    lift_variation,
 )
 from .thermo import (
     ConvergenceError,
@@ -56,13 +51,13 @@ from .thermo import (
 # name -> leaf module that defines it; the modules themselves load lazily too
 _LAZY = {
     **dict.fromkeys(
-        ("InducedPresentation Loop LoopSystem TailDescriptor induce induce_structured lift_potential "
+        ("InducedPresentation Loop LoopSystem TailDescriptor induce lift_potential "
          "loop_partition_function phi_injective_on_periodic verify_zn_coincidence").split(),
         "induction",
     ),
     **dict.fromkeys(
         ("AlmostIsomorphism CodeError DomainError EventuallyPeriodicPoint MagicWordCertificate OneBlockCode "
-         "assemble_ai from_periodic gamma_on_point labeling_code points_equal shift_point transport_measure "
+         "assemble_ai from_periodic gamma_on_point labeling_code transport_measure "
          "verify_correspondence verify_magic").split(),
         "codes",
     ),

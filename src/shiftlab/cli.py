@@ -61,7 +61,7 @@ def _graph_of(shift):
 
 def _load_potential(path: str | None, graph):
     if path is None:
-        return FiniteRangePotential.zero(graph), None
+        return FiniteRangePotential.zero(graph)
     return docs.parse_potential(_load(path), graph)
 
 
@@ -134,7 +134,7 @@ def _ambient_zero(exh: ExhaustionPresentation) -> FiniteRangePotential:
 def cmd_pressure(args) -> int:
     shift = _load_shift(args.shift)
     if isinstance(shift, ExhaustionPresentation):
-        f, _ = docs.parse_potential(_load(args.potential), shift.levels[-1].graph) if args.potential else (_ambient_zero(shift), None)
+        f = docs.parse_potential(_load(args.potential), shift.levels[-1].graph) if args.potential else _ambient_zero(shift)
         est = pressure_exhaustion(shift, f)
         report = {
             "command": "pressure",
@@ -145,7 +145,7 @@ def cmd_pressure(args) -> int:
         _print_report(report, [f"pressure ({est.method}): {est.value:.10f} +- {est.error:.2e}"])
         return 0
     graph = _graph_of(shift)
-    f, _ = _load_potential(args.potential, graph)
+    f = _load_potential(args.potential, graph)
     if args.method == "table":
         period = shift.period if isinstance(shift, FinitePresentation) else 1
         table = partition_function(graph, f, (), args.nmax)
@@ -174,7 +174,7 @@ def cmd_zn(args) -> int:
         graph = None
     else:
         graph = _graph_of(shift)
-        f, _ = _load_potential(args.potential, graph)
+        f = _load_potential(args.potential, graph)
         W = _parse_word_arg(graph.names, args.word)
         table = partition_function(graph, f, W, args.nmax)
     rows = []
@@ -224,7 +224,7 @@ def cmd_classify(args) -> int:
 def cmd_zeta(args) -> int:
     shift = _load_shift(args.shift)
     graph = _graph_of(shift)
-    f, _ = _load_potential(args.potential, graph)
+    f = _load_potential(args.potential, graph)
     table = partition_function(graph, f, (), args.order)
     coeffs = zeta_series(table, args.order)
     exact = isinstance(coeffs[0], Fraction)
@@ -241,7 +241,7 @@ def cmd_zeta(args) -> int:
 def cmd_equilibrium(args) -> int:
     shift = _load_shift(args.shift)
     graph = _graph_of(shift)
-    f, _ = _load_potential(args.potential, graph)
+    f = _load_potential(args.potential, graph)
     mu = equilibrium_measure(graph, f)
     p = measure_pressure(mu, f)
     est = pressure_spectral(graph, f)
@@ -277,8 +277,7 @@ def cmd_induce(args) -> int:
     ind = induce(graph, W1, W2, maxlen=args.maxlen)
     system = ind.loops
     if args.potential:
-        f, cert = _load_potential(args.potential, graph)
-        system, lifted_cert = lift_potential(ind, f, cert)
+        system = lift_potential(ind, _load_potential(args.potential, graph))
     doc = docs.emit_loops(system)
     if args.out:
         Path(args.out).write_text(docs.dumps(doc))
@@ -361,8 +360,8 @@ def cmd_verify_correspondence(args) -> int:
     from .codes import verify_correspondence
 
     ai = docs.parse_ai(_load(args.ai))
-    f, _ = docs.parse_potential(_load(args.potential), ai.code_s.target)
-    g, _ = docs.parse_potential(_load(args.target_potential), ai.code_t.target)
+    f = docs.parse_potential(_load(args.potential), ai.code_s.target)
+    g = docs.parse_potential(_load(args.target_potential), ai.code_t.target)
     rep = verify_correspondence(ai, f, g, n_max=args.nmax)
     report = {
         "command": "verify-correspondence",

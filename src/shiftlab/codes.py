@@ -373,22 +373,6 @@ def from_periodic(word: Word) -> EventuallyPeriodicPoint:
     return EventuallyPeriodicPoint(left=word, core=(), right=word)
 
 
-def shift_point(x: EventuallyPeriodicPoint, k: int = 1) -> EventuallyPeriodicPoint:
-    """The shifted point: sample(i) of the result equals x.sample(i + k)."""
-    return EventuallyPeriodicPoint(
-        left=x.left, core=x.core, right=x.right, core_start=x.core_start - k
-    )
-
-
-def points_equal(x: EventuallyPeriodicPoint, y: EventuallyPeriodicPoint) -> bool:
-    """Exact equality, decided on a window long enough for both periodicities."""
-    L = math.lcm(len(x.left), len(y.left))
-    R = math.lcm(len(x.right), len(y.right))
-    a = min(x.core_start, y.core_start) - L - 1
-    b = max(x.core_end, y.core_end) + R + 1
-    return x.window(a, b) == y.window(a, b)
-
-
 def _occurrences_in(seq, W: Word) -> np.ndarray:
     """Start indices of the occurrences of W in a materialised sequence, ascending."""
     seq = np.asarray(seq)

@@ -24,13 +24,7 @@ from .graphs import (
     Word,
     build_graph,
 )
-from .potentials import (
-    FiniteRangePotential,
-    GeometricTail,
-    PolynomialTail,
-    VariationCertificate,
-    ZeroTail,
-)
+from .potentials import FiniteRangePotential
 from .thermo import MarkovMeasure
 
 if TYPE_CHECKING:  # the leaf layers load when a parser needs them
@@ -300,77 +294,24 @@ def parse_shift(obj: dict):
 # potentials
 
 
-def _emit_cert_tail(tail) -> dict:
-    if isinstance(tail, ZeroTail):
-        return {"type": "zero"}
-    if isinstance(tail, GeometricTail):
-        return {"type": "geometric", "coef": _number_out(tail.coef), "ratio": _number_out(tail.ratio)}
+def emit_potential(f: FiniteRangePotential) -> dict:
     return {
-        "type": "polynomial",
-        "coef": _number_out(tail.coef),
-        "power": _number_out(tail.power),
-        "shift": tail.shift,
-    }
-
-
-def _parse_cert_tail(obj: dict):
-    kind = obj.get("type")
-    if kind == "zero":
-        _check_keys(obj, {"type"})
-        return ZeroTail()
-    if kind == "geometric":
-        _check_keys(obj, {"type", "coef", "ratio"})
-        return GeometricTail(coef=_number_in(obj["coef"]), ratio=_number_in(obj["ratio"]))
-    if kind == "polynomial":
-        _check_keys(obj, {"type", "coef", "power"}, {"shift"})
-        return PolynomialTail(
-            coef=_number_in(obj["coef"]),
-            power=_number_in(obj["power"]),
-            shift=_integer_in(obj.get("shift", 0), "certificate tail shift"),
-        )
-    raise SchemaError(f"unknown certificate tail type {kind!r}")
-
-
-def emit_potential(f: FiniteRangePotential, cert: VariationCertificate | None = None) -> dict:
-    names = f.graph.names
-    out = {
         "kind": "potential",
         "schema": SCHEMA_VERSION,
         "left_range": f.left,
         "right_range": f.right,
-        "weights": {word_key(names, w): _number_out(x) for w, x in f.table.items()},
-        "certificate": None,
+        "weights": {word_key(f.graph.names, w): _number_out(x) for w, x in f.table.items()},
     }
-    if cert is not None:
-        out["certificate"] = {
-            "prefix": [_number_out(x) for x in cert.prefix],
-            "tail": _emit_cert_tail(cert.tail),
-            "p": cert.p,
-            "words": None if cert.words is None else [word_key(names, w) for w in cert.words],
-        }
-    return out
 
 
-def parse_potential(obj: dict, graph: FiniteGraph) -> tuple[FiniteRangePotential, VariationCertificate | None]:
+def parse_potential(obj: dict, graph: FiniteGraph) -> FiniteRangePotential:
     _check_header(obj, "potential")
-    _check_keys(obj, {"kind", "schema", "left_range", "right_range", "weights"}, {"certificate"})
+    _check_keys(obj, {"kind", "schema", "left_range", "right_range", "weights"})
     table = {
         parse_word(graph.names, k): _number_in(v) for k, v in obj["weights"].items()
     }
-    f = FiniteRangePotential(graph, _integer_in(obj["left_range"], "left_range"),
-                             _integer_in(obj["right_range"], "right_range"), table)
-    cert = None
-    cobj = obj.get("certificate")
-    if cobj is not None:
-        _check_keys(cobj, {"prefix", "tail", "p"}, {"words"})
-        words = cobj.get("words")
-        cert = VariationCertificate(
-            prefix=tuple(_number_in(x) for x in cobj["prefix"]),
-            tail=_parse_cert_tail(cobj["tail"]),
-            p=_integer_in(cobj["p"], "certificate p"),
-            words=None if words is None else tuple(parse_word(graph.names, w) for w in words),
-        )
-    return f, cert
+    return FiniteRangePotential(graph, _integer_in(obj["left_range"], "left_range"),
+                                _integer_in(obj["right_range"], "right_range"), table)
 
 
 # --------------------------------------------------------------------------

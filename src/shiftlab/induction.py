@@ -35,10 +35,9 @@ from .potentials import (
     PolynomialTail,
     PotentialError,
     Tail,
-    VariationCertificate,
     ZeroTail,
+    _window_sum,
     bowen_reduce,
-    lift_variation,
     tail_sum,
 )
 
@@ -181,7 +180,7 @@ class InducedPresentation:
     """A loop system together with the block code back to the ambient shift."""
 
     loops: LoopSystem
-    offsets: tuple[int, int]  # (L, M) used for certificate lifting
+    offsets: tuple[int, int]  # (0, N - 1) for words of length N; only reported
 
     @property
     def source_words(self) -> tuple[Word, ...]:
@@ -259,56 +258,6 @@ def induce(
         off_core=off_core,
     )
     return InducedPresentation(loops=system, offsets=(0, N - 1))
-
-
-def _structured_extensions(graph: FiniteGraph, w: Word, total: int):
-    """All (a, b) with |a| + |b| = total, both nonempty, w a w b admissible."""
-    for la in range(1, total):
-        lb = total - la
-        for a in graph.words(la):
-            if not graph.is_word(w + a + w):
-                continue
-            for b in graph.words(lb):
-                if graph.is_word(w + a + w + b):
-                    yield a, b
-
-
-def induce_structured(
-    g,
-    w1,
-    w2=None,
-    maxlen: int = 20,
-    budget: int = 500_000,
-) -> InducedPresentation:
-    """Induce at doubled words W_i = w_i a_i w_i b_i of common length.
-
-    The fillers are the shortest admissible nonempty (a_i, b_i), chosen
-    lexicographically, with both W_i brought to the same total length N.
-    The recorded offsets are L = |w_i| and M = N - |b| - L - 1 (minimized
-    over the two sides, the conservative direction for certificate lifting).
-    """
-    graph = g.graph if isinstance(g, FinitePresentation) else g
-    w1 = tuple(int(s) for s in w1)
-    w2 = w1 if w2 is None else tuple(int(s) for s in w2)
-    if len(w1) != len(w2):
-        raise GraphError("base words must share a length (lengthen the shorter)")
-    L = len(w1)
-    ws = [w1] if w2 == w1 else [w1, w2]
-    for total in range(2, 2 * graph.n_vertices + 8):
-        picks = []
-        for w in ws:
-            found = next(iter(_structured_extensions(graph, w, total)), None)
-            if found is None:
-                break
-            picks.append(found)
-        if len(picks) != len(ws):
-            continue
-        words = [w + a + w + b for w, (a, b) in zip(ws, picks)]
-        N = len(words[0])
-        M = min(N - len(b) - L - 1 for _, b in picks)
-        ind = induce(graph, words[0], words[-1], maxlen=maxlen, budget=budget)
-        return replace(ind, offsets=(L, M))
-    raise GraphError("no admissible doubled words found")
 
 
 def _bfs_dist_to(H: FiniteGraph, allowed: np.ndarray, target: int) -> np.ndarray:
@@ -417,10 +366,9 @@ def _weigh(system: LoopSystem, f: FiniteRangePotential | None, with_tails: bool)
             raise PotentialError(
                 f"potential span {r} too wide for induction at a word of length {len(dst_word)}"
             )
-        word = lp.label + dst_word
         # exact, and rounded once for a float table: its bracket is then the
         # float either side (intervals.near)
-        total = sum(map(Fraction, (g.table[word[t: t + r]] for t in range(lp.length))))
+        total = _window_sum(g, lp.label + dst_word, lp.length)
         loops.append(replace(lp, log_weight=total if g.rational else float(total)))
     if not with_tails:
         return replace(system, loops=tuple(loops))
@@ -434,22 +382,12 @@ def _weigh(system: LoopSystem, f: FiniteRangePotential | None, with_tails: bool)
     return replace(system, loops=tuple(loops), tails=tails)
 
 
-def lift_potential(
-    ind: InducedPresentation,
-    f: FiniteRangePotential,
-    cert: VariationCertificate | None = None,
-):
-    """Per-loop Birkhoff weights of f over the induced system, plus the lifted
-    oscillation certificate (via the offsets recorded at induction time).
-
-    Returns ``(loop_system_with_weights, lifted_certificate)``.
-    """
+def lift_potential(ind: InducedPresentation, f: FiniteRangePotential) -> LoopSystem:
+    """The induced loop system with f's Birkhoff weights on its loops, and
+    its tail bounds weighted by f too."""
     if ind.loops.names is None:
         raise PotentialError("loop system carries no ambient labels to lift over")
-    weighted = _weigh(ind.loops, f, with_tails=True)
-    L, M = ind.offsets
-    lifted = lift_variation(cert, L, M) if cert is not None else None
-    return weighted, lifted
+    return _weigh(ind.loops, f, with_tails=True)
 
 
 # --------------------------------------------------------------------------

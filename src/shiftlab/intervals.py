@@ -12,8 +12,9 @@ assumes that libm returns them within 1 ulp, as glibc documents.
 An infinite end stays infinite: it stands for a divergent series or for no
 bound (a sum or product that overflows reads the same; ``exp`` and ``fsum``
 raise math's OverflowError instead).  A lower end of 0 stays 0: a sum that
-rounds to 0 is exact, and every other quantity bracketed here that can
-round to 0 is nonnegative.  ``mul`` and ``div`` take nonnegative intervals,
+rounds to 0 is exact, every other quantity bracketed here that can round
+to 0 is nonnegative, and :func:`near` steps a negative value that rounds
+to 0 below it.  ``mul`` and ``div`` take nonnegative intervals,
 with 0 * inf = 0.
 """
 from __future__ import annotations
@@ -34,8 +35,14 @@ def up(x: float) -> float:
 
 
 def near(x) -> Interval:
-    """A bracket of the real x (float, int or Fraction) around its nearest float."""
+    """A bracket of the real x (float, int or Fraction) around its nearest float.
+
+    A negative x whose nearest float is 0 gets the lower end -5e-324, the
+    smallest subnormal below it, where :func:`down` would keep 0.
+    """
     v = float(x)
+    if not v and x < 0:
+        return -math.ulp(0.0), -0.0
     return down(v), up(v)
 
 

@@ -1,15 +1,15 @@
-"""Finite-range potentials, regularity certificates, and Bowen's reduction.
+"""Finite-range potentials, Bowen's reduction, and declared tail laws.
 
 A potential is a real weight on words: it reads coordinates ``-m .. r-1``
-and is stored as a table over the admissible ``(m+r)``-words.  Regularity
-beyond finite range is carried by a separate oscillation certificate (an
-omega sequence with an evaluable tail), never synthesized.
+and is stored as a table over the admissible ``(m+r)``-words.  Its
+variations are then read off the table and vanish past the span, so every
+potential here has summable variations.  The tail laws and
+:func:`tail_sum` serve the per-length weights of declared loop systems.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Union
@@ -90,15 +90,6 @@ class FiniteRangePotential:
     def sup_value(self) -> float:
         return max(float(x) for x in self.table.values())
 
-    @property
-    def oscillation(self) -> float:
-        vals = [float(x) for x in self.table.values()]
-        return max(vals) - min(vals)
-
-    @property
-    def future_only(self) -> bool:
-        return self.left == 0
-
     def value(self, window) -> Number:
         try:
             return self.table[tuple(window)]
@@ -134,12 +125,18 @@ def birkhoff_sum(f: FiniteRangePotential, word: Word, n: int) -> Fraction:
     span, p = f.span, len(word)
     start = -f.left % p
     ext = (word * ((start + n + span - 1) // p + 1))[start:start + n + span - 1]
+    return _window_sum(f, ext, n)
+
+
+def _window_sum(f: FiniteRangePotential, ext: Word, n: int) -> Fraction:
+    """Exact sum of f over the first n span-windows ``ext[k:k + span]`` of an open word."""
     q, table = f._integer_table
+    span = f.span
     return Fraction(sum(table[ext[k:k + span]] for k in range(n)), q)
 
 
 # --------------------------------------------------------------------------
-# oscillation certificates
+# declared tail laws
 
 
 @dataclass(frozen=True)
@@ -153,7 +150,7 @@ class ZeroTail:
 
 @dataclass(frozen=True)
 class GeometricTail:
-    """omega_n = coef * ratio**n for n past the explicit prefix."""
+    """omega_n = coef * ratio**n."""
 
     coef: Number
     ratio: Number
@@ -165,103 +162,37 @@ class GeometricTail:
 
 @dataclass(frozen=True)
 class PolynomialTail:
-    """omega_n = coef * (n + shift)**-power."""
+    """omega_n = coef * n**-power."""
 
     coef: Number
     power: Number
-    shift: int = 0
     kind = "polynomial"
 
     def omega(self, n: int) -> float:
-        return float(self.coef) * float(n + self.shift) ** -float(self.power)
+        return float(self.coef) * float(n) ** -float(self.power)
 
 
 Tail = Union[ZeroTail, GeometricTail, PolynomialTail]
 
 
-@dataclass(frozen=True)
-class VariationCertificate:
-    """A claimed oscillation bound: omega_1 >= omega_2 >= ... with a tail law.
-
-    ``prefix`` lists omega_1 .. omega_{n0} explicitly; ``tail`` covers all
-    n > n0.  ``words`` is the finite family the bound is relative to (None
-    means: relative to the whole alphabet).
-    """
-
-    prefix: tuple[Number, ...]
-    tail: Tail
-    p: int
-    words: tuple[Word, ...] | None = None
-
-    def __post_init__(self):
-        if self.p not in (0, 1):
-            raise PotentialError(f"p must be 0 (E0+) or 1 (E1), got {self.p}")
-        seq = [float(x) for x in self.prefix]
-        if any(x < 0 for x in seq):
-            raise PotentialError("omega values must be nonnegative")
-        if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
-            raise PotentialError("omega must be nonincreasing")
-        n0 = len(self.prefix)
-        if isinstance(self.tail, GeometricTail):
-            if float(self.tail.coef) < 0 or float(self.tail.ratio) < 0:
-                raise PotentialError("geometric tail needs nonnegative coef and ratio")
-        if isinstance(self.tail, PolynomialTail):
-            if float(self.tail.coef) < 0 or float(self.tail.power) <= 0 or self.tail.shift < 0:
-                raise PotentialError("polynomial tail needs coef >= 0, power > 0, shift >= 0")
-        if seq and float(self.tail.omega(n0 + 1)) > seq[-1] + 1e-15:
-            raise PotentialError("tail must continue nonincreasingly from the prefix")
-
-    @property
-    def n0(self) -> int:
-        return len(self.prefix)
-
-    def omega(self, n: int) -> Number:
-        if n < 1:
-            raise ValueError("omega is indexed from 1")
-        if n <= self.n0:
-            return self.prefix[n - 1]
-        return self.tail.omega(n)
-
-
-@dataclass(frozen=True)
-class CertificateCheck:
-    accept: bool
-    value: float
-    error: float
-    exact: bool
-    witness: str | None = None
-
-
 def tail_sum(tail: Tail, start: int, z: Number, d: int):
     """Bracket ``(lo, hi)`` of sum_{n > start} n^d omega_n z^(n-d), d in {0, 1}.
 
-    The tail of F(z) = sum omega_n z^n (of F' when d = 1); at z = 1 the tail
-    of the sum a certificate claims finite.  None when it diverges; z < 0 is
-    a ValueError.  Exact for a zero tail, at z = 0 (up to the rounding of
-    omega_1), and for a rational geometric tail at rational z.  A float
-    geometric closed form is widened by how the exact relative error ux of
-    x = ratio * z and the other roundings propagate (Higham, ch. 3), and by
-    the subnormals an underflow can lose.  A polynomial tail is a partial
-    sum plus an integral (z = 1), or a partial sum plus a remainder between
-    a lower sum over a geometric grid and the smaller of a geometric and an
-    integral bound (z < 1); a shifted one is re-indexed by m = n + shift
-    (z = 1).
+    The tail of F(z) = sum omega_n z^n (of F' when d = 1) for a declared
+    tail law.  None when it diverges; z < 0 is a ValueError.  Exact for a
+    zero tail, at z = 0 (up to the rounding of omega_1), and for a rational
+    geometric tail at rational z.  A float geometric closed form is widened
+    by how the exact relative error ux of x = ratio * z and the other
+    roundings propagate (Higham, ch. 3), and by the subnormals an underflow
+    can lose.  A polynomial tail is a partial sum plus an integral (z = 1),
+    or a partial sum plus a remainder between a lower sum over a geometric
+    grid and the smaller of a geometric and an integral bound (z < 1).
     """
     if z < 0:
         raise ValueError(f"tail sums are evaluated at z >= 0, got {z}")
     if tail.coef == 0:  # a ZeroTail too
         return tail.coef * 0, tail.coef * 0
     N = start
-    if isinstance(tail, PolynomialTail) and tail.shift:
-        if z != 1:
-            raise ValueError("a shifted polynomial tail is summed at z = 1")
-        # m = n + shift: sum n^d (n+s)^-q = T_d - s T_0 over m > start + s, ends crossed
-        s, plain = tail.shift, PolynomialTail(tail.coef, tail.power)
-        t = tail_sum(plain, N + s, 1, d)
-        if t is None or d == 0:
-            return t
-        t0 = tail_sum(plain, N + s, 1, 0)
-        return t[0] - s * t0[1], t[1] - s * t0[0]
     if z == 0:
         # only n = 1 survives, in F': omega_1 = coef * ratio or coef; a float
         # omega_1 is one rounding of that, so one ulp either side holds it
@@ -335,75 +266,6 @@ def tail_sum(tail: Tail, start: int, z: Number, d: int):
     rem_lo = float(np.sum(np.exp(logs[keep]) * (1 - 4 * _EPS * (sizes[keep] + 2)))) * (1 - J * _EPS)
     slop = 8 * _EPS * (partial + rem_hi + 1e-300)
     return partial + rem_lo - slop, partial + rem_hi + slop
-
-
-def check_variation_certificate(cert: VariationCertificate) -> CertificateCheck:
-    """Decide whether sum n^p omega_n provably converges, and bound its value.
-
-    The tail is :func:`tail_sum` at z = 1 with d = p.  Exact (zero width)
-    for a rational prefix and an exact tail; otherwise the error covers the
-    tail's bracket and the prefix sum, rounded outward by
-    :mod:`shiftlab.intervals`.
-    """
-    p, t = cert.p, cert.tail
-    bracket = tail_sum(t, cert.n0, 1, p)
-    if bracket is None:
-        return CertificateCheck(False, math.inf, math.inf, False, witness=f"sum of n^{p} omega_n diverges under {t}")
-    lo, hi = bracket
-    terms = [n**p * w for n, w in enumerate(cert.prefix, start=1)]
-    if lo == hi and all(map(_is_rational, terms + [lo])):
-        return CertificateCheck(True, float(sum(terms, lo)), 0.0, True)
-    head = iv.fsum(iv.mul((float(n**p),) * 2, iv.near(w)) for n, w in enumerate(cert.prefix, start=1))
-    value, err = iv.midrad(iv.add(head, (iv.down(float(lo)), iv.up(float(hi)))))
-    return CertificateCheck(True, value, err, False)
-
-
-def lift_variation(cert: VariationCertificate, L: int, M: int) -> VariationCertificate:
-    """The induced bound max(omega_{n+L}, omega_{n+M}) = omega_{n + min(L, M)}.
-
-    Valid because omega is nonincreasing; the summability claim survives the
-    shift, so the output passes the checker whenever the input does.
-    """
-    if L < 0 or M < 0:
-        raise ValueError("offsets must be >= 0")
-    s = min(L, M)
-    if s == 0:
-        return cert
-    prefix = cert.prefix[s:] if s < cert.n0 else ()
-    return replace(cert, prefix=prefix, tail=_shift_tail(cert.tail, s))
-
-
-def _shift_tail(tail: Tail, s: int) -> Tail:
-    if isinstance(tail, ZeroTail):
-        return tail
-    if isinstance(tail, GeometricTail):
-        return GeometricTail(coef=tail.coef * tail.ratio**s, ratio=tail.ratio)
-    return PolynomialTail(coef=tail.coef, power=tail.power, shift=tail.shift + s)
-
-
-class RegularityClass(Enum):
-    """Which summability class a certified potential sits in."""
-
-    E1 = "E1"
-    E0_PLUS = "E0+"
-
-
-def certify_class(
-    f: FiniteRangePotential, cert: VariationCertificate, tag: RegularityClass
-) -> CertificateCheck:
-    """Verify the certificate matches the class tag for this potential.
-
-    E0+ additionally requires the potential to read only future coordinates.
-    """
-    if tag is RegularityClass.E0_PLUS and not f.future_only:
-        raise PotentialError("E0+ requires a future-only potential (left range 0)")
-    want_p = 1 if tag is RegularityClass.E1 else 0
-    if cert.p != want_p:
-        raise PotentialError(f"{tag.value} needs p = {want_p}, certificate has p = {cert.p}")
-    res = check_variation_certificate(cert)
-    if not res.accept:
-        raise PotentialError(f"certificate rejected: {res.witness}")
-    return res
 
 
 def bowen_reduce(

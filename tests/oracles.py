@@ -19,15 +19,19 @@ series by binomial expansions in 80 digits, zeta values minus exact
 partial sums or Euler's dilogarithm reflection, two-vertex
 first-return series by folding those part values in 80 digits, and Perron
 roots by the trace of a rank-one matrix or the quadratic formula.
+Eventually periodic points are shifted by moving their core, and compared
+on a window that covers both cores and the lcm of their periods.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
+from shiftlab.codes import EventuallyPeriodicPoint
 from shiftlab.expsum import ExpSum
 
 
@@ -368,19 +372,18 @@ ZETA = {
 }
 
 
-def tail_series(kind: str, coef: float, param: float, start: int, z: float, d: int,
-                shift: int = 0) -> Decimal | None:
+def tail_series(kind: str, coef: float, param: float, start: int, z: float, d: int) -> Decimal | None:
     """sum_{n > start} n^d w_n z^(n-d), to 30 digits or more; None when it diverges.
 
-    w_n = coef * param^n (geometric) or coef * (n + shift)^-param (polynomial).
+    w_n = coef * param^n (geometric) or coef * n^-param (polynomial).
     Geometric tails: with x = param*z in 80 digits, x^start times the
     binomial expansion sum_{m >= 1} (start + m)^d x^m = start^d x/(1-x)
     + d x/(1-x)^2.  Polynomial tails at z = 1 (integer powers 2..4):
-    zeta values minus exact partial sums over m = n + shift, where
-    n = m - shift.  Polynomial tails at z <= 0.9: summed term by term in 60
-    digits until the rest, at most coef * z^(n-d) / (1 - z), is below 1e-30
-    of the sum.  Polynomial tails at 0.9 < z < 1 with param - d = 2:
-    Li_2(z) / z^d minus an exact partial sum, with Euler's reflection
+    zeta values minus exact partial sums.  Polynomial tails at z <= 0.9:
+    summed term by term in 60 digits until the rest, at most
+    coef * z^(n-d) / (1 - z), is below 1e-30 of the sum.  Polynomial tails
+    at 0.9 < z < 1 with param - d = 2: Li_2(z) / z^d minus an exact partial
+    sum, with Euler's reflection
     Li_2(z) = zeta(2) - ln z ln(1 - z) - Li_2(1 - z) and the fast series of
     Li_2(1 - z).
     """
@@ -398,15 +401,10 @@ def tail_series(kind: str, coef: float, param: float, start: int, z: float, d: i
             assert q == param and q in (2, 3, 4)
             if q - d <= 1:
                 return None
-
-            def zeta_tail(e: int) -> Decimal:  # sum_{m > N + shift} m^-e
-                partial = sum(Fraction(1, m**e) for m in range(1, N + shift + 1))
-                return ZETA[e] - Decimal(partial.numerator) / Decimal(partial.denominator)
-
-            total = zeta_tail(q) if d == 0 else zeta_tail(q - 1) - shift * zeta_tail(q)
-            return Decimal(coef) * total
+            partial = sum(Fraction(1, n ** (q - d)) for n in range(1, N + 1))
+            return Decimal(coef) * (ZETA[q - d] - Decimal(partial.numerator) / Decimal(partial.denominator))
         if z > 0.9:
-            assert z < 1 and param - d == 2 and not shift
+            assert z < 1 and param - d == 2
             z_, w = Decimal(z), 1 - Decimal(z)
             li2 = ZETA[2] - z_.ln() * w.ln() - sum(w**k / k**2 for k in range(1, 80))
             partial = sum(z_**n / n**2 for n in range(1, N + 1))
@@ -416,7 +414,7 @@ def tail_series(kind: str, coef: float, param: float, start: int, z: float, d: i
         c, q, z_ = Decimal(coef), Decimal(param), Decimal(z)
         total, n = Decimal(0), N + 1
         while True:
-            total += c * Decimal(n) ** d * Decimal(n + shift) ** -q * z_ ** (n - d)
+            total += c * Decimal(n) ** d * Decimal(n) ** -q * z_ ** (n - d)
             n += 1
             if c * z_ ** (n - d) / (1 - z_) < Decimal("1e-30") * total:
                 return total
@@ -537,3 +535,17 @@ def random_rational_values(rng: np.random.Generator, count: int) -> list[Fractio
         Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 8)))
         for _ in range(count)
     ]
+
+
+def shift_point(x: EventuallyPeriodicPoint, k: int = 1) -> EventuallyPeriodicPoint:
+    """The shifted point: sample(i) of the result equals x.sample(i + k)."""
+    return EventuallyPeriodicPoint(left=x.left, core=x.core, right=x.right, core_start=x.core_start - k)
+
+
+def points_equal(x: EventuallyPeriodicPoint, y: EventuallyPeriodicPoint) -> bool:
+    """Exact equality, decided on a window long enough for both periodicities."""
+    L = math.lcm(len(x.left), len(y.left))
+    R = math.lcm(len(x.right), len(y.right))
+    a = min(x.core_start, y.core_start) - L - 1
+    b = max(x.core_end, y.core_end) + R + 1
+    return x.window(a, b) == y.window(a, b)

@@ -425,13 +425,16 @@ def test_shift_and_potential_fuzzed_documents(capsys, tmp_path, fixture_dir, fix
     assert {"nan", "inf", "negative", "drop"} <= rejected
 
 
-def test_certificate_p_outside_zero_one_exits_2(capsys, tmp_path, fixture_dir):
-    doc = json.loads((fixture_dir / "gm-range1.json").read_text())
-    doc["certificate"]["p"] = 2
-    bad = tmp_path / "p2.json"
+def test_potential_with_a_certificate_key_exits_2(capsys, tmp_path, fixture_dir):
+    # a potential is its finite table; this one claims zero variation, though
+    # its value at 0 moves by 10 with the next symbol, and was once accepted
+    doc = {"kind": "potential", "schema": 1, "left_range": 0, "right_range": 2,
+           "weights": {"0,0": 5, "0,1": -5, "1,0": 0},
+           "certificate": {"prefix": [], "tail": {"type": "zero"}, "p": 1}}
+    bad = tmp_path / "zero-tail.json"
     bad.write_text(json.dumps(doc))
     rc = main(["pressure", "--shift", str(fixture_dir / "gm.json"), "--potential", str(bad)])
-    assert rc == 2 and "p must be 0" in capsys.readouterr().err
+    assert rc == 2 and "unknown keys" in capsys.readouterr().err
 
 
 def test_verify_correspondence_cli(capsys, fixture_dir):
@@ -476,7 +479,7 @@ def test_reversed_road_ai_cli(capsys, fixture_dir, tmp_path):
     assert abs(report["entropy_out"]["value"] - math.log(2)) <= 1e-12
     zero_g = tmp_path / "zero-g.json"
     zero_g.write_text(json.dumps({"kind": "potential", "schema": 1, "left_range": 0, "right_range": 1,
-                                  "weights": {"a": 0, "b": 0, "c": 0}, "certificate": None}))
+                                  "weights": {"a": 0, "b": 0, "c": 0}}))
     rc, report, _ = run_cli(
         capsys, "verify-correspondence", "--ai", ai,
         "--potential", str(fixture_dir / "zero.json"), "--target-potential", str(zero_g), "--nmax", "8",
@@ -543,18 +546,19 @@ def test_import_loads_neither_scipy_nor_numba(src_env):
 
 # every name `from shiftlab import *` gave when __init__ imported every module,
 # less PeriodicPoint (a periodic point is now its orbit word, a plain tuple)
+# and the declared variation certificates (a potential is its finite table)
 PACKAGE_EXPORTS = sorted("""
     AlmostIsomorphism BlockLabeling BudgetExceededError CodeError ConvergenceError DomainError
     EventuallyPeriodicPoint ExhaustionLevel ExhaustionPresentation ExpSum FiniteGraph FinitePresentation
     FiniteRangePotential GeometricTail GraphError InducedPresentation Loop LoopSystem MagicWordCertificate
     MarkovMeasure OneBlockCode PartitionFunctionTable PolynomialTail PressureEstimate
-    RecurrenceClass RegularityClass TailDescriptor VariationCertificate ZeroTail assemble_ai birkhoff_sum
-    bowen_reduce build_graph certify_class check_variation_certificate codes
+    RecurrenceClass TailDescriptor ZeroTail assemble_ai birkhoff_sum
+    bowen_reduce build_graph codes
     enumerate_periodic equilibrium_measure export_zn_csv expsum from_periodic gamma_on_point graphs
-    higher_block induce induce_structured induction intervals irreducible_and_period kernels labeling_code
-    lift_potential lift_variation loop_partition_function measure_pressure partition_function
-    phi_injective_on_periodic points_equal potentials pressure_exhaustion pressure_from_table
-    pressure_spectral recurrence_classify shift_point thermo transport_measure verify_correspondence
+    higher_block induce induction intervals irreducible_and_period kernels labeling_code
+    lift_potential loop_partition_function measure_pressure partition_function
+    phi_injective_on_periodic potentials pressure_exhaustion pressure_from_table
+    pressure_spectral recurrence_classify thermo transport_measure verify_correspondence
     verify_magic verify_zn_coincidence zeta_series
 """.split())
 

@@ -24,8 +24,6 @@ from shiftlab.codes import (
     from_periodic,
     gamma_on_point,
     labeling_code,
-    points_equal,
-    shift_point,
     transport_measure,
     verify_correspondence,
     verify_magic,
@@ -41,7 +39,9 @@ from oracles import (
     has_periodic_lift,
     integer_trace,
     magic_word_violation,
+    points_equal,
     scalar_chain,
+    shift_point,
     supported_letters,
 )
 
@@ -104,8 +104,8 @@ def road():
         return loads((FIXTURES / name).read_text())
 
     ai = parse_ai(doc("road-ai.json"))
-    f, _ = parse_potential(doc("road-f.json"), ai.code_s.target)
-    g, _ = parse_potential(doc("road-g.json"), ai.code_t.target)
+    f = parse_potential(doc("road-f.json"), ai.code_s.target)
+    g = parse_potential(doc("road-g.json"), ai.code_t.target)
     return ai, f, g, parse_measure(doc("road-parry.json"))
 
 

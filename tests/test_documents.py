@@ -8,7 +8,7 @@ import pytest
 from shiftlab import documents as docs
 from shiftlab.graphs import ExhaustionLevel, ExhaustionPresentation, build_graph, higher_block
 from shiftlab.induction import Loop, LoopSystem, TailDescriptor, induce
-from shiftlab.potentials import FiniteRangePotential, GeometricTail, VariationCertificate
+from shiftlab.potentials import FiniteRangePotential
 from shiftlab.thermo import equilibrium_measure
 from shiftlab.codes import labeling_code, verify_magic, assemble_ai
 
@@ -90,31 +90,26 @@ class TestLoopDocs:
 class TestPotentialDocs:
     def test_rational_round_trip(self, gm):
         f = FiniteRangePotential.from_vertex_values(gm.graph, [F(1, 3), F(-1, 2)])
-        cert = VariationCertificate(
-            prefix=(F(1, 2),), tail=GeometricTail(F(1), F(1, 2)), p=1, words=((0,),)
-        )
-        doc = docs.emit_potential(f, cert)
-        f2, cert2 = docs.parse_potential(roundtrip(doc), gm.graph)
+        f2 = docs.parse_potential(roundtrip(docs.emit_potential(f)), gm.graph)
         assert f2.table == f.table and f2.rational
-        assert cert2 == cert
 
     def test_float_weights_stay_float(self, full2):
         f = FiniteRangePotential.from_vertex_values(full2.graph, [math.log(0.3), math.log(0.7)])
-        f2, _ = docs.parse_potential(roundtrip(docs.emit_potential(f)), full2.graph)
+        f2 = docs.parse_potential(roundtrip(docs.emit_potential(f)), full2.graph)
         assert f2.table == f.table and not f2.rational
 
     def test_integer_means_exact(self, gm):
         doc = {
             "kind": "potential", "schema": 1, "left_range": 0, "right_range": 1,
-            "weights": {"0": 2, "1": -1}, "certificate": None,
+            "weights": {"0": 2, "1": -1},
         }
-        f, _ = docs.parse_potential(doc, gm.graph)
+        f = docs.parse_potential(doc, gm.graph)
         assert f.rational and f.table[(0,)] == F(2)
 
     def test_bad_rational_rejected(self, gm):
         doc = {
             "kind": "potential", "schema": 1, "left_range": 0, "right_range": 1,
-            "weights": {"0": "x/y", "1": 0}, "certificate": None,
+            "weights": {"0": "x/y", "1": 0},
         }
         with pytest.raises(docs.SchemaError, match="rational"):
             docs.parse_potential(doc, gm.graph)
@@ -122,7 +117,7 @@ class TestPotentialDocs:
     def test_unknown_symbol_rejected(self, gm):
         doc = {
             "kind": "potential", "schema": 1, "left_range": 0, "right_range": 1,
-            "weights": {"0": 0, "q": 0}, "certificate": None,
+            "weights": {"0": 0, "q": 0},
         }
         with pytest.raises(docs.SchemaError, match="unknown symbol"):
             docs.parse_potential(doc, gm.graph)
@@ -214,10 +209,34 @@ PARSERS = {"graph": docs.parse_graph, "exhaustion": docs.parse_exhaustion, "loop
            "code": docs.parse_code, "ai": docs.parse_ai, "measure": docs.parse_measure}
 
 
+# each potential fixture and the graph it is used with: a graph fixture, or
+# the target of one leg of an almost isomorphism fixture
+POTENTIAL_GRAPHS = {
+    "full2-log-bernoulli-37.json": "full2.json",
+    "full2-scale-log3.json": "full2.json",
+    "full2-x0.json": "full2.json",
+    "gm-range1.json": "gm.json",
+    "gm-range1-block2.json": "gm.json",
+    "road-f.json": ("road-ai.json", "code_s"),
+    "road-g.json": ("road-ai.json", "code_t"),
+    "zero.json": "gm.json",
+}
+
+
 def test_every_fixture_parses(fixture_dir):
-    # potentials need the graph they live on, and the tests that use them supply it
+    potentials = set()
     for path in sorted(fixture_dir.glob("*.json")):
         doc = docs.loads(path.read_text())
         assert doc["kind"] in {*PARSERS, "potential"}, path.name
         if doc["kind"] != "potential":
             PARSERS[doc["kind"]](doc)
+            continue
+        potentials.add(path.name)
+        where = POTENTIAL_GRAPHS[path.name]
+        if isinstance(where, str):
+            graph = docs.parse_graph(docs.loads((fixture_dir / where).read_text())).graph
+        else:
+            ai = docs.parse_ai(docs.loads((fixture_dir / where[0]).read_text()))
+            graph = getattr(ai, where[1]).target
+        docs.parse_potential(doc, graph)
+    assert potentials == set(POTENTIAL_GRAPHS)

@@ -13,7 +13,6 @@ from shiftlab.induction import (
     LoopSystem,
     TailDescriptor,
     induce,
-    induce_structured,
     lift_potential,
     loop_partition_function,
     loop_zn_exact,
@@ -26,8 +25,6 @@ from shiftlab.potentials import (
     PotentialError,
     GeometricTail,
     PolynomialTail,
-    VariationCertificate,
-    check_variation_certificate,
     tail_sum,
 )
 from shiftlab.thermo import partition_function, pressure_spectral, recurrence_classify
@@ -91,58 +88,26 @@ class TestInduce:
         assert ind.loops.two_vertex
 
 
-class TestStructuredInduction:
-    def test_doubled_word_shape(self, gm):
-        # shortest lexicographic fillers: w a w b = 0 0 0 0 and 1 0 1 0
-        ind = induce_structured(gm.graph, (0,), maxlen=12)
-        assert ind.source_words == ((0, 0, 0, 0),)
-        assert ind.offsets == (1, 1)  # L = |w|, M = N - |b| - L - 1
-        ind2 = induce_structured(gm.graph, (1,), maxlen=12)
-        assert ind2.source_words == ((1, 0, 1, 0),)
-        assert ind2.offsets == (1, 1)
-
-    def test_lift_uses_offsets(self, gm):
-        ind = induce_structured(gm.graph, (0,), maxlen=12)
-        cert = VariationCertificate(
-            prefix=(F(1, 2),), tail=GeometricTail(F(1), F(1, 2)), p=1, words=((0,),)
-        )
-        f = FiniteRangePotential.from_vertex_values(gm.graph, [F(1, 4), F(-1, 4)])
-        system, lifted = lift_potential(ind, f, cert)
-        s = min(ind.offsets)
-        for n in range(1, 6):
-            assert lifted.omega(n) == cert.omega(n + s)
-        assert check_variation_certificate(lifted).accept
-
-
 class TestLiftPotential:
     def test_zero_potential_zero_weights(self, gm):
         ind = induce(gm.graph, (0,), maxlen=10)
-        system, _ = lift_potential(ind, FiniteRangePotential.zero(gm.graph))
+        system = lift_potential(ind, FiniteRangePotential.zero(gm.graph))
         assert all(lp.log_weight == 0 for lp in system.loops)
 
     def test_range_one_weights_sum_labels(self, gm):
         c0, c1 = F(2, 3), F(-1, 5)
         f = FiniteRangePotential.from_vertex_values(gm.graph, [c0, c1])
         ind = induce(gm.graph, (0,), maxlen=10)
-        system, _ = lift_potential(ind, f)
+        system = lift_potential(ind, f)
         by_len = {lp.length: lp.log_weight for lp in system.loops}
         assert by_len[1] == c0
         assert by_len[2] == c0 + c1
-
-    def test_certificate_lift(self, gm):
-        cert = VariationCertificate(
-            prefix=(F(1, 2),), tail=GeometricTail(F(1), F(1, 2)), p=1, words=((0,),)
-        )
-        ind = induce(gm.graph, (0,), maxlen=8)
-        _, lifted = lift_potential(ind, FiniteRangePotential.zero(gm.graph), cert)
-        # default offsets (0, N-1) shift by min = 0
-        assert lifted == cert
 
     def test_composed_weight_additivity(self, gm):
         rng = np.random.default_rng(8)
         f = FiniteRangePotential.from_vertex_values(gm.graph, random_rational_values(rng, 2))
         ind = induce(gm.graph, (0,), maxlen=10)
-        system, _ = lift_potential(ind, f)
+        system = lift_potential(ind, f)
         from shiftlab.potentials import birkhoff_sum
 
         l1, l2 = system.loops[0], system.loops[1]
@@ -158,6 +123,34 @@ def _random_potential(rng, g, span, left, rational):
 
 
 class TestWeighing:
+    def test_loop_weights_are_exact_window_sums(self):
+        # a loop's weight is the sum of f's table over the span-windows of its
+        # label followed by its destination word, read here window by window;
+        # a float table's weight is that exact sum rounded once
+        rng = np.random.default_rng(23)
+        kinds = set()
+        for _ in range(40):
+            names, edges = random_irreducible_graph(rng, 4)
+            g = build_graph(names, edges).graph
+            span = int(rng.integers(1, 4))
+            left = int(rng.integers(0, span))
+            rational = bool(rng.integers(0, 2))
+            f = _random_potential(rng, g, span, left, rational)
+            words = g.words(max(span - 1, 1))
+            picks = rng.choice(len(words), size=min(len(words), int(rng.integers(1, 3))), replace=False)
+            W = [words[int(i)] for i in picks]
+            try:
+                ind = induce(g, W[0], W[-1], maxlen=6, budget=50_000)
+            except BudgetExceededError:
+                continue
+            for lp in lift_potential(ind, f).loops:
+                word = lp.label + ind.loops.base_words[lp.dst - 1]
+                want = sum(F(f.table[word[t:t + span]]) for t in range(lp.length))
+                assert lp.log_weight == (want if rational else float(want))
+                assert type(lp.log_weight) is (F if rational else float)
+            kinds.add((len(ind.loops.base_words), rational))
+        assert kinds == {(1, True), (1, False), (2, True), (2, False)}
+
     def test_weighing_twice_equals_weighing_once(self):
         # the series and Z_n of a system weighed through lift_potential equal
         # those of the same system handed the potential directly
@@ -176,7 +169,7 @@ class TestWeighing:
                 ind = induce(g, W, maxlen=8, budget=50_000)
             except BudgetExceededError:
                 continue
-            weighted, _ = lift_potential(ind, f)
+            weighted = lift_potential(ind, f)
             once, twice = return_series(weighted), return_series(ind.loops, f)
             for z in (0.05, 0.3, 0.55):
                 assert repr((once.F(z), once.Fprime(z))) == repr((twice.F(z), twice.Fprime(z)))
@@ -201,8 +194,8 @@ class TestWeighing:
             (2, 2, 0): -2.0, (2, 2, 1): -1.5, (2, 2, 2): 4.0,
         })
         ind = induce(g, (0, 1), maxlen=8)
-        weighted, _ = lift_potential(ind, f)
-        longer, _ = lift_potential(induce(g, (0, 1), maxlen=14), f)
+        weighted = lift_potential(ind, f)
+        longer = lift_potential(induce(g, (0, 1), maxlen=14), f)
         assert weighted.tails
         for t in weighted.tails:
             assert t.kind == "geometric" and math.isfinite(t.coef) and math.isfinite(t.ratio)
@@ -227,8 +220,8 @@ class TestWeighing:
             (5, 3): F(-1, 7),
         })
         ind = induce(g, (4,), (1,), maxlen=7)
-        weighted, _ = lift_potential(ind, f)
-        longer, _ = lift_potential(induce(g, (4,), (1,), maxlen=12), f)
+        weighted = lift_potential(ind, f)
+        longer = lift_potential(induce(g, (4,), (1,), maxlen=12), f)
         assert {t.kind for t in weighted.tails} == {"geometric", "zero"}
         for t in weighted.tails:
             for n in range(t.start + 1, 13):  # the bound holds on the loops past maxlen
@@ -245,7 +238,7 @@ class TestWeighing:
         f = FiniteRangePotential.from_vertex_values(g, [0.0, -800.0, -800.0])
         ind = induce(g, (0,), maxlen=4)
         assert [t.kind for t in ind.loops.tails] == ["geometric"]
-        weighted, _ = lift_potential(ind, f)
+        weighted = lift_potential(ind, f)
         assert [(t.kind, t.start) for t in weighted.tails] == [("zero", 4)]
         assert recurrence_classify(ind.loops, f).verdict == "indeterminate"
 
@@ -383,8 +376,8 @@ class TestTwoVertex:
         f = FiniteRangePotential.from_vertex_values(g, [F(1), F(-1), F(0)])
         ind = induce(g, (2,), (0,), maxlen=4)
         assert ind.source_words == ind.loops.base_words == ((2,), (0,))
-        weighted, _ = lift_potential(ind, f)
-        mirrored, _ = lift_potential(induce(g, (0,), (2,), maxlen=4), f)
+        weighted = lift_potential(ind, f)
+        mirrored = lift_potential(induce(g, (0,), (2,), maxlen=4), f)
         swap = {(t.src, t.dst): (t.kind, t.coef, t.ratio) for t in mirrored.tails}
         assert [(t.kind, t.coef, t.ratio) for t in weighted.tails] == [
             swap[3 - t.src, 3 - t.dst] for t in weighted.tails
@@ -552,7 +545,7 @@ class TestZnCoincidence:
     def test_perturbed_weight_detected(self, gm):
         ind = induce(gm.graph, (0,), maxlen=10)
         f = FiniteRangePotential.zero(gm.graph)
-        system, _ = lift_potential(ind, f)
+        system = lift_potential(ind, f)
         bad_loops = list(system.loops)
         bad_loops[0] = Loop(
             length=1, src=1, dst=1, label=None, count=1, log_weight=F(1, 7)

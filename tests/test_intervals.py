@@ -64,3 +64,15 @@ def test_conventions():
     assert iv.mul((1e300, 1e300), (1e10, 1e10)) == (math.inf, math.inf)  # overflow reads as inf
     with pytest.raises(OverflowError):
         iv.exp((800.0, 800.0))
+
+
+def test_near_brackets_values_whose_nearest_float_is_zero():
+    # a nonzero value below the float range gets the smallest subnormal on its
+    # own side; at -1/10^400 the bracket was once (-0.0, 5e-324), which excludes it
+    with localcontext() as ctx:
+        ctx.prec = 80
+        for x in (F(1, 10**400), F(-1, 10**400), F(0), 0.0, -5e-324):
+            _inside(iv.near(x), Decimal(x.numerator) / Decimal(x.denominator) if isinstance(x, F) else Decimal(x))
+    assert iv.near(F(-1, 10**400)) == (-5e-324, 0.0)
+    assert iv.near(F(1, 10**400)) == (0.0, 5e-324)
+    assert iv.near(-5e-324) == (-1e-323, 0.0)

@@ -595,7 +595,7 @@ class TestEquilibriumMeasure:
 
 
     def test_three_block_measure_is_stationary(self, gm, fixture_dir):
-        f, _ = docs.parse_potential(docs.loads((fixture_dir / "gm-range1-block2.json").read_text()), gm.graph)
+        f = docs.parse_potential(docs.loads((fixture_dir / "gm-range1-block2.json").read_text()), gm.graph)
         mu = equilibrium_measure(gm.graph, f)  # MarkovMeasure checks pi P = pi within 1e-12
         assert len(mu.blocks) == 3
         assert np.max(np.abs(mu.stationary @ mu.transitions - mu.stationary)) <= 1e-12
