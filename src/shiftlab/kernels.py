@@ -6,7 +6,8 @@ one step at a time, and keeps them in lexicographic order.  Pruning uses exact
 k-step path counts (``exact_reach``, nonzero iff a path runs), so no walk
 extends a dead branch: ``closed_paths`` does work proportional to the number
 of paths it emits, and ``closed_path_count_keys``, which merges equal states,
-to the number of distinct states at each depth.
+to the number of distinct states at each depth.  ``reach_within_budget``
+builds that table only as far as a budget lets a table of closed paths run.
 
 Closed paths have one walker, ``_closed_walk``, which owns the pruning and
 the budget and tracks only each partial path's first and last vertex.  It
@@ -16,12 +17,14 @@ per length, and ``overflowing_lengths`` decides it before the first step
 from ``closed_path_counts``, the closed-path counts in the same table (all a
 caller needs when a path's weight depends only on its length).  Two
 accumulators consume its steps, each for every length of the window:
-``closed_paths`` gathers the path rows, padded with -1 to the longest
-length, and ``closed_path_count_keys`` gathers packed visit-count keys and
-never builds a row: at each depth it merges the partial paths with the same
-first vertex, last vertex and key into one state with a multiplicity, and
-sends the walker back the states to extend.  A key packs one field per
-vertex into an int64, each ``count_key_width(V, n)`` = max(4,
+``closed_paths`` keeps only each depth's (parent, vertex) links and writes
+each path row once at the end, padded with -1 to the longest length, by
+following the links back in blocks of about 16k rows; and
+``closed_path_count_keys`` gathers packed visit-count keys and never builds a
+row: at each depth with more than 64 states it merges the partial paths with
+the same first vertex, last vertex and key into one state with a
+multiplicity, and sends the walker back the states to extend.  A key packs
+one field per vertex into an int64, each ``count_key_width(V, n)`` = max(4,
 n.bit_length()) bits wide, so the keys of a window up to length n need
 V * width <= 63: up to n = 15 on 15 vertices, n = 31 on 12, n = 127 on 9.
 
@@ -117,6 +120,49 @@ def overflowing_lengths(reach: np.ndarray, prefix, n_min: int, n: int, cap: int)
     return over
 
 
+# rows of the first reach table that a budget may end early
+_REACH_ROWS = 64
+
+
+def reach_within_budget(adj_bool: np.ndarray, n: int, prefix, n_min: int, cap: int) -> np.ndarray:
+    """An :func:`exact_reach` table that stops where the budget ends a table of closed paths.
+
+    It runs to n, or only to the first length m of [n_min, n] whose
+    closed-path walk from ``prefix`` exceeds ``cap`` (by
+    :func:`overflowing_lengths`), with rows 0..m.  It grows by doubling from
+    64 rows.  Counts of closed paths never leave a strongly connected
+    component, and on one the saturated reach counts are eventually periodic,
+    so once the same-component part of the table repeats with no count of a
+    later length over the budget, none ever will: the table is then built
+    whole, and a length too large for memory raises MemoryError.
+    """
+    lp = len(prefix)
+    m = min(n, _REACH_ROWS)
+    reach = exact_reach(adj_bool, m)
+    same = None
+    while m < n:
+        if m >= n_min and overflowing_lengths(reach, prefix, n_min, m, cap).any():
+            return reach
+        if same is None:
+            V = adj_bool.shape[0]
+            linked = (np.eye(V, dtype=np.int64) + adj_bool) > 0
+            for _ in range(max(V - 1, 1).bit_length()):
+                linked = (linked.astype(np.int64) @ linked) > 0
+            same = linked & linked.T
+        part = reach * same
+        repeats = np.flatnonzero((part[:-1] == part[-1]).all(axis=(1, 2)))
+        if len(repeats):
+            # rows past m repeat rows [repeats[0], m); the lengths past max(m, n_min - 1) also read rows up to m
+            first = max(m + 1, n_min)
+            rows = reach[max(min(int(repeats[0]), first - lp + 1 if lp else first), 0):]
+            counts = rows[:, prefix[-1], prefix[0]] if lp else np.trace(rows, axis1=1, axis2=2)
+            if (counts < min(int(cap) + 1, (2**63 - 1) // max(adj_bool.shape[0], 1))).all():
+                return exact_reach(adj_bool, n)
+        m = min(2 * m, n)
+        reach = exact_reach(adj_bool, m)
+    return reach
+
+
 def _closed_walk(indptr, indices, reach, n_min, n, prefix, cap):
     """The one walker behind both closed-path kernels.
 
@@ -174,32 +220,81 @@ def _closed_walk(indptr, indices, reach, n_min, n, prefix, cap):
         keep = yield parent, last, closed(d + 1)
 
 
+# result rows assembled at a time by ``closed_paths``
+_ASSEMBLY_ROWS = 1 << 14
+
+
 def closed_paths(indptr, indices, reach, n, prefix, cap, *, n_min=None):
     """All closed paths of every length in [n_min, n] whose word starts with ``prefix``.
 
-    ``n_min`` defaults to n.  Returns ``(paths, overflow)``.  ``paths`` has
-    one row per path and n columns; a path of length m fills the first m and
-    holds -1 past them.  Rows run by length, shortest first, and
-    lexicographically within a length: exactly the concatenation of one call
-    per length, each padded to n columns.  ``overflow`` is set when any
-    length's walk has more than ``cap`` candidates at one depth, and
-    ``paths`` is then empty.
+    ``n_min`` defaults to n.  Returns ``(paths, overflow)``.  ``paths`` is a
+    C-ordered int32 array with one row per path and n columns; a path of
+    length m fills the first m and holds -1 past them.  Rows run by length,
+    shortest first, and lexicographically within a length: exactly the
+    concatenation of one call per length, each padded to n columns.
+    ``overflow`` is set when any length's walk has more than ``cap``
+    candidates at one depth, and ``paths`` is then empty.
+
+    No partial path is copied.  The walk keeps each depth's ``(parent,
+    vertex)`` links, an int64 parent index and an int32 vertex per partial
+    path, so memory is about the result plus 12 bytes per partial path, and
+    each result row is written once.  The rows go in blocks of about 16k.
+    A block walks back once from depth n: its rows of length m join at
+    depth m, and each depth's gather of links fills one column of a small
+    column-major block, which is then copied into the block's rows.  Within
+    one length the rows are in lexicographic order, so their ancestors at
+    each depth are sorted; once a block's are all one partial path, its
+    remaining columns are that path's letters.
     """
-    found = []  # the walk's last depth is always in the window
+    start, links, closing = None, [], []  # closing: (length, indices of the closing paths or None for all, count)
     for step in _closed_walk(indptr, indices, reach, n if n_min is None else n_min, n, prefix, cap):
         if step is None:
             return np.empty((0, n), dtype=np.int32), True
         parent, vertex, closed = step
-        paths = vertex if parent is None else np.concatenate([paths[parent], vertex[:, None]], axis=1)
+        if parent is None:
+            start = vertex
+        else:
+            links.append((parent, vertex))
         if closed is not None:
-            found.append(paths[closed])
-    if len(found) == 1:  # one length: the walk's own rows, not a copy
-        return found[0], False
-    out = np.full((sum(len(rows) for rows in found), n), -1, dtype=np.int32)
-    i = 0
-    for rows in found:
-        out[i:i + len(rows), :rows.shape[1]] = rows
-        i += len(rows)
+            ids = None if isinstance(closed, slice) else np.flatnonzero(closed)
+            closing.append((start.shape[1] + len(links), ids, len(vertex) if ids is None else len(ids)))
+    s0 = start.shape[1]  # column d >= s0 is links[d - s0]'s vertex, the columns before it the start row's
+    ends = np.cumsum([count for _, _, count in closing]).tolist()
+    out = np.empty((ends[-1], n), dtype=np.int32)
+    size = max(min(_ASSEMBLY_ROWS, ends[-1]), 1)
+    buffer = np.empty(n * size, dtype=np.int32)
+    for a in range(0, ends[-1], size):
+        b = min(a + size, ends[-1])
+        block = buffer[:n * (b - a)].reshape(n, b - a)
+        # the lengths in the block with their first row, and the indices of their rows at their depth
+        parts, joins = [], {}
+        for (m, ids, count), end in zip(closing, ends):
+            lo, hi = max(a, end - count), min(b, end)
+            if lo < hi:
+                parts.append((m, lo - a))
+                lo, hi = lo - end + count, hi - end + count
+                joins[m] = np.arange(lo, hi) if ids is None else ids[lo:hi]
+        at, d = np.empty(0, np.int64), n
+        while True:
+            if d in joins:
+                at = np.concatenate([joins[d], at])
+            if d == s0 or (len(parts) == 1 and len(at) and at[0] == at[-1]):
+                break
+            d -= 1
+            parent, vertex = links[d - s0]
+            block[d, b - a - len(at):] = vertex[at]
+            at = parent[at]
+        if d > s0:  # every row of the block shares its first d letters: follow that one path back
+            at = int(at[0])
+            for d in range(d - 1, s0 - 1, -1):
+                parent, vertex = links[d - s0]
+                block[d] = vertex[at]
+                at = parent[at]
+        out[a:b, :s0] = start[at]
+        for k, (m, first) in enumerate(parts):
+            last = parts[k + 1][1] if k + 1 < len(parts) else b - a
+            out[a + first:a + last, s0:m] = block[s0:m, first:last].T
+            out[a + first:a + last, m:] = -1
     return out, False
 
 
@@ -230,6 +325,10 @@ def _runs(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(change)
 
 
+# the most states a depth of the count-key walk extends unmerged
+_MERGE_STATES = 64
+
+
 def closed_path_count_keys(indptr, indices, reach, n, prefix, cap, *, n_min=None):
     """Closed paths of every length in [n_min, n] aggregated by vertex-visit counts.
 
@@ -243,12 +342,16 @@ def closed_path_count_keys(indptr, indices, reach, n, prefix, cap, *, n_min=None
     15 do).  ``overflow`` is set when any length's walk has more than ``cap``
     candidates at one depth, and the arrays are then empty.
 
-    No path is kept: at each depth the partial paths with the same first
-    vertex, last vertex and key merge into one state with a multiplicity
-    (they close the same ways), so the work grows with the number of such
-    states, not of paths, and one sort groups the closing states of the
-    whole window.  The multiplicities are int64, so a window of 2^63 or
-    more closed paths raises ValueError.
+    No path is kept: at each depth of more than 64 states the partial paths
+    with the same first vertex, last vertex and key merge into one state
+    with a multiplicity (they close the same ways), so the work grows with
+    the number of such states, not of paths, and one sort groups the closing
+    states of the whole window.  A smaller depth is extended unmerged: the
+    size rule reads the state count the walk holds, because a merge's ten or
+    so numpy calls cost more than extending a few dozen duplicates saves
+    (the walks of short exact tables hold 10-190 states a depth and merge
+    away little).  The multiplicities are int64, so a window of 2^63 or more
+    closed paths raises ValueError.
     """
     V = indptr.shape[0] - 1
     width = count_key_width(V, n)
@@ -276,7 +379,7 @@ def closed_path_count_keys(indptr, indices, reach, n, prefix, cap, *, n_min=None
             first, depth = vertex[:, 0], vertex.shape[1]
         else:
             keys, mult, first, depth = keys[parent] + bits[vertex], mult[parent], first[parent], depth + 1
-            if depth < n:
+            if depth < n and len(keys) > _MERGE_STATES:
                 # merge the runs of equal (first, last, key) in one sort
                 state = (keys & low).view(np.uint64) | ends[first, vertex]
                 order = np.argsort(state)

@@ -86,10 +86,6 @@ class FiniteRangePotential:
         q = math.lcm(*(x.denominator for x in exact.values()))
         return q, {w: x.numerator * (q // x.denominator) for w, x in exact.items()}
 
-    @property
-    def sup_value(self) -> float:
-        return max(float(x) for x in self.table.values())
-
     def value(self, window) -> Number:
         try:
             return self.table[tuple(window)]
@@ -131,8 +127,8 @@ def birkhoff_sum(f: FiniteRangePotential, word: Word, n: int) -> Fraction:
 def _window_sum(f: FiniteRangePotential, ext: Word, n: int) -> Fraction:
     """Exact sum of f over the first n span-windows ``ext[k:k + span]`` of an open word."""
     q, table = f._integer_table
-    span = f.span
-    return Fraction(sum(table[ext[k:k + span]] for k in range(n)), q)
+    # window k is the k-th tuple of the zip of the span shifted slices
+    return Fraction(sum(map(table.__getitem__, zip(*(ext[i:i + n] for i in range(f.span))))), q)
 
 
 # --------------------------------------------------------------------------

@@ -104,19 +104,24 @@ def _zn_from_points(f, points, lo, hi) -> dict[int, ZnValue]:
         # sum depends only on the multiset of those windows, for every left
         # range, and each class of points sharing one costs one Birkhoff sum.
         # Row i holds point i's windows in columns k < n_i and a sentinel past
-        # them, so rows of different periods never match.  Each window gets a
-        # dense id, built one letter at a time (ids stay below the row count
-        # times hi, so id * V never overflows); a sorted row of ids is the
-        # multiset, and a lexicographic sort of the rows groups equal ones
-        # (faster here than np.unique(..., axis=0)).
+        # them, so rows of different periods never match.  A window's id is
+        # its word read as a base-V number, built one letter at a time; only
+        # when the next multiply by V could pass 2^62 are the ids first
+        # compressed to dense ones (np.unique), which keeps them distinct.  A
+        # sorted row of ids is the multiset, and a lexicographic sort of the
+        # rows groups equal ones (faster here than np.unique(..., axis=0)).
+        V = f.graph.n_vertices
         periods = np.fromiter(map(len, points), np.int64, len(points))
         letters = np.fromiter(chain.from_iterable(points), np.int64, int(periods.sum()))
         row_start = (np.cumsum(periods) - periods)[:, None]
         cols = np.arange(hi)
-        ids = letters[row_start + cols % periods[:, None]]
+        ids, bound = letters[row_start + cols % periods[:, None]], V  # every id is below bound
         for i in range(1, f.span):
-            nxt = letters[row_start + (cols + i) % periods[:, None]]
-            ids = np.unique(ids * f.graph.n_vertices + nxt, return_inverse=True)[1].reshape(nxt.shape)
+            if bound * V > 2**62:
+                ids = np.unique(ids, return_inverse=True)[1].reshape(ids.shape)
+                bound = ids.size
+            ids = ids * V + letters[row_start + (cols + i) % periods[:, None]]
+            bound *= V
         ids[cols >= periods[:, None]] = np.iinfo(np.int64).max
         rows = np.sort(ids, axis=1)
         order = np.lexsort(rows.T[::-1])
@@ -233,7 +238,9 @@ def partition_function(
     rational.  The table ends before the first n with more than ``budget``
     such points, read off the path counts of
     :func:`~shiftlab.kernels.exact_reach` before anything is walked; it is
-    marked ``truncated_at`` that n.  ValueError when n_max < 0.  For
+    marked ``truncated_at`` that n.  The reach table itself stops at that n
+    (:func:`~shiftlab.kernels.reach_within_budget`), so a large ``n_max``
+    costs nothing past it.  ValueError when n_max < 0.  For
     n >= max(len(W), 1):
 
     * a constant rational table, value c, has Z_n = N_n exp(n c), with N_n
@@ -270,15 +277,17 @@ def partition_function(
         zero = ExpSum() if f.rational else (0.0, 0.0)
         return PartitionFunctionTable(W, f.rational, {n: zero for n in range(1, n_max + 1)},
                                       n_max, note="base word not admissible")
-    reach = kernels.exact_reach(graph.adjacency, n_max)  # one table serves every n
     lo = max(1, len(W))
-    entries = {n: _zn_single(graph, f, W, n, budget, reach) for n in range(1, min(lo, n_max + 1))}
+    # one table serves every n; it ends at n_max or at the first length over the budget
+    reach = kernels.reach_within_budget(graph.adjacency, n_max, W, lo, budget)
+    hi = len(reach) - 1
+    entries = {n: _zn_single(graph, f, W, n, budget, reach) for n in range(1, min(lo, hi + 1))}
     truncated_at = None
-    if lo <= n_max:
-        over = kernels.overflowing_lengths(reach, W, lo, n_max, budget)
+    if lo <= hi:
+        over = kernels.overflowing_lengths(reach, W, lo, hi, budget)
         if over.any():
             truncated_at = lo + int(np.argmax(over))
-        entries.update(_zn_window(graph, f, W, lo, n_max if truncated_at is None else truncated_at - 1, budget, reach))
+        entries.update(_zn_window(graph, f, W, lo, hi if truncated_at is None else truncated_at - 1, budget, reach))
     if truncated_at is not None:
         warnings.warn(f"enumeration budget exceeded at n={truncated_at}; partial table", stacklevel=2)
     return PartitionFunctionTable(

@@ -302,16 +302,26 @@ def test_transport_rejects_order_and_budget_below_one(capsys, fixture_dir, extra
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["pressure", "--method", "table", "--nmax", "-1"], "n_max = -1 must be at least 0"),
-    (["zn", "--nmax", "-5"], "n_max = -5 must be at least 0"),
-    (["zeta", "--order", "-3"], "n_max = -3 must be at least 0"),
-    # a reach table of 10^17 steps cannot be mapped at all
-    (["zn", "--nmax", str(10**17)], "too large for memory"),
+    (["pressure", "gm.json", "--method", "table", "--nmax", "-1"], "n_max = -1 must be at least 0"),
+    (["zn", "gm.json", "--nmax", "-5"], "n_max = -5 must be at least 0"),
+    (["zeta", "gm.json", "--order", "-3"], "n_max = -3 must be at least 0"),
+    # the two-cycle's counts never pass the budget, so its table needs a
+    # reach table of 10^17 steps, which cannot be mapped at all
+    (["zn", "two-cycle.json", "--nmax", str(10**17)], "too large for memory"),
 ])
 def test_bad_table_lengths_exit_2(capsys, fixture_dir, argv, message):
-    rc = main([argv[0], "--shift", str(fixture_dir / "gm.json"), *argv[1:]])
+    rc = main([argv[0], "--shift", str(fixture_dir / argv[1]), *argv[2:]])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_a_table_the_budget_ends_needs_no_reach_past_it(capsys, fixture_dir):
+    # the golden mean's table ends at n = 31 under the budget, so n_max = 10^17 costs no more than 100
+    with pytest.warns(UserWarning, match="budget exceeded at n=31"):
+        rc = main(["zn", "--shift", str(fixture_dir / "gm.json"), "--nmax", str(10**17)])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["truncated_at"] == 31 and [e["n"] for e in report["entries"]] == list(range(1, 31))
 
 
 def test_transport_rejects_nan_measure(capsys, tmp_path, fixture_dir):

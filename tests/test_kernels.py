@@ -1,5 +1,6 @@
 """The enumeration and sampling kernels against independent oracles."""
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -15,6 +16,7 @@ from shiftlab.thermo import partition_function
 from oracles import (
     brute_force_first_returns,
     brute_force_periodic,
+    count_keys_by_visit_matrix,
     integer_trace,
     random_irreducible_graph,
     random_rational_values,
@@ -298,6 +300,100 @@ def test_window_walk_is_the_per_length_walks_concatenated():
             assert rows.tolist() == [list(r) + [-1] * (n - len(r)) for rows_m, _ in rows_per_length for r in rows_m.tolist()]
             points = enumerate_periodic(g, n, prefix, cap, n_min=n_min, reach=reach)
             assert points == tuple(x for m in range(n_min, n + 1) for x in enumerate_periodic(g, m, prefix, cap))
+
+
+def _full_shift(V, n):
+    indptr, indices = kernels.csr_adjacency(V, [(u, v) for u in range(V) for v in range(V)])
+    return indptr, indices, kernels.exact_reach(np.ones((V, V), dtype=bool), n)
+
+
+def _seeded_dense_graph(V, p, seed):
+    """A Hamiltonian cycle on a seeded permutation plus seeded random edges, each with probability p."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(V)
+    edges = {(int(perm[i]), int(perm[(i + 1) % V])) for i in range(V)}
+    edges |= {(a, b) for a in range(V) for b in range(V) if rng.random() < p}
+    return build_graph([str(v) for v in range(V)], sorted(edges)).graph
+
+
+def _assert_same_rows(got, want):
+    assert got.dtype == want.dtype == np.int32 and got.flags.c_contiguous
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_closed_paths_across_assembly_blocks():
+    # results of many 16k-row assembly blocks are the per-length calls
+    # concatenated, each padded with -1, and on the full 2-shift every binary
+    # word of each length in counting order
+    indptr, indices, reach = _full_shift(2, 16)
+    window, overflow = kernels.closed_paths(indptr, indices, reach, 16, (), 2**16, n_min=10)
+    assert not overflow and len(window) == 130_048 > 4 * kernels._ASSEMBLY_ROWS
+    per_length = []
+    for m in range(10, 17):
+        rows, _ = kernels.closed_paths(indptr, indices, reach, m, (), 2**16)
+        words = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+        _assert_same_rows(rows, words.astype(np.int32))
+        per_length.append(np.pad(rows, ((0, 0), (0, 16 - m)), constant_values=-1))
+    _assert_same_rows(window, np.concatenate(per_length))
+    # the seed-5 8-vertex graph at n = 11: its rows are the one-letter prefixes' rows in order
+    g = _seeded_dense_graph(8, 0.35, seed=5)
+    indptr, indices, reach = _csr_and_reach(g, 11)
+    paths, overflow = kernels.closed_paths(indptr, indices, reach, 11, (), 2_000_000)
+    assert not overflow and len(paths) == 277_906 == integer_trace(g.adjacency, 11)
+    by_first = [kernels.closed_paths(indptr, indices, reach, 11, (v,), 2_000_000)[0] for v in range(8)]
+    _assert_same_rows(paths, np.concatenate(by_first))
+    assert g.adjacency[paths, np.roll(paths, -1, axis=1)].all()
+    keys = paths.astype(np.int64) @ (np.int64(8) ** np.arange(10, -1, -1, dtype=np.int64))
+    assert (np.diff(keys) > 0).all()
+
+
+def test_closed_paths_memory_is_about_the_result():
+    # the walk keeps links, not rows: the traced peak of the full 2-shift's
+    # 65,536 rows at n = 16 stays near the 4 MiB result, where copying every
+    # partial path at every depth reached 2.8 times it
+    indptr, indices, reach = _full_shift(2, 16)
+    tracemalloc.start()
+    try:
+        paths, _ = kernels.closed_paths(indptr, indices, reach, 16, (), 2**16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert paths.shape == (2**16, 16)
+    assert peak < 2.25 * paths.nbytes, peak / paths.nbytes
+
+
+def test_count_keys_merge_only_large_depths():
+    # the full 3-shift's walk over the window [5, 8] holds 3, 9 and 27 states
+    # at its first depths, which stay unmerged, and 81 or more after them,
+    # which merge; every length's keys still match the brute-force paths'
+    states = []
+    walk = kernels._closed_walk
+
+    def recording_walk(*args):
+        steps = walk(*args)
+        step = next(steps)
+        while True:
+            states.append(len(step[1]))
+            keep = yield step
+            try:
+                step = steps.send(keep)
+            except StopIteration:
+                return
+
+    V, n_min, n = 3, 5, 8
+    indptr, indices, reach = _full_shift(V, n)
+    kernels._closed_walk = recording_walk
+    try:
+        keys, mult, overflow = kernels.closed_path_count_keys(indptr, indices, reach, n, (), 3**n, n_min=n_min)
+    finally:
+        kernels._closed_walk = walk
+    assert min(states) <= kernels._MERGE_STATES < max(states[:-1])
+    edges = {(u, v) for u in range(V) for v in range(V)}
+    want = [count_keys_by_visit_matrix(np.array(brute_force_periodic(edges, V, m)), V, kernels.count_key_width(V, n))
+            for m in range(n_min, n + 1)]
+    assert not overflow
+    assert keys.tolist() == [int(key) for keys_m, _ in want for key in keys_m]
+    assert mult.tolist() == [int(m) for _, mult_m in want for m in mult_m]
 
 
 def test_overflow_counts_saturate_instead_of_wrapping():

@@ -71,10 +71,6 @@ class TestTableValidation:
         with pytest.raises(PotentialError, match="non-finite"):
             FiniteRangePotential.from_vertex_values(gm.graph, [math.inf, 0.0])
 
-    def test_sup_recorded(self, gm):
-        f = FiniteRangePotential.from_vertex_values(gm.graph, [F(1, 3), F(7, 2)])
-        assert f.sup_value == 3.5
-
 
 def _inside(bracket, want: Decimal):
     lo, hi = bracket

@@ -15,6 +15,7 @@ from shiftlab.graphs import (
     ExhaustionLevel,
     ExhaustionPresentation,
     BudgetExceededError,
+    FiniteGraph,
     build_graph,
     enumerate_periodic,
     periodic_count_exponents,
@@ -210,6 +211,16 @@ class TestWorkCounts:
         assert sorted(calls) == [16, 17]
         for n in (16, 17):
             assert calls[n] == len(self._window_classes(enumerate_periodic(g13, n), 1, n))
+        # 13^18 > 2^63, so a span-18 table's base-13 window ids are
+        # compressed once on the way, and still tell every window apart
+        words = g13.words(18)
+        f18 = FiniteRangePotential(g13, 8, 10, dict(zip(words, random_rational_values(rng, len(words)))))
+        calls.clear()
+        table = partition_function(g13, f18, (), 20)
+        for n in range(1, 21):
+            points = enumerate_periodic(g13, n)
+            assert calls[n] == len(self._window_classes(points, 18, n))
+            assert table.zn_exact(n).count == len(points)
 
     def test_span_one_tables_on_twelve_vertices_make_no_birkhoff_sum_to_31(self, monkeypatch):
         # 12 vertex fields of 5 bits fit in 63, so every n <= 31 takes count
@@ -266,6 +277,42 @@ class TestWorkCounts:
             assert enumerate_periodic(gm.graph, n, (0,), reach=reach) == enumerate_periodic(gm.graph, n, (0,))
         with pytest.raises(ValueError, match="does not cover"):
             enumerate_periodic(gm.graph, 10, reach=reach)
+
+    def test_reach_table_stops_at_the_budget(self, gm, monkeypatch):
+        # the zero potential's golden-mean table ends at n = 31 whatever n_max
+        # is, and its reach table ends with it, not at n_max
+        calls = []
+        real = kernels.exact_reach
+
+        def counting(adj, n):
+            calls.append(n)
+            return real(adj, n)
+
+        monkeypatch.setattr(kernels, "exact_reach", counting)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "enumeration budget exceeded", UserWarning)
+            short = partition_function(gm.graph, zero(gm.graph), (), 100)
+            calls.clear()
+            long = partition_function(gm.graph, zero(gm.graph), (), 10**5)
+            assert max(calls) < 1000
+            assert long.truncated_at == short.truncated_at == 31
+            assert long.n_max == short.n_max == 30 and long.entries == short.entries
+            # a 12-cycle with one chord grows slowly: its table passes the
+            # first 64 reach rows and ends at the first count over the budget
+            g = FiniteGraph(tuple(map(str, range(12))), tuple(sorted({(v, (v + 1) % 12) for v in range(12)} | {(0, 6)})))
+            want = next(m for m in range(2, 500) if integer_trace(g.adjacency, m) > 5000)
+            calls.clear()
+            t = partition_function(g, zero(g), (), 500, budget=5000)
+            assert 64 < want == t.truncated_at and max(calls) < 500
+        # counts that never pass the budget need every row: a cycle, and a
+        # cycle that leads into a self-loop (its reach counts grow without bound
+        # between the two components, but no closed path runs there)
+        for edges in ([(0, 1), (1, 0)], [(0, 1), (1, 0), (1, 2), (2, 2)]):
+            g = FiniteGraph(tuple(map(str, range(1 + max(max(e) for e in edges)))), tuple(edges))
+            calls.clear()
+            t = partition_function(g, zero(g), (), 1000, budget=10)
+            assert t.truncated_at is None and calls[-1] == 1000
+            assert [t.entries[n].count for n in range(1, 1001)] == [integer_trace(g.adjacency, n) for n in range(1, 1001)]
 
     def test_one_count_key_walk_per_table(self, monkeypatch):
         # a complete span-1 table makes one walk for every n its keys cover;
