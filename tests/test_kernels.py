@@ -362,7 +362,7 @@ def test_closed_paths_memory_is_about_the_result():
     assert peak < 2.25 * paths.nbytes, peak / paths.nbytes
 
 
-def test_count_keys_merge_only_large_depths():
+def test_count_keys_merge_only_large_depths(monkeypatch):
     # the full 3-shift's walk over the window [5, 8] holds 3, 9 and 27 states
     # at its first depths, which stay unmerged, and 81 or more after them,
     # which merge; every length's keys still match the brute-force paths'
@@ -382,11 +382,8 @@ def test_count_keys_merge_only_large_depths():
 
     V, n_min, n = 3, 5, 8
     indptr, indices, reach = _full_shift(V, n)
-    kernels._closed_walk = recording_walk
-    try:
-        keys, mult, overflow = kernels.closed_path_count_keys(indptr, indices, reach, n, (), 3**n, n_min=n_min)
-    finally:
-        kernels._closed_walk = walk
+    monkeypatch.setattr(kernels, "_closed_walk", recording_walk)
+    keys, mult, overflow = kernels.closed_path_count_keys(indptr, indices, reach, n, (), 3**n, n_min=n_min)
     assert min(states) <= kernels._MERGE_STATES < max(states[:-1])
     edges = {(u, v) for u in range(V) for v in range(V)}
     want = [count_keys_by_visit_matrix(np.array(brute_force_periodic(edges, V, m)), V, kernels.count_key_width(V, n))

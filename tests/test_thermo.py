@@ -212,7 +212,8 @@ class TestWorkCounts:
         for n in (16, 17):
             assert calls[n] == len(self._window_classes(enumerate_periodic(g13, n), 1, n))
         # 13^18 > 2^63, so a span-18 table's base-13 window ids are
-        # compressed once on the way, and still tell every window apart
+        # compressed once on the way (unchecked they would wrap), and still
+        # tell every window apart
         words = g13.words(18)
         f18 = FiniteRangePotential(g13, 8, 10, dict(zip(words, random_rational_values(rng, len(words)))))
         calls.clear()
