@@ -9,6 +9,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import gcd
 
 import numpy as np
@@ -372,8 +373,8 @@ def enumerate_periodic(
         raise BudgetExceededError(f"more than {budget} periodic points of {periods}")
     # rows run by period; row i of period m holds -1 past column m
     bounds = np.searchsorted(n - (paths < 0).sum(axis=1), np.arange(n_min, n + 2)).tolist()
-    return tuple(tuple(row) for m in range(n_min, n + 1)
-                 for row in paths[bounds[m - n_min]:bounds[m - n_min + 1], :m].tolist())
+    return tuple(chain.from_iterable(map(tuple, paths[a:b, :m].tolist())
+                                     for m, a, b in zip(range(n_min, n + 1), bounds, bounds[1:])))
 
 
 def _window(n: int, n_min: int | None, prefix) -> tuple[int, Word]:

@@ -10,11 +10,17 @@ to the number of distinct states at each depth.  ``reach_within_budget``
 builds that table only as far as a budget lets a table of closed paths run.
 
 Closed paths have one walker, ``_closed_walk``, which owns the pruning and
-the budget and tracks only each partial path's first and last vertex.  It
-walks a window of closing lengths [n_min, n] at once, because the walks of
-all those lengths share their prefixes; its budget is still that of one walk
-per length, and ``overflowing_lengths`` decides it before the first step
-from ``closed_path_counts``, the closed-path counts in the same table (all a
+the budget and tracks only each partial path's starting row and last vertex.
+It steps on vertex bit masks built once per walk: a successor mask per last
+vertex, and a closure mask per depth and starting row, read off ``reach !=
+0`` by one cumulative count.  A depth is two 1-D gathers, one AND and one
+unpack of the result into a flat bit array whose set bits are the children.
+A mask row is V bits rounded up to a power of two bytes, so the masks take
+O(n V^2 / 8) bytes, below the reach table's own size.  It walks a window of
+closing lengths [n_min, n] at once, because the walks of all those lengths
+share their prefixes; its budget is still that of one walk per length, and
+``overflowing_lengths`` decides it before the first step from
+``closed_path_counts``, the closed-path counts in the same table (all a
 caller needs when a path's weight depends only on its length).  Two
 accumulators consume its steps, each for every length of the window:
 ``closed_paths`` keeps only each depth's (parent, vertex) links and writes
@@ -170,17 +176,31 @@ def _closed_walk(indptr, indices, reach, n_min, n, prefix, cap):
     word starts with ``prefix`` (of length at most n_min) together, one
     depth at a time and in lexicographic order.  A partial path survives
     while it can still close at some length of the window.  Yields one
-    ``(parent, vertex, closed)`` triple per depth.  The first is the start:
-    ``parent`` is None and ``vertex`` holds the starting rows (the prefix, or
-    every vertex on a closed path of a length in the window when the prefix
-    is empty).  After it, partial path i of the new depth is partial path
-    ``parent[i]`` of the depth before, extended by ``vertex[i]``.
-    ``closed`` indexes the partial paths of the depth that are closed paths
-    (a full slice at depth n, where all of them are), or is None when the
-    depth lies outside the window.  A consumer that merges partial paths
-    with the same first and last vertex may send back, for a depth, the
+    ``(parent, vertex, root, closed)`` tuple per depth.  The first is the
+    start: ``parent`` is None and ``vertex`` holds the starting rows (the
+    prefix, or every vertex on a closed path of a length in the window when
+    the prefix is empty).  After it, partial path i of the new depth is
+    partial path ``parent[i]`` of the depth before, extended by
+    ``vertex[i]``, and it descends from starting row ``root[i]``.
+    ``closed`` is a boolean mask of the partial paths of the depth that are
+    closed paths (a full slice at depth n, where all of them are), or None
+    when the depth lies outside the window.  A consumer that merges partial
+    paths with the same root and last vertex may send back, for a depth, the
     indices of the ones to keep; the walk then extends only those, and the
     next ``parent`` indexes the kept ones in the order sent.
+
+    Each step works on vertex bit masks built once per walk, each a row of
+    ``lanes`` bits, V rounded up to a power of two bytes: the successors of
+    each last vertex, and for each depth and starting row the vertices from
+    which the row's first vertex is reached in a number of steps that still
+    closes a length of the window, read off ``reach != 0`` by one cumulative
+    count over the lengths.  A depth gathers the two masks of every partial
+    path, ANDs them and unpacks the result into one flat bit array, whose
+    set bit ``p * lanes + v`` is the child of partial path p at vertex v.
+    The masks take at most (n + 1) V lanes / 8 bytes with lanes <= 2V + 6,
+    O(n V^2 / 8) against the reach table's 8 (n + 1) V^2.  The cumulative
+    count behind them is an int32 table of at most 2n + 1 rows of V^2, freed
+    before the first step.
 
     The budget is that of one walk per length, decided before any step by
     :func:`overflowing_lengths`: when some length's walk would exceed
@@ -200,24 +220,49 @@ def _closed_walk(indptr, indices, reach, n_min, n, prefix, cap):
     else:
         closes = closed_path_counts(reach, prefix, n_min, n).any()
         start = prefix.reshape(1, -1)[:int(closes)]
-    first, last = start[:, 0], start[:, -1]
+    V, s0 = adj.shape[0], start.shape[1]
+    # a mask row is `size` bytes, one word (8-byte words past 64 vertices): bit v is vertex v
+    size = 1 << ((V + 7) // 8 - 1).bit_length()
+    lanes, word = 8 * size, np.dtype(f"u{min(size, 8)}")
+    shift = lanes.bit_length() - 1
 
-    def closed(d):
+    def masks(rows):
+        out = np.zeros(rows.shape[:-1] + (size,), dtype=np.uint8)
+        out[..., :(V + 7) // 8] = np.packbits(rows, axis=-1, bitorder="little")
+        out = out.view(word)
+        return out[..., 0] if size <= 8 else out
+
+    succ = masks(adj)
+    # From depth d a candidate closes a length m of the window in k = m - d
+    # steps, k in (j - w, j] and k >= 1, with j = n - d and w = n - n_min + 1.
+    # ever[w + j] counts the k in 1..j with a path of k steps from u to start
+    # row r's first vertex, and its first w + 1 rows are zero, so a window's
+    # count is ever[w + j] - ever[j]: near[i] serves depth s0 + i.
+    firsts, depths, w = start[:, 0], n - s0, n - n_min + 1
+    ever = np.zeros((w + 1 + depths, V, len(start)), dtype=np.int32)
+    np.not_equal(reach[1:depths + 1, :, firsts], 0, out=ever[w + 1:])
+    np.cumsum(ever, axis=0, out=ever)
+    near = masks((ever[w + 1:] > ever[1:depths + 1]).transpose(0, 2, 1)[::-1])
+    del ever
+    closing = adj[:, firsts].T.ravel()  # closing[r * V + v]: v steps to row r's first vertex
+    root, last = np.arange(len(start)), start[:, -1]
+
+    def closed(d, root, last):
         # every partial path of the last depth closes
         if d < n_min:
             return None
-        return adj[last, first] if d < n else slice(None)
+        return closing[root * V + last] if d < n else slice(None)
 
-    keep = yield None, start, closed(start.shape[1])
-    for d in range(start.shape[1], n):
+    keep = yield None, start, root, closed(s0, root, last)
+    for d in range(s0, n):
         if keep is not None:
-            first, last = first[keep], last[keep]
-        # a candidate closes at length m in m - d steps, m in [n_min, n] and m > d
-        cand = adj[last] & reach[max(n_min - d, 1):n - d + 1].any(axis=0)[:, first].T
-        parent, last = np.nonzero(cand)
-        last = last.astype(np.int32)
-        first = first[parent]
-        keep = yield parent, last, closed(d + 1)
+            root, last = root[keep], last[keep]
+        bits = np.unpackbits((succ[last] & near[d - s0][root]).view(np.uint8), bitorder="little")
+        hit = bits.view(bool).nonzero()[0]
+        parent, last = hit >> shift, hit & (lanes - 1)
+        del bits, hit  # a suspended generator keeps its locals alive
+        root = root[parent]
+        keep = yield parent, last, root, closed(d + 1, root, last)
 
 
 # result rows assembled at a time by ``closed_paths``
@@ -250,13 +295,13 @@ def closed_paths(indptr, indices, reach, n, prefix, cap, *, n_min=None):
     for step in _closed_walk(indptr, indices, reach, n if n_min is None else n_min, n, prefix, cap):
         if step is None:
             return np.empty((0, n), dtype=np.int32), True
-        parent, vertex, closed = step
+        parent, vertex, _, closed = step
         if parent is None:
             start = vertex
         else:
-            links.append((parent, vertex))
+            links.append((parent, vertex.astype(np.int32)))
         if closed is not None:
-            ids = None if isinstance(closed, slice) else np.flatnonzero(closed)
+            ids = None if isinstance(closed, slice) else closed.nonzero()[0]
             closing.append((start.shape[1] + len(links), ids, len(vertex) if ids is None else len(ids)))
     s0 = start.shape[1]  # column d >= s0 is links[d - s0]'s vertex, the columns before it the start row's
     ends = np.cumsum([count for _, _, count in closing]).tolist()
@@ -322,7 +367,7 @@ def _runs(values: np.ndarray) -> np.ndarray:
     """Start indices of the runs of equal entries in sorted ``values``."""
     change = np.ones(len(values), dtype=bool)
     np.not_equal(values[1:], values[:-1], out=change[1:])
-    return np.flatnonzero(change)
+    return change.nonzero()[0]
 
 
 # the most states a depth of the count-key walk extends unmerged
@@ -357,11 +402,11 @@ def closed_path_count_keys(indptr, indices, reach, n, prefix, cap, *, n_min=None
     width = count_key_width(V, n)
     bits = np.int64(1) << (width * np.arange(V, dtype=np.int64))
     # A depth's keys all sum to the depth, so their low V - 1 fields tell them
-    # apart; ends[first, last] puts first V + last < 15 * 15 in the 8 bits
-    # above those fields of a uint64 (V w <= 63 with w >= 4 gives
-    # (V - 1) w <= 56).
+    # apart; ends[root V + last] puts that index (below V V <= 15 * 15) in
+    # the 8 bits above those fields of a uint64 (V w <= 63 with w >= 4 gives
+    # (V - 1) w <= 56).  A walk has at most V starting rows.
     low = np.int64(2 ** ((V - 1) * width) - 1)
-    ends = (np.arange(V * V, dtype=np.uint64) << np.uint64((V - 1) * width)).reshape(V, V)
+    ends = np.arange(V * V, dtype=np.uint64) << np.uint64((V - 1) * width)
     n_min = n if n_min is None else n_min
     walk = _closed_walk(indptr, indices, reach, n_min, n, prefix, cap)
     step = next(walk)
@@ -370,31 +415,31 @@ def closed_path_count_keys(indptr, indices, reach, n, prefix, cap, *, n_min=None
     # a partial path extends to a closed path of the window, a distinct one for each
     if sum(closed_path_counts(reach, prefix, n_min, n).tolist()) >= 2**63:
         raise ValueError(f"2^63 or more closed paths of lengths [{n_min}, {n}]; multiplicities are int64")
-    found = []  # (lengths, keys, multiplicities) of the closing states; the last depth is in the window
+    found = []  # (length, keys, multiplicities) of the closing states; the last depth is in the window
     while True:
-        parent, vertex, closed = step
+        parent, vertex, root, closed = step
         keep = None
         if parent is None:
-            keys, mult = bits[vertex].sum(axis=1), np.ones(len(vertex), np.int64)
-            first, depth = vertex[:, 0], vertex.shape[1]
+            keys, mult, depth = bits[vertex].sum(axis=1), np.ones(len(vertex), np.int64), vertex.shape[1]
         else:
-            keys, mult, first, depth = keys[parent] + bits[vertex], mult[parent], first[parent], depth + 1
+            keys, mult, depth = keys[parent] + bits[vertex], mult[parent], depth + 1
             if depth < n and len(keys) > _MERGE_STATES:
-                # merge the runs of equal (first, last, key) in one sort
-                state = (keys & low).view(np.uint64) | ends[first, vertex]
+                # merge the runs of equal (root, last, key) in one sort
+                state = (keys & low).view(np.uint64) | ends[root * V + vertex]
                 order = np.argsort(state)
                 starts = _runs(state[order])
                 keep = order[starts]
-                keys, mult, first = keys[keep], np.add.reduceat(mult[order], starts), first[keep]
+                keys, mult = keys[keep], np.add.reduceat(mult[order], starts)
                 closed = None if closed is None else closed[keep]
         if closed is not None:
-            k = keys[closed]
-            found.append((np.full(len(k), depth, np.int64), k, mult[closed]))
+            found.append((depth, keys[closed], mult[closed]))
         try:
             step = walk.send(keep)
         except StopIteration:
             break
-    lengths, keys, mult = map(np.concatenate, zip(*found))
+    lengths, keys, mult = zip(*found)
+    lengths = np.repeat(lengths, [len(k) for k in keys])
+    keys, mult = np.concatenate(keys), np.concatenate(mult)
     order = np.lexsort((keys, lengths))
     keys = keys[order]
     starts = _runs(keys)  # equal keys have equal lengths

@@ -128,7 +128,7 @@ def _window_sum(f: FiniteRangePotential, ext: Word, n: int) -> Fraction:
     """Exact sum of f over the first n span-windows ``ext[k:k + span]`` of an open word."""
     q, table = f._integer_table
     # window k is the k-th tuple of the zip of the span shifted slices
-    return Fraction(sum(map(table.__getitem__, zip(*(ext[i:i + n] for i in range(f.span))))), q)
+    return Fraction(sum(map(table.__getitem__, zip(*[ext[i:i + n] for i in range(f.span)]))), q)
 
 
 # --------------------------------------------------------------------------

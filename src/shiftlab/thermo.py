@@ -126,9 +126,9 @@ def _zn_from_points(f, points, lo, hi) -> dict[int, ZnValue]:
         rows = np.sort(ids, axis=1)
         order = np.lexsort(rows.T[::-1])
         rows = rows[order]
-        starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+        starts = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1))).nonzero()[0]
         reps = order[starts]
-        classes = zip(reps.tolist(), periods[reps].tolist(), np.diff(np.r_[starts, len(rows)]).tolist())
+        classes = zip(reps.tolist(), periods[reps].tolist(), np.diff(np.append(starts, len(rows))).tolist())
     if f.rational:
         # each class's Birkhoff sum as a numerator over the table's denominator
         q = f._integer_table[0]
@@ -166,20 +166,21 @@ def _zn_by_counts(graph: FiniteGraph, f: FiniteRangePotential, W: Word, lo: int,
     q, table = f._integer_table
     weights = [table[(v,)] for v in range(graph.n_vertices)]
     periods = counts.sum(axis=1)
-    out: dict[int, dict[int, int]] = {n: {} for n in range(lo, hi + 1)}
     if hi * max(abs(w) for w in weights) < 2**63:
-        # the numerators fit in int64: sort the rows by (period, numerator) and
-        # add the multiplicities of each run
+        # the numerators fit in int64: sort the rows by (period, numerator),
+        # add the multiplicities of each run, and zip each period's runs
         numerators = counts @ np.array(weights, dtype=np.int64)
         order = np.lexsort((numerators, periods))
         periods, numerators, mult = periods[order], numerators[order], mult[order]
         change = (periods[1:] != periods[:-1]) | (numerators[1:] != numerators[:-1])
-        starts = np.flatnonzero(np.r_[len(mult) > 0, change])
-        rows = zip(periods[starts].tolist(), numerators[starts].tolist(), np.add.reduceat(mult, starts).tolist())
-    else:
-        numerators = counts.astype(object) @ np.array(weights, dtype=object)
-        rows = zip(periods.tolist(), numerators.tolist(), mult.tolist())
-    for n, k, m in rows:
+        starts = np.concatenate(([len(mult) > 0], change)).nonzero()[0]
+        bounds = np.searchsorted(periods[starts], np.arange(lo, hi + 2)).tolist()
+        numerators, mult = numerators[starts].tolist(), np.add.reduceat(mult, starts).tolist()
+        return {n: ExpSum.from_coeffs(q, dict(zip(numerators[a:b], mult[a:b])))
+                for n, a, b in zip(range(lo, hi + 1), bounds, bounds[1:])}
+    out: dict[int, dict[int, int]] = {n: {} for n in range(lo, hi + 1)}
+    numerators = counts.astype(object) @ np.array(weights, dtype=object)
+    for n, k, m in zip(periods.tolist(), numerators.tolist(), mult.tolist()):
         out[n][k] = out[n].get(k, 0) + m
     return {n: ExpSum.from_coeffs(q, coeffs) for n, coeffs in out.items()}
 
@@ -206,8 +207,10 @@ def _zn_window(graph: FiniteGraph, f: FiniteRangePotential, W: Word, lo: int, hi
 
     A constant rational table weighs each of the N_n points by exp(n k / q),
     and the reach table counts them, so no path is walked.  Otherwise one
-    count-key walk serves the periods its keys cover, and one walk of the
-    points serves the rest.
+    count-key walk serves the periods its keys cover, and walks of the
+    points serve the rest, one per run of consecutive periods whose points
+    number at most ``budget`` together, so no walk holds more points than
+    one period may have (a period alone always fits).
     """
     from . import graphs as _g
 
@@ -219,8 +222,16 @@ def _zn_window(graph: FiniteGraph, f: FiniteRangePotential, W: Word, lo: int, hi
     keyed_hi = min(_keyed_up_to(graph, f), hi)
     out: dict[int, ZnValue] = _zn_by_counts(graph, f, W, lo, keyed_hi, budget, reach) if lo <= keyed_hi else {}
     if keyed_hi < hi:
+        # runs of consecutive periods whose points, counted before any walk, stay within the budget together
         first = max(lo, keyed_hi + 1)
-        out.update(_zn_from_points(f, _g.enumerate_periodic(graph, hi, W, budget, n_min=first, reach=reach), first, hi))
+        runs, held = [first], 0
+        for n, c in zip(range(first, hi + 1), kernels.closed_path_counts(reach, W, first, hi).tolist()):
+            if held + c > budget and n > runs[-1]:
+                runs.append(n)
+                held = 0
+            held += c
+        for a, b in zip(runs, runs[1:] + [hi + 1]):
+            out.update(_zn_from_points(f, _g.enumerate_periodic(graph, b - 1, W, budget, n_min=a, reach=reach), a, b - 1))
     return out
 
 
@@ -252,11 +263,13 @@ def partition_function(
       goes, so its work follows the distinct visit-count states, not the
       points;
     * the remaining periods, and every period of a float table or a wider
-      span, take the orbit words of one windowed
-      :func:`~shiftlab.graphs.enumerate_periodic` call, grouped once for
-      the whole window into classes of points with the same cyclic
-      windows, with one exact :func:`~shiftlab.potentials.birkhoff_sum`
-      per class (a float table rounds each class's sum once).
+      span, take the orbit words of windowed
+      :func:`~shiftlab.graphs.enumerate_periodic` calls, one per run of
+      consecutive periods whose points number at most ``budget`` together
+      (one run unless the table nears the budget), each grouped once into
+      classes of points with the same cyclic windows, with one exact
+      :func:`~shiftlab.potentials.birkhoff_sum` per class (a float table
+      rounds each class's sum once).
 
     The periods shorter than W have at most one point each, found from W.
     Loop-system presentations are delegated to the renewal recurrence on

@@ -298,6 +298,33 @@ def weighted_trace_expsum(adj: np.ndarray, values: list[Fraction], n: int) -> Ex
     return acc
 
 
+def vertex_weighted_traces(adj: np.ndarray, numerators: list[int], n_max: int) -> list[dict[int, int]]:
+    """``out[n - 1][s]``: the number of closed n-paths whose vertex numerators sum to s, for n = 1..n_max.
+
+    The closed paths are those of :func:`brute_force_periodic`, counted by
+    dynamic programming over (first vertex, last vertex, partial sum) without
+    listing them.  ``numerators`` are nonnegative integers, one per vertex,
+    and every count must stay below 2^62.
+    """
+    V = adj.shape[0]
+    top = max(numerators) * n_max + 1
+    a = adj.astype(np.int64)
+    paths = np.zeros((V, V, top), dtype=np.int64)  # paths[first, last, s]
+    for v in range(V):
+        paths[v, v, numerators[v]] = 1
+    out = []
+    for _ in range(n_max):
+        # the closing edge last -> first adds no weight
+        sums = (paths * a.T[:, :, None]).sum(axis=(0, 1))
+        out.append({s: int(c) for s, c in enumerate(sums.tolist()) if c})
+        step = np.einsum("fus,uv->fvs", paths, a)
+        paths = np.zeros_like(paths)
+        for v, k in enumerate(numerators):
+            paths[:, v, k:] = step[:, v, :top - k]
+    assert paths.max(initial=0) < 2**62
+    return out
+
+
 def _dec(x) -> Decimal:
     """A float exactly, an int or Fraction to the context's precision."""
     if isinstance(x, float):

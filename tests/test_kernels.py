@@ -362,27 +362,33 @@ def test_closed_paths_memory_is_about_the_result():
     assert peak < 2.25 * paths.nbytes, peak / paths.nbytes
 
 
-def test_count_keys_merge_only_large_depths(monkeypatch):
-    # the full 3-shift's walk over the window [5, 8] holds 3, 9 and 27 states
-    # at its first depths, which stay unmerged, and 81 or more after them,
-    # which merge; every length's keys still match the brute-force paths'
-    states = []
+def _recording_walk(states):
+    """``kernels._closed_walk``, appending each depth's number of partial paths to ``states``."""
     walk = kernels._closed_walk
 
     def recording_walk(*args):
         steps = walk(*args)
         step = next(steps)
-        while True:
+        while step is not None:
             states.append(len(step[1]))
             keep = yield step
             try:
                 step = steps.send(keep)
             except StopIteration:
                 return
+        yield None
 
+    return recording_walk
+
+
+def test_count_keys_merge_only_large_depths(monkeypatch):
+    # the full 3-shift's walk over the window [5, 8] holds 3, 9 and 27 states
+    # at its first depths, which stay unmerged, and 81 or more after them,
+    # which merge; every length's keys still match the brute-force paths'
+    states = []
     V, n_min, n = 3, 5, 8
     indptr, indices, reach = _full_shift(V, n)
-    monkeypatch.setattr(kernels, "_closed_walk", recording_walk)
+    monkeypatch.setattr(kernels, "_closed_walk", _recording_walk(states))
     keys, mult, overflow = kernels.closed_path_count_keys(indptr, indices, reach, n, (), 3**n, n_min=n_min)
     assert min(states) <= kernels._MERGE_STATES < max(states[:-1])
     edges = {(u, v) for u in range(V) for v in range(V)}
@@ -391,6 +397,60 @@ def test_count_keys_merge_only_large_depths(monkeypatch):
     assert not overflow
     assert keys.tolist() == [int(key) for keys_m, _ in want for key in keys_m]
     assert mult.tolist() == [int(m) for _, mult_m in want for m in mult_m]
+
+
+def test_walker_masks_match_brute_force_across_byte_boundaries(monkeypatch):
+    # mask rows of 8 bits (V <= 8), 16 (V = 9, 16), 32 (V = 17) and two 8-byte
+    # words (V = 65): on seeded random graphs, every window's rows and count
+    # keys equal the brute-force closed paths, including windows whose start
+    # row is already at depth n, prefixes with no closing path, and caps at
+    # the overflow point and one below it.  The walk extends no dead branch:
+    # each depth d holds exactly the distinct d-letter prefixes of the
+    # window's closed paths.
+    seen, states = Counter(), []
+    monkeypatch.setattr(kernels, "_closed_walk", _recording_walk(states))
+    for V, n_top in ((1, 8), (2, 8), (3, 6), (7, 4), (8, 4), (9, 4), (16, 3), (17, 3), (65, 2)):
+        rng = np.random.default_rng(2300 + V)
+        for trial in range(12):
+            adj = rng.random((V, V)) < (rng.uniform(0.1, 0.6) if V < 64 else 0.03)
+            if V > 64:  # closed paths through the last vertex, in the second word
+                adj[V - 1, V - 1] = adj[V - 1, 1] = adj[1, V - 1] = True
+            g = FiniteGraph(tuple(map(str, range(V))), tuple((int(u), int(v)) for u, v in zip(*adj.nonzero())))
+            indptr, indices = g.csr
+            n = int(rng.integers(1, n_top + 1))
+            n_min = n if trial % 3 == 0 else int(rng.integers(1, n + 1))
+            lp = int(rng.integers(0, min(n_min, 3) + 1))
+            words = g.words(lp) if lp else [()]
+            prefixes = {(), words[int(rng.integers(len(words)))] if words else ()}
+            reach = kernels.exact_reach(g.adjacency, n)
+            for prefix in sorted(prefixes):
+                want = [brute_force_periodic(set(g.edges), V, m, prefix) for m in range(n_min, n + 1)]
+                # the walk of length max(len(prefix), 1) takes no step and never overflows
+                crit = max([len(w) for m, w in zip(range(n_min, n + 1), want) if m != max(len(prefix), 1)], default=0)
+                for cap in {crit, crit - 1, 10**9} - {-1}:
+                    over = cap < crit
+                    seen["overflow" if over else "fits"] += 1
+                    seen["at depth n"] += len(prefix) == n
+                    seen["never closes"] += bool(prefix) and not any(want)
+                    states.clear()
+                    paths, overflow = kernels.closed_paths(indptr, indices, reach, n, prefix, cap, n_min=n_min)
+                    assert overflow == over and paths.dtype == np.int32 and paths.flags.c_contiguous
+                    rows = [] if over else [list(r) + [-1] * (n - len(r)) for w in want for r in w]
+                    assert paths.shape == (len(rows), n) and paths.tolist() == rows, (g.edges, prefix, n_min, n, cap)
+                    assert states == ([] if over else [len({r[:d] for w in want for r in w if len(r) >= d})
+                                                       for d in range(max(len(prefix), 1), n + 1)])
+                    if V * kernels.count_key_width(1, n) > 63:
+                        continue
+                    keys, mult, overflow = kernels.closed_path_count_keys(indptr, indices, reach, n, prefix, cap,
+                                                                          n_min=n_min)
+                    assert overflow == over and keys.dtype == mult.dtype == np.int64
+                    width = kernels.count_key_width(V, n)
+                    by_length = [] if over else [count_keys_by_visit_matrix(np.array(w, dtype=np.int64).reshape(-1, m),
+                                                                            V, width)
+                                                 for m, w in zip(range(n_min, n + 1), want)]
+                    assert keys.tolist() == [int(k) for k_m, _ in by_length for k in k_m]
+                    assert mult.tolist() == [int(c) for _, c_m in by_length for c in c_m]
+    assert min(seen.values()) > 0 and len(seen) == 4, seen
 
 
 def test_overflow_counts_saturate_instead_of_wrapping():

@@ -1,5 +1,6 @@
 """Partition functions, pressure, equilibrium measures, zeta, distortion."""
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from decimal import Decimal, localcontext
@@ -45,6 +46,7 @@ from oracles import (
     random_rational_values,
     rational_series_coeffs,
     tree_theorem_stationary,
+    vertex_weighted_traces,
     weighted_trace_expsum,
     zeta_fraction_recurrence,
 )
@@ -386,30 +388,68 @@ class TestWorkCounts:
 
     def test_span_two_tables_walk_once(self, monkeypatch):
         # the per-point route makes one closed_paths walk for all the periods of
-        # a table, truncated or not, and one Birkhoff sum per window class of
-        # each period
+        # a table far below the budget; a table near it walks runs of
+        # consecutive periods, each run as long as its points fit the budget
+        # together (a period alone always fits, as the table ends before the
+        # first that does not).  Each period takes one Birkhoff sum per window
+        # class, split or not
         rng = np.random.default_rng(19)
         g = build_graph(*random_irreducible_graph(rng, 5)).graph
         words = g.words(2)
         f = FiniteRangePotential(g, 1, 1, dict(zip(words, random_rational_values(rng, len(words)))))
         cases = []
         for W in ((), g.words(1)[0], g.words(2)[0]):
-            classes = {n: len(self._window_classes(enumerate_periodic(g, n, W), 2, n)) for n in range(1, 11)}
-            cases += [(W, None, classes), (W, len(enumerate_periodic(g, 8, W)) - 1, classes)]
+            points = {n: enumerate_periodic(g, n, W) for n in range(1, 11)}
+            classes = {n: len(self._window_classes(points[n], 2, n)) for n in range(1, 11)}
+            counts = {n: len(points[n]) for n in range(1, 11)}
+            cases += [(W, None, classes, counts), (W, counts[8] - 1, classes, counts)]
         walks, sums = [], Counter()
         real_walk, real_sum = kernels.closed_paths, thermo.birkhoff_sum
-        monkeypatch.setattr(kernels, "closed_paths", lambda *a, **k: walks.append(a) or real_walk(*a, **k))
+        monkeypatch.setattr(kernels, "closed_paths", lambda *a, **k: walks.append((k["n_min"], a[3])) or real_walk(*a, **k))
         monkeypatch.setattr(thermo, "birkhoff_sum", lambda f, x, n: sums.update([n]) or real_sum(f, x, n))
-        for W, budget, classes in cases:
+        split = 0
+        for W, budget, classes, counts in cases:
             walks.clear()
             sums.clear()
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "enumeration budget exceeded", UserWarning)
                 t = partition_function(g, f, W, 10, **({} if budget is None else {"budget": budget}))
             assert (t.truncated_at is None) == (budget is None)
-            assert len(walks) == 1, (W, budget)
+            assert [n for a, b in walks for n in range(a, b + 1)] == [n for n in t.entries if n >= max(len(W), 1)]
+            if budget is None:
+                assert len(walks) == 1, W
+            else:
+                held = [sum(counts[n] for n in range(a, b + 1)) for a, b in walks]
+                assert all(h <= budget for h in held), (W, walks, held)
+                assert all(h + counts[a] > budget for h, (a, _) in zip(held, walks[1:])), (W, walks, held)
+                split += len(walks) > 1
             assert {n: sums[n] for n in t.entries} == {n: classes[n] for n in t.entries}
             assert sum(sums.values()) == sum(classes[n] for n in t.entries)
+        assert split
+
+    def test_per_point_tables_hold_at_most_the_budget(self, monkeypatch):
+        # a 12-cycle with the chord 0 -> 6, vertex values (i mod 3) / 2 and
+        # budget 20,000 keeps 106,070 points of periods 32-120 (the count keys
+        # end at 31 on 12 vertices).  One walk of them all peaked at 472 MiB
+        # traced; in runs of periods whose points fit the budget together, no
+        # walk holds more than 20,000 points and the peak stays below a third
+        # of that.  The table equals a dynamic-programming count of the paths
+        g = FiniteGraph(tuple(map(str, range(12))), tuple(sorted({(v, (v + 1) % 12) for v in range(12)} | {(0, 6)})))
+        f = FiniteRangePotential.from_vertex_values(g, [F(v % 3, 2) for v in range(12)])
+        held = []
+        monkeypatch.setattr("shiftlab.graphs.enumerate_periodic",
+                            lambda *a, **k: held.append(len(out := enumerate_periodic(*a, **k))) or out)
+        tracemalloc.start()
+        try:
+            t = partition_function(g, f, (), 120, budget=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.truncated_at is None and t.n_max == 120
+        assert sum(held) == 106_070 and max(held) <= 20_000 < sum(held), held
+        assert peak < 472 * 2**20 / 3, peak / 2**20
+        want = vertex_weighted_traces(g.adjacency, [v % 3 for v in range(12)], 120)
+        assert all(t.zn_exact(n) == ExpSum({F(s, 2): c for s, c in want[n - 1].items()}) for n in range(1, 121))
 
     def test_count_keys_emit_every_point(self):
         # kernels.points_emitted, the multiplicities' sum, is the number of
