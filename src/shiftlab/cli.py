@@ -189,6 +189,9 @@ def cmd_zn(args) -> int:
         "entries": rows,
     }
     human = [f"Z_{r['n']} = {r['Z_n']['value']}" for r in rows]
+    if table.note:
+        report["note"] = table.note
+        human.append(f"note: {table.note}")
     if args.csv:
         if graph is None:
             raise docs.SchemaError("--csv needs a finite graph shift (ratio uses spectral pressure)")
@@ -232,9 +235,10 @@ def cmd_zeta(args) -> int:
         "command": "zeta",
         "order": args.order,
         "exact": exact,
-        "coefficients": [str(c) if exact else float(c) for c in coeffs],
+        "coefficients": [str(c) if exact else _num(*c) for c in coeffs],
     }
-    _print_report(report, ["zeta coefficients: " + ", ".join(str(c) for c in coeffs)])
+    shown = [str(c) if exact else f"{c[0]!r} +- {c[1]:.1e}" for c in coeffs]
+    _print_report(report, ["zeta coefficients: " + ", ".join(shown)])
     return 0
 
 

@@ -579,10 +579,9 @@ def loop_partition_function(loops: LoopSystem, f: FiniteRangePotential | None, n
 
     if n_max < 0:
         raise ValueError(f"table length n_max = {n_max} must be at least 0")
-    covered = min(
-        (t.start for t in loops.tails if t.coef > 0),
-        default=max((lp.length for lp in loops.loops), default=0),
-    )
+    # a tail of positive weight holds the loops longer than its start, which
+    # the explicit loops miss; zero tails miss nothing
+    covered = min((t.start for t in loops.tails if t.coef > 0), default=n_max)
     note = None
     if covered < n_max:
         note = f"explicit loops cover lengths <= {covered}; entries beyond are lower bounds"

@@ -6,8 +6,8 @@ Conventions fixed here once and used everywhere:
 * potentials of span > 1 are recoded onto the higher-block graph first (after
   a Bowen reduction when they read past coordinates), which changes neither
   closed-orbit sums nor the spectral radius;
-* with rational weights, partition-function entries are exact
-  :class:`~shiftlab.expsum.ExpSum` values and floats appear only in reports.
+* Z_n is summed exactly as an :class:`~shiftlab.expsum.ExpSum`, a float
+  weight read as its dyadic rational; :func:`bracket` rounds it outward.
 """
 from __future__ import annotations
 
@@ -59,8 +59,8 @@ _MEASURE_TOL, _MEASURE_MAX_ITER = 1e-14, 500_000
 class PartitionFunctionTable:
     """Z_n values for one base word, with provenance.
 
-    ``entries[n]`` is an :class:`ExpSum` on the exact route or a
-    ``(value, error)`` pair on the float route.  ``truncated_at`` marks the
+    ``entries[n]`` is an :class:`ExpSum` when ``exact`` (rational weights)
+    and a ``(value, error)`` bracket otherwise.  ``truncated_at`` marks the
     first n whose enumeration blew the budget; entries stop there.
     """
 
@@ -82,19 +82,24 @@ class PartitionFunctionTable:
     def zn_exact(self, n: int) -> ExpSum:
         z = self.entries[n]
         if not isinstance(z, ExpSum):
-            raise ValueError("table was computed on the float route")
+            raise ValueError("table holds (value, error) brackets: its weights are not all rational")
         return z
 
     def positive_ns(self) -> list[int]:
         return [n for n in sorted(self.entries) if self.zn_float(n) > 0]
 
 
-def _zn_from_points(f, points, lo, hi) -> dict[int, ZnValue]:
+def bracket(z: ExpSum) -> FloatInterval:
+    """``(value, error)`` holding the exact sum ``z``: each term m exp(k / q) bracketed outward, then summed."""
+    q = z.q
+    return iv.midrad(iv.fsum(iv.mul(iv.near(m), iv.exp(iv.near(Fraction(k, q)))) for k, m in z.coeffs.items()))
+
+
+def _zn_from_points(f, points, lo, hi) -> dict[int, ExpSum]:
     """Z_n for every n in [lo, hi] from ``points``, the orbit words of those periods, grouped once.
 
-    Each class of points with the same cyclic windows takes one exact
-    Birkhoff sum: a rational table adds its numerator to an
-    :class:`ExpSum`, a float table rounds it once to a bracket.
+    Each class of points with the same cyclic windows adds its exact
+    Birkhoff sum's numerator over the table's denominator to an :class:`ExpSum`.
     """
     classes = []
     if points:
@@ -129,28 +134,22 @@ def _zn_from_points(f, points, lo, hi) -> dict[int, ZnValue]:
         starts = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1))).nonzero()[0]
         reps = order[starts]
         classes = zip(reps.tolist(), periods[reps].tolist(), np.diff(np.append(starts, len(rows))).tolist())
-    if f.rational:
-        # each class's Birkhoff sum as a numerator over the table's denominator
-        q = f._integer_table[0]
-        coeffs: dict[int, dict[int, int]] = {n: {} for n in range(lo, hi + 1)}
-        for i, n, m in classes:
-            s = birkhoff_sum(f, points[i], n)
-            k = s.numerator * (q // s.denominator)
-            coeffs[n][k] = coeffs[n].get(k, 0) + m
-        return {n: ExpSum.from_coeffs(q, c) if c else ExpSum() for n, c in coeffs.items()}
-    terms: dict[int, list] = {n: [] for n in range(lo, hi + 1)}
+    q = f._integer_table[0]
+    coeffs: dict[int, dict[int, int]] = {n: {} for n in range(lo, hi + 1)}
     for i, n, m in classes:
-        terms[n].append(iv.mul((float(m), float(m)), iv.exp(iv.near(birkhoff_sum(f, points[i], n)))))
-    return {n: iv.midrad(iv.fsum(t)) for n, t in terms.items()}
+        s = birkhoff_sum(f, points[i], n)
+        k = s.numerator * (q // s.denominator)
+        coeffs[n][k] = coeffs[n].get(k, 0) + m
+    return {n: ExpSum.from_coeffs(q, c) if c else ExpSum() for n, c in coeffs.items()}
 
 
 def _keyed_up_to(graph: FiniteGraph, f: FiniteRangePotential) -> int:
     """The longest period the count-key route covers, 0 when it covers none.
 
-    The exponent of a span-1 rational potential depends only on visit
-    counts, and the route runs as far as their keys fit.
+    The exponent of a span-1 potential depends only on visit counts, and
+    the route runs as far as their keys fit.
     """
-    return kernels.max_count_key_length(graph.n_vertices) if f.rational and f.span == 1 else 0
+    return kernels.max_count_key_length(graph.n_vertices) if f.span == 1 else 0
 
 
 def _zn_by_counts(graph: FiniteGraph, f: FiniteRangePotential, W: Word, lo: int, hi: int, budget: int,
@@ -185,7 +184,7 @@ def _zn_by_counts(graph: FiniteGraph, f: FiniteRangePotential, W: Word, lo: int,
     return {n: ExpSum.from_coeffs(q, coeffs) for n, coeffs in out.items()}
 
 
-def _zn_single(graph: FiniteGraph, f: FiniteRangePotential, W: Word, n: int, budget: int, reach) -> ZnValue:
+def _zn_single(graph: FiniteGraph, f: FiniteRangePotential, W: Word, n: int, budget: int, reach) -> ExpSum:
     from . import graphs as _g
 
     if n <= _keyed_up_to(graph, f):
@@ -194,18 +193,16 @@ def _zn_single(graph: FiniteGraph, f: FiniteRangePotential, W: Word, n: int, bud
 
 
 def _constant_numerator(f: FiniteRangePotential) -> int | None:
-    """k when every window of a rational table reads k / q (q its denominator), else None."""
-    if not f.rational:
-        return None
+    """k when every window of the table reads k / q (q its denominator), else None."""
     numerators = set(f._integer_table[1].values())
     return numerators.pop() if len(numerators) == 1 else None
 
 
 def _zn_window(graph: FiniteGraph, f: FiniteRangePotential, W: Word, lo: int, hi: int, budget: int,
-               reach) -> dict[int, ZnValue]:
+               reach) -> dict[int, ExpSum]:
     """Z_n for every n in [lo, hi], with lo >= max(len(W), 1) and no period's points over ``budget``.
 
-    A constant rational table weighs each of the N_n points by exp(n k / q),
+    A constant table weighs each of the N_n points by exp(n k / q),
     and the reach table counts them, so no path is walked.  Otherwise one
     count-key walk serves the periods its keys cover, and walks of the
     points serve the rest, one per run of consecutive periods whose points
@@ -220,7 +217,7 @@ def _zn_window(graph: FiniteGraph, f: FiniteRangePotential, W: Word, lo: int, hi
         counts = kernels.closed_path_counts(reach, W, lo, hi).tolist()
         return {n: ExpSum.from_coeffs(q, {n * k: c} if c else {}) for n, c in zip(range(lo, hi + 1), counts)}
     keyed_hi = min(_keyed_up_to(graph, f), hi)
-    out: dict[int, ZnValue] = _zn_by_counts(graph, f, W, lo, keyed_hi, budget, reach) if lo <= keyed_hi else {}
+    out = _zn_by_counts(graph, f, W, lo, keyed_hi, budget, reach) if lo <= keyed_hi else {}
     if keyed_hi < hi:
         # runs of consecutive periods whose points, counted before any walk, stay within the budget together
         first = max(lo, keyed_hi + 1)
@@ -245,31 +242,30 @@ def partition_function(
     """Weighted counts of the n-periodic points starting with ``W``.
 
     ``Z_n = sum exp(f(x) + ... + f(S^{n-1} x))`` over the n-periodic points
-    x whose length-n word starts with ``W``.  Exact when the weight table is
-    rational.  The table ends before the first n with more than ``budget``
-    such points, read off the path counts of
+    x whose length-n word starts with ``W``.  Every table is summed exactly
+    (floats are dyadic rationals); one not all rational then brackets each
+    entry once with :func:`bracket`.  The table ends before the first n with
+    more than ``budget`` such points, read off the path counts of
     :func:`~shiftlab.kernels.exact_reach` before anything is walked; it is
     marked ``truncated_at`` that n.  The reach table itself stops at that n
     (:func:`~shiftlab.kernels.reach_within_budget`), so a large ``n_max``
     costs nothing past it.  ValueError when n_max < 0.  For
     n >= max(len(W), 1):
 
-    * a constant rational table, value c, has Z_n = N_n exp(n c), with N_n
-      the path count, and walks nothing (Bowen--Lanford: for the zero
-      potential Z_n(()) is the trace of A^n);
-    * other span-1 rational tables group one walk of
+    * a constant table, value c, has Z_n = N_n exp(n c), with N_n the path
+      count, and walks nothing (Bowen--Lanford: for the zero potential
+      Z_n(()) is the trace of A^n);
+    * other span-1 tables group one walk of
       :func:`~shiftlab.kernels.closed_path_count_keys` by visit counts, as
       far as its keys fit; the walk merges paths with equal counts as it
       goes, so its work follows the distinct visit-count states, not the
       points;
-    * the remaining periods, and every period of a float table or a wider
-      span, take the orbit words of windowed
-      :func:`~shiftlab.graphs.enumerate_periodic` calls, one per run of
-      consecutive periods whose points number at most ``budget`` together
-      (one run unless the table nears the budget), each grouped once into
-      classes of points with the same cyclic windows, with one exact
-      :func:`~shiftlab.potentials.birkhoff_sum` per class (a float table
-      rounds each class's sum once).
+    * the remaining periods, and every period of a wider span, take the
+      orbit words of windowed :func:`~shiftlab.graphs.enumerate_periodic`
+      calls, one per run of consecutive periods whose points number at most
+      ``budget`` together (one run unless the table nears the budget), each
+      grouped once into classes of points with the same cyclic windows, with
+      one exact :func:`~shiftlab.potentials.birkhoff_sum` per class.
 
     The periods shorter than W have at most one point each, found from W.
     Loop-system presentations are delegated to the renewal recurrence on
@@ -285,30 +281,30 @@ def partition_function(
         return loop_partition_function(shift, f, n_max)
     graph = shift.graph if isinstance(shift, FinitePresentation) else shift
     W = tuple(int(s) for s in W)
+    truncated_at = note = None
     if not graph.is_word(W):
         warnings.warn("base word is not admissible; table is identically zero", stacklevel=2)
-        zero = ExpSum() if f.rational else (0.0, 0.0)
-        return PartitionFunctionTable(W, f.rational, {n: zero for n in range(1, n_max + 1)},
-                                      n_max, note="base word not admissible")
-    lo = max(1, len(W))
-    # one table serves every n; it ends at n_max or at the first length over the budget
-    reach = kernels.reach_within_budget(graph.adjacency, n_max, W, lo, budget)
-    hi = len(reach) - 1
-    entries = {n: _zn_single(graph, f, W, n, budget, reach) for n in range(1, min(lo, hi + 1))}
-    truncated_at = None
-    if lo <= hi:
-        over = kernels.overflowing_lengths(reach, W, lo, hi, budget)
-        if over.any():
-            truncated_at = lo + int(np.argmax(over))
-        entries.update(_zn_window(graph, f, W, lo, hi if truncated_at is None else truncated_at - 1, budget, reach))
+        entries, note = {n: ExpSum() for n in range(1, n_max + 1)}, "base word not admissible"
+    else:
+        lo = max(1, len(W))
+        # one table serves every n; it ends at n_max or at the first length over the budget
+        reach = kernels.reach_within_budget(graph.adjacency, n_max, W, lo, budget)
+        hi = len(reach) - 1
+        entries = {n: _zn_single(graph, f, W, n, budget, reach) for n in range(1, min(lo, hi + 1))}
+        if lo <= hi:
+            over = kernels.overflowing_lengths(reach, W, lo, hi, budget)
+            if over.any():
+                truncated_at = lo + int(np.argmax(over))
+            entries.update(_zn_window(graph, f, W, lo, hi if truncated_at is None else truncated_at - 1, budget, reach))
     if truncated_at is not None:
         warnings.warn(f"enumeration budget exceeded at n={truncated_at}; partial table", stacklevel=2)
     return PartitionFunctionTable(
         base_word=W,
         exact=f.rational,
-        entries=entries,
+        entries=entries if f.rational else {n: bracket(z) for n, z in entries.items()},
         n_max=max(entries) if entries else 0,
         truncated_at=truncated_at,
+        note=note,
     )
 
 
@@ -795,9 +791,12 @@ def recurrence_classify(loops: "LoopSystem", f=None) -> RecurrenceClass:
 def zeta_series(table: PartitionFunctionTable, order: int):
     """Power-series coefficients of exp(sum_n Z_n t^n / n) up to ``order``.
 
-    Exact Fractions when every Z_n is an exact integer (zero exponents),
-    floats otherwise.  The table must cover n = 1..order and have empty base
-    word, since the count of all n-periodic points is what feeds the series.
+    Exact Fractions when every Z_n is an exact integer (zero exponents).
+    Otherwise ``(value, error)`` brackets from c_k = (1/k) sum_j Z_j c_{k-j}
+    in :mod:`shiftlab.intervals`, run over each Z_n's bracket (from
+    :func:`bracket` for an exact entry).  The table must cover n = 1..order
+    and have empty base word, since the count of all n-periodic points is
+    what feeds the series.
     """
     if table.base_word != ():
         raise ValueError("zeta series needs the empty base word")
@@ -818,8 +817,11 @@ def zeta_series(table: PartitionFunctionTable, order: int):
                 falling *= k - j
             d.append(acc)
         return [Fraction(d_k, math.factorial(k)) for k, d_k in enumerate(d)]
-    zs_f = [table.zn_float(n) for n in range(1, order + 1)]
-    coeffs_f = [1.0]
+    zs = []
+    for n in range(1, order + 1):
+        value, error = bracket(table.entries[n]) if table.exact else table.entries[n]
+        zs.append((max(0.0, iv.down(value - error)), iv.up(value + error)))  # Z_n >= 0
+    c = [iv.ONE]
     for k in range(1, order + 1):
-        coeffs_f.append(math.fsum(zs_f[j - 1] * coeffs_f[k - j] for j in range(1, k + 1)) / k)
-    return coeffs_f
+        c.append(iv.div(iv.fsum(iv.mul(zs[j - 1], c[k - j]) for j in range(1, k + 1)), (float(k), float(k))))
+    return [iv.midrad(x) for x in c]

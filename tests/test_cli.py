@@ -59,6 +59,26 @@ def test_zn_and_csv(capsys, tmp_path, fixture_dir):
     assert all(abs(float(line.split(",")[2]) - 0.5) < 1e-9 for line in lines[1:])
 
 
+def test_zn_reports_the_note_of_a_lower_bound_table(capsys, fixture_dir):
+    # the 6/pi^2 renewal has no explicit loops: every entry is a lower bound,
+    # and the report says so; a complete table has no note key
+    code, report, err = run_cli(capsys, "zn", "--shift", str(fixture_dir / "renewal-6pi2.json"), "--nmax", "4")
+    assert code == 0 and [e["Z_n"]["value"] for e in report["entries"]] == [0.0] * 4
+    assert report["note"] == "explicit loops cover lengths <= 0; entries beyond are lower bounds"
+    assert "note: explicit loops cover lengths <= 0" in err
+    for doc in ("gm.json", "gm-at-0-loops.json"):
+        code, report, err = run_cli(capsys, "zn", "--shift", str(fixture_dir / doc), "--nmax", "6")
+        assert code == 0 and "note" not in report and "note" not in err, doc
+
+
+def test_zeta_with_a_potential_reports_brackets(capsys, fixture_dir):
+    code, report, _ = run_cli(capsys, "zeta", "--shift", str(fixture_dir / "gm.json"),
+                              "--potential", str(fixture_dir / "gm-range1.json"), "--order", "4")
+    assert code == 0 and report["exact"] is False
+    assert report["coefficients"][0] == {"value": 1.0, "error": 0.0}
+    assert all(0 < c["error"] <= 1e-14 * c["value"] for c in report["coefficients"][1:])
+
+
 def test_zeta_full2(capsys, fixture_dir):
     code, report, _ = run_cli(capsys, "zeta", "--shift", str(fixture_dir / "full2.json"), "--order", "4")
     assert code == 0

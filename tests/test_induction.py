@@ -526,6 +526,19 @@ class TestZnCoincidence:
             gm.graph.adjacency, 3
         ) - 1  # closed 3-paths at vertex 1: exactly one (1->0->0->1 starts at 1)
 
+    def test_lower_bound_note_only_past_a_tail_of_positive_weight(self, gm):
+        # golden mean at 0: loops of lengths 1 and 2 and zero tails, so every
+        # entry is exact and the table carries no note at any length
+        ind = induce(gm.graph, (0,), maxlen=10)
+        assert all(t.coef == 0 for t in ind.loops.tails)
+        assert loop_partition_function(ind.loops, None, 6).note is None
+        # a tail of positive weight past length 3: entries past 3 are lower bounds
+        loops = (Loop(length=1, src=1, dst=1, log_weight=F(0)), Loop(length=3, src=1, dst=1, log_weight=F(0)))
+        tailed = LoopSystem(loops=loops, tails=(TailDescriptor(kind="polynomial", coef=C6, power=2.0, start=3),))
+        assert loop_partition_function(tailed, None, 3).note is None
+        assert loop_partition_function(tailed, None, 6).note == (
+            "explicit loops cover lengths <= 3; entries beyond are lower bounds")
+
     def test_random_triples_exact(self):
         rng = np.random.default_rng(90)
         done = 0

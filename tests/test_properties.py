@@ -222,8 +222,8 @@ def test_window_class_route_equals_per_point_loop(data):
     # spans 1-3, every left range, rational, float and wide tables, prefixes
     # of length 0-2 (so n < len(W) too) and every window [lo, hi] that holds
     # the prefix: grouping the window's points of mixed periods once gives
-    # each period's per-point sum, exactly for rational tables and inside the
-    # bracket for the others
+    # each period's per-point sum exactly, floats read as dyadic rationals,
+    # and the bracket of a sum that is not all rational holds its 60 digits
     g, _ = data.draw(graph_with_cycle(max_vertices=4))
     span = data.draw(st.integers(1, 3))
     left = data.draw(st.integers(0, span - 1))
@@ -240,26 +240,31 @@ def test_window_class_route_equals_per_point_loop(data):
     window = window_zn(f, g, W, lo, hi)
     for n in range(1, hi + 1):
         points = enumerate_periodic(g, n, W)
-        if f.rational:
-            assert window[n] == per_point_zn(f, points, n)
-        else:
-            value, err = map(Fraction, window[n])
+        assert window[n] == per_point_zn(f, points, n)
+        if not f.rational:
+            value, err = map(Fraction, thermo.bracket(window[n]))
             assert value - err <= Fraction(decimal_zn(f, points, n)) <= value + err
 
 
 @SETTINGS
 @given(st.data())
 def test_count_key_route_equals_per_point_route(data):
+    # rational and float vertex values; a float table's count-key sums are
+    # those of the rational table holding its floats' exact dyadic values,
+    # and its entries are their brackets
     g, _ = data.draw(graph_with_cycle(max_vertices=5))
-    f = FiniteRangePotential.from_vertex_values(g, [data.draw(rationals) for _ in range(g.n_vertices)])
+    values = rationals if data.draw(st.booleans()) else st.floats(-4, 4)
+    f = FiniteRangePotential.from_vertex_values(g, [data.draw(values) for _ in range(g.n_vertices)])
+    dyadic = FiniteRangePotential.from_vertex_values(g, [Fraction(f.table[(v,)]) for v in range(g.n_vertices)])
     W = data.draw(st.sampled_from(g.words(data.draw(st.integers(0, 2)))))
     n_max = longest_n(g, 15, 3000)
-    table = thermo.partition_function(g, f, W, n_max)
+    table, exact = (thermo.partition_function(g, p, W, n_max) for p in (f, dyadic))
     lo = min(max(1, len(W)), n_max)
     by_points = window_zn(f, g, W, lo, n_max)
     for n in range(1, n_max + 1):
         points = enumerate_periodic(g, n, W)
-        assert table.zn_exact(n) == by_points[n] == per_point_zn(f, points, n)
+        assert exact.zn_exact(n) == by_points[n] == per_point_zn(f, points, n)
+        assert table.entries[n] == (exact.entries[n] if f.rational else thermo.bracket(exact.entries[n]))
 
 
 @SETTINGS

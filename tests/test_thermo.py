@@ -386,6 +386,28 @@ class TestWorkCounts:
                     assert t.zn_exact(n) == ExpSum({n * c: count}), (W, n)
                 assert cut.entries == {n: t.entries[n] for n in range(1, cut.truncated_at)}
 
+    def test_constant_float_tables_walk_nothing(self, monkeypatch):
+        # a float is a dyadic rational, so a constant float table reads N_n
+        # off the reach table like a rational one, and each entry is the
+        # bracket of N_n exp(n c)
+        g = build_graph(*random_irreducible_graph(np.random.default_rng(18), 5)).graph
+        walks = []
+        monkeypatch.setattr(kernels, "closed_paths", lambda *a, **k: walks.append(a))
+        monkeypatch.setattr(kernels, "closed_path_count_keys", lambda *a, **k: walks.append(a))
+        for c in (0.1, -2.75, 5e-324):
+            for f in (FiniteRangePotential.from_vertex_values(g, [c] * g.n_vertices),
+                      FiniteRangePotential(g, 1, 1, {w: c for w in g.words(2)})):
+                t = partition_function(g, f, (), 12)
+                assert not walks and not t.exact and t.truncated_at is None
+                for n in range(1, 13):
+                    count = integer_trace(g.adjacency, n)
+                    assert t.entries[n] == thermo.bracket(ExpSum({n * F(c): count})), (c, n)
+                    value, err = t.entries[n]
+                    with localcontext() as ctx:
+                        ctx.prec = 60
+                        truth = count * (n * Decimal(c)).exp()
+                    assert abs(Decimal(value) - truth) <= Decimal(err), (c, n)
+
     def test_span_two_tables_walk_once(self, monkeypatch):
         # the per-point route makes one closed_paths walk for all the periods of
         # a table far below the budget; a table near it walks runs of
@@ -813,6 +835,23 @@ class TestZetaSeries:
             assert all(type(c) is F for c in got)
             assert got == zeta_fraction_recurrence(zs, 20)
             assert got == rational_series_coeffs(det_one_minus_tA(g.adjacency), 20)
+
+    @pytest.mark.parametrize("shift,potential", [("gm.json", "gm-range1.json"), ("full2.json", "full2-scale-log3.json")])
+    def test_weighted_coefficients_are_brackets_of_the_exact_series(self, fixture_dir, shift, potential):
+        # a rational (non-integer) and a float table: each coefficient is a
+        # (value, error) bracket that holds the 60-digit series of the exact Z_n
+        g = docs.parse_shift(docs.loads((fixture_dir / shift).read_text())).graph
+        f = docs.parse_potential(docs.loads((fixture_dir / potential).read_text()), g)
+        got = zeta_series(partition_function(g, f, (), 12), 12)
+        zs = decimal_weighted_traces(g, f.table, 12)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            truth = [Decimal(1)]
+            for k in range(1, 13):
+                truth.append(sum(zs[j - 1] * truth[k - j] for j in range(1, k + 1)) / k)
+        assert len(got) == 13 and got[0] == (1.0, 0.0)
+        for k, ((value, err), want) in enumerate(zip(got, truth)):
+            assert abs(Decimal(value) - want) <= Decimal(err) <= Decimal(1e-14) * want, k
 
     def test_empty_shift(self):
         t = PartitionFunctionTable((), True, {n: ExpSum() for n in range(1, 5)}, 4)
