@@ -23,14 +23,7 @@ from .graphs import (
     higher_block,
     irreducible_and_period,
 )
-from .potentials import (
-    FiniteRangePotential,
-    GeometricTail,
-    PolynomialTail,
-    ZeroTail,
-    birkhoff_sum,
-    bowen_reduce,
-)
+from .potentials import FiniteRangePotential, birkhoff_sum, bowen_reduce
 from .thermo import (
     ConvergenceError,
     MarkovMeasure,

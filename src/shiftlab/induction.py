@@ -5,7 +5,8 @@ occurrences of one or two words, enumerated exactly up to a length cap, with
 the remainder summarized by a rigorous tail bound read off the off-core part
 of the block graph.  Loop systems are also a direct input format (renewal
 shifts), in which case per-length weights and tails are declared instead of
-derived.
+derived.  Either way a tail is one :class:`TailDescriptor`, and
+:func:`tail_sum` brackets its part of the first-return series F and F'.
 """
 from __future__ import annotations
 
@@ -28,18 +29,7 @@ from .graphs import (
     least_accepted_path,
     recurrent_core,
 )
-from .potentials import (
-    FiniteRangePotential,
-    GeometricTail,
-    Number,
-    PolynomialTail,
-    PotentialError,
-    Tail,
-    ZeroTail,
-    _window_sum,
-    bowen_reduce,
-    tail_sum,
-)
+from .potentials import _EPS, FiniteRangePotential, Number, PotentialError, _window_sum, bowen_reduce
 
 
 @dataclass(frozen=True)
@@ -100,13 +90,6 @@ class TailDescriptor:
         if self.kind == "polynomial" and self.power <= 0 and self.coef > 0:
             raise ValueError("polynomial tail needs power > 0")
 
-    @property
-    def law(self) -> Tail:
-        """The potentials tail law of these weights, for :func:`tail_sum`."""
-        if self.kind == "zero":
-            return ZeroTail()
-        return GeometricTail(self.coef, self.ratio) if self.kind == "geometric" else PolynomialTail(self.coef, self.power)
-
     def radius(self) -> float:
         if self.kind == "zero" or self.coef == 0.0:
             return math.inf
@@ -162,13 +145,11 @@ class LoopSystem:
 
     @property
     def period(self) -> int:
-        g = 0
-        for lp in self.loops:
-            g = math.gcd(g, lp.length)
-        for t in self.tails:
-            if t.coef > 0:
-                g = math.gcd(g, math.gcd(t.start + 1, t.start + 2))
-        return g if g else 1
+        # a tail of positive weight has loops of every length past its start,
+        # and two consecutive lengths are coprime
+        if any(t.coef > 0 for t in self.tails):
+            return 1
+        return math.gcd(*(lp.length for lp in self.loops)) or 1
 
     def max_explicit_length(self, src: int = 1, dst: int = 1) -> int:
         lens = [lp.length for lp in self.loops if lp.src == src and lp.dst == dst]
@@ -394,6 +375,126 @@ def lift_potential(ind: InducedPresentation, f: FiniteRangePotential) -> LoopSys
 # the first-return generating series with rigorous envelopes
 
 
+def tail_sum(tail: TailDescriptor, z: float, d: int):
+    """Bracket ``(lo, hi)`` of sum_{n > start} n^d w_n z^(n-d), d in {0, 1}.
+
+    The tail of F(z) = sum w_n z^n (of F' when d = 1) for the declared
+    weights of ``tail``.  None when it diverges; z < 0 is a ValueError.
+    Exact for a zero tail, and at z = 0, where only w_1 survives, in F' (up
+    to the rounding of coef * ratio).  A geometric tail is its closed form in x = ratio * z, bracketed by
+    :mod:`shiftlab.intervals`; it diverges iff ratio * z >= 1, decided
+    exactly.  A polynomial tail is a partial sum plus an Euler-Maclaurin
+    remainder at z = 1 (:func:`_polynomial_at_one`), and at z < 1 a partial
+    sum plus a remainder between a lower and an upper sum over one grid of
+    blocks (:func:`_polynomial_inside`).
+    """
+    if z < 0:
+        raise ValueError(f"tail sums are evaluated at z >= 0, got {z}")
+    if tail.kind == "zero" or tail.coef == 0:
+        return iv.ZERO
+    c, N = tail.coef, tail.start
+    if z == 0:
+        # only n = 1 survives, in F': w_1 = coef * ratio or coef
+        if not (d and N == 0):
+            return iv.ZERO
+        return iv.mul((c, c), (tail.ratio, tail.ratio)) if tail.kind == "geometric" else (c, c)
+    if tail.kind == "geometric":
+        r = tail.ratio
+        if Fraction(r) * Fraction(z) >= 1:
+            return None
+        # sum_{n > N} n^d x^n = x^(N+1) ((N+1) - N x)^d / (1 - x)^(d+1), and x < 1
+        # exactly: an upper end of x at 1 or past it, or of log x past 0, is rounding
+        x = iv.mul((r, r), (z, z))
+        x = (x[0], min(x[1], 1.0))
+        log_x = iv.log(x)
+        num = iv.mul((c, c), _exp_neg(iv.near(N + 1), (max(-log_x[1], 0.0), -log_x[0])))
+        den = iv.sub(iv.ONE, x)
+        if d:
+            num = iv.div(iv.mul(num, iv.sub(iv.near(N + 1), iv.mul(iv.near(N), x))), (z, z))
+            den = iv.mul(den, den)
+        return iv.div(num, den)
+    q = tail.power
+    if z > 1 or (z == 1 and q - d <= 1):
+        return None
+    return _polynomial_at_one(c, q, N, d) if z == 1 else _polynomial_inside(c, q, N, z, d)
+
+
+def _exp_neg(a: iv.Interval, b: iv.Interval) -> iv.Interval:
+    """exp(-a b) for nonnegative intervals a and b."""
+    e = iv.mul(a, b)
+    return iv.exp((-e[1], -e[0]))
+
+
+def _polynomial_at_one(c: float, q: float, N: int, d: int) -> iv.Interval:
+    """sum_{n > N} c n^-s with s = q - d > 1.
+
+    The terms below M = max(N + 1, 64), then Euler-Maclaurin from M on: the
+    integral M^(1-s) / (s - 1), half of M^-s, and the Bernoulli terms
+    B_2k / (2k)! (s)_(2k-1) M^(1-s-2k) for k = 1..3.  x^-s is completely
+    monotone, so the rest lies between 0 and the k = 4 term (Olver,
+    *Asymptotics and Special Functions*, ch. 8).
+    """
+    s = (q, q) if d == 0 else iv.sub((q, q), iv.ONE)
+    M = max(N + 1, 64)
+    m = iv.near(M)
+    terms = [_exp_neg(s, iv.log((float(n),) * 2)) for n in range(N + 1, M)]
+    m_s = _exp_neg(s, iv.log(m))
+    terms += [iv.div(iv.mul(m_s, m), iv.sub(s, iv.ONE)), iv.mul(m_s, (0.5, 0.5))]
+    # (2k)! / |B_2k| = 12, 720, 30240, 1209600; the signs alternate, + first
+    rise, power, bern = s, iv.div(m_s, m), []
+    for k, scale in enumerate((12.0, 720.0, 30240.0, 1209600.0)):
+        if k:
+            rise = iv.mul(rise, iv.mul(iv.add(s, (2.0 * k - 1,) * 2), iv.add(s, (2.0 * k,) * 2)))
+            power = iv.div(power, iv.mul(m, m))
+        bern.append(iv.div(iv.mul(rise, power), (scale, scale)))
+    hi = iv.sub(iv.fsum(terms + bern[::2]), bern[1])
+    lo = iv.sub(hi, bern[3])
+    return iv.mul((c, c), (max(lo[0], 0.0), hi[1]))
+
+
+def _polynomial_inside(c: float, q: float, N: int, z: float, d: int) -> iv.Interval:
+    """sum_{n > N} c n^(d-q) z^(n-d) at 0 < z < 1.
+
+    The terms up to M = max(N + 1, 4096), summed in numpy, then the rest.
+    Over each block (K_{j-1}, K_j] of the grid K_j = floor(M (33/32)^j),
+    n^(d-q) lies between its values at the block's two ends, times the
+    block's geometric sum of z^(n-d): a lower and an upper sum.  The grid
+    ends once z^(K_J-M) < e^-36, and past K_J the upper end adds
+    c (K_J+1)^-q sum_{n > K_J} n^d z^(n-d).  A block is summed from its log,
+    which is off by at most 4 eps (its parts' sizes + 2); a log below -700
+    counts as 0 in the lower sum and as -700 in the upper one.
+    """
+    M = max(N + 1, 4096)
+    ns = np.arange(N + 1, M + 1, dtype=np.float64)
+    partial = float(np.sum(c * ns ** (d - q) * z ** (ns - d)))
+    J = math.ceil(math.log1p(36 / ((1 - z) * M)) / math.log1p(1 / 32))
+    K = np.floor(M * (33 / 32) ** np.arange(J + 1))
+    log_z = math.log(z)
+    common = [
+        np.full(J, math.log(c)),
+        np.full(J, -math.log(1 - z)),
+        (K[:-1] + 1 - d) * log_z,
+        np.log(-np.expm1(np.diff(K) * log_z)),
+    ]
+    left, right = (d - q) * np.log(K[:-1]), (d - q) * np.log(K[1:])
+    rem = []
+    for end, sign in ((np.minimum(left, right), -1), (np.maximum(left, right), 1)):
+        parts = np.array(common + [end])
+        logs, sizes = parts.sum(axis=0), np.abs(parts).sum(axis=0)
+        if sign < 0:
+            logs, sizes = logs[logs > -700], sizes[logs > -700]
+        blocks = np.exp(np.maximum(logs, -700)) * (1 + sign * 4 * _EPS * (sizes + 2))
+        rem.append(float(np.sum(blocks)) * (1 + sign * J * _EPS))
+    KJ = K[-1]
+    if d:
+        past = ((KJ + 1) * z**KJ * (1 - z) + z ** (KJ + 1)) / (1 - z) ** 2
+    else:
+        past = z ** (KJ + 1) / (1 - z)
+    rem_lo, rem_hi = rem[0], rem[1] + c * (KJ + 1) ** -q * past
+    slop = 8 * _EPS * (partial + rem_hi + 1e-300)
+    return partial + rem_lo - slop, partial + rem_hi + slop
+
+
 @dataclass
 class _SeriesPart:
     explicit: dict[int, iv.Interval]
@@ -416,11 +517,11 @@ class _SeriesPart:
                 head = iv.add(head, iv.mul((float(n), float(n)), w) if d else w)
         if d == 0:
             head = iv.mul(head, (z, z))
-        t = tail_sum(self.tail.law, self.tail.start, z, d)
+        t = tail_sum(self.tail, z, d)
         if t is None and d:
             return None
         lo, hi = t or (math.inf, math.inf)
-        return iv.add(head, (0.0 if self.tail.bound == "upper" else max(float(lo), 0.0), float(hi)))
+        return iv.add(head, (0.0 if self.tail.bound == "upper" else max(lo, 0.0), hi))
 
 
 _EXCURSION_PARTS = ((1, 2), (2, 1), (2, 2))
@@ -575,16 +676,24 @@ def loop_zn_exact(loops: LoopSystem, f: FiniteRangePotential | None, n_max: int)
 
 
 def loop_partition_function(loops: LoopSystem, f: FiniteRangePotential | None, n_max: int):
+    """Z_n at the first distinguished vertex for n <= n_max, by the renewal
+    recurrence: exact for rational weights, brackets otherwise.
+
+    Past the start s of a tail of positive weight the explicit loops give
+    only lower bounds, so the table ends at s, is marked ``truncated_at``
+    s + 1 and carries a note saying why.
+    """
     from .thermo import PartitionFunctionTable
 
     if n_max < 0:
         raise ValueError(f"table length n_max = {n_max} must be at least 0")
     # a tail of positive weight holds the loops longer than its start, which
-    # the explicit loops miss; zero tails miss nothing
+    # the explicit loops miss, so the table ends there; zero tails miss nothing
     covered = min((t.start for t in loops.tails if t.coef > 0), default=n_max)
-    note = None
+    truncated_at = note = None
     if covered < n_max:
-        note = f"explicit loops cover lengths <= {covered}; entries beyond are lower bounds"
+        truncated_at, n_max = covered + 1, covered
+        note = f"explicit loops cover lengths <= {covered}; a tail holds the longer loops, so the table ends there"
     weighted = _weigh(loops, f, with_tails=False)
     try:
         zs = loop_zn_exact(weighted, None, n_max)
@@ -597,7 +706,7 @@ def loop_partition_function(loops: LoopSystem, f: FiniteRangePotential | None, n
         exact = False
     base = loops.base_words[0] if loops.base_words else ()
     return PartitionFunctionTable(
-        base_word=base, exact=exact, entries=entries, n_max=n_max, note=note,
+        base_word=base, exact=exact, entries=entries, n_max=n_max, truncated_at=truncated_at, note=note,
     )
 
 

@@ -86,7 +86,8 @@ def exp(a: Interval) -> Interval:
 
 
 def log(a: Interval) -> Interval:
-    return down(down(math.log(a[0]))), up(up(math.log(a[1])))
+    """log of an interval with a positive upper end; a lower end of 0 gives -inf."""
+    return down(down(math.log(a[0]))) if a[0] else -math.inf, up(up(math.log(a[1])))
 
 
 def midrad(a: Interval) -> tuple[float, float]:

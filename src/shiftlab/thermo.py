@@ -61,7 +61,8 @@ class PartitionFunctionTable:
 
     ``entries[n]`` is an :class:`ExpSum` when ``exact`` (rational weights)
     and a ``(value, error)`` bracket otherwise.  ``truncated_at`` marks the
-    first n whose enumeration blew the budget; entries stop there.
+    first n whose enumeration blew the budget, or for a loop system the
+    first length past its explicit loops; entries stop there.
     """
 
     base_word: Word

@@ -60,11 +60,13 @@ def test_zn_and_csv(capsys, tmp_path, fixture_dir):
 
 
 def test_zn_reports_the_note_of_a_lower_bound_table(capsys, fixture_dir):
-    # the 6/pi^2 renewal has no explicit loops: every entry is a lower bound,
-    # and the report says so; a complete table has no note key
+    # the 6/pi^2 renewal has no explicit loops: every entry would be a lower
+    # bound, so the table ends at length 0, and the report says why; a
+    # complete table has no note key
     code, report, err = run_cli(capsys, "zn", "--shift", str(fixture_dir / "renewal-6pi2.json"), "--nmax", "4")
-    assert code == 0 and [e["Z_n"]["value"] for e in report["entries"]] == [0.0] * 4
-    assert report["note"] == "explicit loops cover lengths <= 0; entries beyond are lower bounds"
+    assert code == 0 and report["entries"] == [] and report["truncated_at"] == 1
+    assert report["note"] == (
+        "explicit loops cover lengths <= 0; a tail holds the longer loops, so the table ends there")
     assert "note: explicit loops cover lengths <= 0" in err
     for doc in ("gm.json", "gm-at-0-loops.json"):
         code, report, err = run_cli(capsys, "zn", "--shift", str(fixture_dir / doc), "--nmax", "6")
@@ -575,14 +577,15 @@ def test_import_loads_neither_scipy_nor_numba(src_env):
 
 
 # every name `from shiftlab import *` gave when __init__ imported every module,
-# less PeriodicPoint (a periodic point is now its orbit word, a plain tuple)
-# and the declared variation certificates (a potential is its finite table)
+# less PeriodicPoint (a periodic point is now its orbit word, a plain tuple),
+# the declared variation certificates (a potential is its finite table) and
+# the tail-law classes (a declared tail is its TailDescriptor)
 PACKAGE_EXPORTS = sorted("""
     AlmostIsomorphism BlockLabeling BudgetExceededError CodeError ConvergenceError DomainError
     EventuallyPeriodicPoint ExhaustionLevel ExhaustionPresentation ExpSum FiniteGraph FinitePresentation
-    FiniteRangePotential GeometricTail GraphError InducedPresentation Loop LoopSystem MagicWordCertificate
-    MarkovMeasure OneBlockCode PartitionFunctionTable PolynomialTail PressureEstimate
-    RecurrenceClass TailDescriptor ZeroTail assemble_ai birkhoff_sum
+    FiniteRangePotential GraphError InducedPresentation Loop LoopSystem MagicWordCertificate
+    MarkovMeasure OneBlockCode PartitionFunctionTable PressureEstimate
+    RecurrenceClass TailDescriptor assemble_ai birkhoff_sum
     bowen_reduce build_graph codes
     enumerate_periodic equilibrium_measure export_zn_csv expsum from_periodic gamma_on_point graphs
     higher_block induce induction intervals irreducible_and_period kernels labeling_code

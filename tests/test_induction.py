@@ -1,11 +1,13 @@
 """Induced presentations, loop systems, recurrence classification."""
 import math
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from shiftlab.documents import loads, parse_loops
 from shiftlab.graphs import BudgetExceededError, GraphError, build_graph, higher_block
 from shiftlab.induction import (
     InducedPresentation,
@@ -18,18 +20,14 @@ from shiftlab.induction import (
     loop_zn_exact,
     phi_injective_on_periodic,
     return_series,
+    tail_sum,
     verify_zn_coincidence,
 )
-from shiftlab.potentials import (
-    FiniteRangePotential,
-    PotentialError,
-    GeometricTail,
-    PolynomialTail,
-    tail_sum,
-)
+from shiftlab.potentials import FiniteRangePotential, PotentialError
 from shiftlab.thermo import partition_function, pressure_spectral, recurrence_classify
 
 from oracles import (
+    ZETA,
     decimal_first_return,
     decimal_loop_zn,
     integer_trace,
@@ -257,7 +255,7 @@ class TestTailSum:
     def _contains(tail, z, d):
         want = tail_series(tail.kind, tail.coef, tail.ratio if tail.kind == "geometric" else tail.power,
                            tail.start, z, d)
-        got = tail_sum(tail.law, tail.start, z, d)
+        got = tail_sum(tail, z, d)
         if want is None:
             assert got is None, (tail, z, d)
             return
@@ -281,12 +279,14 @@ class TestTailSum:
                             self._contains(tail, (1 - gap) / ratio, d)
 
     def test_underflowing_tail_keeps_a_positive_upper_end(self):
-        # x^(start+1) = 0.95^100001 underflows to 0; the value is about 1e-2224
-        tail = TailDescriptor(kind="geometric", coef=1.0, ratio=0.5, start=10**5)
-        for d in (0, 1):
-            lo, hi = tail_sum(tail.law, tail.start, 1.9, d)
-            assert lo == 0.0 < hi
-            self._contains(tail, 1.9, d)
+        # x^(start+1) = 0.95^100001 underflows to 0; the value is about 1e-2224;
+        # and x = ratio * z itself underflows to 0 at the smallest subnormal ratio
+        for tail, z in ((TailDescriptor(kind="geometric", coef=1.0, ratio=0.5, start=10**5), 1.9),
+                        (TailDescriptor(kind="geometric", coef=1.0, ratio=5e-324, start=3), 0.5)):
+            for d in (0, 1):
+                lo, hi = tail_sum(tail, z, d)
+                assert lo == 0.0 < hi < 1e-300
+                self._contains(tail, z, d)
 
     def test_polynomial_tails_at_one_against_zeta(self):
         for power in (2.0, 3.0, 4.0):
@@ -314,7 +314,7 @@ class TestTailSum:
                 for gap in (1e-7, 1e-5, 1e-3) + ((0.05,) if start < 5000 else ()):
                     tail = TailDescriptor(kind="polynomial", coef=0.37, power=power, start=start)
                     self._contains(tail, 1 - gap, d)
-                lo, hi = tail_sum(tail.law, start, 1 - 1e-7, d)
+                lo, hi = tail_sum(tail, 1 - 1e-7, d)
                 assert hi - lo <= 1e-4  # about the rest past 4096 terms, 0.37 / 4096
 
     def test_polynomial_tails_just_inside_the_radius_have_a_lower_end(self):
@@ -328,25 +328,100 @@ class TestTailSum:
                     tail = TailDescriptor(kind="polynomial", coef=0.37, power=power, start=start)
                     self._contains(tail, 1 - gap, d)
                     want = tail_series("polynomial", 0.37, power, start, 1 - gap, d)
-                    lo, _ = tail_sum(tail.law, start, 1 - gap, d)
+                    lo, _ = tail_sum(tail, 1 - gap, d)
                     assert want - Decimal(lo) <= Decimal("0.061") * want, (power, start, gap, lo, float(want))
 
     def test_z_zero_is_exact_and_negative_z_is_refused(self):
         # at z = 0 only the n = 1 term survives, and only in F'
-        for tail, omega_1 in (
-            (GeometricTail(1.0, 0.5), F(1, 2)),
-            (GeometricTail(0.37, 0.9), F(0.37) * F(0.9)),
-            (GeometricTail(F(3, 4), F(1, 3)), F(1, 4)),
-            (PolynomialTail(0.37, 2.0), F(0.37)),
+        for kind, coef, param, omega_1 in (
+            ("geometric", 1.0, 0.5, F(1, 2)),
+            ("geometric", 0.37, 0.9, F(0.37) * F(0.9)),
+            ("geometric", 0.75, 1 / 3, F(0.75) * F(1 / 3)),
+            ("polynomial", 0.37, 2.0, F(0.37)),
         ):
             for start in (0, 2):
+                tail = _declared(kind, coef, param, start)
                 for d in (0, 1):
-                    lo, hi = tail_sum(tail, start, 0.0, d)
+                    lo, hi = tail_sum(tail, 0.0, d)
                     want = omega_1 if d and start == 0 else 0
                     assert lo <= want <= hi and hi - lo <= 1e-15 * want, (tail, start, d, lo, hi)
-        for tail in (GeometricTail(1.0, 0.5), PolynomialTail(0.37, 2.0)):
+        for tail in (_declared("geometric", 1.0, 0.5), _declared("polynomial", 0.37, 2.0)):
             with pytest.raises(ValueError, match="z >= 0"):
-                tail_sum(tail, 0, -0.5, 0)
+                tail_sum(tail, -0.5, 0)
+
+    def test_polynomial_tails_just_inside_the_radius_have_a_tight_upper_end(self):
+        # the upper remainder sums the lower end's 33/32 block grid with
+        # n^(d-q) at each block's other end; the smaller of a geometric and an
+        # integral bound lay 15-62% above the value here
+        for power, d in ((2.0, 0), (3.0, 1)):
+            for start in (5000, 20000):
+                for gap in (1e-5, 1e-3):
+                    tail = _declared("polynomial", 0.37, power, start)
+                    want = tail_series("polynomial", 0.37, power, start, 1 - gap, d)
+                    _, hi = tail_sum(tail, 1 - gap, d)
+                    assert Decimal(hi) - want <= Decimal("0.035") * want, (power, start, gap, hi, float(want))
+
+    def test_a_product_that_rounds_to_one_still_converges(self):
+        # 3 * 0.3333333333333333 = 1 - 2^-54 exactly, but rounds to 1.0; the
+        # series converges, so it gets a bracket (whose upper end may be inf)
+        for start in (0, 5):
+            tail = _declared("geometric", 1.0, 3.0, start)
+            for d in (0, 1):
+                self._contains(tail, 0.3333333333333333, d)
+
+    def test_geometric_sums_at_one(self):
+        # sum_{n >= 1} n 2^-n = 2, sum_{n > 1} n 2^-n = 2 - 1/2, sum_{n > 1} 2^-n = 1/2
+        for start, d, want in ((0, 1, 2), (1, 1, 1.5), (1, 0, 0.5)):
+            lo, hi = tail_sum(_declared("geometric", 1.0, 0.5, start), 1.0, d)
+            assert lo <= want <= hi and hi - lo <= 1e-14 * want, (start, d, lo, hi)
+        assert tail_sum(_declared("geometric", 1.0, 1.0), 1.0, 0) is None
+
+    def test_zero_tails_sum_to_zero(self):
+        for start in (0, 1, 5):
+            for d in (0, 1):
+                assert tail_sum(TailDescriptor(kind="zero", start=start), 1.0, d) == (0, 0)
+
+    def test_inverse_square_derivative_diverges_at_one(self):
+        # sum n * n^-power diverges for power <= 2, sum n^-power for power <= 1
+        for start in range(9):
+            assert tail_sum(_declared("polynomial", 1.0, 2.0, start), 1.0, 1) is None
+
+    def test_shifted_polynomial_tails_at_one_against_zeta(self):
+        # omega_n = (n + shift)^-power past n0 is the unshifted tail past n0 + shift
+        for shift in range(1, 6):
+            for n0 in (0, 3):
+                for power in (2.0, 3.0, 4.0):
+                    for d in (0, 1):
+                        self._contains(_declared("polynomial", 1.0, power, n0 + shift), 1.0, d)
+        # sum_{n > 2} n n^-3 = zeta(2) - 5/4
+        lo, hi = tail_sum(_declared("polynomial", 1.0, 3.0, 2), 1.0, 1)
+        assert Decimal(lo) <= ZETA[2] - Decimal("1.25") <= Decimal(hi)
+        assert (hi - lo) / 2 <= 1e-12
+
+    def test_inverse_square_at_one(self):
+        lo, hi = tail_sum(_declared("polynomial", 1.0, 2.0), 1.0, 0)
+        self._contains(_declared("polynomial", 1.0, 2.0), 1.0, 0)
+        assert lo <= math.pi**2 / 6 <= hi
+
+    def test_float_geometric_tails_near_ratio_one(self):
+        for ratio in (1 - 1e-6, 1 - 1e-9):
+            for start in (0, 1000, 3000):
+                for d in (0, 1):
+                    self._contains(_declared("geometric", 0.75, ratio, start), 1.0, d)
+
+    def test_renewal_fixture_is_bracketed_tightly_at_one(self, fixture_dir):
+        # a partial sum of 63 terms and Euler-Maclaurin past them; a million
+        # terms and the integral bounds left a relative width of 6.8e-13
+        system = parse_loops(loads((fixture_dir / "renewal-6pi2.json").read_text()))
+        lo, hi = return_series(system).F(1.0)
+        assert lo <= 1 <= hi and hi - lo <= 1e-14 * hi
+
+
+def _declared(kind: str, coef: float, param: float, start: int = 0) -> TailDescriptor:
+    """An exact declared tail: param is the geometric ratio or the polynomial power."""
+    if kind == "geometric":
+        return TailDescriptor(kind=kind, coef=coef, ratio=param, start=start)
+    return TailDescriptor(kind=kind, coef=coef, power=param, start=start)
 
 
 def _perron(g, f=None):
@@ -532,12 +607,15 @@ class TestZnCoincidence:
         ind = induce(gm.graph, (0,), maxlen=10)
         assert all(t.coef == 0 for t in ind.loops.tails)
         assert loop_partition_function(ind.loops, None, 6).note is None
-        # a tail of positive weight past length 3: entries past 3 are lower bounds
+        # a tail of positive weight past length 3: entries past 3 would be
+        # lower bounds, so the table ends at 3
         loops = (Loop(length=1, src=1, dst=1, log_weight=F(0)), Loop(length=3, src=1, dst=1, log_weight=F(0)))
         tailed = LoopSystem(loops=loops, tails=(TailDescriptor(kind="polynomial", coef=C6, power=2.0, start=3),))
-        assert loop_partition_function(tailed, None, 3).note is None
-        assert loop_partition_function(tailed, None, 6).note == (
-            "explicit loops cover lengths <= 3; entries beyond are lower bounds")
+        full = loop_partition_function(tailed, None, 3)
+        assert full.note is None and full.truncated_at is None and sorted(full.entries) == [1, 2, 3]
+        cut = loop_partition_function(tailed, None, 6)
+        assert cut.note == "explicit loops cover lengths <= 3; a tail holds the longer loops, so the table ends there"
+        assert cut.truncated_at == 4 and cut.n_max == 3 and cut.entries == full.entries
 
     def test_random_triples_exact(self):
         rng = np.random.default_rng(90)
@@ -639,7 +717,8 @@ class TestZnCoincidence:
                 table.update({w: F(int(rng.integers(-21, 22)), 7) for w in g.words(span)[1::3]})
             f = FiniteRangePotential(g, 0, span, table)
             ind = induce(g, (int(rng.integers(0, g.n_vertices)),), maxlen=8)
-            assert not self._misses(ind.loops, 40, f)
+            # without its tails, so that the table of the explicit loops runs to 40
+            assert not self._misses(replace(ind.loops, tails=()), 40, f)
 
     def test_truncated_tail_reports_inequality(self, gm):
         ind = induce(gm.graph, (1,), maxlen=5)
@@ -753,11 +832,17 @@ class TestRecurrenceClassify:
             assert lo <= 1 - eps <= hi < 1
 
     def test_indeterminate_when_tolerance_too_tight(self):
-        # w_n = c n^-1.05 with c the float nearest 1/zeta(1.05): F(1) = 1, but
-        # the rigorous bracket of F(1) is about 2.4e-8 wide, wider than the
-        # 1e-9 that reads as F(1) = 1, so no class can be certified
+        # F11 = 0.9 n^-2 / zeta(2) sums to 0.9, and the excursions through
+        # vertex 2 add 1e-10 / (1 - F22) = 0.1 with F22 = 1 - 1e-9: F(1) = 1,
+        # but dividing by 1 - F22 leaves a bracket about 8.9e-8 wide, wider
+        # than the 1e-9 that reads as F(1) = 1, so no class can be certified
         sys_ = LoopSystem(
-            loops=(), tails=(TailDescriptor(kind="polynomial", coef=0.04858887154114592, power=1.05),)
+            loops=(
+                Loop(length=1, src=1, dst=2, log_weight=math.log(1e-5)),
+                Loop(length=1, src=2, dst=1, log_weight=math.log(1e-5)),
+                Loop(length=1, src=2, dst=2, log_weight=math.log(1 - 1e-9)),
+            ),
+            tails=(TailDescriptor(kind="polynomial", coef=0.9 / (math.pi**2 / 6), power=2.0),),
         )
         r = recurrence_classify(sys_)
         assert r.verdict == "indeterminate"

@@ -1,24 +1,12 @@
-"""Potentials, Birkhoff sums, tail sums at z = 1, Bowen reduction."""
+"""Potentials, Birkhoff sums, Bowen reduction."""
 import math
-from decimal import Decimal
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from shiftlab.graphs import enumerate_periodic
-from shiftlab.potentials import (
-    FiniteRangePotential,
-    GeometricTail,
-    PolynomialTail,
-    PotentialError,
-    ZeroTail,
-    birkhoff_sum,
-    bowen_reduce,
-    tail_sum,
-)
-
-from oracles import ZETA, tail_series
+from shiftlab.potentials import FiniteRangePotential, PotentialError, birkhoff_sum, bowen_reduce
 
 
 class TestBirkhoffSum:
@@ -70,67 +58,6 @@ class TestTableValidation:
     def test_non_finite_rejected(self, gm):
         with pytest.raises(PotentialError, match="non-finite"):
             FiniteRangePotential.from_vertex_values(gm.graph, [math.inf, 0.0])
-
-
-def _inside(bracket, want: Decimal):
-    lo, hi = bracket
-    assert Decimal(lo) <= want <= Decimal(hi), (lo, want, hi)
-
-
-class TestCertificates:
-    """The variation sums sum_{n > start} n^p omega_n (p = 0, 1) at z = 1
-    that certify summable variation: exact where they can be, None when
-    they diverge, bracketing 80-digit values otherwise."""
-
-    def test_geometric_p1_sums_to_two_exactly(self):
-        # sum_{n >= 1} n 2^-n = 2, sum_{n > 1} n 2^-n = 2 - 1/2, sum_{n > 1} 2^-n = 1/2
-        assert tail_sum(GeometricTail(F(1), F(1, 2)), 0, 1, 1) == (F(2), F(2))
-        assert tail_sum(GeometricTail(F(1), F(1, 2)), 1, 1, 1) == (F(3, 2), F(3, 2))
-        assert tail_sum(GeometricTail(F(1), F(1, 2)), 1, 1, 0) == (F(1, 2), F(1, 2))
-        assert tail_sum(GeometricTail(F(1), F(1)), 0, 1, 0) is None
-
-    def test_zero_accepts(self):
-        for start in (0, 1, 5):
-            for d in (0, 1):
-                assert tail_sum(ZeroTail(), start, 1, d) == (0, 0)
-
-    def test_inverse_square_p1_rejected(self):
-        # sum n * n^-power diverges for power <= 2, sum n^-power for power <= 1
-        for start in range(9):
-            assert tail_sum(PolynomialTail(F(1), 2), start, 1, 1) is None
-            assert tail_sum(PolynomialTail(1.0, 2), start, 1, 1) is None
-
-    def test_shifted_polynomial_certificates_against_zeta(self):
-        # omega_n = (n + shift)^-power past n0 is the unshifted tail past n0 + shift
-        for shift in range(1, 6):
-            for n0 in (0, 3):
-                for power in (2, 3, 4):
-                    for d in (0, 1):
-                        got = tail_sum(PolynomialTail(F(1), power), n0 + shift, 1, d)
-                        if power - d <= 1:
-                            assert got is None
-                            continue
-                        _inside(got, tail_series("polynomial", 1.0, power, n0 + shift, 1.0, d))
-        # sum_{n > 2} n n^-3 = zeta(2) - 5/4
-        lo, hi = tail_sum(PolynomialTail(1.0, 3), 2, 1, 1)
-        _inside((lo, hi), ZETA[2] - Decimal("1.25"))
-        assert (hi - lo) / 2 <= 1e-12
-
-
-class TestTailSumAtOne:
-    """sum_{n > start} n^d omega_n of a declared tail law, against 80-digit values."""
-
-    def test_inverse_square_p0_value(self):
-        lo, hi = tail_sum(PolynomialTail(1.0, 2), 0, 1, 0)
-        _inside((lo, hi), tail_series("polynomial", 1.0, 2, 0, 1.0, 0))
-        assert lo <= math.pi**2 / 6 <= hi
-
-    def test_float_geometric_tails_near_ratio_one(self):
-        for ratio in (1 - 1e-6, 1 - 1e-9):
-            for start in (0, 1000, 3000):
-                for d in (0, 1):
-                    want = tail_series("geometric", 0.75, ratio, start, 1.0, d)
-                    _inside(tail_sum(GeometricTail(0.75, ratio), start, 1, d), want)
 
 
 class TestBowenReduce:
