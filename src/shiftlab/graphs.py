@@ -122,10 +122,6 @@ class FinitePresentation:
     def kind(self) -> str:
         return "finite"
 
-    @property
-    def mixing(self) -> bool:
-        return self.period == 1
-
 
 @dataclass(frozen=True)
 class ExhaustionLevel:

@@ -58,9 +58,10 @@ class Loop:
 class TailDescriptor:
     """Aggregate weight of loops longer than ``start``.
 
-    ``exact`` tails state the true per-length weights (zero | geometric
-    coef*ratio**n | polynomial coef*n**-power); ``upper`` tails only bound
-    them from above (the lower envelope is then the explicit part alone).
+    ``exact`` tails state the true per-length weights (zero, with coef 0 |
+    geometric coef*ratio**n | polynomial coef*n**-power); ``upper`` tails
+    only bound them from above (the lower envelope is then the explicit part
+    alone).  :attr:`positive` says whether the tail weighs anything.
     """
 
     kind: str
@@ -85,13 +86,20 @@ class TailDescriptor:
             raise ValueError("tail coef, ratio and power must be finite")
         if self.coef < 0:
             raise ValueError("tail coefficient must be >= 0")
+        if self.kind == "zero" and self.coef > 0:
+            raise ValueError("a zero tail has coef 0")
         if self.kind == "geometric" and self.ratio <= 0 and self.coef > 0:
             raise ValueError("geometric tail needs ratio > 0")
         if self.kind == "polynomial" and self.power <= 0 and self.coef > 0:
             raise ValueError("polynomial tail needs power > 0")
 
+    @property
+    def positive(self) -> bool:
+        """True when the tail holds loops of positive weight; a zero tail never does."""
+        return self.coef > 0
+
     def radius(self) -> float:
-        if self.kind == "zero" or self.coef == 0.0:
+        if not self.positive:
             return math.inf
         if self.kind == "geometric":
             return 1.0 / self.ratio
@@ -140,14 +148,14 @@ class LoopSystem:
     @property
     def two_vertex(self) -> bool:
         verts = {lp.src for lp in self.loops} | {lp.dst for lp in self.loops}
-        verts |= {t.src for t in self.tails if t.coef > 0} | {t.dst for t in self.tails if t.coef > 0}
+        verts |= {t.src for t in self.tails if t.positive} | {t.dst for t in self.tails if t.positive}
         return 2 in verts
 
     @property
     def period(self) -> int:
         # a tail of positive weight has loops of every length past its start,
         # and two consecutive lengths are coprime
-        if any(t.coef > 0 for t in self.tails):
+        if any(t.positive for t in self.tails):
             return 1
         return math.gcd(*(lp.length for lp in self.loops)) or 1
 
@@ -390,7 +398,7 @@ def tail_sum(tail: TailDescriptor, z: float, d: int):
     """
     if z < 0:
         raise ValueError(f"tail sums are evaluated at z >= 0, got {z}")
-    if tail.kind == "zero" or tail.coef == 0:
+    if not tail.positive:
         return iv.ZERO
     c, N = tail.coef, tail.start
     if z == 0:
@@ -506,7 +514,7 @@ class _SeriesPart:
         A divergent F has the upper end inf; a divergent F' gives None.  A
         part with no loops and a zero tail is exactly (0, 0).
         """
-        if not self.explicit and self.tail.coef == 0:
+        if not self.explicit and not self.tail.positive:
             return iv.ZERO
         # P(z) = sum_n n^d w_n z^(n-1) by Horner; F = z P and F' = P
         head = iv.ZERO
@@ -610,7 +618,7 @@ def return_series(loops: LoopSystem, f: FiniteRangePotential | None = None) -> R
     }
     return ReturnSeries(
         parts=parts,
-        tail_exact=not any(p.tail.coef > 0 and p.tail.bound == "upper" for p in parts.values()),
+        tail_exact=not any(p.tail.positive and p.tail.bound == "upper" for p in parts.values()),
         radius_lower=min(p.tail.radius() for p in parts.values()),
     )
 
@@ -689,7 +697,7 @@ def loop_partition_function(loops: LoopSystem, f: FiniteRangePotential | None, n
         raise ValueError(f"table length n_max = {n_max} must be at least 0")
     # a tail of positive weight holds the loops longer than its start, which
     # the explicit loops miss, so the table ends there; zero tails miss nothing
-    covered = min((t.start for t in loops.tails if t.coef > 0), default=n_max)
+    covered = min((t.start for t in loops.tails if t.positive), default=n_max)
     truncated_at = note = None
     if covered < n_max:
         truncated_at, n_max = covered + 1, covered
@@ -735,7 +743,7 @@ def verify_zn_coincidence(
     right = loop_zn_exact(ind.loops, f, n_max)
     rows = []
     ok = True
-    truncated = maxlen < n_max and any(t.coef > 0 for t in ind.loops.tails)
+    truncated = maxlen < n_max and any(t.positive for t in ind.loops.tails)
     for n in range(1, n_max + 1):
         lz = left.zn_exact(n)
         rz = right[n - 1]

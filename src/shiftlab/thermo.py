@@ -272,15 +272,14 @@ def partition_function(
     Loop-system presentations are delegated to the renewal recurrence on
     their first-return weights.
     """
-    from .induction import LoopSystem  # local import; induction builds on this module
-
     if n_max < 0:
         raise ValueError(f"table length n_max = {n_max} must be at least 0")
-    if isinstance(shift, LoopSystem):
-        from .induction import loop_partition_function
+    graph = shift.graph if isinstance(shift, FinitePresentation) else shift
+    if not isinstance(graph, FiniteGraph):
+        # a loop system; graphs are decided first, so a graph table never loads induction
+        from .induction import loop_partition_function  # local import; induction builds on this module
 
         return loop_partition_function(shift, f, n_max)
-    graph = shift.graph if isinstance(shift, FinitePresentation) else shift
     W = tuple(int(s) for s in W)
     truncated_at = note = None
     if not graph.is_word(W):

@@ -469,6 +469,21 @@ def test_potential_with_a_certificate_key_exits_2(capsys, tmp_path, fixture_dir)
     assert rc == 2 and "unknown keys" in capsys.readouterr().err
 
 
+def test_zero_tail_with_a_positive_coef_exits_2(capsys, tmp_path):
+    # a zero tail weighs nothing; one declaring coef 0.5 was once read as "no
+    # tail" by tail_sum but as a weighted tail by zn, whose table then ended at 2
+    doc = {"kind": "loops", "schema": 1, "alphabet": None, "base": [], "loops": [{"len": 1}],
+           "tails": [{"type": "zero", "coef": 0.5, "start": 2}]}
+    bad = tmp_path / "zero-tail-loops.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["zn", "--shift", str(bad), "--nmax", "6"])
+    assert rc == 2 and "zero tail has coef 0" in capsys.readouterr().err
+    doc["tails"][0]["coef"] = 0.0
+    bad.write_text(json.dumps(doc))
+    rc, report, _ = run_cli(capsys, "zn", "--shift", str(bad), "--nmax", "6")
+    assert rc == 0 and report["truncated_at"] is None and len(report["entries"]) == 6
+
+
 def test_verify_correspondence_cli(capsys, fixture_dir):
     rc, report, _ = run_cli(
         capsys, "verify-correspondence", "--ai", str(fixture_dir / "gm-self-ai.json"),
@@ -624,6 +639,10 @@ def test_package_names_resolve_with_the_leaf_layers_unloaded(src_env):
 @pytest.mark.parametrize("argv, rc, leaves", [
     (["entropy", "--shift", "gm.json"], 0, []),
     (["zn", "--shift", "gm-at-0-loops.json"], 0, ["shiftlab.induction"]),
+    # a graph table never reaches the loop-system branch, so induction stays unloaded
+    (["zn", "--shift", "gm.json"], 0, []),
+    (["zeta", "--shift", "gm.json"], 0, []),
+    (["pressure", "--shift", "gm.json", "--method", "table"], 0, []),
     # the empty word is a CodeError, which main reports as an input error
     (["verify-magic", "--code", "CODE", "--word", ""], 2, ["shiftlab.codes"]),
 ])

@@ -26,7 +26,6 @@ class TestBuildGraph:
     def test_full2_valid(self, full2):
         assert full2.period == 1
         assert full2.removed == ()
-        assert full2.mixing
 
     def test_gm_period_one(self, gm):
         # cycle lengths 1 (loop at 0) and 2 (0-1 cycle): gcd 1

@@ -381,6 +381,21 @@ class TestTailSum:
             for d in (0, 1):
                 assert tail_sum(TailDescriptor(kind="zero", start=start), 1.0, d) == (0, 0)
 
+    def test_a_zero_tail_weighs_nothing_to_every_reader(self):
+        # a zero tail with coef 0.5 was "no tail" to tail_sum and radius() but a
+        # weighted tail to loop_partition_function, period and two_vertex
+        with pytest.raises(ValueError, match="zero tail has coef 0"):
+            TailDescriptor(kind="zero", coef=0.5, start=2)
+        zero = TailDescriptor(kind="zero", start=2, src=2, dst=2)
+        assert not zero.positive and zero.radius() == math.inf and tail_sum(zero, 0.5, 0) == (0, 0)
+        system = LoopSystem(loops=(Loop(length=2, log_weight=F(0)),), tails=(zero,))
+        assert system.period == 2 and not system.two_vertex
+        table = loop_partition_function(system, None, 6)
+        assert table.truncated_at is None and table.note is None and sorted(table.entries) == list(range(1, 7))
+        weighted = TailDescriptor(kind="geometric", coef=0.5, ratio=0.5, start=2, src=2, dst=2)
+        assert weighted.positive and replace(system, tails=(weighted,)).two_vertex
+        assert replace(system, tails=(weighted,)).period == 1
+
     def test_inverse_square_derivative_diverges_at_one(self):
         # sum n * n^-power diverges for power <= 2, sum n^-power for power <= 1
         for start in range(9):

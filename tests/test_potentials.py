@@ -39,6 +39,21 @@ class TestBirkhoffSum:
         with pytest.raises(PotentialError):
             birkhoff_sum(f, (1, 1), 2)
 
+    @pytest.mark.parametrize("word", [(1, 0, 1), (0, 2), (0, -1), (-1,)])
+    def test_inadmissible_orbit_words_raise_on_every_path(self, gm, word):
+        # a missing wrap edge (1 -> 1), an out-of-range letter, and negative
+        # letters, which a numpy index would read as vertex 1; each for span 1
+        # (checked edge by edge) and spans 2-3 (the window lookups are the
+        # check), over whole turns of the word and partial ones
+        tables = [FiniteRangePotential.zero(gm.graph)] + [
+            FiniteRangePotential(gm.graph, left, span - left, {w: F(1) for w in gm.graph.words(span)})
+            for span in (2, 3) for left in range(span)
+        ]
+        for f in tables:
+            for n in (len(word), 2 * len(word), len(word) + 1):
+                with pytest.raises(PotentialError, match="not admissible"):
+                    birkhoff_sum(f, word, n)
+
     def test_empty_orbit_word_rejected(self, gm):
         # a closed orbit has at least one letter; () once died dividing by its length
         f = FiniteRangePotential.zero(gm.graph)

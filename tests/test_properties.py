@@ -71,9 +71,25 @@ def test_birkhoff_sum_matches_windowwise_sum(data):
     left = data.draw(st.integers(0, min(2, span - 1)))
     values = data.draw(st.sampled_from([rationals, floats, st.one_of(rationals, floats, st.sampled_from(EXTREMES))]))
     f = FiniteRangePotential(g, left, span - left, {w: data.draw(values) for w in g.words(span)})
+    # n runs over whole turns of the word (the per-window route) and partial ones
     for n in range(1, 3 * len(word) + 2):
         got = birkhoff_sum(f, word, n)
         assert type(got) is Fraction and got == windowwise_birkhoff_sum(f, word, n)
+
+
+@pytest.mark.parametrize("span", [2, 3])
+def test_birkhoff_sum_of_words_shorter_than_the_span(span):
+    # p < span: a window wraps round the word more than once; on the full
+    # 3-shift every word is closed, with distinct values on every window
+    g = FiniteGraph(("0", "1", "2"), tuple((u, v) for u in range(3) for v in range(3)))
+    rng = np.random.default_rng(span)
+    for left in range(span):
+        f = FiniteRangePotential(g, left, span - left, {w: Fraction(int(rng.integers(-99, 99)), int(rng.integers(1, 9)))
+                                                        for w in g.words(span)})
+        for p in range(1, span):
+            for word in g.words(p):
+                for n in range(1, 3 * p + 2):
+                    assert birkhoff_sum(f, word, n) == windowwise_birkhoff_sum(f, word, n), (left, word, n)
 
 
 @st.composite
