@@ -276,8 +276,8 @@ def partition_function(
         raise ValueError(f"table length n_max = {n_max} must be at least 0")
     graph = shift.graph if isinstance(shift, FinitePresentation) else shift
     if not isinstance(graph, FiniteGraph):
-        # a loop system; graphs are decided first, so a graph table never loads induction
-        from .induction import loop_partition_function  # local import; induction builds on this module
+        # a loop system: only it loads induction, which builds on this module
+        from .induction import loop_partition_function
 
         return loop_partition_function(shift, f, n_max)
     W = tuple(int(s) for s in W)

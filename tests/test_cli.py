@@ -639,12 +639,12 @@ def test_package_names_resolve_with_the_leaf_layers_unloaded(src_env):
 @pytest.mark.parametrize("argv, rc, leaves", [
     (["entropy", "--shift", "gm.json"], 0, []),
     (["zn", "--shift", "gm-at-0-loops.json"], 0, ["shiftlab.induction"]),
+    # the empty word is a CodeError, which main reports as an input error
+    (["verify-magic", "--code", "CODE", "--word", ""], 2, ["shiftlab.codes"]),
     # a graph table never reaches the loop-system branch, so induction stays unloaded
     (["zn", "--shift", "gm.json"], 0, []),
     (["zeta", "--shift", "gm.json"], 0, []),
     (["pressure", "--shift", "gm.json", "--method", "table"], 0, []),
-    # the empty word is a CodeError, which main reports as an input error
-    (["verify-magic", "--code", "CODE", "--word", ""], 2, ["shiftlab.codes"]),
 ])
 def test_a_command_loads_only_the_leaf_layers_it_runs(src_env, fixture_dir, tmp_path, argv, rc, leaves):
     code_path = tmp_path / "code.json"

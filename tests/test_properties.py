@@ -80,7 +80,7 @@ def test_birkhoff_sum_matches_windowwise_sum(data):
 @pytest.mark.parametrize("span", [2, 3])
 def test_birkhoff_sum_of_words_shorter_than_the_span(span):
     # p < span: a window wraps round the word more than once; on the full
-    # 3-shift every word is closed, with distinct values on every window
+    # 3-shift every word is closed, and every window has a random value
     g = FiniteGraph(("0", "1", "2"), tuple((u, v) for u in range(3) for v in range(3)))
     rng = np.random.default_rng(span)
     for left in range(span):
