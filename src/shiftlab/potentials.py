@@ -105,31 +105,25 @@ def birkhoff_sum(f: FiniteRangePotential, word: Word, n: int) -> Fraction:
     Exact for every table: the sum is taken over the integer numerators of
     the table's values (floats included, each read as the dyadic rational it
     is) and divided by their common denominator once.  When the span is at
-    least 2 and n is a whole number of turns of the p-letter word, the sum is
-    n / p times the sum over the p cyclic span-windows of ``word``, and each
-    window's table lookup is the admissibility check: every cyclic edge lies
-    inside some window, and the table holds exactly the admissible windows.
-    Raises :class:`PotentialError` if the orbit word is empty or leaves the
-    table domain.
+    least 2 and n is at least the length p of the word, the n windows start
+    at every cyclic position of ``word``, so every cyclic edge lies inside a
+    looked-up window; as the table holds exactly the admissible windows, the
+    lookups are the admissibility check.  Otherwise the word is checked edge
+    by edge first.  Raises :class:`PotentialError` if the orbit word is
+    empty or leaves the table domain.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     span, p = f.span, len(word)
-    if span > 1 and p and n % p == 0:
-        q, table = f._integer_table
-        # p + span - 1 letters of the orbit, so window k is ext[k:k + span]
-        ext = word + word[:span - 1] if p >= span - 1 else word * span
-        try:
-            total = sum(map(table.__getitem__, zip(*[ext[i:i + p] for i in range(span)])))
-        except KeyError:
-            raise PotentialError(f"orbit word {word} is not admissible") from None
-        return Fraction(total * (n // p), q)
-    if not f.graph.is_closed_word(word):
+    if (span == 1 or n < p or not p) and not f.graph.is_closed_word(word):
         raise PotentialError(f"orbit word {word} is not admissible")
     # letters -left .. n + right - 2 of the orbit, so window k is ext[k:k + span]
     start = -f.left % p
     ext = (word * ((start + n + span - 1) // p + 1))[start:start + n + span - 1]
-    return _window_sum(f, ext, n)
+    try:
+        return _window_sum(f, ext, n)
+    except KeyError:
+        raise PotentialError(f"orbit word {word} is not admissible") from None
 
 
 def _window_sum(f: FiniteRangePotential, ext: Word, n: int) -> Fraction:

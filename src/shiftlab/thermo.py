@@ -250,7 +250,8 @@ def partition_function(
     :func:`~shiftlab.kernels.exact_reach` before anything is walked; it is
     marked ``truncated_at`` that n.  The reach table itself stops at that n
     (:func:`~shiftlab.kernels.reach_within_budget`), so a large ``n_max``
-    costs nothing past it.  ValueError when n_max < 0.  For
+    costs nothing past it.  ValueError when n_max < 0 or ``shift`` is
+    not a graph, a presentation or a loop system.  For
     n >= max(len(W), 1):
 
     * a constant table, value c, has Z_n = N_n exp(n c), with N_n the path
@@ -277,8 +278,10 @@ def partition_function(
     graph = shift.graph if isinstance(shift, FinitePresentation) else shift
     if not isinstance(graph, FiniteGraph):
         # a loop system: only it loads induction, which builds on this module
-        from .induction import loop_partition_function
+        from .induction import LoopSystem, loop_partition_function
 
+        if not isinstance(shift, LoopSystem):
+            raise ValueError(f"need a FiniteGraph, FinitePresentation or LoopSystem, not {type(shift).__name__}")
         return loop_partition_function(shift, f, n_max)
     W = tuple(int(s) for s in W)
     truncated_at = note = None

@@ -161,6 +161,13 @@ class TestPartitionFunction:
             for n in range(1, 11):
                 assert t1.zn_exact(n) == t2.zn_exact(n)
 
+    def test_other_shift_types_are_refused_by_name(self, gm):
+        # an exhaustion presentation has no one graph to walk; it once died with an AttributeError
+        exh = ExhaustionPresentation(("0", "1"), (ExhaustionLevel((0, 1), gm.graph),))
+        for shift in (exh, None):
+            with pytest.raises(ValueError, match="FiniteGraph, FinitePresentation or LoopSystem"):
+                partition_function(shift, zero(gm.graph), (), 4)
+
     def test_csv_export(self, full2):
         t = partition_function(full2.graph, zero(full2.graph), (0,), 9)
         text = export_zn_csv(t, math.log(2))
