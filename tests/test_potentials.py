@@ -43,14 +43,15 @@ class TestBirkhoffSum:
     def test_inadmissible_orbit_words_raise_on_every_path(self, gm, word):
         # a missing wrap edge (1 -> 1), an out-of-range letter, and negative
         # letters, which a numpy index would read as vertex 1; each for span 1
-        # (checked edge by edge) and spans 2-3 (the window lookups are the
-        # check), over whole turns of the word and partial ones
+        # and for n below the word's length (checked edge by edge), and for
+        # spans 2-3 over whole and partial turns (the window lookups are the
+        # check)
         tables = [FiniteRangePotential.zero(gm.graph)] + [
             FiniteRangePotential(gm.graph, left, span - left, {w: F(1) for w in gm.graph.words(span)})
             for span in (2, 3) for left in range(span)
         ]
         for f in tables:
-            for n in (len(word), 2 * len(word), len(word) + 1):
+            for n in (1, len(word), 2 * len(word), len(word) + 1):
                 with pytest.raises(PotentialError, match="not admissible"):
                     birkhoff_sum(f, word, n)
 

@@ -71,7 +71,8 @@ def test_birkhoff_sum_matches_windowwise_sum(data):
     left = data.draw(st.integers(0, min(2, span - 1)))
     values = data.draw(st.sampled_from([rationals, floats, st.one_of(rationals, floats, st.sampled_from(EXTREMES))]))
     f = FiniteRangePotential(g, left, span - left, {w: data.draw(values) for w in g.words(span)})
-    # n runs over whole turns of the word (the per-window route) and partial ones
+    # n runs below the word's length (checked edge by edge) and past it, over
+    # whole and partial turns (the window lookups are the check)
     for n in range(1, 3 * len(word) + 2):
         got = birkhoff_sum(f, word, n)
         assert type(got) is Fraction and got == windowwise_birkhoff_sum(f, word, n)

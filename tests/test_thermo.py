@@ -162,7 +162,7 @@ class TestPartitionFunction:
                 assert t1.zn_exact(n) == t2.zn_exact(n)
 
     def test_other_shift_types_are_refused_by_name(self, gm):
-        # an exhaustion presentation has no one graph to walk; it once died with an AttributeError
+        # an exhaustion presentation has no one graph to walk
         exh = ExhaustionPresentation(("0", "1"), (ExhaustionLevel((0, 1), gm.graph),))
         for shift in (exh, None):
             with pytest.raises(ValueError, match="FiniteGraph, FinitePresentation or LoopSystem"):
