@@ -8,12 +8,12 @@ or input errors.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import documents as docs
+from . import intervals as iv
 from .graphs import BudgetExceededError, ExhaustionPresentation, FinitePresentation
 from .potentials import FiniteRangePotential
 from .thermo import (
@@ -91,74 +91,42 @@ def _print_report(report: dict, human: list[str]) -> None:
 # subcommands
 
 
-def cmd_entropy(args) -> int:
-    shift = _load_shift(args.shift)
-    if isinstance(shift, ExhaustionPresentation):
-        est = pressure_exhaustion(shift, _ambient_zero(shift))
-        report = {
-            "command": "entropy",
-            "method": est.method,
-            "entropy": _num(est.value, est.error),
-            "levels": [_num(v, est.error) for v in est.levels],
-        }
-        _print_report(report, [f"entropy (exhaustion sup over {len(est.levels)} levels): {est.value:.10f} +- {est.error:.2e}"])
-        return 0
-    if _is_loop_system(shift):
-        verdict = recurrence_classify(shift)
-        lam = verdict.lam
-        report = {
-            "command": "entropy",
-            "method": "loop-classification",
-            "verdict": verdict.verdict,
-            "entropy": _num(math.log(lam), (verdict.lam_bounds[1] - verdict.lam_bounds[0]) / max(lam, 1e-300)) if lam else None,
-        }
-        _print_report(report, [f"verdict {verdict.verdict}; log lambda = {math.log(lam):.10f}" if lam else f"verdict {verdict.verdict}"])
-        return 0
-    graph = _graph_of(shift)
-    est = pressure_spectral(graph, FiniteRangePotential.zero(graph))
-    report = {
-        "command": "entropy",
-        "method": est.method,
-        "entropy": _num(est.value, est.error),
-        "iterations": est.iterations,
-    }
-    _print_report(report, [f"entropy: {est.value:.10f} +- {est.error:.2e}"])
-    return 0
-
-
-def _ambient_zero(exh: ExhaustionPresentation) -> FiniteRangePotential:
-    top = exh.levels[-1]
-    return FiniteRangePotential.zero(top.graph)
-
-
 def cmd_pressure(args) -> int:
+    """``pressure``, and ``entropy`` as the pressure of the zero potential.
+
+    One dispatch on the shift kind.  A graph takes ``pressure_spectral``, or
+    ``pressure_from_table`` under ``--method table``; an exhaustion takes
+    ``pressure_exhaustion`` with the potential on its top level.  A loop
+    system's weights are baked in, so its pressure is log lambda, bracketed
+    by the outward log of the lambda bracket of ``recurrence_classify``.  A
+    flag that does not apply to the shift exits 2.
+    """
+    name = args.command
     shift = _load_shift(args.shift)
-    if isinstance(shift, ExhaustionPresentation):
-        f = docs.parse_potential(_load(args.potential), shift.levels[-1].graph) if args.potential else _ambient_zero(shift)
-        est = pressure_exhaustion(shift, f)
-        report = {
-            "command": "pressure",
-            "method": est.method,
-            "pressure": _num(est.value, est.error),
-            "levels": [_num(v, est.error) for v in est.levels],
-        }
-        _print_report(report, [f"pressure ({est.method}): {est.value:.10f} +- {est.error:.2e}"])
-        return 0
-    graph = _graph_of(shift)
-    f = _load_potential(args.potential, graph)
-    if args.method == "table":
-        period = shift.period if isinstance(shift, FinitePresentation) else 1
-        table = partition_function(graph, f, (), args.nmax)
-        est = pressure_from_table(table, period)
+    if args.method == "table" and not isinstance(shift, FinitePresentation):
+        raise docs.SchemaError("--method table needs a finite graph presentation")
+    if _is_loop_system(shift):
+        if args.potential:
+            raise docs.SchemaError("a loop system's weights are baked in; omit --potential")
+        verdict = recurrence_classify(shift)
+        value = iv.midrad(iv.log(verdict.lam_bounds)) if verdict.lam else None
+        report = {"method": "loop-classification", "verdict": verdict.verdict,
+                  name: None if value is None else _num(*value)}
+        human = f"{name} (verdict {verdict.verdict})" + ("" if value is None else f": {value[0]:.10f} +- {value[1]:.2e}")
     else:
-        est = pressure_spectral(graph, f)
-    report = {
-        "command": "pressure",
-        "method": est.method,
-        "pressure": _num(est.value, est.error),
-        "iterations": est.iterations,
-    }
-    _print_report(report, [f"pressure ({est.method}): {est.value:.10f} +- {est.error:.2e}"])
+        if isinstance(shift, ExhaustionPresentation):
+            est = pressure_exhaustion(shift, _load_potential(args.potential, shift.levels[-1].graph))
+            report = {"levels": [_num(v, est.error) for v in est.levels]}
+        else:
+            f = _load_potential(args.potential, shift.graph)
+            if args.method == "table":
+                est = pressure_from_table(partition_function(shift.graph, f, (), args.nmax), shift.period)
+            else:
+                est = pressure_spectral(shift.graph, f)
+            report = {"iterations": est.iterations}
+        report.update({"method": est.method, name: _num(est.value, est.error)})
+        human = f"{name} ({est.method}): {est.value:.10f} +- {est.error:.2e}"
+    _print_report({"command": name, **report}, [human])
     return 0
 
 
@@ -211,7 +179,7 @@ def cmd_classify(args) -> int:
         "command": "classify",
         "verdict": verdict.verdict,
         "positive_recurrent": verdict.positive_recurrent,
-        "lambda": None if verdict.lam is None else _num(verdict.lam, None if verdict.lam_bounds is None else verdict.lam_bounds[1] - verdict.lam_bounds[0]),
+        "lambda": None if verdict.lam_bounds is None else _num(*iv.midrad(verdict.lam_bounds)),
         "F_at_1_over_lambda": None if verdict.F_at_z is None else {"lower": verdict.F_at_z[0], "upper": verdict.F_at_z[1]},
         "Fprime_at_1_over_lambda": "divergent" if verdict.Fprime_at_z is None else {"lower": verdict.Fprime_at_z[0], "upper": verdict.Fprime_at_z[1]},
         "radius": verdict.radius,
@@ -370,8 +338,8 @@ def cmd_verify_correspondence(args) -> int:
     report = {
         "command": "verify-correspondence",
         "passed": rep.passed,
-        "pressure_s": _num(rep.pressure_s, None),
-        "pressure_t": _num(rep.pressure_t, None),
+        "pressure_s": _num(rep.pressure_s.value, rep.pressure_s.error),
+        "pressure_t": _num(rep.pressure_t.value, rep.pressure_t.error),
         "pressure_gap": _num(rep.pressure_gap, rep.pressure_tolerance),
         "witnesses_checked": rep.witnesses_checked,
         "first_failure": None if rep.first_failure is None else {
@@ -381,7 +349,7 @@ def cmd_verify_correspondence(args) -> int:
         "equilibrium_block_gap": rep.measure_block_gap,
     }
     human = [
-        f"pressures {rep.pressure_s:.10f} / {rep.pressure_t:.10f} (gap {rep.pressure_gap:.2e})",
+        f"pressures {rep.pressure_s.value:.10f} / {rep.pressure_t.value:.10f} (gap {rep.pressure_gap:.2e})",
         f"witnesses checked: {rep.witnesses_checked}; passed: {rep.passed}",
     ]
     _print_report(report, human)
@@ -392,9 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="shiftlab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("entropy", help="topological entropy of a presentation")
+    sp = sub.add_parser("entropy", help="topological entropy: the pressure of the zero potential")
     sp.add_argument("--shift", required=True)
-    sp.set_defaults(func=cmd_entropy)
+    sp.set_defaults(func=cmd_pressure, potential=None, method="spectral")
 
     sp = sub.add_parser("pressure", help="pressure of a shift with a potential")
     sp.add_argument("--shift", required=True)

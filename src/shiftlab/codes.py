@@ -33,7 +33,7 @@ from .graphs import (
     strongly_connected_components,
 )
 from .potentials import FiniteRangePotential, PotentialError
-from .thermo import MarkovMeasure, equilibrium_measure, pressure_spectral, stationary_vector
+from .thermo import MarkovMeasure, PressureEstimate, equilibrium_measure, pressure_spectral, stationary_vector
 
 
 class CodeError(ValueError):
@@ -646,8 +646,8 @@ _CORRESPONDENCE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CorrespondenceReport:
-    pressure_s: float
-    pressure_t: float
+    pressure_s: PressureEstimate
+    pressure_t: PressureEstimate
     pressure_gap: float
     pressure_tolerance: float
     witnesses_checked: int
@@ -704,8 +704,8 @@ def verify_correspondence(
     block_gap = max(abs(dist_m.get(w, 0.0) - dist_g.get(w, 0.0)) for w in keys)
     passed = (gap <= p_tol) and failure is None and block_gap <= _CORRESPONDENCE_TOL
     return CorrespondenceReport(
-        pressure_s=ps.value,
-        pressure_t=pt.value,
+        pressure_s=ps,
+        pressure_t=pt,
         pressure_gap=gap,
         pressure_tolerance=p_tol,
         witnesses_checked=checked,

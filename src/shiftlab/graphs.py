@@ -118,10 +118,6 @@ class FinitePresentation:
     period: int
     removed: tuple[str, ...] = ()
 
-    @property
-    def kind(self) -> str:
-        return "finite"
-
 
 @dataclass(frozen=True)
 class ExhaustionLevel:
@@ -156,16 +152,6 @@ class ExhaustionPresentation:
             prev_v, prev_e = vids, amb
         if tuple(sorted(self.levels[-1].vertex_ids)) != tuple(range(len(self.names))):
             raise GraphError("the top level must cover the whole ambient alphabet")
-
-    @property
-    def kind(self) -> str:
-        return "exhaustion"
-
-    @property
-    def period(self) -> int:
-        flag, period = irreducible_and_period(self.levels[-1].graph)
-        assert flag and period is not None
-        return period
 
 
 def build_graph(names, edges) -> FinitePresentation:
@@ -444,7 +430,6 @@ class BlockLabeling:
 
     block_words: tuple[Word, ...]
     symbol_map: tuple[int, ...]
-    block_length: int
 
     def apply(self, word) -> Word:
         return tuple(self.symbol_map[s] for s in word)
@@ -466,7 +451,6 @@ def higher_block(g: FiniteGraph, N: int) -> tuple[FiniteGraph, BlockLabeling]:
         labeling = BlockLabeling(
             block_words=tuple((v,) for v in range(g.n_vertices)),
             symbol_map=tuple(range(g.n_vertices)),
-            block_length=1,
         )
         return g, labeling
     blocks = g.words(N)
@@ -481,6 +465,5 @@ def higher_block(g: FiniteGraph, N: int) -> tuple[FiniteGraph, BlockLabeling]:
     labeling = BlockLabeling(
         block_words=tuple(blocks),
         symbol_map=tuple(w[0] for w in blocks),
-        block_length=N,
     )
     return hb, labeling

@@ -142,10 +142,6 @@ class LoopSystem:
         )
 
     @property
-    def kind(self) -> str:
-        return "loops"
-
-    @property
     def two_vertex(self) -> bool:
         verts = {lp.src for lp in self.loops} | {lp.dst for lp in self.loops}
         verts |= {t.src for t in self.tails if t.positive} | {t.dst for t in self.tails if t.positive}

@@ -86,8 +86,16 @@ def exp(a: Interval) -> Interval:
 
 
 def log(a: Interval) -> Interval:
-    """log of an interval with a positive upper end; a lower end of 0 gives -inf."""
-    return down(down(math.log(a[0]))) if a[0] else -math.inf, up(up(math.log(a[1])))
+    """log of an interval with a positive upper end; a lower end of 0 gives -inf.
+
+    An end at exactly 1.0 gives exactly 0: IEEE 754 fixes log 1 = +0, so
+    there is no rounding to cover, and a bracket (1, 1) stays (0, 0).
+    """
+    return _log(a[0], down) if a[0] else -math.inf, _log(a[1], up)
+
+
+def _log(x: float, step) -> float:
+    return 0.0 if x == 1.0 else step(step(math.log(x)))
 
 
 def midrad(a: Interval) -> tuple[float, float]:

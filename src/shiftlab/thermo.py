@@ -251,8 +251,7 @@ def partition_function(
     marked ``truncated_at`` that n.  The reach table itself stops at that n
     (:func:`~shiftlab.kernels.reach_within_budget`), so a large ``n_max``
     costs nothing past it.  ValueError when n_max < 0 or ``shift`` is
-    not a graph, a presentation or a loop system.  For
-    n >= max(len(W), 1):
+    not a graph or a presentation.  For n >= max(len(W), 1):
 
     * a constant table, value c, has Z_n = N_n exp(n c), with N_n the path
       count, and walks nothing (Bowen--Lanford: for the zero potential
@@ -270,19 +269,15 @@ def partition_function(
       one exact :func:`~shiftlab.potentials.birkhoff_sum` per class.
 
     The periods shorter than W have at most one point each, found from W.
-    Loop-system presentations are delegated to the renewal recurrence on
-    their first-return weights.
+    A loop system's table is :func:`~shiftlab.induction.loop_partition_function`,
+    the renewal recurrence on its first-return weights.
     """
     if n_max < 0:
         raise ValueError(f"table length n_max = {n_max} must be at least 0")
     graph = shift.graph if isinstance(shift, FinitePresentation) else shift
     if not isinstance(graph, FiniteGraph):
-        # a loop system: only it loads induction, which builds on this module
-        from .induction import LoopSystem, loop_partition_function
-
-        if not isinstance(shift, LoopSystem):
-            raise ValueError(f"need a FiniteGraph, FinitePresentation or LoopSystem, not {type(shift).__name__}")
-        return loop_partition_function(shift, f, n_max)
+        raise ValueError(f"need a FiniteGraph or FinitePresentation, not {type(shift).__name__};"
+                         " a loop system's table is induction.loop_partition_function")
     W = tuple(int(s) for s in W)
     truncated_at = note = None
     if not graph.is_word(W):
@@ -705,20 +700,27 @@ class RecurrenceClass:
     """Classification of a loop system under a potential.
 
     ``verdict`` is one of transient / null_recurrent / positive_recurrent /
-    SPR / indeterminate; SPR implies positive recurrence, recorded in
-    ``positive_recurrent``.  Diagnostics carry lambda and the brackets of F
-    and F' at z = 1/lambda: over the whole root bracket for SPR, at the
-    radius otherwise.
+    SPR / indeterminate; SPR implies positive recurrence, as
+    :attr:`positive_recurrent` says.  Diagnostics carry the bracket of
+    lambda, whose midpoint is :attr:`lam`, and the brackets of F and F' at
+    z = 1/lambda: over the whole root bracket for SPR, at the radius
+    otherwise.
     """
 
     verdict: str
-    positive_recurrent: bool
-    lam: float | None
     lam_bounds: tuple[float, float] | None
     F_at_z: tuple[float, float] | None
     Fprime_at_z: tuple[float, float] | None
     radius: float
     detail: str = ""
+
+    @property
+    def positive_recurrent(self) -> bool:
+        return self.verdict in ("SPR", "positive_recurrent")
+
+    @property
+    def lam(self) -> float | None:
+        return None if self.lam_bounds is None else iv.midrad(self.lam_bounds)[0]
 
 
 def recurrence_classify(loops: "LoopSystem", f=None) -> RecurrenceClass:
@@ -739,13 +741,10 @@ def recurrence_classify(loops: "LoopSystem", f=None) -> RecurrenceClass:
 
     def spr(z_hi: float, detail: str) -> RecurrenceClass:
         z_lo = series.root_lower() or 0.0  # None: the upper envelope stays below 1 where searched
-        lam_lo, lam_hi = iv.div(iv.ONE, (z_lo, z_hi))
         fp_lo, fp_hi = series.Fprime(z_lo), series.Fprime(z_hi)
         return RecurrenceClass(
             verdict="SPR",
-            positive_recurrent=True,
-            lam=0.5 * (lam_lo + lam_hi),
-            lam_bounds=(lam_lo, lam_hi),
+            lam_bounds=iv.div(iv.ONE, (z_lo, z_hi)),
             F_at_z=(series.F(z_lo)[0], series.F(z_hi)[1]),
             Fprime_at_z=None if fp_lo is None else (fp_lo[0], math.inf if fp_hi is None else fp_hi[1]),
             radius=R,
@@ -753,12 +752,9 @@ def recurrence_classify(loops: "LoopSystem", f=None) -> RecurrenceClass:
         )
 
     def at_radius(verdict: str, detail: str, F=None, Fprime=None) -> RecurrenceClass:
-        decided = verdict != "indeterminate"
         return RecurrenceClass(
             verdict=verdict,
-            positive_recurrent=verdict == "positive_recurrent",
-            lam=1.0 / R if decided else None,
-            lam_bounds=(1.0 / R, 1.0 / R) if decided else None,
+            lam_bounds=None if verdict == "indeterminate" else (1.0 / R, 1.0 / R),
             F_at_z=F,
             Fprime_at_z=Fprime,
             radius=R,

@@ -71,6 +71,31 @@ def brute_force_first_returns(edges: set[tuple[int, int]], allowed, v_start: int
     return out
 
 
+def least_loop_collisions(labels, max_length: int) -> list:
+    """The words of least length that two chains of ``labels`` spell, in ascending order.
+
+    A chain is a sequence of label indices, and it spells the concatenation
+    of its labels.  Chains are enumerated by total length up to
+    ``max_length``; below the first length with a collision every word has
+    one chain, so one chain per word is kept.  Empty when no chain of total
+    length up to ``max_length`` collides.
+    """
+    spelled = [{(): ()}]  # spelled[L]: word -> its chain, over chains of total length L
+    for L in range(1, max_length + 1):
+        level, collisions = {}, set()
+        for i, label in enumerate(labels):
+            if len(label) > L:
+                continue
+            for word, chain in spelled[L - len(label)].items():
+                word, chain = word + tuple(label), chain + (i,)
+                if level.setdefault(word, chain) != chain:
+                    collisions.add(word)
+        if collisions:
+            return sorted(collisions)
+        spelled.append(level)
+    return []
+
+
 def scalar_chain(cum, start: int, uniforms) -> list[int]:
     """Chain trajectory one scalar comparison at a time.
 

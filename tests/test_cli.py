@@ -1,13 +1,20 @@
 """End-to-end CLI checks: reports, determinism, exit codes."""
+import argparse
 import json
 import math
+import shlex
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shiftlab.cli import main
+from shiftlab import intervals as iv
+from shiftlab.cli import build_parser, main
+from shiftlab.documents import parse_shift
+from shiftlab.thermo import recurrence_classify
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -222,14 +229,39 @@ def test_classify_writes_infinite_bracket_ends_as_strict_json(capsys, tmp_path):
 
 
 def test_entropy_of_a_loop_system_matches_classify(capsys, fixture_dir):
-    loops = str(fixture_dir / "gm-at-1-loops.json")
-    code, report, _ = run_cli(capsys, "entropy", "--shift", loops)
-    assert code == 0 and report["method"] == "loop-classification" and report["verdict"] == "SPR"
-    _, creport, _ = run_cli(capsys, "classify", "--loops", loops)
-    lam = creport["lambda"]["value"]
-    assert report["entropy"]["value"] == math.log(lam)
-    assert report["entropy"]["error"] == creport["lambda"]["error"] / lam
-    assert abs(report["entropy"]["value"] - math.log(PHI)) <= report["entropy"]["error"]
+    # classify reports the lambda bracket as value and half-width, entropy its
+    # outward log the same way, and pressure of a loop system is that entropy
+    for loops in ("gm-at-0-loops.json", "gm-at-1-loops.json"):
+        path = str(fixture_dir / loops)
+        verdict = recurrence_classify(parse_shift(json.loads((fixture_dir / loops).read_text())))
+        code, report, _ = run_cli(capsys, "entropy", "--shift", path)
+        assert code == 0 and report["method"] == "loop-classification" and report["verdict"] == "SPR"
+        assert (report["entropy"]["value"], report["entropy"]["error"]) == iv.midrad(iv.log(verdict.lam_bounds))
+        assert abs(report["entropy"]["value"] - math.log(PHI)) <= report["entropy"]["error"], loops
+        _, creport, _ = run_cli(capsys, "classify", "--loops", path)
+        assert (creport["lambda"]["value"], creport["lambda"]["error"]) == iv.midrad(verdict.lam_bounds)
+        _, preport, _ = run_cli(capsys, "pressure", "--shift", path)
+        assert preport["pressure"] == report["entropy"] and preport["command"] == "pressure"
+
+
+def test_entropy_at_lambda_one_is_exactly_zero(capsys, fixture_dir):
+    # the renewal lambda bracket is (1, 1), and log 1 = +0 exactly
+    for command in ("entropy", "pressure"):
+        code, report, _ = run_cli(capsys, command, "--shift", str(fixture_dir / "renewal-6pi2.json"))
+        assert code == 0 and report[command] == {"value": 0.0, "error": 0.0}
+
+
+@pytest.mark.parametrize("shift, flags, message", [
+    ("gm-at-0-loops.json", ["--potential", "gm-range1.json"], "omit --potential"),
+    ("gm-at-0-loops.json", ["--method", "table"], "--method table needs a finite graph"),
+    ("gm-exhaustion.json", ["--method", "table"], "--method table needs a finite graph"),
+])
+def test_pressure_flags_that_do_not_apply_exit_2(capsys, fixture_dir, shift, flags, message):
+    argv = ["pressure", "--shift", str(fixture_dir / shift)] + [str(fixture_dir / a) if a.endswith(".json") else a
+                                                                for a in flags]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and message in captured.err
 
 
 def test_pressure_exhaustion_with_potential(capsys, fixture_dir):
@@ -494,6 +526,11 @@ def test_verify_correspondence_cli(capsys, fixture_dir):
     assert rc == 0
     assert report["passed"] is True
     assert report["pressure_gap"]["value"] <= 1e-9
+    # each leg's pressure carries the error that pressure_spectral computed
+    assert all(math.isfinite(report[leg]["error"]) for leg in ("pressure_s", "pressure_t"))
+    _, pressure, _ = run_cli(capsys, "pressure", "--shift", str(fixture_dir / "gm.json"),
+                             "--potential", str(fixture_dir / "gm-range1.json"))
+    assert report["pressure_s"] == pressure["pressure"]
 
 
 def test_road_colouring_ai_cli(capsys, fixture_dir):
@@ -640,16 +677,14 @@ def test_package_names_resolve_with_the_leaf_layers_unloaded(src_env):
     (["entropy", "--shift", "gm.json"], 0, []),
     (["zn", "--shift", "gm-at-0-loops.json"], 0, ["shiftlab.induction"]),
     # the empty word is a CodeError, which main reports as an input error
-    (["verify-magic", "--code", "CODE", "--word", ""], 2, ["shiftlab.codes"]),
-    # a graph table never reaches the loop-system branch, so induction stays unloaded
+    (["verify-magic", "--code", "gm-block2-code.json", "--word", ""], 2, ["shiftlab.codes"]),
+    # a graph table is thermo.partition_function alone, so induction stays unloaded
     (["zn", "--shift", "gm.json"], 0, []),
     (["zeta", "--shift", "gm.json"], 0, []),
     (["pressure", "--shift", "gm.json", "--method", "table"], 0, []),
 ])
-def test_a_command_loads_only_the_leaf_layers_it_runs(src_env, fixture_dir, tmp_path, argv, rc, leaves):
-    code_path = tmp_path / "code.json"
-    code_path.write_text(json.dumps(json.loads((fixture_dir / "gm-self-ai.json").read_text())["code_s"]))
-    argv = [str(code_path) if a == "CODE" else str(fixture_dir / a) if a.endswith(".json") else a for a in argv]
+def test_a_command_loads_only_the_leaf_layers_it_runs(src_env, fixture_dir, argv, rc, leaves):
+    argv = [str(fixture_dir / a) if a.endswith(".json") else a for a in argv]
     code = f"""if True:
         import contextlib, io, json, sys
         from shiftlab.cli import main
@@ -659,3 +694,23 @@ def test_a_command_loads_only_the_leaf_layers_it_runs(src_env, fixture_dir, tmp_
     """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=src_env)
     assert json.loads(out.stdout) == [rc, leaves], out.stderr
+
+
+def _readme_cli_lines():
+    """The ``shiftlab ...`` lines of README's CLI block, continuation lines joined."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("shiftlab ")]
+
+
+def test_readme_cli_lines_run(capsys, fixture_dir, tmp_path, monkeypatch):
+    # every documented command exits 0 as written, and every subcommand is documented
+    shutil.copytree(fixture_dir, tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    for argv in lines:
+        rc = main(argv)
+        assert rc == 0, (argv, capsys.readouterr().err)
+    capsys.readouterr()
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {argv[0] for argv in lines}

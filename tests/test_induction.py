@@ -31,6 +31,7 @@ from oracles import (
     decimal_first_return,
     decimal_loop_zn,
     integer_trace,
+    least_loop_collisions,
     random_irreducible_graph,
     random_rational_values,
     tail_series,
@@ -247,6 +248,9 @@ class TestWeighing:
         with pytest.raises(PotentialError, match="base words"):
             loop_zn_exact(bare, f, 5)
         with pytest.raises(PotentialError, match="base words"):
+            loop_partition_function(bare, f, n_max=5)
+        # the graph entry point takes no loop system and names the one that does
+        with pytest.raises(ValueError, match="induction.loop_partition_function"):
             partition_function(bare, f, n_max=5)
 
 
@@ -757,6 +761,43 @@ class TestInjectivity:
             ind = induce(g, (0,), maxlen=8)
             ok, _ = phi_injective_on_periodic(ind)
             assert ok
+
+    def test_random_single_word_inductions_are_injective(self):
+        # first returns to one word form a prefix code, so no two compositions spell one word
+        rng = np.random.default_rng(27)
+        for _ in range(12):
+            names, edges = random_irreducible_graph(rng, 5)
+            g = build_graph(names, edges).graph
+            W = g.words(int(rng.integers(1, 3)))
+            ind = induce(g, W[int(rng.integers(len(W)))], maxlen=7)
+            assert phi_injective_on_periodic(ind) == (True, None)
+
+    def test_declared_labels_against_brute_force(self):
+        # labels over 2-3 letters collide often; the fiber-product search must
+        # find the least colliding word that enumerating loop chains of total
+        # length <= 10 finds, and a chain pair that spells it
+        rng = np.random.default_rng(28)
+        injective = ties = 0
+        for _ in range(200):
+            letters = int(rng.integers(2, 4))
+            labels = {tuple(int(a) for a in rng.integers(letters, size=int(rng.integers(1, 4))))
+                      for _ in range(int(rng.integers(2, 6)))}
+            system = LoopSystem(loops=tuple(Loop(len(lb), label=lb) for lb in labels),
+                                tails=(TailDescriptor(kind="zero", start=0),))
+            ordered = [lp.label for lp in system.loops]
+            want = least_loop_collisions(ordered, 10)
+            ok, witness = phi_injective_on_periodic(InducedPresentation(system, (0, 0)))
+            if not want:
+                assert ok or len(witness[0]) > 10, (ordered, witness)
+                injective += 1
+                continue
+            word, chains = witness
+            assert not ok and word == want[0], (ordered, witness, want)
+            spelled = [sum((ordered[i] for i in chain), ()) for chain in chains]
+            assert chains[0] != chains[1] and spelled == [word, word], (ordered, witness)
+            ties += len(want) > 1
+        # both verdicts occur, and so do several least-length collisions to choose from
+        assert 40 <= injective <= 160 and ties >= 5, (injective, ties)
 
     @pytest.mark.parametrize("labels, word, chains", [
         (((0,), (1, 0), (0, 1)), (0, 1, 0), ((0, 2), (1, 0))),

@@ -61,6 +61,8 @@ def test_conventions():
     m, r = iv.midrad((1.0, 1.5))
     assert m - r <= 1.0 and 1.5 <= m + r
     assert iv.midrad((1.0, math.inf))[1] == math.inf
+    assert iv.log(iv.ONE) == iv.ZERO and iv.midrad(iv.log(iv.ONE)) == (0.0, 0.0)  # log 1 = +0 exactly
+    assert iv.log((0.5, 1.0))[1] == 0.0 and iv.log((1.0, 2.0))[0] == 0.0
     assert iv.mul((1e300, 1e300), (1e10, 1e10)) == (math.inf, math.inf)  # overflow reads as inf
     with pytest.raises(OverflowError):
         iv.exp((800.0, 800.0))

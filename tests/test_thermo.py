@@ -162,10 +162,14 @@ class TestPartitionFunction:
                 assert t1.zn_exact(n) == t2.zn_exact(n)
 
     def test_other_shift_types_are_refused_by_name(self, gm):
-        # an exhaustion presentation has no one graph to walk
+        # an exhaustion presentation has no one graph to walk, and a loop
+        # system's table has its own entry point, which the error names
+        from shiftlab.induction import induce
+
         exh = ExhaustionPresentation(("0", "1"), (ExhaustionLevel((0, 1), gm.graph),))
-        for shift in (exh, None):
-            with pytest.raises(ValueError, match="FiniteGraph, FinitePresentation or LoopSystem"):
+        for shift in (exh, induce(gm.graph, (0,), maxlen=6).loops, None):
+            with pytest.raises(ValueError, match="FiniteGraph or FinitePresentation, not .*"
+                                                 "induction.loop_partition_function"):
                 partition_function(shift, zero(gm.graph), (), 4)
 
     def test_csv_export(self, full2):
