@@ -23,9 +23,10 @@ share their prefixes; its budget is still that of one walk per length, and
 ``closed_path_counts``, the closed-path counts in the same table (all a
 caller needs when a path's weight depends only on its length).  Two
 accumulators consume its steps, each for every length of the window:
-``closed_paths`` keeps only each depth's (parent, vertex) links and writes
-each path row once at the end, padded with -1 to the longest length, by
-following the links back in blocks of about 16k rows; and
+``closed_paths`` keeps only each depth's (parent, vertex) links, 9 bytes
+per partial path up to 128 vertices, and writes each path row once at the
+end, padded with -1 to the longest length, by following the links back in
+blocks of about 16k rows; and
 ``closed_path_count_keys`` gathers packed visit-count keys and never builds a
 row: at each depth with more than 64 states it merges the partial paths with
 the same first vertex, last vertex and key into one state with a
@@ -33,6 +34,11 @@ multiplicity, and sends the walker back the states to extend.  A key packs
 one field per vertex into an int64, each ``count_key_width(V, n)`` = max(4,
 n.bit_length()) bits wide, so the keys of a window up to length n need
 V * width <= 63: up to n = 15 on 15 vertices, n = 31 on 12, n = 127 on 9.
+
+Path rows hold vertex ids in ``vertex_dtype``, the narrowest signed integer
+type for the vertex count (int8 up to 128 vertices).  ``first_return_paths``
+extends all partial paths together too, and emits each length's returns as
+one block of frontier rows.
 
 Caps are hard limits on emitted paths.  On overflow the kernels return a
 flag, and callers turn that into a budget error or a truncation marker.
@@ -48,6 +54,16 @@ import numpy as np
 
 # --------------------------------------------------------------------------
 # shared precomputation
+
+
+def vertex_dtype(n_vertices: int) -> np.dtype:
+    """The narrowest signed integer type that holds -1 and every vertex id below ``n_vertices``.
+
+    int8 up to 128 vertices, int16 up to 32,768, int32 beyond: the type of
+    -V holds -1 and V - 1.  Path rows are stored in it; arithmetic on them
+    must widen first (int8 times a Python int past 127 raises under NEP 50).
+    """
+    return np.min_scalar_type(-max(int(n_vertices), 1))
 
 
 def csr_adjacency(n_vertices: int, edges) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +223,8 @@ def _closed_walk(indptr, indices, reach, n_min, n, prefix, cap):
     ``cap``, the walker yields ``None`` alone.
     """
     adj = _dense_adjacency(indptr, indices)
-    prefix = np.array(prefix, dtype=np.int32)
+    dtype = vertex_dtype(adj.shape[0])
+    prefix = np.array(prefix, dtype=dtype)
     lp = len(prefix)
     if not 1 <= n_min <= n or lp > n_min:
         raise ValueError(f"window [{n_min}, {n}] must hold the prefix length {lp} and start at 1 or more")
@@ -216,7 +233,7 @@ def _closed_walk(indptr, indices, reach, n_min, n, prefix, cap):
         return
     if lp == 0:
         start = np.nonzero(reach[n_min:n + 1].diagonal(axis1=1, axis2=2).any(axis=0))[0]
-        start = start.astype(np.int32).reshape(-1, 1)
+        start = start.astype(dtype).reshape(-1, 1)
     else:
         closes = closed_path_counts(reach, prefix, n_min, n).any()
         start = prefix.reshape(1, -1)[:int(closes)]
@@ -273,41 +290,44 @@ def closed_paths(indptr, indices, reach, n, prefix, cap, *, n_min=None):
     """All closed paths of every length in [n_min, n] whose word starts with ``prefix``.
 
     ``n_min`` defaults to n.  Returns ``(paths, overflow)``.  ``paths`` is a
-    C-ordered int32 array with one row per path and n columns; a path of
-    length m fills the first m and holds -1 past them.  Rows run by length,
-    shortest first, and lexicographically within a length: exactly the
-    concatenation of one call per length, each padded to n columns.
-    ``overflow`` is set when any length's walk has more than ``cap``
-    candidates at one depth, and ``paths`` is then empty.
+    C-ordered array in :func:`vertex_dtype` of the vertex count, with one
+    row per path and n columns; a path of length m fills the first m and
+    holds -1 past them.  Rows run by length, shortest first, and
+    lexicographically within a length: exactly the concatenation of one call
+    per length, each padded to n columns.  ``overflow`` is set when any
+    length's walk has more than ``cap`` candidates at one depth, and
+    ``paths`` is then empty.
 
     No partial path is copied.  The walk keeps each depth's ``(parent,
-    vertex)`` links, an int64 parent index and an int32 vertex per partial
-    path, so memory is about the result plus 12 bytes per partial path, and
-    each result row is written once.  The rows go in blocks of about 16k.
-    A block walks back once from depth n: its rows of length m join at
-    depth m, and each depth's gather of links fills one column of a small
-    column-major block, which is then copied into the block's rows.  Within
-    one length the rows are in lexicographic order, so their ancestors at
-    each depth are sorted; once a block's are all one partial path, its
-    remaining columns are that path's letters.
+    vertex)`` links, an int64 parent index (numpy gathers by intp) and a
+    vertex in the rows' type per partial path, so memory is about the result
+    plus 9 bytes per partial path up to 128 vertices, and each result row is
+    written once.  The rows go in blocks of about 16k.  A block walks back
+    once from depth n: its rows of length m join at depth m, and each
+    depth's gather of links fills one column of a small column-major block,
+    which is then copied into the block's rows.  Within one length the rows
+    are in lexicographic order, so their ancestors at each depth are sorted;
+    once a block's are all one partial path, its remaining columns are that
+    path's letters.
     """
+    dtype = vertex_dtype(indptr.shape[0] - 1)
     start, links, closing = None, [], []  # closing: (length, indices of the closing paths or None for all, count)
     for step in _closed_walk(indptr, indices, reach, n if n_min is None else n_min, n, prefix, cap):
         if step is None:
-            return np.empty((0, n), dtype=np.int32), True
+            return np.empty((0, n), dtype=dtype), True
         parent, vertex, _, closed = step
         if parent is None:
             start = vertex
         else:
-            links.append((parent, vertex.astype(np.int32)))
+            links.append((parent, vertex.astype(dtype)))
         if closed is not None:
             ids = None if isinstance(closed, slice) else closed.nonzero()[0]
             closing.append((start.shape[1] + len(links), ids, len(vertex) if ids is None else len(ids)))
     s0 = start.shape[1]  # column d >= s0 is links[d - s0]'s vertex, the columns before it the start row's
     ends = np.cumsum([count for _, _, count in closing]).tolist()
-    out = np.empty((ends[-1], n), dtype=np.int32)
+    out = np.empty((ends[-1], n), dtype=dtype)
     size = max(min(_ASSEMBLY_ROWS, ends[-1]), 1)
-    buffer = np.empty(n * size, dtype=np.int32)
+    buffer = np.empty(n * size, dtype=dtype)
     for a in range(0, ends[-1], size):
         b = min(a + size, ends[-1])
         block = buffer[:n * (b - a)].reshape(n, b - a)
@@ -456,40 +476,41 @@ def first_return_paths(indptr, indices, allowed, dist_end, v_start, v_end, maxle
     ``dist_end[u]`` must lower-bound the number of steps from ``u`` to
     ``v_end`` through allowed vertices (inf when unreachable).  Returns
     ``(flat, lengths, overflow)`` where ``flat`` concatenates the paths
-    without their terminal vertex, shortest paths first.
+    without their terminal vertex, shortest paths first and lexicographically
+    within a length, in :func:`vertex_dtype` of the vertex count, and
+    ``lengths`` (int64) holds each path's length.  The paths of one length
+    are one block of frontier rows.  ``overflow`` is set when there are more
+    than ``cap`` paths, which keeps the first ``cap``, or when a frontier
+    would hold more than ``cap`` partial paths, which keeps the paths found
+    before it.
     """
     maxlen, cap = int(maxlen), int(cap)
     adj = _dense_adjacency(indptr, indices)
-    flat: list[np.ndarray] = []
-    lengths: list[int] = []
-    total = 0
-    overflow = False
-    frontier = np.array([[v_start]], dtype=np.int32)
+    dtype = vertex_dtype(adj.shape[0])
+    blocks, counts = [], []  # the closing rows of each length 1, 2, ..., raveled
+    total, overflow = 0, False
+    frontier = np.array([[v_start]], dtype=dtype)
     for t in range(maxlen):
         last = frontier[:, -1]
-        hits = adj[last, v_end]
-        for row in frontier[hits]:
-            if total == cap:
-                overflow = True
-                break
-            flat.append(row)
-            lengths.append(t + 1)
-            total += 1
+        rows = frontier[adj[last, v_end]]
+        if total + len(rows) > cap:
+            rows, overflow = rows[:cap - total], True
+        blocks.append(rows.ravel())
+        counts.append(len(rows))
+        total += len(rows)
         if overflow or t == maxlen - 1:
             break
         ok = allowed & (dist_end <= maxlen - (t + 1))
         cand = adj[last] & ok[None, :]
-        counts = cand.sum(axis=1)
-        if int(counts.sum()) > cap:
+        if int(cand.sum()) > cap:
             overflow = True
             break
-        rows = np.repeat(np.arange(frontier.shape[0]), counts)
-        cols = np.nonzero(cand)[1].astype(np.int32)
-        frontier = np.concatenate([frontier[rows], cols[:, None]], axis=1)
+        parents, cols = np.nonzero(cand)
+        frontier = np.concatenate([frontier[parents], cols.astype(dtype)[:, None]], axis=1)
         if frontier.shape[0] == 0:
             break
-    data = np.concatenate([r for r in flat]) if flat else np.empty(0, np.int32)
-    return data.astype(np.int32), np.asarray(lengths, dtype=np.int64), overflow
+    lengths = np.repeat(np.arange(1, len(counts) + 1, dtype=np.int64), counts)
+    return (np.concatenate(blocks) if blocks else np.empty(0, dtype)), lengths, overflow
 
 
 # --------------------------------------------------------------------------

@@ -296,7 +296,7 @@ def test_window_walk_is_the_per_length_walks_concatenated():
                 with pytest.raises(BudgetExceededError):
                     enumerate_periodic(g, n, prefix, cap, n_min=n_min, reach=reach)
                 continue
-            assert rows.dtype == np.int32 and rows.shape[1] == n
+            assert _narrow_rows(rows, V) and rows.shape[1] == n
             assert rows.tolist() == [list(r) + [-1] * (n - len(r)) for rows_m, _ in rows_per_length for r in rows_m.tolist()]
             points = enumerate_periodic(g, n, prefix, cap, n_min=n_min, reach=reach)
             assert points == tuple(x for m in range(n_min, n + 1) for x in enumerate_periodic(g, m, prefix, cap))
@@ -316,8 +316,15 @@ def _seeded_dense_graph(V, p, seed):
     return build_graph([str(v) for v in range(V)], sorted(edges)).graph
 
 
-def _assert_same_rows(got, want):
-    assert got.dtype == want.dtype == np.int32 and got.flags.c_contiguous
+def _narrow_rows(rows, n_vertices):
+    """Are ``rows`` C-ordered path rows in the narrowest signed type that holds -1 and every vertex id?"""
+    want = np.int8 if n_vertices <= 2**7 else np.int16 if n_vertices <= 2**15 else np.int32
+    return rows.dtype == want and rows.flags.c_contiguous
+
+
+def _assert_same_rows(got, want, n_vertices):
+    """``got`` holds the values of the reference rows ``want`` (of any integer type), as narrow rows."""
+    assert _narrow_rows(got, n_vertices)
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -332,34 +339,118 @@ def test_closed_paths_across_assembly_blocks():
     for m in range(10, 17):
         rows, _ = kernels.closed_paths(indptr, indices, reach, m, (), 2**16)
         words = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
-        _assert_same_rows(rows, words.astype(np.int32))
+        _assert_same_rows(rows, words, 2)
         per_length.append(np.pad(rows, ((0, 0), (0, 16 - m)), constant_values=-1))
-    _assert_same_rows(window, np.concatenate(per_length))
+    _assert_same_rows(window, np.concatenate(per_length), 2)
     # the seed-5 8-vertex graph at n = 11: its rows are the one-letter prefixes' rows in order
     g = _seeded_dense_graph(8, 0.35, seed=5)
     indptr, indices, reach = _csr_and_reach(g, 11)
     paths, overflow = kernels.closed_paths(indptr, indices, reach, 11, (), 2_000_000)
     assert not overflow and len(paths) == 277_906 == integer_trace(g.adjacency, 11)
     by_first = [kernels.closed_paths(indptr, indices, reach, 11, (v,), 2_000_000)[0] for v in range(8)]
-    _assert_same_rows(paths, np.concatenate(by_first))
+    _assert_same_rows(paths, np.concatenate(by_first), 8)
     assert g.adjacency[paths, np.roll(paths, -1, axis=1)].all()
     keys = paths.astype(np.int64) @ (np.int64(8) ** np.arange(10, -1, -1, dtype=np.int64))
     assert (np.diff(keys) > 0).all()
 
 
-def test_closed_paths_memory_is_about_the_result():
-    # the walk keeps links, not rows: the traced peak of the full 2-shift's
-    # 65,536 rows at n = 16 stays near the 4 MiB result, where copying every
-    # partial path at every depth reached 2.8 times it
-    indptr, indices, reach = _full_shift(2, 16)
+def _traced_peak(run):
+    """``run()`` and the peak of the memory it allocated, by tracemalloc."""
     tracemalloc.start()
     try:
-        paths, _ = kernels.closed_paths(indptr, indices, reach, 16, (), 2**16)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert paths.shape == (2**16, 16)
-    assert peak < 2.25 * paths.nbytes, peak / paths.nbytes
+
+
+def test_closed_paths_memory_is_about_the_result():
+    # the walk keeps 9-byte links, not rows: the full 2-shift's 65,536 rows
+    # at n = 16 (a 1 MiB result) peak under 4.5 MiB, where int32 rows and
+    # links reached 7.9 MiB and copying every partial path at every depth
+    # 11 MiB; the seed-5 8-vertex graph's 277,906 rows at n = 11 (3 MiB) peak
+    # under 16 MiB, where int32 rows and links reached 23.7 MiB
+    indptr, indices, reach = _full_shift(2, 16)
+    (paths, _), peak = _traced_peak(lambda: kernels.closed_paths(indptr, indices, reach, 16, (), 2**16))
+    assert paths.shape == (2**16, 16) and paths.nbytes == 2**20
+    assert peak < 4.5 * 2**20, peak
+    g = _seeded_dense_graph(8, 0.35, seed=5)
+    indptr, indices, reach = _csr_and_reach(g, 11)
+    (paths, _), peak = _traced_peak(lambda: kernels.closed_paths(indptr, indices, reach, 11, (), 2_000_000))
+    assert paths.shape == (277_906, 11)
+    assert peak < 16 * 2**20, peak
+
+
+def test_vertex_dtype_is_the_narrowest_signed_type_holding_minus_one_and_every_id():
+    for n_vertices, want in ((1, np.int8), (128, np.int8), (129, np.int16), (2**15, np.int16),
+                             (2**15 + 1, np.int32), (2**31, np.int32)):
+        assert kernels.vertex_dtype(n_vertices) == want, n_vertices
+
+
+@pytest.mark.parametrize("V", [128, 129])
+def test_kernels_at_the_last_int8_and_first_int16_vertex_count(V):
+    # the V-cycle with a loop at its last vertex, V - 1, the largest id: in
+    # the window [1, V] its closed paths are the loop's repetitions and, at
+    # length V, the cycle's V rotations; rows hold the int64 reference's values
+    edges = sorted({(v, (v + 1) % V) for v in range(V)} | {(V - 1, V - 1)})
+    g = FiniteGraph(tuple(map(str, range(V))), tuple(edges))
+    indptr, indices, reach = _csr_and_reach(g, V)
+    words = [[V - 1] * m for m in range(1, V)]
+    words += sorted([[(s + i) % V for i in range(V)] for s in range(V)] + [[V - 1] * V])
+    want = np.array([w + [-1] * (V - len(w)) for w in words], dtype=np.int64)
+    rows, overflow = kernels.closed_paths(indptr, indices, reach, V, (), 10**6, n_min=1)
+    assert not overflow
+    _assert_same_rows(rows, want, V)
+    rows, overflow = kernels.closed_paths(indptr, indices, reach, V, (V - 1,), 10**6)
+    assert not overflow
+    _assert_same_rows(rows, want[(want[:, 0] == V - 1) & (want[:, -1] >= 0)], V)
+    # periodic points stay tuples of Python ints
+    points = enumerate_periodic(g, V, (), 10**6, n_min=1, reach=reach)
+    assert points == tuple(map(tuple, words))
+    assert {type(x) for p in points for x in p} == {int}
+    # first returns to 0 up to V + 2 steps: round the cycle, with 0, 1 or 2 turns of the loop;
+    # first returns to V - 1: the loop, and round the cycle
+    for vertex, maxlen, loops in ((0, V + 2, [list(range(V)) + [V - 1] * k for k in range(3)]),
+                                  (V - 1, V, [[V - 1], [V - 1] + list(range(V - 1))])):
+        allowed = np.ones(V, dtype=bool)
+        allowed[vertex] = False
+        dist = _bfs_dist_to(g, allowed, vertex)
+        flat, lengths, overflow = kernels.first_return_paths(indptr, indices, allowed, dist, vertex, vertex, maxlen, 10**6)
+        assert not overflow and lengths.tolist() == [len(w) for w in loops]
+        _assert_same_rows(flat, np.concatenate(loops).astype(np.int64), V)
+
+
+def test_first_return_overflow_keeps_the_paths_before_the_cap():
+    # returns to 0 through 1 and 2, where only 2 steps back to 0: 2^(k - 2)
+    # at length k >= 2, N = 7 up to length 4; the frontiers hold 2, 4 and 4
+    # partial paths, and the last, pruned to those that can still return in
+    # time, is the 4 returns of length 4
+    edges = ((0, 1), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2))
+    g = FiniteGraph(("0", "1", "2"), edges)
+    indptr, indices = g.csr
+    allowed = np.array([False, True, True])
+    dist = _bfs_dist_to(g, allowed, 0)
+    every = brute_force_first_returns(set(edges), allowed, 0, 0, 4)
+    assert len(every) == 7 and [len(w) for w in every] == [2, 3, 3, 4, 4, 4, 4]
+
+    def returns(cap):
+        flat, lengths, overflow = kernels.first_return_paths(indptr, indices, allowed, dist, 0, 0, 4, cap)
+        ends = np.cumsum(lengths).tolist()
+        assert len(flat) == (ends[-1] if ends else 0)
+        return [tuple(flat[a:b].tolist()) for a, b in zip([0] + ends, ends)], overflow
+
+    # caps on the paths: N - 1 cuts the last one, N and N + 1 keep them all,
+    # and a cap inside a length keeps that length's first paths
+    assert returns(6) == (every[:6], True)
+    assert returns(7) == (every, False)
+    assert returns(8) == (every, False)
+    assert returns(4) == (every[:4], True)
+    # caps on the frontier: 4 partial paths of length 3 exceed caps 2 and 3,
+    # which keep the one return found before them although the two of length
+    # 3 would fit in 3; the first frontier of 2 exceeds cap 0
+    assert returns(3) == (every[:1], True)
+    assert returns(2) == (every[:1], True)
+    assert returns(0) == ([], True)
 
 
 def _recording_walk(states):
@@ -434,7 +525,7 @@ def test_walker_masks_match_brute_force_across_byte_boundaries(monkeypatch):
                     seen["never closes"] += bool(prefix) and not any(want)
                     states.clear()
                     paths, overflow = kernels.closed_paths(indptr, indices, reach, n, prefix, cap, n_min=n_min)
-                    assert overflow == over and paths.dtype == np.int32 and paths.flags.c_contiguous
+                    assert overflow == over and _narrow_rows(paths, V)
                     rows = [] if over else [list(r) + [-1] * (n - len(r)) for w in want for r in w]
                     assert paths.shape == (len(rows), n) and paths.tolist() == rows, (g.edges, prefix, n_min, n, cap)
                     assert states == ([] if over else [len({r[:d] for w in want for r in w if len(r) >= d})
@@ -467,4 +558,4 @@ def test_overflow_counts_saturate_instead_of_wrapping():
     # an overflowing window walks nothing and returns empty arrays
     indptr, indices = kernels.csr_adjacency(64, [(u, v) for u in range(64) for v in range(64)])
     paths, overflow = kernels.closed_paths(indptr, indices, reach, 15, (), cap)
-    assert overflow and paths.shape == (0, 15) and paths.dtype == np.int32
+    assert overflow and paths.shape == (0, 15) and _narrow_rows(paths, 64)
