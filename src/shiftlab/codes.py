@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -664,8 +665,9 @@ def verify_correspondence(
 ) -> CorrespondenceReport:
     """Check that 'g corresponds to f' across the almost isomorphism.
 
-    Three layers: g(gamma x) = f(x) on every eventually periodic witness of
-    period <= n_max seeing the magic word; pressures agree within their
+    Three layers: g(gamma x) = f(x) exactly, floats read as dyadic
+    rationals, on every eventually periodic witness of period <= n_max
+    seeing the magic word; pressures agree within their
     spectral errors plus 1e-9; and the equilibrium measure of f, moved by
     the exact lift route of ``transport_measure``, matches the equilibrium
     measure of g block by block within 1e-9.  All three run on every almost
@@ -682,7 +684,6 @@ def verify_correspondence(
     W = ai.cert_s.word
     checked = 0
     failure = None
-    exact = f.rational and g.rational
     for p in range(1, n_max + 1):
         for x0 in _periodic_points_containing(S, W, p):
             x = from_periodic(x0)
@@ -690,9 +691,8 @@ def verify_correspondence(
             for k in range(p):
                 fv = f.value(x.window(k - f.left, k - f.left + f.span))
                 gv = g.value(y.window(k - g.left, k - g.left + g.span))
-                ok = (fv == gv) if exact else abs(float(fv) - float(gv)) <= 1e-12
                 checked += 1
-                if not ok and failure is None:
+                if Fraction(fv) != Fraction(gv) and failure is None:
                     failure = (x0, k)
     mu_f = equilibrium_measure(S, f)
     mu_g = equilibrium_measure(T, g)

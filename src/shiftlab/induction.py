@@ -155,9 +155,14 @@ class LoopSystem:
             return 1
         return math.gcd(*(lp.length for lp in self.loops)) or 1
 
-    def max_explicit_length(self, src: int = 1, dst: int = 1) -> int:
-        lens = [lp.length for lp in self.loops if lp.src == src and lp.dst == dst]
-        return max(lens) if lens else 0
+    def covered_length(self, n_max: int) -> int:
+        """The longest length up to which the explicit loops are all the loops,
+        or n_max when no tail says otherwise.
+
+        A tail of positive weight holds the loops longer than its start, which
+        the explicit loops miss; zero tails miss nothing.
+        """
+        return min((t.start for t in self.tails if t.positive), default=n_max)
 
 
 @dataclass(frozen=True)
@@ -691,9 +696,7 @@ def loop_partition_function(loops: LoopSystem, f: FiniteRangePotential | None, n
 
     if n_max < 0:
         raise ValueError(f"table length n_max = {n_max} must be at least 0")
-    # a tail of positive weight holds the loops longer than its start, which
-    # the explicit loops miss, so the table ends there; zero tails miss nothing
-    covered = min((t.start for t in loops.tails if t.positive), default=n_max)
+    covered = loops.covered_length(n_max)
     truncated_at = note = None
     if covered < n_max:
         truncated_at, n_max = covered + 1, covered
@@ -735,22 +738,21 @@ def verify_zn_coincidence(
         raise ValueError("coincidence check runs on single-word inductions")
     graph = g.graph if isinstance(g, FinitePresentation) else g
     left = partition_function(graph, f, W, n_max)
-    maxlen = ind.loops.max_explicit_length()
+    covered = ind.loops.covered_length(n_max)
     right = loop_zn_exact(ind.loops, f, n_max)
     rows = []
     ok = True
-    truncated = maxlen < n_max and any(t.positive for t in ind.loops.tails)
     for n in range(1, n_max + 1):
         lz = left.zn_exact(n)
         rz = right[n - 1]
-        if truncated and n > maxlen:
+        if n > covered:
             # right side misses tail loops, so it must embed in the left multiset
             eq = lz.includes(rz)
         else:
             eq = lz == rz
         ok &= eq
         rows.append((n, repr(lz), repr(rz), eq))
-    return ZnCoincidenceReport(rows=tuple(rows), all_equal=ok, inequality_only=truncated)
+    return ZnCoincidenceReport(rows=tuple(rows), all_equal=ok, inequality_only=covered < n_max)
 
 
 def phi_injective_on_periodic(ind: InducedPresentation):

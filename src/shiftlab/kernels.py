@@ -43,11 +43,12 @@ one block of frontier rows.
 Caps are hard limits on emitted paths.  On overflow the kernels return a
 flag, and callers turn that into a budget error or a truncation marker.
 
-Chain stepping makes no numpy call per step: it tabulates every state's
-next state for a chunk of uniforms with one ``searchsorted`` per state,
-then follows the table in a plain loop.
+Chain stepping is one ``bisect_right`` per step on the rows of the
+cumulative matrix as Python lists.
 """
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -517,43 +518,22 @@ def first_return_paths(indptr, indices, allowed, dist_end, v_start, v_end, maxle
 # Markov chain stepping
 
 
-# entries (states x uniforms) of one chunk's next-state table
-_CHAIN_TABLE_CELLS = 1 << 20
-
-
 def step_chain(cum: np.ndarray, start: int, uniforms: np.ndarray) -> np.ndarray:
     """Drive a finite chain with row-cumulative matrix ``cum`` by given uniforms.
 
     From state ``s`` the chain steps to the first ``j`` with
     ``cum[s, j] > u`` (the last state when there is none).  The uniform
     stream is generated by the caller, so a seeded caller gets a
-    byte-identical trajectory.
-
-    The uniforms go in chunks of about 2**20 / S for S states.  Per chunk,
-    one ``searchsorted`` per state over the whole chunk fills a flat
-    next-state table, and a plain loop walks it.  Memory is O(T + 2**20)
-    for T uniforms; work is O(T S log S), so this suits the small chains
-    of sampled transport.
+    byte-identical trajectory.  One ``bisect_right`` per step, O(T log S)
+    for T uniforms and S states; the result is int32 of length T + 1.
     """
-    cum = np.ascontiguousarray(cum, dtype=np.float64)
-    uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
-    n_states, hi = cum.shape
-    T = uniforms.shape[0]
-    out = np.empty(T + 1, dtype=np.int32)
-    out[0] = start
+    # the last column is never compared: a uniform at or past every other
+    # entry of the row steps to the last state
+    rows = np.asarray(cum, dtype=np.float64)[:, :-1].tolist()
     cur = int(start)
-    chunk = max(1, _CHAIN_TABLE_CELLS // n_states)
-    for a in range(0, T, chunk):
-        u = uniforms[a:a + chunk]
-        n = u.shape[0]
-        table = np.empty((n_states, n), dtype=np.int64)
-        for s in range(n_states):
-            np.minimum(np.searchsorted(cum[s], u, side="right"), hi - 1, out=table[s])
-        # table[s, t] sits at s * n + t of the flat list
-        flat = table.ravel().tolist()
-        steps = [0] * n
-        for t in range(n):
-            cur = flat[cur * n + t]
-            steps[t] = cur
-        out[a + 1:a + 1 + n] = steps
-    return out
+    out = [cur]
+    # a memoryview yields Python floats one at a time, with no list of T floats
+    for u in memoryview(np.ascontiguousarray(uniforms, dtype=np.float64)):
+        cur = bisect_right(rows[cur], u)
+        out.append(cur)
+    return np.array(out, dtype=np.int32)

@@ -813,6 +813,17 @@ class TestCorrespondence:
         gy = g_bad.table[tuple(y.sample(pos + i) for i in range(2))]
         assert fx != gy
 
+    def test_float_tables_compare_exactly(self, gm_self_ai, gm_graph):
+        # floats are dyadic rationals: a window one ulp off is a failing
+        # witness, though the pressure and measure layers cannot see it
+        f = FiniteRangePotential.from_vertex_values(gm_graph, [1 / 3, -1 / 2])
+        table = {w: f.table[w[:1]] for w in gm_graph.words(2)}
+        assert verify_correspondence(gm_self_ai, f, FiniteRangePotential(gm_graph, 0, 2, table), n_max=6).passed
+        table[(0, 1)] = math.nextafter(table[(0, 1)], math.inf)
+        rep = verify_correspondence(gm_self_ai, f, FiniteRangePotential(gm_graph, 0, 2, table), n_max=6)
+        assert not rep.passed and rep.first_failure is not None
+        assert rep.pressure_gap <= rep.pressure_tolerance and rep.measure_block_gap <= 1e-9
+
     def test_measure_layer_runs_on_plain_ai(self, plain_ai, gm_graph):
         f = FiniteRangePotential.from_vertex_values(gm_graph, [F(1, 3), F(-1, 2)])
         g = FiniteRangePotential(gm_graph, 0, 2, {w: f.table[w[:1]] for w in gm_graph.words(2)})

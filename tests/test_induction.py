@@ -745,6 +745,18 @@ class TestZnCoincidence:
         assert rep.inequality_only
         assert rep.all_equal  # right side embeds in the left multiset
 
+    def test_tail_start_decides_where_the_comparison_turns_to_inclusion(self):
+        # the cycle a-b-c-d with a chord c->b has period 2: at a its loops have
+        # lengths 4 and 6, and the tail holds the loops past 7, so Z_1..Z_7 are
+        # exact and compared by equality
+        g = build_graph(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3), (3, 0), (2, 1)]).graph
+        ind = induce(g, (0,), maxlen=7)
+        assert sorted(lp.length for lp in ind.loops.loops) == [4, 6]
+        assert [t.start for t in ind.loops.tails if t.positive] == [7]
+        rep = verify_zn_coincidence(g, FiniteRangePotential.zero(g), (0,), ind, 7)
+        assert not rep.inequality_only
+        assert rep.all_equal
+
 
 class TestInjectivity:
     def test_gm_both_vertices(self, gm):

@@ -178,7 +178,12 @@ def test_step_chain_matches_scalar_reference():
     P = np.array([[0.2, 0.8], [0.6, 0.4]])
     cum = np.cumsum(P, axis=1)
     uniforms = np.random.default_rng(7).random(5000)
-    assert kernels.step_chain(cum, 0, uniforms).tolist() == scalar_chain(cum, 0, uniforms)
+    for start in (0, 1):
+        assert kernels.step_chain(cum, start, uniforms).tolist() == scalar_chain(cum, start, uniforms)
+    # a one-state chain stays put whatever the uniform
+    cum = np.ones((1, 1))
+    uniforms = np.array([0.0, 0.5, 0.9999999999999999, 1.0])
+    assert kernels.step_chain(cum, 0, uniforms).tolist() == [0] * 5 == scalar_chain(cum, 0, uniforms)
     # ties at a cumulative value step past it; a row summing below 1 falls
     # through to the last state
     cum = np.array([[0.25, 0.5, 1.0], [0.0, 0.5, 0.9999999999999999], [0.5, 0.75, 1.0]])
@@ -187,9 +192,9 @@ def test_step_chain_matches_scalar_reference():
         assert kernels.step_chain(cum, start, uniforms).tolist() == scalar_chain(cum, start, uniforms)
 
 
-def test_step_chain_crosses_table_chunks_on_a_large_chain():
-    # 1024 states make a next-state table of 1024 uniforms per chunk, so
-    # 2600 steps cross two chunk boundaries
+def test_step_chain_matches_scalar_reference_on_a_large_chain():
+    # 1024 states: each step bisects 1023 entries of a row, and the
+    # trajectories visit most of the states
     rng = np.random.default_rng(1024)
     S = 1024
     P = rng.random((S, S)) ** 8
