@@ -96,12 +96,14 @@ def cmd_pressure(args) -> int:
 
     One dispatch on the shift kind.  A graph takes ``pressure_spectral``, or
     ``pressure_from_table`` under ``--method table``; an exhaustion takes
-    ``pressure_exhaustion`` with the potential on its top level.  A loop
-    system's weights are baked in, so its pressure is log lambda, bracketed
-    by the outward log of the lambda bracket of ``recurrence_classify``.  A
-    flag that does not apply to the shift exits 2.
+    ``pressure_exhaustion`` with the potential on its top level, each level
+    printed with its own error.  A loop system's weights are baked in, so its
+    pressure is log lambda, bracketed by the outward log of the lambda bracket
+    of ``recurrence_classify``.  A flag that does not apply exits 2.
     """
     name = args.command
+    if args.nmax is not None and args.method != "table":
+        raise docs.SchemaError("--nmax sets the table length of --method table; omit it")
     shift = _load_shift(args.shift)
     if args.method == "table" and not isinstance(shift, FinitePresentation):
         raise docs.SchemaError("--method table needs a finite graph presentation")
@@ -116,11 +118,12 @@ def cmd_pressure(args) -> int:
     else:
         if isinstance(shift, ExhaustionPresentation):
             est = pressure_exhaustion(shift, _load_potential(args.potential, shift.levels[-1].graph))
-            report = {"levels": [_num(v, est.error) for v in est.levels]}
+            report = {"levels": [_num(v, e) for v, e in zip(est.levels, est.level_errors)]}
         else:
             f = _load_potential(args.potential, shift.graph)
             if args.method == "table":
-                est = pressure_from_table(partition_function(shift.graph, f, (), args.nmax), shift.period)
+                n_max = 14 if args.nmax is None else args.nmax
+                est = pressure_from_table(partition_function(shift.graph, f, (), n_max), shift.period)
             else:
                 est = pressure_spectral(shift.graph, f)
             report = {"iterations": est.iterations}
@@ -138,6 +141,8 @@ def cmd_zn(args) -> int:
         f = None
         if args.potential:
             raise docs.SchemaError("loop-system Z tables use baked weights; omit --potential")
+        if args.word:
+            raise docs.SchemaError("a loop system's Z table is at its own base word; omit --word")
         table = loop_partition_function(shift, f, args.nmax)
         graph = None
     else:
@@ -362,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("entropy", help="topological entropy: the pressure of the zero potential")
     sp.add_argument("--shift", required=True)
-    sp.set_defaults(func=cmd_pressure, potential=None, method="spectral")
+    sp.set_defaults(func=cmd_pressure, potential=None, method="spectral", nmax=None)
 
     sp = sub.add_parser("pressure", help="pressure of a shift with a potential")
     sp.add_argument("--shift", required=True)
     sp.add_argument("--potential")
     sp.add_argument("--method", choices=["spectral", "table"], default="spectral")
-    sp.add_argument("--nmax", type=int, default=14)
+    sp.add_argument("--nmax", type=int, help="table length for --method table (default 14)")
     sp.set_defaults(func=cmd_pressure)
 
     sp = sub.add_parser("zn", help="local partition function table")

@@ -510,7 +510,8 @@ def transport_measure(
     reproduces the (order+1)-marginals; ``tv_gap`` compares its
     (order+2)-marginal with the image's, so it is positive when the image is
     not Markov of that order.  With ``samples``, seeded orbit sampling through
-    the magic-word windows instead, which requires an explicit seed.
+    the magic-word windows instead, which requires an explicit seed; a seed
+    without ``samples`` raises, since the exact route draws nothing.
     """
     if order < 1:
         raise CodeError(f"transport order must be at least 1, got {order}")
@@ -522,6 +523,8 @@ def transport_measure(
     if not mu.fully_supported():
         raise CodeError("transport is defined for fully supported measures")
     if samples is None:
+        if seed is not None:
+            raise CodeError("a seed applies to sampling transport only; give a sample budget or no seed")
         return _transport_lift(ai, mu, order)
     if seed is None:
         raise CodeError("sampling transport requires an explicit seed")

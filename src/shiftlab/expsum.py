@@ -111,9 +111,10 @@ class ExpSum:
         return all(a.get(k, 0) >= m for k, m in b.items())
 
     @property
-    def terms(self) -> Mapping[Fraction, int]:
-        """Read-only ``{exponent: multiplicity}`` view with ``Fraction`` exponents."""
-        return _Terms(self)
+    def terms(self) -> dict[Fraction, int]:
+        """``{exponent: multiplicity}`` with ``Fraction`` exponents, built on each reading."""
+        q = self.q
+        return {Fraction(k, q): m for k, m in self.coeffs.items()}
 
     @property
     def count(self) -> int:
@@ -143,24 +144,3 @@ class ExpSum:
         inner = " + ".join(f"{m}*exp({e})" for e, m in self.pairs())
         return f"ExpSum({inner or '0'})"
 
-
-class _Terms(Mapping):
-    """The terms of an :class:`ExpSum`, keyed by ``Fraction`` exponents, made only on reading."""
-
-    __slots__ = ("_z",)
-
-    def __init__(self, z: ExpSum):
-        self._z = z
-
-    def __getitem__(self, exponent) -> int:
-        e = Fraction(exponent)
-        if self._z.q % e.denominator:
-            raise KeyError(exponent)
-        return self._z.coeffs[e.numerator * (self._z.q // e.denominator)]
-
-    def __iter__(self):
-        q = self._z.q
-        return (Fraction(k, q) for k in self._z.coeffs)
-
-    def __len__(self) -> int:
-        return len(self._z.coeffs)

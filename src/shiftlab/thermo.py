@@ -7,17 +7,19 @@ Conventions fixed here once and used everywhere:
   a Bowen reduction when they read past coordinates), which changes neither
   closed-orbit sums nor the spectral radius;
 * Z_n is summed exactly as an :class:`~shiftlab.expsum.ExpSum`, a float
-  weight read as its dyadic rational; :func:`bracket` rounds it outward.
+  weight read as its dyadic rational; :func:`bracket` rounds it outward;
+* pressure and the equilibrium measure read one power iteration's Perron
+  data of the edge-weighted matrix (:func:`_perron`).
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -40,15 +42,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration failed to reach the requested gap within its budget."""
+    """Power iteration failed to reach the requested gap within its budget, or its brackets contradict."""
 
 
 FloatInterval = tuple[float, float]  # (value, error bound)
 ZnValue = Union[ExpSum, FloatInterval]
 
-# Power-iteration targets: relative Collatz-Wielandt gap and iteration cap.
-_SPECTRAL_TOL, _SPECTRAL_MAX_ITER = 1e-13, 200_000
-_MEASURE_TOL, _MEASURE_MAX_ITER = 1e-14, 500_000
+# The power iteration's target: relative Collatz-Wielandt gap and iteration cap.
+_PERRON_TOL, _PERRON_MAX_ITER = 1e-14, 500_000
 
 
 # --------------------------------------------------------------------------
@@ -325,7 +326,8 @@ class PressureEstimate:
     method: str  # spectral | Z-extrapolation | exhaustion-sup
     error: float
     iterations: int = 0
-    levels: tuple[float, ...] = ()
+    levels: tuple[float, ...] = ()  # an exhaustion's level pressures
+    level_errors: tuple[float, ...] = ()  # and their own errors
 
     def __post_init__(self):
         if not math.isfinite(self.error):
@@ -406,8 +408,34 @@ def _power_bounds(M: np.ndarray, tol: float, max_iter: int, period: int = 1) -> 
     return lo_best, hi_best, it, v
 
 
+class _PerronData(NamedTuple):
+    graph: FiniteGraph  # the presentation's graph; the rest is _edge_weight_matrix's, then _power_bounds'
+    H: FiniteGraph
+    M: np.ndarray
+    blocks: tuple[Word, ...]
+    values: list
+    lo: float
+    hi: float
+    iterations: int
+    v: np.ndarray  # the last iterate, the right Perron vector to the gap
+
+
+def _perron(g, f: FiniteRangePotential) -> _PerronData:
+    """The Perron data of f's edge-weighted presentation: the one power iteration.
+
+    Resolves the graph, decides irreducibility and the period once, and
+    runs :func:`_power_bounds` at the one tolerance pair ``_PERRON_TOL``.
+    """
+    graph = g.graph if isinstance(g, FinitePresentation) else g
+    flag, period = irreducible_and_period(graph)
+    if not flag:
+        raise ValueError("pressure and equilibrium measure need an irreducible graph")
+    H, M, blocks, values = _edge_weight_matrix(graph, f)
+    return _PerronData(graph, H, M, blocks, values, *_power_bounds(M, _PERRON_TOL, _PERRON_MAX_ITER, period))
+
+
 def pressure_spectral(g, f: FiniteRangePotential) -> PressureEstimate:
-    """log of the Perron root of the edge-weighted presentation.
+    """log of the Perron root of the edge-weighted presentation (:func:`_perron`).
 
     The error bound is half the width of the Collatz-Wielandt bracket at the
     power iteration's last vector v: the Perron root lies between the least
@@ -415,22 +443,17 @@ def pressure_spectral(g, f: FiniteRangePotential) -> PressureEstimate:
     successors of u.  The ratios and their logs are rounded outward by
     :mod:`shiftlab.intervals`.
     """
-    graph = g.graph if isinstance(g, FinitePresentation) else g
-    flag, period = irreducible_and_period(graph)
-    if not flag:
-        raise ValueError("pressure_spectral needs an irreducible graph")
-    H, M, _, values = _edge_weight_matrix(graph, f)
-    _, _, it, v = _power_bounds(M, _SPECTRAL_TOL, _SPECTRAL_MAX_ITER, period)
-    v = v.tolist()
+    p = _perron(g, f)
+    v = p.v.tolist()
     ratios = [
-        iv.mul(iv.exp(iv.near(values[u])), iv.div(iv.fsum((v[s], v[s]) for s in H.successors(u)), (v[u], v[u])))
-        for u in range(H.n_vertices)
+        iv.mul(iv.exp(iv.near(p.values[u])), iv.div(iv.fsum((v[s], v[s]) for s in p.H.successors(u)), (v[u], v[u])))
+        for u in range(p.H.n_vertices)
     ]
     lam_lo, lam_hi = min(r[0] for r in ratios), max(r[1] for r in ratios)
     if not (lam_lo > 0):
         raise ConvergenceError("power iteration did not separate the Perron root from 0")
     value, error = iv.midrad(iv.log((lam_lo, lam_hi)))
-    return PressureEstimate(value=value, method="spectral", error=error, iterations=it)
+    return PressureEstimate(value=value, method="spectral", error=error, iterations=p.iterations)
 
 
 def pressure_from_table(table: PartitionFunctionTable, period: int = 1) -> PressureEstimate:
@@ -490,27 +513,17 @@ def pressure_from_table(table: PartitionFunctionTable, period: int = 1) -> Press
 def pressure_exhaustion(exh: ExhaustionPresentation, f: FiniteRangePotential) -> PressureEstimate:
     """Supremum of the level pressures; a lower estimate of the shift pressure.
 
-    Level values are nondecreasing (submatrix monotonicity of Perron roots);
-    the reported error is the spectral error of the last level, and the level
-    trace documents that no upper bound over the exhaustion is claimed.
+    ``levels`` and ``level_errors`` are each level's :func:`pressure_spectral`;
+    the estimate is the top level's, and no upper bound over the exhaustion
+    is claimed.  Nested levels have nondecreasing Perron roots, so a level
+    bracket wholly below the previous one raises :class:`ConvergenceError`.
     """
-    values: list[float] = []
-    last: PressureEstimate | None = None
-    for lv in exh.levels:
-        sub_f = restrict_potential(f, exh.names, lv)
-        last = pressure_spectral(lv.graph, sub_f)
-        values.append(last.value)
-    assert last is not None
-    for a, b in zip(values, values[1:]):
-        if b < a - 1e-9:
-            raise ValueError("exhaustion pressures failed to be nondecreasing")
-    return PressureEstimate(
-        value=last.value,
-        method="exhaustion-sup",
-        error=last.error,
-        iterations=last.iterations,
-        levels=tuple(values),
-    )
+    ests = [pressure_spectral(lv.graph, restrict_potential(f, exh.names, lv)) for lv in exh.levels]
+    for k, (a, b) in enumerate(zip(ests, ests[1:]), start=1):
+        if b.value + b.error < a.value - a.error:
+            raise ConvergenceError(f"exhaustion level {k}'s pressure bracket lies below level {k - 1}'s")
+    return replace(ests[-1], method="exhaustion-sup", levels=tuple(e.value for e in ests),
+                   level_errors=tuple(e.error for e in ests))
 
 
 def restrict_potential(f: FiniteRangePotential, ambient_names, level) -> FiniteRangePotential:
@@ -643,31 +656,21 @@ def stationary_vector(P: np.ndarray) -> np.ndarray:
 def equilibrium_measure(g, f: FiniteRangePotential) -> MarkovMeasure:
     """The Markov measure maximizing entropy + integral of f.
 
-    Built from the Perron data of the edge-weighted matrix:
-    ``P[u,v] = M[u,v] r[v] / (lambda r[u])`` with ``r`` the right Perron
-    vector, and ``pi`` the stationary vector of P; its pressure equals
-    log(lambda).
+    The Doob transform ``P[u,v] = M[u,v] r[v] / (M r)[u]`` of the Perron data
+    (:func:`_perron`), whose rows sum to 1 by construction, and ``pi`` the
+    stationary vector of P.  Once the Collatz-Wielandt gap is within
+    ``_PERRON_TOL`` (else :class:`ConvergenceError`), ``(M r)[u]`` is
+    ``lambda r[u]`` to that tolerance, and the pressure of P is log(lambda).
     """
-    graph = g.graph if isinstance(g, FinitePresentation) else g
-    flag, period = irreducible_and_period(graph)
-    if not flag:
-        raise ValueError("equilibrium_measure needs an irreducible graph")
-    H, M, blocks, _ = _edge_weight_matrix(graph, f)
-    lam_lo, lam_hi, _, r = _power_bounds(M, _MEASURE_TOL, _MEASURE_MAX_ITER, period)
-    if lam_hi - lam_lo > _MEASURE_TOL * max(1.0, lam_hi) * 10:
+    p = _perron(g, f)
+    if p.hi - p.lo > _PERRON_TOL * max(1.0, p.hi) * 10:
         raise ConvergenceError(
-            f"power iteration gap {lam_hi - lam_lo:.3e} did not reach {_MEASURE_TOL:.1e}"
-            f" within {_MEASURE_MAX_ITER} iterations"
+            f"power iteration gap {p.hi - p.lo:.3e} did not reach {_PERRON_TOL:.1e}"
+            f" within {_PERRON_MAX_ITER} iterations"
         )
-    lam = 0.5 * (lam_lo + lam_hi)
-    P = M * r[None, :] / (lam * r[:, None])
-    P[~H.adjacency] = 0.0
-    rowsums = P.sum(axis=1)
-    if np.max(np.abs(rowsums - 1.0)) > 1e-9:
-        raise ConvergenceError("transition rows failed to normalize (non-converged Perron data)")
-    P = P / rowsums[:, None]
-    return MarkovMeasure(graph=graph, order=len(blocks[0]),
-                         blocks=blocks, transitions=P, stationary=stationary_vector(P))
+    P = p.M * p.v / (p.M @ p.v)[:, None]
+    return MarkovMeasure(graph=p.graph, order=len(p.blocks[0]),
+                         blocks=p.blocks, transitions=P, stationary=stationary_vector(P))
 
 
 def measure_pressure(mu: MarkovMeasure, f: FiniteRangePotential) -> float:

@@ -255,6 +255,7 @@ def test_entropy_at_lambda_one_is_exactly_zero(capsys, fixture_dir):
     ("gm-at-0-loops.json", ["--potential", "gm-range1.json"], "omit --potential"),
     ("gm-at-0-loops.json", ["--method", "table"], "--method table needs a finite graph"),
     ("gm-exhaustion.json", ["--method", "table"], "--method table needs a finite graph"),
+    ("gm.json", ["--nmax", "3"], "--nmax sets the table length of --method table"),
 ])
 def test_pressure_flags_that_do_not_apply_exit_2(capsys, fixture_dir, shift, flags, message):
     argv = ["pressure", "--shift", str(fixture_dir / shift)] + [str(fixture_dir / a) if a.endswith(".json") else a
@@ -262,6 +263,28 @@ def test_pressure_flags_that_do_not_apply_exit_2(capsys, fixture_dir, shift, fla
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == "" and message in captured.err
+
+
+def test_exhaustion_levels_print_their_own_errors(capsys, tmp_path):
+    # every level printed the top level's error, which was not a lower level's bound
+    from shiftlab import documents as docs
+    from shiftlab.thermo import pressure_spectral, restrict_potential
+
+    exh_path, pot_path = tmp_path / "exh.json", tmp_path / "pot.json"
+    exh_path.write_text(json.dumps({
+        "kind": "exhaustion", "schema": 1, "alphabet": ["0", "1", "2"],
+        "levels": [{"vertices": [0, 1], "edges": [[0, 0], [0, 1], [1, 0]]},
+                   {"vertices": [0, 1, 2], "edges": [[0, 0], [0, 1], [1, 0], [0, 2], [2, 1]]}]}))
+    pot_path.write_text(json.dumps({"kind": "potential", "schema": 1, "left_range": 0, "right_range": 1,
+                                    "weights": {"0": "2", "1": "-1", "2": "1"}}))
+    code, report, _ = run_cli(capsys, "pressure", "--shift", str(exh_path), "--potential", str(pot_path))
+    assert code == 0
+    exh = parse_shift(docs.loads(exh_path.read_text()))
+    f = docs.parse_potential(docs.loads(pot_path.read_text()), exh.levels[-1].graph)
+    for printed, lv in zip(report["levels"], exh.levels, strict=True):
+        own = pressure_spectral(lv.graph, restrict_potential(f, exh.names, lv))
+        assert printed == {"value": own.value, "error": own.error}
+    assert report["pressure"] == report["levels"][-1]
 
 
 def test_pressure_exhaustion_with_potential(capsys, fixture_dir):
@@ -308,6 +331,19 @@ def test_verify_magic_certified_and_refuted(capsys, tmp_path, fixture_dir):
     assert rc == 1
     assert report["status"] == "refuted"
     assert report["witness"] is not None
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["zn", "--shift", "gm-at-1-loops.json", "--word", "0", "--nmax", "3"], "omit --word"),
+    (["transport", "--ai", "gm-self-ai.json", "--measure", "gm-parry.json", "--order", "2", "--seed", "5"],
+     "a seed applies to sampling transport only"),
+])
+def test_zn_and_transport_flags_that_do_not_apply_exit_2(capsys, fixture_dir, argv, message):
+    # each was ignored: the loop table is at "1" whatever --word says, and the
+    # exact transport draws nothing
+    rc = main([str(fixture_dir / a) if a.endswith(".json") else a for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and message in captured.err
 
 
 def test_transport_sampling_seed_required(capsys, fixture_dir):

@@ -527,6 +527,12 @@ class TestTransport:
         with pytest.raises(CodeError, match="seed"):
             transport_measure(gm_self_ai, mu, order=1, samples=1000)
 
+    def test_seed_without_samples_rejected(self, gm_self_ai, gm_graph):
+        # the exact route draws nothing, so a seed there would be dropped
+        mu = equilibrium_measure(gm_graph, FiniteRangePotential.zero(gm_graph))
+        with pytest.raises(CodeError, match="a seed applies to sampling transport only"):
+            transport_measure(gm_self_ai, mu, order=1, seed=5)
+
     def test_not_fully_supported_rejected(self, gm_self_ai, gm_graph):
         from shiftlab.thermo import MarkovMeasure
 

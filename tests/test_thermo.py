@@ -23,8 +23,10 @@ from shiftlab.graphs import (
 )
 from shiftlab.potentials import FiniteRangePotential, PotentialError, bowen_reduce
 from shiftlab.thermo import (
+    ConvergenceError,
     MarkovMeasure,
     PartitionFunctionTable,
+    PressureEstimate,
     equilibrium_measure,
     export_zn_csv,
     measure_pressure,
@@ -32,6 +34,7 @@ from shiftlab.thermo import (
     pressure_exhaustion,
     pressure_from_table,
     pressure_spectral,
+    restrict_potential,
     stationary_vector,
     zeta_series,
 )
@@ -715,6 +718,27 @@ class TestEquilibriumMeasure:
                 assert measure_pressure(nu, f) <= best + 1e-9
 
 
+    def test_doob_chain_is_stochastic_and_stationary_on_random_graphs(self):
+        # P[u, v] = M[u, v] r[v] / (M r)[u] sums to 1 by construction, whatever
+        # the iterate r; span-1 and span-2 tables, rational and float
+        rng = np.random.default_rng(31)
+        for case in range(60):
+            names, edges = random_irreducible_graph(rng, 24)
+            g = build_graph(names, edges).graph
+            span = 1 + case % 2
+            words = list(g.words(span))
+            if case % 4 < 2:
+                table = dict(zip(words, random_rational_values(rng, len(words))))
+            else:
+                table = {w: float(x) for w, x in zip(words, rng.normal(0.0, 3.0, len(words)))}
+            f = FiniteRangePotential(g, 0, span, table)
+            mu = equilibrium_measure(g, f)
+            P, pi = mu.transitions, mu.stationary
+            assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-13, (case, g.edges)
+            assert np.max(np.abs(pi @ P - pi)) <= 1e-13, (case, g.edges)
+            est = pressure_spectral(g, f)
+            assert abs(measure_pressure(mu, f) - est.value) <= 1e-9, (case, g.edges)
+
     def test_three_block_measure_is_stationary(self, gm, fixture_dir):
         f = docs.parse_potential(docs.loads((fixture_dir / "gm-range1-block2.json").read_text()), gm.graph)
         mu = equilibrium_measure(gm.graph, f)  # MarkovMeasure checks pi P = pi within 1e-12
@@ -918,6 +942,38 @@ class TestExhaustion:
         assert est.levels[0] <= est.levels[1] + 1e-12
         amb = pressure_spectral(full2.graph, FiniteRangePotential.zero(full2.graph))
         assert est.value <= amb.value + 1e-12
+
+    def test_each_level_carries_its_own_error(self):
+        # the top level's error, printed for every level, was not a lower
+        # level's bound: here level 0's own error was about 3x the top's
+        names = ("0", "1", "2")
+        lv0 = ExhaustionLevel((0, 1), build_graph(names[:2], [(0, 0), (0, 1), (1, 0)]).graph)
+        top = build_graph(names, [(0, 0), (0, 1), (1, 0), (0, 2), (2, 1)]).graph
+        exh = ExhaustionPresentation(names, (lv0, ExhaustionLevel((0, 1, 2), top)))
+        f = FiniteRangePotential.from_vertex_values(top, [F(2), F(-1), F(1)])
+        est = pressure_exhaustion(exh, f)
+        for k, lv in enumerate(exh.levels):
+            own = pressure_spectral(lv.graph, restrict_potential(f, names, lv))
+            assert (est.levels[k], est.level_errors[k]) == (own.value, own.error)
+        assert (est.value, est.error) == (est.levels[-1], est.level_errors[-1])
+        assert est.levels[0] + est.level_errors[0] < est.value - est.error
+
+    @pytest.mark.parametrize("second, raises", [
+        ((0.9, 1e-3), True),  # wholly below the first level's bracket
+        ((0.9995, 1e-3), False),  # a smaller value, but the brackets overlap
+    ])
+    def test_a_level_bracket_below_the_previous_one_raises(self, gm, monkeypatch, second, raises):
+        lvl1 = ExhaustionLevel((0,), build_graph(["0"], [(0, 0)]).graph)
+        exh = ExhaustionPresentation(("0", "1"), (lvl1, ExhaustionLevel((0, 1), gm.graph)))
+        fake = iter([PressureEstimate(1.0, "spectral", 1e-3), PressureEstimate(second[0], "spectral", second[1])])
+        monkeypatch.setattr(thermo, "pressure_spectral", lambda g, f: next(fake))
+        if raises:
+            with pytest.raises(ConvergenceError, match="level 1's pressure bracket lies below level 0's"):
+                pressure_exhaustion(exh, zero(gm.graph))
+        else:
+            est = pressure_exhaustion(exh, zero(gm.graph))
+            assert est.levels == (1.0, second[0]) and est.level_errors == (1e-3, second[1])
+            assert (est.value, est.error) == second
 
     def test_not_nested_rejected(self, gm, full2):
         lvl1 = ExhaustionLevel((0, 1), full2.graph)
